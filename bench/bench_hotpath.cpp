@@ -9,30 +9,16 @@
 //     operator-new hook. After the warm-up solve the count must stay at
 //     zero — for the exact parametric path AND the FISTA path.
 //
-//  2. Full RHC runs over the headline instance (default T=100) under four
-//     controller/solver configurations:
-//       hotpath   new controller, reuse_workspaces=1 reuse_p1_network=1
-//                 cross_window_warm_start=1
-//       throwaway same controller, reuse_workspaces=0 reuse_p1_network=0
-//                 (fresh workspaces and a rebuilt P1 network every
-//                 iteration — the pre-optimization allocation behavior on
-//                 the new decision logic; bit-identical costs)
-//       cold      reuse_workspaces=0 cross_window_warm_start=0 (every
-//                 window re-solved from scratch, no warm starts at all)
-//       legacy    the pre-optimization RHC loop emulated in-bench: a fresh
-//                 solver per slot, throwaway workspaces, per-iteration P1
-//                 network rebuilds, AND the old shifted-mu warm start with
-//                 a restarted step schedule (measured to stall at the
-//                 iteration cap — see DESIGN.md). The headline speedup is
-//                 legacy / hotpath.
-//     reporting wall clock, allocations per decision, and per-slot decision
-//     latency percentiles.
+//  2. Full RHC runs over the headline instance (default T=100) on the one
+//     solver path (persistent workspace bank, P1 networks built once per
+//     solve and re-priced, P2 warm starts carried across windows), at one
+//     thread ("hotpath") and at --threads ("hotpath_mt"), reporting wall
+//     clock, allocations per decision, and per-slot decision latency
+//     percentiles.
 //
-// Determinism guard (exit code != 0 on violation): the paper scenario runs
-// the exact P2 path (omega_sbs = 0), where warm starts change nothing, so
-// total costs must be bit-identical (a) across MDO thread counts and
-// (b) with and without workspace reuse. The steady-state allocation counts
-// must also stay within --steady-allocs-limit (default 0).
+// Determinism guard (exit code != 0 on violation): total costs must be
+// bit-identical across MDO thread counts. The steady-state allocation
+// counts must also stay within --steady-allocs-limit (default 0).
 //
 // Flags beyond the common set (see common.hpp; --slots defaults to 100
 // here, the paper's T):
@@ -50,9 +36,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
-#include <memory>
 #include <new>
-#include <optional>
 
 #include "common.hpp"
 #include "core/load_balancing.hpp"
@@ -142,13 +126,17 @@ SteadyStats measure_p2_steady(bool fista_path, std::size_t repeats) {
   sbs.cache_capacity = contents;
   sbs.bandwidth = static_cast<double>(classes) / 2.0;
   sbs.replacement_beta = 1.0;
-  model::SbsDemand demand(classes, contents);
+  model::SbsDemand dense(classes, contents);
   Rng rng(5);
   sbs.classes.resize(classes);
   for (auto& mu : sbs.classes) {
     mu = {rng.uniform(0.0, 1.0), fista_path ? 0.05 : 0.0};
   }
-  for (auto& v : demand.data()) v = rng.uniform(0.0, 2.0 / contents);
+  for (auto& v : dense.data()) v = rng.uniform(0.0, 2.0 / contents);
+  const model::SparseSbsDemand demand =
+      model::SparseSbsDemand::from_dense(dense);
+  std::vector<std::size_t> active(contents);
+  for (std::size_t k = 0; k < contents; ++k) active[k] = k;
   linalg::Vec base(classes * contents);
   for (auto& v : base) v = rng.uniform(0.0, 0.2);
   linalg::Vec c = base;
@@ -158,7 +146,7 @@ SteadyStats measure_p2_steady(bool fista_path, std::size_t repeats) {
   SteadyStats stats;
 
   const std::uint64_t before_warmup = allocation_count();
-  ws.bind(sbs, demand);
+  ws.bind_active(sbs, demand, active);
   ws.set_linear(c.data(), c.data() + c.size());
   core::solve_load_balancing(ws, options);
   // Second warm-up with the steady loop's perturbation pattern: the exact
@@ -192,65 +180,6 @@ SteadyStats measure_p2_steady(bool fista_path, std::size_t repeats) {
 
 // ---- Measurement 2: full RHC runs ---------------------------------------
 
-/// The pre-optimization RHC decision loop, reproduced verbatim as the
-/// speedup baseline: a fresh PrimalDualSolver per slot (no persistent
-/// workspace bank), and the previous window's multipliers shifted forward
-/// one slot as a warm start with the step schedule restarted at delta_0 —
-/// the policy this PR removed after measuring it slower than a cold
-/// marginal re-initialization.
-class LegacyRhcController final : public online::Controller {
- public:
-  LegacyRhcController(std::size_t window, core::PrimalDualOptions options)
-      : window_(window), options_(options) {}
-
-  std::string name() const override { return "LegacyRHC"; }
-
-  void reset(const model::ProblemInstance& instance) override {
-    instance_ = &instance;
-    trajectory_cache_ = instance.initial_cache;
-    warm_mu_.clear();
-    warm_horizon_ = 0;
-  }
-
-  model::SlotDecision decide(const online::DecisionContext& ctx) override {
-    // Legacy behavior on purpose: a fresh window trace materialized per
-    // decision (the baseline the buffer-reusing controllers beat).
-    window_demand_ = ctx.predictor->predict_window(ctx.slot, window_);
-    core::HorizonProblem problem;
-    problem.config = &instance_->config;
-    problem.demand = &window_demand_;
-    problem.initial_cache = trajectory_cache_;
-    const std::size_t horizon = window_demand_.horizon();
-
-    std::optional<linalg::Vec> warm;
-    if (!warm_mu_.empty()) {
-      warm = online::advance_mu(warm_mu_, instance_->config, warm_horizon_,
-                                horizon, /*shift=*/1);
-    }
-    core::PrimalDualSolver solver(options_);  // fresh every slot
-    const auto solution = solver.solve(problem, warm ? &*warm : nullptr);
-
-    warm_mu_ = solution.mu;
-    warm_horizon_ = horizon;
-    trajectory_cache_ = solution.schedule.front().cache;
-    return solution.schedule.front();
-  }
-
-  void observe(std::size_t /*slot*/,
-               const model::SlotDecision& executed) override {
-    trajectory_cache_ = executed.cache;
-  }
-
- private:
-  std::size_t window_;
-  core::PrimalDualOptions options_;
-  const model::ProblemInstance* instance_ = nullptr;
-  model::CacheState trajectory_cache_;
-  model::DemandTrace window_demand_;
-  linalg::Vec warm_mu_;
-  std::size_t warm_horizon_ = 0;
-};
-
 struct RunStats {
   std::string label;
   std::size_t threads = 1;
@@ -263,7 +192,7 @@ struct RunStats {
 
 RunStats run_rhc(const sim::ExperimentConfig& config,
                  const core::PrimalDualOptions& pd, std::size_t threads,
-                 std::size_t reps, std::string label, bool legacy = false) {
+                 std::size_t reps, std::string label) {
   util::ThreadPool::set_global_threads(threads);
   const model::ProblemInstance instance = config.scenario.build();
   const workload::NoisyPredictor predictor(instance.demand, config.eta,
@@ -275,15 +204,10 @@ RunStats run_rhc(const sim::ExperimentConfig& config,
   stats.threads = threads;
   stats.wall_seconds = std::numeric_limits<double>::infinity();
   for (std::size_t rep = 0; rep < std::max<std::size_t>(reps, 1); ++rep) {
-    std::unique_ptr<online::Controller> rhc;
-    if (legacy) {
-      rhc = std::make_unique<LegacyRhcController>(config.window, pd);
-    } else {
-      rhc = std::make_unique<online::RhcController>(config.window, pd);
-    }
+    online::RhcController rhc(config.window, pd);
     const std::uint64_t before = allocation_count();
     const Stopwatch watch;
-    const auto result = simulator.run(*rhc);
+    const auto result = simulator.run(rhc);
     stats.wall_seconds = std::min(stats.wall_seconds, watch.elapsed_seconds());
     if (rep == 0) {
       stats.allocations = allocation_count() - before;
@@ -359,17 +283,6 @@ int main(int argc, char** argv) {
               << "T=" << config.scenario.horizon << " w=" << config.window
               << " reps=" << reps << "\n";
 
-    // Resident dual-vector footprint for one window of this (dense-demand)
-    // instance. The compact active-coordinate layout applies to sparse
-    // instances; its byte reduction is measured in bench_scaling.
-    const std::uint64_t mu_bytes_resident = [&] {
-      const model::ProblemInstance probe = config.scenario.build();
-      return static_cast<std::uint64_t>(
-          core::mu_size(probe.config, config.window) * sizeof(double));
-    }();
-    std::cout << "mu bytes resident (dense window) = " << mu_bytes_resident
-              << "\n";
-
     // ---- Steady-state P2 allocations (single-threaded by construction).
     const SteadyStats exact = measure_p2_steady(false, steady_repeats);
     const SteadyStats fista = measure_p2_steady(true, steady_repeats);
@@ -380,48 +293,15 @@ int main(int argc, char** argv) {
               << " FISTA iterations, " << fista.allocs_per_iteration
               << " allocs/iteration)\n";
 
-    // ---- Full-run comparison.
-    core::PrimalDualOptions hot = config.primal_dual;
-    hot.reuse_workspaces = true;
-    hot.reuse_p1_network = true;
-    hot.cross_window_warm_start = true;
-    core::PrimalDualOptions throwaway = config.primal_dual;
-    throwaway.reuse_workspaces = false;
-    throwaway.reuse_p1_network = false;
-    throwaway.cross_window_warm_start = true;
-    core::PrimalDualOptions cold = config.primal_dual;
-    cold.reuse_workspaces = false;
-    cold.reuse_p1_network = false;
-    cold.cross_window_warm_start = false;
-
+    // ---- Full runs.
+    const core::PrimalDualOptions& pd = config.primal_dual;
     std::vector<RunStats> runs;
-    runs.push_back(run_rhc(config, hot, 1, reps, "hotpath"));
-    runs.push_back(run_rhc(config, throwaway, 1, reps, "throwaway"));
-    runs.push_back(run_rhc(config, cold, 1, reps, "cold"));
-    runs.push_back(
-        run_rhc(config, throwaway, 1, reps, "legacy", /*legacy=*/true));
-    runs.push_back(run_rhc(config, hot, mt_threads, 1, "hotpath_mt"));
+    runs.push_back(run_rhc(config, pd, 1, reps, "hotpath"));
+    runs.push_back(run_rhc(config, pd, mt_threads, 1, "hotpath_mt"));
     util::ThreadPool::set_global_threads(1);
     for (const RunStats& run : runs) print_run(run);
-
     const RunStats& hot_run = runs[0];
-    const RunStats& throwaway_run = runs[1];
-    const RunStats& cold_run = runs[2];
-    const RunStats& legacy_run = runs[3];
-    const RunStats& mt_run = runs[4];
-    auto speedup_over_hot = [&](const RunStats& other) {
-      return hot_run.wall_seconds > 0.0
-                 ? other.wall_seconds / hot_run.wall_seconds
-                 : 0.0;
-    };
-    const double speedup_vs_throwaway = speedup_over_hot(throwaway_run);
-    const double speedup_vs_cold = speedup_over_hot(cold_run);
-    const double speedup_vs_legacy = speedup_over_hot(legacy_run);
-    std::cout << "speedup vs throwaway-workspace path = "
-              << speedup_vs_throwaway << "\n"
-              << "speedup vs cold re-solve = " << speedup_vs_cold << "\n"
-              << "speedup vs legacy (pre-optimization) path = "
-              << speedup_vs_legacy << "\n";
+    const RunStats& mt_run = runs[1];
 
     // ---- Determinism guard.
     bool deterministic = true;
@@ -430,29 +310,12 @@ int main(int argc, char** argv) {
       std::cerr << "DETERMINISM VIOLATION: cost differs between 1 and "
                 << mt_threads << " threads\n";
     }
-    if (throwaway_run.total_cost != hot_run.total_cost) {
-      deterministic = false;
-      std::cerr << "DETERMINISM VIOLATION: cost differs with vs without "
-                   "workspace reuse\n";
-    }
     const bool allocs_ok = exact.steady_allocations <= steady_limit &&
                            fista.steady_allocations <= steady_limit;
     if (!allocs_ok) {
       std::cerr << "ALLOCATION CEILING EXCEEDED: steady-state P2 solves "
                    "allocated (limit "
                 << steady_limit << ")\n";
-    }
-    // The HorizonProblem view-based hand-off eliminated the per-decision
-    // window copy: the hot controller refills member buffers in place while
-    // the legacy loop materializes a fresh window trace every slot, so the
-    // hot path must allocate strictly fewer times per decision.
-    const bool window_reuse_ok =
-        hot_run.allocs_per_decision < legacy_run.allocs_per_decision;
-    if (!window_reuse_ok) {
-      std::cerr << "WINDOW HAND-OFF REGRESSION: hot path allocates "
-                << hot_run.allocs_per_decision
-                << " per decision vs legacy copy-per-slot "
-                << legacy_run.allocs_per_decision << "\n";
     }
     // Optional p99 decision-latency budget (ms) on the hot path.
     const bool p99_ok =
@@ -462,8 +325,7 @@ int main(int argc, char** argv) {
                 << hot_run.p99 * 1000.0 << " ms > budget " << p99_budget_ms
                 << " ms\n";
     }
-    std::cout << (deterministic ? "deterministic across thread counts and "
-                                  "workspace modes\n"
+    std::cout << (deterministic ? "deterministic across thread counts\n"
                                 : "NOT deterministic\n");
 
     std::ofstream json(json_path);
@@ -485,22 +347,16 @@ int main(int argc, char** argv) {
         json_run(json, runs[i], i + 1 == runs.size());
       }
       json << "  ],\n"
-           << "  \"speedup_vs_throwaway\": " << speedup_vs_throwaway << ",\n"
-           << "  \"speedup_vs_cold\": " << speedup_vs_cold << ",\n"
-           << "  \"speedup_vs_legacy\": " << speedup_vs_legacy << ",\n"
-           << "  \"mu_bytes_resident\": " << mu_bytes_resident << ",\n"
            << "  \"steady_allocs_limit\": " << steady_limit << ",\n"
            << "  \"p99_budget_ms\": " << p99_budget_ms << ",\n"
            << "  \"p99_budget_ok\": " << (p99_ok ? "true" : "false") << ",\n"
            << "  \"allocations_ok\": " << (allocs_ok ? "true" : "false")
            << ",\n"
-           << "  \"window_reuse_ok\": "
-           << (window_reuse_ok ? "true" : "false") << ",\n"
            << "  \"deterministic\": " << (deterministic ? "true" : "false")
            << "\n}\n";
       std::cout << "wrote " << json_path << "\n";
     }
-    return deterministic && allocs_ok && window_reuse_ok && p99_ok ? 0 : 1;
+    return deterministic && allocs_ok && p99_ok ? 0 : 1;
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;

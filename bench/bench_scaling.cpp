@@ -1,26 +1,25 @@
 // E11 — catalogue-size scaling: dense vs sparse demand representation.
 //
 // Sweeps K (the catalogue size) and runs the same truncated Zipf(0.8)
-// scenario through the RHC controller twice per point: with the dense
-// M x K demand matrices (dense mu layout), and with the sparse CSR path,
-// which always keeps mu on the compact active-coordinate layout (the
-// dense-mu A/B switch is retired; compact IS the sparse layout). Both runs
-// see the SAME trace values — the generator honors min_rate for both
-// representations — so total costs must match bit for bit (guarded;
-// nonzero exit on mismatch) and every latency difference is attributable
-// to the data layout and the active-set solves.
+// scenario through the RHC controller twice per point: over an instance
+// holding dense M x K demand matrices, and over one holding the sparse CSR
+// trace. The solver has one path — the controllers forecast sparse windows
+// either way, and a dense window handed to the solver is converted at its
+// boundary — so the two legs differ only in the model-layer data the
+// instance, predictor and simulator keep; the solver-side gap is gone by
+// construction. Both runs see the SAME trace values — the generator honors
+// min_rate for both representations — so total costs must match bit for
+// bit (guarded; nonzero exit on mismatch).
 //
 // Each child also reports the resident dual-vector footprint of one RHC
-// window (compact block bytes vs dense layout bytes) and the kEnd/kEndReply
-// wire traffic of a one-off 2-shard solve of that window
-// (shard::wire_stats()), so the sparse path's byte reduction —
-// (mu + kEnd bytes, dense) / (mu + kEnd bytes, sparse) — is measured,
-// reported per point, and gateable with --require-bytes-reduction.
+// window (compact block bytes) and the kEnd/kEndReply wire traffic of a
+// one-off 2-shard solve of that window (shard::wire_stats()); the dense
+// leg hands that solve the dense window, exercising the conversion.
 //
 // min_rate is derived from the Zipf-Mandelbrot pmf: the rate of the rank at
 // --head-fraction * K becomes the cutoff, so the surviving head is a fixed
 // fraction of the catalogue at every K and the dense/sparse gap isolates
-// the O(M*K) vs O(nnz) scaling. --head-fraction 0 disables truncation
+// the O(M*K) vs O(nnz) scaling of the model layer. --head-fraction 0 disables truncation
 // (bit-identity sanity mode; the support is then the full catalogue and no
 // speedup is expected).
 //
@@ -43,10 +42,6 @@
 //   --json PATH          output path (default BENCH_scaling.json)
 //   --require-speedup X  exit nonzero unless the largest-K decision-latency
 //                        speedup reaches X (default 0 = report only)
-//   --require-bytes-reduction X
-//                        exit nonzero unless the largest-K byte reduction
-//                        (resident mu + kEnd wire, dense over sparse)
-//                        reaches X (default 0 = report only)
 //   --p99-budget-ms X    exit nonzero when the largest-K sparse run's p99
 //                        decision latency exceeds X ms
 //                        (default 0 = gate off)
@@ -79,9 +74,8 @@ using namespace mdo;
 
 using bench::percentile;
 
-/// The two measured configurations: dense demand (dense mu layout) and
-/// sparse demand (compact active-coordinate mu layout — the only sparse
-/// layout since the dense-mu A/B switch retired).
+/// The two measured configurations: an instance holding dense demand, and
+/// one holding sparse demand.
 enum class Repr { kDense, kSparse };
 
 const char* repr_name(Repr repr) {
@@ -224,34 +218,29 @@ Measured measure(const ScalingSetup& setup, std::size_t contents,
   out.p99 = percentile(decision_seconds, 99.0);
 
   // Byte accounting: the resident dual vector of one RHC window (compact
-  // block bytes vs the dense w*N*M*K layout), and the end-of-solve wire
+  // block bytes), and the end-of-solve wire
   // traffic of a one-off 2-shard solve of that window (the kEndReply frames
   // carry the mu blocks + warm blobs back to the driver). Done after the
   // timed run so the probe's worker fleet cannot perturb the latency
   // numbers.
+  const model::SparseDemandTrace window_sparse =
+      predictor->predict_window_sparse(0, setup.window);
   model::DemandTrace window_dense;
-  model::SparseDemandTrace window_sparse;
   core::HorizonProblem window_problem;
   window_problem.config = &instance.config;
   window_problem.initial_cache = instance.initial_cache;
   if (sparse) {
-    window_sparse = predictor->predict_window_sparse(0, setup.window);
     window_problem.sparse_demand = &window_sparse;
   } else {
     window_dense = predictor->predict_window(0, setup.window);
     window_problem.demand = &window_dense;
   }
-  const std::size_t window_horizon = window_problem.horizon();
-  if (repr == Repr::kSparse) {
-    const core::ActiveSets sets = core::build_active_sets(
-        instance.config, window_sparse, instance.initial_cache);
-    out.mu_bytes = core::mu_block_offsets(instance.config, window_horizon, sets)
-                       .back() *
-                   sizeof(double);
-  } else {
-    out.mu_bytes =
-        core::mu_size(instance.config, window_horizon) * sizeof(double);
-  }
+  const core::ActiveSets sets = core::build_active_sets(
+      instance.config, window_sparse, instance.initial_cache);
+  out.mu_bytes =
+      core::mu_block_offsets(instance.config, window_sparse.horizon(), sets)
+          .back() *
+      sizeof(double);
   {
     shard::reset_wire_stats();
     core::PrimalDualOptions probe_options = pd;
@@ -350,8 +339,6 @@ int main(int argc, char** argv) {
     const std::string json_path =
         flags.get_string("json", "BENCH_scaling.json");
     const double require_speedup = flags.get_double("require-speedup", 0.0);
-    const double require_bytes_reduction =
-        flags.get_double("require-bytes-reduction", 0.0);
     const double p99_budget_ms = flags.get_double("p99-budget-ms", 0.0);
     flags.require_all_consumed();
 
@@ -361,10 +348,9 @@ int main(int argc, char** argv) {
 
     struct Point {
       Measured dense;
-      Measured sparse;  // compact mu, the only sparse layout
+      Measured sparse;
       double speedup = 0.0;
       double rss_ratio = 0.0;
-      double bytes_reduction = 0.0;  // (mu + kEnd) dense over sparse
       bool costs_match = false;
     };
     std::vector<Point> points;
@@ -384,23 +370,14 @@ int main(int argc, char** argv) {
                             ? static_cast<double>(dense->peak_rss_kb) /
                                   static_cast<double>(sparse->peak_rss_kb)
                             : 0.0;
-      const double compact_bytes =
-          static_cast<double>(sparse->mu_bytes + sparse->wire_end_bytes);
-      point.bytes_reduction =
-          compact_bytes > 0.0
-              ? static_cast<double>(dense->mu_bytes + dense->wire_end_bytes) /
-                    compact_bytes
-              : 0.0;
-      // Same trace values, same solves on the surviving support, and a mu
-      // that is provably zero off the active set: the costs must agree bit
-      // for bit or one of the representations is broken.
+      // Same trace values and one solver path: the costs must agree bit for
+      // bit or one of the representations is broken.
       point.costs_match = dense->total_cost == sparse->total_cost;
       points.push_back(point);
     }
 
     TextTable table({"K", "nnz_frac", "dense_dec_s", "sparse_dec_s", "speedup",
-                     "dense_rss_mb", "sparse_rss_mb", "mu+kend_x",
-                     "costs_match"});
+                     "dense_rss_mb", "sparse_rss_mb", "costs_match"});
     for (const auto& p : points) {
       table.add_row({std::to_string(p.dense.contents),
                      TextTable::fmt(p.sparse.nnz_fraction, 4),
@@ -409,7 +386,6 @@ int main(int argc, char** argv) {
                      TextTable::fmt(p.speedup, 2),
                      TextTable::fmt(p.dense.peak_rss_kb / 1024.0, 1),
                      TextTable::fmt(p.sparse.peak_rss_kb / 1024.0, 1),
-                     TextTable::fmt(p.bytes_reduction, 2),
                      p.costs_match ? "yes" : "NO"});
     }
     table.print(std::cout);
@@ -417,13 +393,9 @@ int main(int argc, char** argv) {
     bool all_match = true;
     for (const auto& p : points) all_match = all_match && p.costs_match;
     const double max_k_speedup = points.back().speedup;
-    const double max_k_bytes_reduction = points.back().bytes_reduction;
     const double max_k_sparse_p99_ms = points.back().sparse.p99 * 1000.0;
     std::cout << "decision-latency speedup at K=" << points.back().dense.contents
-              << ": " << max_k_speedup << "x\n"
-              << "sparse byte reduction (resident mu + kEnd wire) at K="
-              << points.back().dense.contents << ": " << max_k_bytes_reduction
-              << "x\n";
+              << ": " << max_k_speedup << "x\n";
     if (!all_match) {
       std::cerr << "COST MISMATCH between dense and sparse runs\n";
     }
@@ -451,14 +423,11 @@ int main(int argc, char** argv) {
         json_measured(json, p.sparse);
         json << ",\n     \"decision_speedup\": " << p.speedup
              << ", \"peak_rss_ratio\": " << p.rss_ratio
-             << ", \"mu_kend_bytes_reduction\": " << p.bytes_reduction
              << ", \"costs_match\": " << (p.costs_match ? "true" : "false")
              << "}" << (i + 1 == points.size() ? "" : ",") << "\n";
       }
       json << "  ],\n"
            << "  \"speedup_at_max_contents\": " << max_k_speedup << ",\n"
-           << "  \"bytes_reduction_at_max_contents\": "
-           << max_k_bytes_reduction << ",\n"
            << "  \"p99_budget_ms\": " << p99_budget_ms << ",\n"
            << "  \"sparse_p99_ms_at_max_contents\": " << max_k_sparse_p99_ms
            << ",\n"
@@ -472,20 +441,13 @@ int main(int argc, char** argv) {
       std::cerr << "SPEEDUP BELOW REQUIREMENT: " << max_k_speedup << " < "
                 << require_speedup << "\n";
     }
-    const bool bytes_ok = require_bytes_reduction <= 0.0 ||
-                          max_k_bytes_reduction >= require_bytes_reduction;
-    if (!bytes_ok) {
-      std::cerr << "BYTE REDUCTION BELOW REQUIREMENT: "
-                << max_k_bytes_reduction << " < " << require_bytes_reduction
-                << "\n";
-    }
     const bool p99_ok =
         p99_budget_ms <= 0.0 || max_k_sparse_p99_ms <= p99_budget_ms;
     if (!p99_ok) {
       std::cerr << "P99 BUDGET EXCEEDED: sparse p99 = " << max_k_sparse_p99_ms
                 << " ms > budget " << p99_budget_ms << " ms\n";
     }
-    return all_match && speedup_ok && bytes_ok && p99_ok ? 0 : 1;
+    return all_match && speedup_ok && p99_ok ? 0 : 1;
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 1;

@@ -17,10 +17,8 @@ cd "$(dirname "$0")/.."
 ./build/bench/bench_events --rss-slots 1500 --rss-scale 250 --min-requests 10000000 --json results/BENCH_events.json > results/events.txt 2>&1
 ./build/bench/bench_shard --json results/BENCH_shard.json > results/shard.txt 2>&1
 # E15 — compact-mu byte accounting + p99 budget (two-way bitwise guard:
-# dense vs sparse, whose mu always uses the compact active-coordinate
-# layout; >= 2x resident-mu + kEnd-wire byte reduction required at the
-# largest K).
-./build/bench/bench_scaling --ks 10000 --require-bytes-reduction 2 --p99-budget-ms 2000 --json results/BENCH_compact_mu.json > results/compact_mu.txt 2>&1
+# dense vs sparse instances, which share the one compact-mu solver path).
+./build/bench/bench_scaling --ks 10000 --p99-budget-ms 2000 --json results/BENCH_compact_mu.json > results/compact_mu.txt 2>&1
 # E16 — collaborative SBS-to-SBS caching: cooperative vs non-cooperative on
 # ring/grid/geo topologies; fails unless cooperation strictly helps on every
 # topology and the zero-bandwidth arms agree bit for bit.

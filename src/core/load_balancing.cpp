@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -25,9 +27,14 @@ bool load_balancing_inputs_finite(const LoadBalancingSubproblem& problem) {
          all_finite(problem.upper);
 }
 
-/// Seeds a throwaway workspace from a one-shot subproblem description.
+/// Seeds a throwaway workspace from a one-shot subproblem description:
+/// bound over the full catalogue, the compact layout m * K + k is the
+/// subproblem's own.
 void bind_workspace(P2Workspace& ws, const LoadBalancingSubproblem& problem) {
-  ws.bind(*problem.sbs, *problem.demand);
+  std::vector<std::size_t> all(problem.demand->num_contents());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  ws.bind_active(*problem.sbs,
+                 model::SparseSbsDemand::from_dense(*problem.demand), all);
   if (!problem.linear.empty()) {
     ws.set_linear(problem.linear.data(),
                   problem.linear.data() + problem.linear.size());
@@ -48,46 +55,6 @@ void LoadBalancingSubproblem::validate() const {
   for (const double b : upper) {
     MDO_REQUIRE(b >= 0.0 && b <= 1.0, "P2: upper bounds must be in [0, 1]");
   }
-}
-
-void P2Workspace::bind(const model::SbsConfig& sbs,
-                       const model::SbsDemand& demand) {
-  MDO_REQUIRE(demand.num_classes() == sbs.num_classes(),
-              "P2 workspace: class count mismatch");
-  sbs_ = &sbs;
-  demand_ = &demand;
-  const std::size_t classes = sbs.num_classes();
-  const std::size_t contents = demand.num_contents();
-  const std::size_t size = classes * contents;
-  compact_ = false;
-  classes_ = classes;
-  contents_ = contents;
-  active_.clear();
-
-  coeff_.lambda = demand.data();
-  coeff_.u.resize(size);
-  coeff_.v.resize(size);
-  coeff_.a = 0.0;
-  exact_applicable_ = true;
-  for (std::size_t m = 0; m < classes; ++m) {
-    const double omega = sbs.classes[m].omega_bs;
-    const double omega_sbs = sbs.classes[m].omega_sbs;
-    if (omega_sbs != 0.0) exact_applicable_ = false;
-    for (std::size_t k = 0; k < contents; ++k) {
-      const std::size_t j = m * contents + k;
-      coeff_.u[j] = omega * coeff_.lambda[j];
-      coeff_.v[j] = omega_sbs * coeff_.lambda[j];
-      coeff_.a += coeff_.u[j];
-    }
-  }
-  quad_norm_ =
-      linalg::dot(coeff_.u, coeff_.u) + linalg::dot(coeff_.v, coeff_.v);
-  bind_finite_ = std::isfinite(sbs.bandwidth) && all_finite(coeff_.lambda);
-  coeff_.c.assign(size, 0.0);
-  linear_finite_ = true;
-  coeff_.ub.assign(size, 1.0);
-  upper_finite_ = true;
-  has_solution_ = false;
 }
 
 void P2Workspace::save_warm_state(util::BinaryWriter& w) const {
@@ -113,13 +80,12 @@ void P2Workspace::bind_active(const model::SbsConfig& sbs,
   MDO_REQUIRE(demand.num_classes() == sbs.num_classes(),
               "P2 workspace: class count mismatch");
   sbs_ = &sbs;
-  demand_ = nullptr;
   const std::size_t classes = sbs.num_classes();
   const std::size_t a_count = active.size();
   const std::size_t size = classes * a_count;
 
   // A changed active set would misalign the compact warm start; a matching
-  // one keeps it, which at full support matches bind()'s behavior exactly.
+  // one keeps it.
   const bool same_space = compact_ && classes_ == classes &&
                           contents_ == demand.num_contents() &&
                           active_ == active;
@@ -175,41 +141,10 @@ void P2Workspace::set_linear(const double* begin, const double* end) {
   has_solution_ = false;
 }
 
-void P2Workspace::set_linear_zero() {
-  MDO_REQUIRE(bound(), "P2 workspace: bind() before set_linear_zero()");
-  coeff_.c.assign(coeff_.lambda.size(), 0.0);
-  linear_finite_ = true;
-  has_solution_ = false;
-}
-
-void P2Workspace::set_linear_from_dense(const double* block,
-                                        std::size_t stride) {
-  MDO_REQUIRE(bound(), "P2 workspace: bind() before set_linear_from_dense()");
-  if (!compact_) {
-    MDO_REQUIRE(stride == contents_,
-                "P2 workspace: dense gather stride mismatch");
-    set_linear(block, block + classes_ * contents_);
-    return;
-  }
-  const std::size_t a_count = active_.size();
-  coeff_.c.resize(classes_ * a_count);
-  for (std::size_t m = 0; m < classes_; ++m) {
-    for (std::size_t i = 0; i < a_count; ++i) {
-      coeff_.c[m * a_count + i] = block[m * stride + active_[i]];
-    }
-  }
-  linear_finite_ = all_finite(coeff_.c);
-  has_solution_ = false;
-}
-
 void P2Workspace::scatter_solution(linalg::Vec& dense) const {
   MDO_REQUIRE(bound(), "P2 workspace: bind() before scatter_solution()");
   MDO_REQUIRE(y_.size() == coeff_.lambda.size(),
               "P2 workspace: no solution to scatter");
-  if (!compact_) {
-    dense = y_;
-    return;
-  }
   MDO_REQUIRE(dense.size() == classes_ * contents_,
               "P2 workspace: scatter target size mismatch");
   const std::size_t a_count = active_.size();

@@ -95,51 +95,35 @@ struct LoadBalancingOptions {
   bool prefer_exact = true;
 };
 
-/// Reusable per-(slot, SBS) solve state (see file comment). bind() is
-/// called once per horizon solve per cell; set_linear()/set_upper() refresh
-/// the mu-dependent parts between dual iterations without reallocating.
+/// Reusable per-(slot, SBS) solve state (see file comment). bind_active()
+/// is called once per horizon solve per cell; set_linear()/set_upper()
+/// refresh the mu-dependent parts between dual iterations without
+/// reallocating.
 class P2Workspace {
  public:
-  /// (Re)binds the workspace to an (SBS, demand) pair: rebuilds
-  /// lambda/u/v/a and the cached Lipschitz norm, resets c to zero and ub to
-  /// all-ones, and invalidates any cached solution. The previous solution
+  /// (Re)binds the workspace to an (SBS, demand) pair restricted to the
+  /// given sorted content list (which must cover the demand support — pass
+  /// model::active_contents): rebuilds lambda/u/v/a and the cached
+  /// Lipschitz norm, resets c to zero and ub to all-ones, and invalidates
+  /// any cached solution. Coefficient vectors are laid out compactly as
+  /// m * |active| + i with active[i] the content; scatter_solution writes
+  /// the compact y back into a full-catalogue vector. The previous solution
   /// vector is KEPT as the next solve's warm start (clear it with
-  /// clear_warm_start() for a cold start). Never throws on non-finite
-  /// rates; the poisoning is reported by the next solve's status instead.
-  void bind(const model::SbsConfig& sbs, const model::SbsDemand& demand);
-  bool bound() const { return sbs_ != nullptr; }
-
-  /// Active-set binding: restricts the variable space to the given sorted
-  /// content list (which must cover the demand support — pass
-  /// model::active_contents). Coefficient vectors are laid out compactly as
-  /// m * |active| + i with active[i] the dense content; set_linear_from_dense
-  /// gathers multipliers from a dense block and scatter_solution writes the
-  /// compact y back into a dense vector. With a full active set the
-  /// coefficients, and therefore every solve, are bit-identical to bind().
-  /// The warm start is kept only when the active set (and shape) matches the
-  /// previous compact binding — a changed active set would misalign it.
+  /// clear_warm_start() for a cold start) when the active set (and shape)
+  /// matches the previous binding — a changed active set would misalign it.
+  /// Never throws on non-finite rates; the poisoning is reported by the
+  /// next solve's status instead.
   void bind_active(const model::SbsConfig& sbs,
                    const model::SparseSbsDemand& demand,
                    const std::vector<std::size_t>& active);
-
-  /// True after bind_active(); coefficient vectors are in the compact
-  /// layout and y() must be read through scatter_solution().
-  bool compact() const { return compact_; }
-  const std::vector<std::size_t>& active() const { return active_; }
+  bool bound() const { return sbs_ != nullptr; }
 
   /// Copies [begin, end) into the linear term c. Size must match.
   void set_linear(const double* begin, const double* end);
-  void set_linear_zero();
 
-  /// Gathers the linear term from a dense (m * stride + k) block into the
-  /// compact layout; equivalent to set_linear for a non-compact binding
-  /// (stride must then equal the content count).
-  void set_linear_from_dense(const double* block, std::size_t stride);
-
-  /// Writes the solution into a dense (m * K + k) vector: verbatim copy for
-  /// a dense binding, scatter over the active set for a compact one (the
-  /// caller zero-fills the off-active coordinates, which are structural
-  /// zeros of P2).
+  /// Scatters the compact solution over the active set into a
+  /// full-catalogue (m * K + k) vector; the caller zero-fills the
+  /// off-active coordinates, which are structural zeros of P2.
   void scatter_solution(linalg::Vec& dense) const;
   /// Copies `upper` into the box upper bound; entries must be in [0, 1]
   /// (checked only when finite, mirroring the legacy validation order).
@@ -175,9 +159,8 @@ class P2Workspace {
       const LoadBalancingSubproblem& problem);
 
   const model::SbsConfig* sbs_ = nullptr;
-  const model::SbsDemand* demand_ = nullptr;
   Coefficients coeff_;
-  bool compact_ = false;
+  bool compact_ = false;  // set by bind_active(); part of the warm state
   std::size_t classes_ = 0;
   std::size_t contents_ = 0;              // dense content count K
   std::vector<std::size_t> active_;       // compact index -> dense content

@@ -16,17 +16,6 @@ namespace mdo::core {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-bool demand_finite_nonnegative(const model::DemandTrace& demand) {
-  for (std::size_t t = 0; t < demand.horizon(); ++t) {
-    for (const auto& sbs_demand : demand.slot(t)) {
-      for (const double rate : sbs_demand.data()) {
-        if (!std::isfinite(rate) || rate < 0.0) return false;
-      }
-    }
-  }
-  return true;
-}
-
 bool demand_finite_nonnegative(const model::SparseDemandTrace& demand) {
   for (std::size_t t = 0; t < demand.horizon(); ++t) {
     for (const auto& sbs_demand : demand.slot(t)) {
@@ -44,9 +33,12 @@ bool demand_finite_nonnegative(const model::SparseDemandTrace& demand) {
 
 /// Safe fallback for solves that cannot (kNonFiniteInput) or did not
 /// (kWorkerFailure) run to completion: keep the current cache, serve
-/// everything from the BS, report vacuous bounds.
+/// everything from the BS, report vacuous bounds. The multipliers stay
+/// EMPTY: the fallback carries no dual information, and an empty vector
+/// safely disables same-window warm starts downstream (controllers gate on
+/// !warm_mu.empty()).
 HorizonSolution fallback_solution(const HorizonProblem& problem,
-                                  solver::SolveStatus status, bool compact) {
+                                  solver::SolveStatus status) {
   HorizonSolution degraded;
   degraded.status = status;
   degraded.upper_bound = kInf;
@@ -56,13 +48,18 @@ HorizonSolution fallback_solution(const HorizonProblem& problem,
     slot.cache = problem.initial_cache;
     slot.load = model::LoadAllocation(*problem.config);
   }
-  // Compact mode returns an EMPTY mu: the fallback carries no dual
-  // information, and an empty vector safely disables same-window warm
-  // starts downstream (controllers gate on !warm_mu.empty()).
-  if (!compact) {
-    degraded.mu.assign(mu_size(*problem.config, problem.horizon()), 0.0);
-  }
   return degraded;
+}
+
+/// All-zero window schedule: the repair buffer the dual loops fill.
+model::Schedule empty_schedule(const model::NetworkConfig& config,
+                               std::size_t horizon) {
+  model::Schedule schedule(horizon);
+  for (model::SlotDecision& slot : schedule) {
+    slot.cache = model::CacheState(config);
+    slot.load = model::LoadAllocation(config);
+  }
+  return schedule;
 }
 
 }  // namespace
@@ -73,7 +70,7 @@ void HorizonProblem::validate() const {
               "horizon problem: exactly one demand representation");
   config->validate();
   MDO_REQUIRE(horizon() >= 1, "horizon problem: empty window");
-  if (use_sparse()) {
+  if (sparse_demand != nullptr) {
     sparse_demand->validate(*config);
   } else {
     demand->validate(*config);
@@ -89,32 +86,6 @@ void HorizonProblem::validate() const {
 
 double HorizonSolution::gap() const {
   return (upper_bound - lower_bound) / std::max(std::abs(upper_bound), 1e-12);
-}
-
-std::size_t mu_size(const model::NetworkConfig& config, std::size_t horizon) {
-  return MuLayout(config).per_slot * horizon;
-}
-
-linalg::Vec shift_mu(const linalg::Vec& mu, const model::NetworkConfig& config,
-                     std::size_t horizon, std::size_t shift) {
-  return shift_mu(mu, config, horizon, horizon, shift);
-}
-
-linalg::Vec shift_mu(const linalg::Vec& mu, const model::NetworkConfig& config,
-                     std::size_t old_horizon, std::size_t new_horizon,
-                     std::size_t shift) {
-  const MuLayout layout(config);
-  MDO_REQUIRE(mu.size() == layout.per_slot * old_horizon,
-              "shift_mu: size mismatch");
-  MDO_REQUIRE(old_horizon >= 1 && new_horizon >= 1, "shift_mu: horizons");
-  linalg::Vec out(layout.per_slot * new_horizon);
-  for (std::size_t t = 0; t < new_horizon; ++t) {
-    const std::size_t src = std::min(t + shift, old_horizon - 1);
-    std::copy_n(mu.begin() + static_cast<std::ptrdiff_t>(src * layout.per_slot),
-                layout.per_slot,
-                out.begin() + static_cast<std::ptrdiff_t>(t * layout.per_slot));
-  }
-  return out;
 }
 
 PrimalDualSolver::PrimalDualSolver(PrimalDualOptions options)
@@ -133,10 +104,7 @@ PrimalDualSolver& PrimalDualSolver::operator=(PrimalDualSolver&&) noexcept =
     default;
 
 void PrimalDualSolver::advance_window(std::size_t shift) {
-  if (shift == 0 || bank_slots_ == 0 || !options_.reuse_workspaces ||
-      !options_.cross_window_warm_start) {
-    return;
-  }
+  if (shift == 0 || bank_slots_ == 0) return;
   // Ascending t only reads rows > t, which are still the old window's.
   for (std::size_t t = 0; t < bank_slots_; ++t) {
     const std::size_t src = std::min(t + shift, bank_slots_ - 1);
@@ -183,6 +151,15 @@ void PrimalDualSolver::restore_state(util::BinaryReader& r) {
   for (auto& cell : last_active_) cell = r.size_vec();
 }
 
+ShardInputs PrimalDualSolver::Window::inputs() const {
+  ShardInputs in;
+  in.config = problem->config;
+  in.sparse_demand = demand;
+  in.initial_cache = &problem->initial_cache;
+  in.neighbor_rewards = neighbor_rewards;
+  return in;
+}
+
 HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
                                         const linalg::Vec* warm_mu,
                                         runtime::DeadlineToken* deadline) {
@@ -190,149 +167,94 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   MDO_REQUIRE((problem.demand != nullptr) != (problem.sparse_demand != nullptr),
               "horizon problem: exactly one demand representation");
   MDO_REQUIRE(problem.horizon() >= 1, "horizon problem: empty window");
-  const bool sparse = problem.use_sparse();
-  const bool compact = sparse;
-  if (sparse ? !demand_finite_nonnegative(*problem.sparse_demand)
-             : !demand_finite_nonnegative(*problem.demand)) {
+  // One solver path: a dense window is converted here, once. The
+  // conversion keeps negative and NaN rates, so the check below still sees
+  // every poisoned entry.
+  model::SparseDemandTrace converted;
+  Window window;
+  window.problem = &problem;
+  window.demand = &sparse_window(problem.demand_view(), converted);
+  const model::SparseDemandTrace& demand = *window.demand;
+  if (!demand_finite_nonnegative(demand)) {
     // Corrupted window (NaN/Inf/negative rates): iterating would only smear
     // the poison through mu and the schedules, so return the safe fallback —
     // keep the current cache (no replacement churn) and serve everything
     // from the BS — and let the caller degrade.
-    return fallback_solution(problem, solver::SolveStatus::kNonFiniteInput,
-                             compact);
+    return fallback_solution(problem, solver::SolveStatus::kNonFiniteInput);
   }
   problem.validate();
   const auto& config = *problem.config;
-  const std::size_t w = problem.horizon();
+  const std::size_t w = demand.horizon();
   const std::size_t num_sbs = config.num_sbs();
   const std::size_t k_count = config.num_contents;
-  const MuLayout layout(config);
 
-  // ---- Sparse mode: the active-set index structures (shard_core.hpp),
-  // built FIRST because the compact mu vector is sized by them. Off the
-  // active set mu is provably zero throughout the ascent (marginal init is
-  // supported on lambda; off-support the subgradient is -x <= 0 and the
-  // projection pins mu at 0), so the compact vector stores exactly the
-  // active coordinates and nothing else (DESIGN.md §12).
-  ActiveSets sets;
-  std::vector<std::size_t> mu_off;
-  if (sparse) {
-    sets = build_active_sets(config, *problem.sparse_demand,
-                             problem.initial_cache);
-    if (compact) mu_off = mu_block_offsets(config, w, sets);
-  }
+  // ---- The active-set index structures (shard_core.hpp), built FIRST
+  // because the compact mu vector is sized by them. Off the active set mu
+  // is provably zero throughout the ascent (marginal init is supported on
+  // lambda; off-support the subgradient is -x <= 0 and the projection pins
+  // mu at 0), so the compact vector stores exactly the active coordinates
+  // and nothing else (DESIGN.md §12).
+  window.sets = build_active_sets(config, demand, problem.initial_cache);
+  window.mu_offsets = mu_block_offsets(config, w, window.sets);
+  const ActiveSets& sets = window.sets;
+  const std::vector<std::size_t>& mu_off = window.mu_offsets;
 
   // ---- Marginal BS cost scale: used for both the automatic step size and
   // the marginal initialization of mu. For SBS n at slot t the gradient of
-  // f at y = 0 is 2 * a * u_j, with a the omega-weighted total demand.
-  auto marginal_gradient = [&](std::size_t t, std::size_t n, linalg::Vec& g) {
-    const auto& sbs = config.sbs[n];
-    g.assign(layout.sbs_size[n], 0.0);
-    double a = 0.0;
-    const auto& demand = problem.demand->slot(t)[n];
-    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      double row = 0.0;
-      for (std::size_t k = 0; k < k_count; ++k) row += demand.at(m, k);
-      a += sbs.classes[m].omega_bs * row;
-    }
-    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      for (std::size_t k = 0; k < k_count; ++k) {
-        g[m * k_count + k] =
-            2.0 * a * sbs.classes[m].omega_bs * demand.at(m, k);
-      }
-    }
-    return a;
-  };
-
-  // ---- Initialize multipliers.
-  linalg::Vec mu(compact ? mu_off.back() : layout.per_slot * w, 0.0);
+  // f at y = 0 is 2 * a * u_j, with a the omega-weighted total demand. Only
+  // stored entries are visited: the skipped terms are exact zeros (they
+  // cannot move the nonnegative accumulator), while `entries` counts every
+  // (class, content) coordinate. Each write lands at the entry's active-set
+  // position (rows and active lists are both content-sorted, so one forward
+  // pointer finds it).
+  linalg::Vec mu(mu_off.back(), 0.0);
   double mean_marginal = 0.0;
   {
     std::size_t entries = 0;
-    if (sparse) {
-      // Stored-entry twin of the dense loop below, without materializing the
-      // dense gradient: the skipped terms are exact zeros (they cannot move
-      // the nonnegative accumulator), the nonzeros are visited in the same
-      // ascending-j order, and `entries` counts every dense coordinate either
-      // way — mean_marginal and the written mu are bit-identical. In compact
-      // mode the write lands at the entry's active-set position (rows and
-      // active lists are both content-sorted, so one forward pointer finds
-      // it); the stored VALUES are the same either way.
-      for (std::size_t t = 0; t < w; ++t) {
-        for (std::size_t n = 0; n < num_sbs; ++n) {
-          const auto& sbs = config.sbs[n];
-          const auto& demand = problem.sparse_demand->slot(t)[n];
-          double a = 0.0;
-          for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-            double row = 0.0;
-            for (const model::DemandEntry* it = demand.row_begin(m);
-                 it != demand.row_end(m); ++it) {
-              row += it->rate;
-            }
-            a += sbs.classes[m].omega_bs * row;
+    for (std::size_t t = 0; t < w; ++t) {
+      for (std::size_t n = 0; n < num_sbs; ++n) {
+        const auto& sbs = config.sbs[n];
+        const auto& cell_demand = demand.slot(t)[n];
+        double a = 0.0;
+        for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
+          double row = 0.0;
+          for (const model::DemandEntry* it = cell_demand.row_begin(m);
+               it != cell_demand.row_end(m); ++it) {
+            row += it->rate;
           }
-          const std::size_t base = layout.offset(t, n);
-          const std::vector<std::size_t>* al =
-              compact ? &sets.active[t * num_sbs + n] : nullptr;
-          double* block =
-              compact ? mu.data() + mu_off[t * num_sbs + n] : nullptr;
-          const std::size_t a_count = compact ? al->size() : 0;
-          for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-            std::size_t pos = 0;
-            for (const model::DemandEntry* it = demand.row_begin(m);
-                 it != demand.row_end(m); ++it) {
-              const double value =
-                  2.0 * a * sbs.classes[m].omega_bs * it->rate;
-              mean_marginal += value;
-              if (options_.marginal_initialization && warm_mu == nullptr) {
-                if (compact) {
-                  while (pos < a_count && (*al)[pos] < it->content) ++pos;
-                  MDO_CHECK(pos < a_count && (*al)[pos] == it->content,
-                            "compact mu: support content missing from "
-                            "active set");
-                  block[m * a_count + pos] = value;
-                } else {
-                  mu[base + m * k_count + it->content] = value;
-                }
-              }
-            }
-          }
-          entries += layout.sbs_size[n];
+          a += sbs.classes[m].omega_bs * row;
         }
-      }
-    } else {
-      linalg::Vec g;
-      for (std::size_t t = 0; t < w; ++t) {
-        for (std::size_t n = 0; n < num_sbs; ++n) {
-          marginal_gradient(t, n, g);
-          for (std::size_t j = 0; j < g.size(); ++j) {
-            mean_marginal += g[j];
-            ++entries;
+        const std::vector<std::size_t>& al = sets.active[t * num_sbs + n];
+        double* block = mu.data() + mu_off[t * num_sbs + n];
+        const std::size_t a_count = al.size();
+        for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
+          std::size_t pos = 0;
+          for (const model::DemandEntry* it = cell_demand.row_begin(m);
+               it != cell_demand.row_end(m); ++it) {
+            const double value = 2.0 * a * sbs.classes[m].omega_bs * it->rate;
+            mean_marginal += value;
             if (options_.marginal_initialization && warm_mu == nullptr) {
-              mu[layout.offset(t, n) + j] = g[j];
+              while (pos < a_count && al[pos] < it->content) ++pos;
+              MDO_CHECK(pos < a_count && al[pos] == it->content,
+                        "compact mu: support content missing from active "
+                        "set");
+              block[m * a_count + pos] = value;
             }
           }
         }
+        entries += sbs.num_classes() * k_count;
       }
     }
     mean_marginal /= std::max<std::size_t>(entries, 1);
   }
   if (warm_mu != nullptr) {
-    if (!compact ||
-        (last_horizon_ == w && last_active_ == sets.active)) {
-      // Dense layout, or compact with unchanged geometry (the common
-      // same-window replan): straight copy.
-      MDO_REQUIRE(warm_mu->size() == mu.size(), "warm mu size mismatch");
-      mu = *warm_mu;
-    } else if (last_horizon_ == w && !last_active_.empty()) {
+    if (last_horizon_ == w && last_active_ != sets.active) {
       // A resync changed the start cache, so the active sets — and with
       // them the compact geometry — moved since the solve that produced
       // this warm mu. Remap by content id: intersection coordinates keep
-      // their multiplier, newly active ones start at 0, dropped ones
-      // vanish. That reproduces the dense warm path, which carries old
-      // values forward but only ever READS the new active coordinates (and
-      // coordinates newly active this window held zero in the old dense mu
-      // by the ascent invariant).
+      // their multiplier, newly active ones start at 0 (the value the
+      // ascent invariant gives every coordinate off the old active set),
+      // dropped ones vanish.
       MDO_REQUIRE(last_active_.size() == w * num_sbs,
                   "compact warm mu: geometry shape mismatch");
       std::size_t old_off = 0;
@@ -359,43 +281,28 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
       MDO_REQUIRE(warm_mu->size() == old_off,
                   "compact warm mu: size disagrees with recorded geometry");
     } else {
-      // No recorded geometry for this horizon (controllers only hand back
-      // a mu this solver produced, and the geometry travels with the
-      // checkpointed warm state, so this is reachable only through misuse).
-      // Accept an exact-size match, refuse anything else.
-      MDO_REQUIRE(warm_mu->size() == mu.size(),
-                  "compact warm mu without matching geometry");
+      // Unchanged geometry (the common same-window replan), or no recorded
+      // geometry for this horizon — reachable only through misuse, since
+      // controllers hand back a mu this solver produced and the geometry
+      // travels with the checkpointed warm state: exact-size copy.
+      MDO_REQUIRE(warm_mu->size() == mu.size(), "warm mu size mismatch");
       mu = *warm_mu;
     }
   }
-  if (compact) {
-    last_active_ = sets.active;
-    last_horizon_ = w;
-  } else {
-    last_active_.clear();
-    last_horizon_ = 0;
-  }
-  const double step_scale = options_.step_scale > 0.0
-                                ? options_.step_scale
-                                : std::max(1e-9, 0.5 * mean_marginal);
+  last_active_ = sets.active;
+  last_horizon_ = w;
+  window.step_scale = options_.step_scale > 0.0
+                          ? options_.step_scale
+                          : std::max(1e-9, 0.5 * mean_marginal);
   // Warm-started solves resume the step schedule where the previous window
-  // stopped (see the option comment); cold solves restart at delta_0.
-  const std::size_t step_offset =
-      warm_mu != nullptr && options_.cross_window_warm_start ? step_offset_
-                                                             : 0;
+  // stopped (see the solve() comment); cold solves restart at delta_0.
+  window.step_offset = warm_mu != nullptr ? step_offset_ : 0;
 
-  // ---- Select the warm-start bank: the persistent member (the
-  // zero-allocation hot path, also the state a sharded solve ships out and
-  // reclaims) or a throwaway. Both run the same code path, so results are
-  // bit-identical either way.
-  std::vector<CellState> local_bank;
-  std::vector<CellState>& bank =
-      options_.reuse_workspaces ? bank_ : local_bank;
-  bank.resize(w * num_sbs);
-  if (options_.reuse_workspaces) {
-    bank_slots_ = w;
-    bank_sbs_ = num_sbs;
-  }
+  // ---- The persistent warm-start bank (the zero-allocation hot path, also
+  // the state a sharded solve ships out and reclaims).
+  bank_.resize(w * num_sbs);
+  bank_slots_ = w;
+  bank_sbs_ = num_sbs;
 
   // ---- Optional neighbor-demand tilt of P1 (see the option comment):
   // constant per-(n, k, t) reward addends in the P1 layout, computed HERE,
@@ -414,97 +321,78 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
     linalg::Vec scratch(k_count);
     for (std::size_t n = 0; n < num_sbs; ++n) {
       if (receivers[n].empty()) continue;  // empty vector = no tilt
-      const std::size_t kp = sparse ? sets.p1_list[n].size() : k_count;
+      const std::vector<std::size_t>& list = sets.p1_list[n];
+      const std::size_t kp = list.size();
       neighbor_rewards[n].assign(w * kp, 0.0);
       for (std::size_t t = 0; t < w; ++t) {
         scratch.assign(k_count, 0.0);
         for (const std::size_t r : receivers[n]) {
-          if (sparse) {
-            const auto& dem = problem.sparse_demand->slot(t)[r];
-            for (std::size_t m = 0; m < config.sbs[r].num_classes(); ++m) {
-              for (const model::DemandEntry* it = dem.row_begin(m);
-                   it != dem.row_end(m); ++it) {
-                scratch[it->content] += it->rate;
-              }
-            }
-          } else {
-            const auto& dem = problem.demand->slot(t)[r];
-            for (std::size_t m = 0; m < config.sbs[r].num_classes(); ++m) {
-              for (std::size_t k = 0; k < k_count; ++k) {
-                scratch[k] += dem.at(m, k);
-              }
+          const auto& dem = demand.slot(t)[r];
+          for (std::size_t m = 0; m < config.sbs[r].num_classes(); ++m) {
+            for (const model::DemandEntry* it = dem.row_begin(m);
+                 it != dem.row_end(m); ++it) {
+              scratch[it->content] += it->rate;
             }
           }
         }
         double* row = neighbor_rewards[n].data() + t * kp;
         for (std::size_t i = 0; i < kp; ++i) {
-          const std::size_t k = sparse ? sets.p1_list[n][i] : i;
-          row[i] = options_.p1_neighbor_price * scratch[k];
+          row[i] = options_.p1_neighbor_price * scratch[list[i]];
         }
       }
     }
   }
-  const std::vector<linalg::Vec>* rewards_ptr =
-      neighbor_rewards.empty() ? nullptr : &neighbor_rewards;
+  if (!neighbor_rewards.empty()) window.neighbor_rewards = &neighbor_rewards;
 
   const std::size_t shards =
       shard::resolved_shard_count(options_.shard_count, num_sbs);
   if (shards > 0) {
-    return solve_sharded(problem, deadline, shards, std::move(mu), step_scale,
-                         step_offset, sets, mu_off, rewards_ptr, bank);
+    return solve_sharded(window, deadline, shards, std::move(mu));
   }
-  return solve_in_process(problem, deadline, std::move(mu), step_scale,
-                          step_offset, std::move(sets), rewards_ptr, bank);
+  return solve_in_process(window, deadline, std::move(mu));
+}
+
+HorizonSolution PrimalDualSolver::finish_solve(HorizonSolution best,
+                                               linalg::Vec mu,
+                                               bool deadline_expired) {
+  best.mu = std::move(mu);
+  step_offset_ = best.iterations;
+  best.status = best.gap() <= options_.epsilon
+                    ? solver::SolveStatus::kConverged
+                : deadline_expired ? solver::SolveStatus::kDeadlineExpired
+                                   : solver::SolveStatus::kIterationLimit;
+  MDO_CHECK(!best.schedule.empty(), "primal-dual produced no schedule");
+  MDO_TRACE("primal-dual: UB=" << best.upper_bound
+                               << " LB=" << best.lower_bound
+                               << " gap=" << best.gap()
+                               << " iters=" << best.iterations);
+  return best;
 }
 
 HorizonSolution PrimalDualSolver::solve_in_process(
-    const HorizonProblem& problem, runtime::DeadlineToken* deadline,
-    linalg::Vec mu, double step_scale, std::size_t step_offset,
-    ActiveSets sets, const std::vector<linalg::Vec>* neighbor_rewards,
-    std::vector<CellState>& bank) {
+    Window& window, runtime::DeadlineToken* deadline, linalg::Vec mu) {
+  const HorizonProblem& problem = *window.problem;
   const auto& config = *problem.config;
-  const std::size_t w = problem.horizon();
+  const std::size_t w = window.demand->horizon();
+  const model::DemandTraceView demand(*window.demand);
 
-  ShardInputs inputs;
-  inputs.config = problem.config;
-  inputs.initial_cache = &problem.initial_cache;
-  if (problem.use_sparse()) {
-    inputs.sparse_demand = problem.sparse_demand;
-  } else {
-    inputs.demand = problem.demand;
-  }
-  inputs.neighbor_rewards = neighbor_rewards;
-  ShardOptions shard_opts;
-  shard_opts.backend = options_.backend;
-  shard_opts.load_balancing = options_.load_balancing;
-  shard_opts.reuse_p1_network = options_.reuse_p1_network;
-  shard_opts.cross_window_warm_start = options_.cross_window_warm_start;
-
-  // One full-range shard: the exact pre-refactor loop bodies (see
-  // shard_core.cpp), with every reduction kept below in serial index order.
+  // One full-range shard, with every reduction kept below in serial index
+  // order.
   ShardCore core;
-  core.begin(inputs, shard_opts, bank, std::move(sets));
+  core.begin(window.inputs(), ShardOptions{options_.load_balancing}, bank_,
+             std::move(window.sets));
 
   HorizonSolution best;
   best.upper_bound = kInf;
   best.lower_bound = -kInf;
 
   // ---- Repair schedule buffer, reused across dual iterations. Every cell
-  // rewrites its full coordinate range each iteration (dense mode) or
-  // exactly its active coordinates (sparse mode — the off-active entries
-  // are structurally zero and never touched), so the buffer needs no
-  // re-zeroing between iterations. An improved upper bound swaps the buffer
-  // into `best` and rebuilds lazily: two allocations per solve instead of
-  // one w * N * M * K zero-fill per iteration.
-  auto make_schedule = [&]() {
-    model::Schedule schedule(w);
-    for (std::size_t t = 0; t < w; ++t) {
-      schedule[t].cache = model::CacheState(config);
-      schedule[t].load = model::LoadAllocation(config);
-    }
-    return schedule;
-  };
-  model::Schedule schedule = make_schedule();
+  // rewrites exactly its active coordinates each iteration (the off-active
+  // entries are structurally zero and never touched), so the buffer needs
+  // no re-zeroing between iterations. An improved upper bound swaps the
+  // buffer into `best` and rebuilds lazily: two allocations per solve
+  // instead of one w * N * M * K zero-fill per iteration.
+  model::Schedule schedule = empty_schedule(config, w);
 
   const solver::DiminishingStep step(options_.step_alpha);
   bool deadline_expired = false;
@@ -533,92 +421,53 @@ HorizonSolution PrimalDualSolver::solve_in_process(
     // ---- Feasibility repair -> upper bound. P2 with c = 0 and ub = x.
     core.repair(&schedule);
     const model::CostBreakdown cost = model::schedule_cost(
-        config, problem.demand_view(), schedule, problem.initial_cache);
+        config, demand, schedule, problem.initial_cache);
     if (cost.total() < best.upper_bound) {
       best.upper_bound = cost.total();
       std::swap(best.schedule, schedule);
-      if (schedule.size() != w) schedule = make_schedule();
+      if (schedule.size() != w) schedule = empty_schedule(config, w);
     }
 
     best.iterations = iteration + 1;
     if (best.gap() <= options_.epsilon) break;
 
-    const double delta = step_scale * step(step_offset + iteration);
+    const double delta =
+        window.step_scale * step(window.step_offset + iteration);
     core.dual_update(delta, mu);
   }
-
-  best.mu = std::move(mu);
-  step_offset_ = best.iterations;
-  best.status = best.gap() <= options_.epsilon
-                    ? solver::SolveStatus::kConverged
-                : deadline_expired ? solver::SolveStatus::kDeadlineExpired
-                                   : solver::SolveStatus::kIterationLimit;
-  MDO_CHECK(!best.schedule.empty(), "primal-dual produced no schedule");
-  MDO_TRACE("primal-dual: UB=" << best.upper_bound
-                               << " LB=" << best.lower_bound
-                               << " gap=" << best.gap()
-                               << " iters=" << best.iterations);
-  return best;
+  return finish_solve(std::move(best), std::move(mu), deadline_expired);
 }
 
 HorizonSolution PrimalDualSolver::solve_sharded(
-    const HorizonProblem& problem, runtime::DeadlineToken* deadline,
-    std::size_t shards, linalg::Vec mu, double step_scale,
-    std::size_t step_offset, const ActiveSets& sets,
-    const std::vector<std::size_t>& mu_offsets,
-    const std::vector<linalg::Vec>* neighbor_rewards,
-    std::vector<CellState>& bank) {
+    const Window& window, runtime::DeadlineToken* deadline,
+    std::size_t shards, linalg::Vec mu) {
+  const HorizonProblem& problem = *window.problem;
   const auto& config = *problem.config;
-  const std::size_t w = problem.horizon();
+  const std::size_t w = window.demand->horizon();
   const std::size_t num_sbs = config.num_sbs();
   const std::size_t k_count = config.num_contents;
-  const bool sparse = problem.use_sparse();
-  const bool compact = sparse;
-  const MuLayout layout(config);
-
-  ShardInputs inputs;
-  inputs.config = problem.config;
-  inputs.initial_cache = &problem.initial_cache;
-  if (sparse) {
-    inputs.sparse_demand = problem.sparse_demand;
-  } else {
-    inputs.demand = problem.demand;
-  }
-  inputs.neighbor_rewards = neighbor_rewards;
-  ShardOptions shard_opts;
-  shard_opts.backend = options_.backend;
-  shard_opts.load_balancing = options_.load_balancing;
-  shard_opts.reuse_p1_network = options_.reuse_p1_network;
-  shard_opts.cross_window_warm_start = options_.cross_window_warm_start;
+  const model::DemandTraceView demand(*window.demand);
+  const ActiveSets& sets = window.sets;
+  const ShardInputs inputs = window.inputs();
 
   if (!coordinator_) coordinator_ = std::make_unique<shard::Coordinator>();
   // A worker death anywhere below aborts the solve without touching the
-  // warm state: `bank` was only READ (at encode time) and is written back
+  // warm state: the bank was only READ (at encode time) and is written back
   // only by a successful finish(), and step_offset_ is left alone — so the
   // supervisor's retry of the same solve is bit-identical to the solve that
   // was lost.
   auto fail = [&]() {
-    return fallback_solution(problem, solver::SolveStatus::kWorkerFailure,
-                             compact);
+    return fallback_solution(problem, solver::SolveStatus::kWorkerFailure);
   };
-  if (!coordinator_->begin(inputs, shard_opts, shards, layout,
-                           compact ? &mu_offsets : nullptr, mu, bank)) {
+  if (!coordinator_->begin(inputs, ShardOptions{options_.load_balancing},
+                           shards, window.mu_offsets, mu, bank_)) {
     return fail();
   }
 
   HorizonSolution best;
   best.upper_bound = kInf;
   best.lower_bound = -kInf;
-
-  auto make_schedule = [&]() {
-    model::Schedule schedule(w);
-    for (std::size_t t = 0; t < w; ++t) {
-      schedule[t].cache = model::CacheState(config);
-      schedule[t].load = model::LoadAllocation(config);
-    }
-    return schedule;
-  };
-  model::Schedule schedule = make_schedule();
+  model::Schedule schedule = empty_schedule(config, w);
 
   const solver::DiminishingStep step(options_.step_alpha);
   bool deadline_expired = false;
@@ -654,41 +503,34 @@ HorizonSolution PrimalDualSolver::solve_sharded(
     util::parallel_for(0, w * num_sbs, [&](std::size_t cell) {
       const std::size_t t = cell / num_sbs;
       const std::size_t n = cell % num_sbs;
-      if (sparse) {
-        const std::vector<std::size_t>& al = sets.active[cell];
-        const std::vector<std::size_t>& map = sets.cell_p1[cell];
-        const std::size_t kp = sets.p1_list[n].size();
-        const std::size_t classes = config.sbs[n].num_classes();
-        const std::size_t a_count = al.size();
-        const linalg::Vec& y = out.repair_y[cell];
-        linalg::Vec& dense = schedule[t].load.sbs_data(n);
+      const std::vector<std::size_t>& al = sets.active[cell];
+      const std::vector<std::size_t>& map = sets.cell_p1[cell];
+      const std::size_t kp = sets.p1_list[n].size();
+      const std::size_t classes = config.sbs[n].num_classes();
+      const std::size_t a_count = al.size();
+      const linalg::Vec& y = out.repair_y[cell];
+      linalg::Vec& load = schedule[t].load.sbs_data(n);
+      for (std::size_t i = 0; i < a_count; ++i) {
+        schedule[t].cache.set(n, al[i], out.x[n][t * kp + map[i]] != 0);
+      }
+      for (std::size_t m = 0; m < classes; ++m) {
         for (std::size_t i = 0; i < a_count; ++i) {
-          schedule[t].cache.set(n, al[i], out.x[n][t * kp + map[i]] != 0);
+          load[m * k_count + al[i]] = y[m * a_count + i];
         }
-        for (std::size_t m = 0; m < classes; ++m) {
-          for (std::size_t i = 0; i < a_count; ++i) {
-            dense[m * k_count + al[i]] = y[m * a_count + i];
-          }
-        }
-      } else {
-        for (std::size_t k = 0; k < k_count; ++k) {
-          schedule[t].cache.set(n, k, out.x[n][t * k_count + k] != 0);
-        }
-        schedule[t].load.sbs_data(n) = std::move(out.repair_y[cell]);
       }
     });
     const model::CostBreakdown cost = model::schedule_cost(
-        config, problem.demand_view(), schedule, problem.initial_cache);
+        config, demand, schedule, problem.initial_cache);
     if (cost.total() < best.upper_bound) {
       best.upper_bound = cost.total();
       std::swap(best.schedule, schedule);
-      if (schedule.size() != w) schedule = make_schedule();
+      if (schedule.size() != w) schedule = empty_schedule(config, w);
     }
 
     best.iterations = iteration + 1;
     if (best.gap() <= options_.epsilon) break;
 
-    pending_delta = step_scale * step(step_offset + iteration);
+    pending_delta = window.step_scale * step(window.step_offset + iteration);
     pending = true;
   }
 
@@ -696,20 +538,8 @@ HorizonSolution PrimalDualSolver::solve_sharded(
   // the in-process loop, whose dual update has already run when the
   // deadline or the iteration budget stops it) and return the final mu and
   // the warm-start bank to the driver.
-  if (!coordinator_->finish(pending, pending_delta, mu, bank)) return fail();
-
-  best.mu = std::move(mu);
-  step_offset_ = best.iterations;
-  best.status = best.gap() <= options_.epsilon
-                    ? solver::SolveStatus::kConverged
-                : deadline_expired ? solver::SolveStatus::kDeadlineExpired
-                                   : solver::SolveStatus::kIterationLimit;
-  MDO_CHECK(!best.schedule.empty(), "primal-dual produced no schedule");
-  MDO_TRACE("primal-dual[" << shards << " shards]: UB=" << best.upper_bound
-                           << " LB=" << best.lower_bound
-                           << " gap=" << best.gap()
-                           << " iters=" << best.iterations);
-  return best;
+  if (!coordinator_->finish(pending, pending_delta, mu, bank_)) return fail();
+  return finish_solve(std::move(best), std::move(mu), deadline_expired);
 }
 
 }  // namespace mdo::core

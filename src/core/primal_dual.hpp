@@ -50,25 +50,22 @@ namespace mdo::core {
 /// A finite-horizon joint problem: minimize (9) over the given demand
 /// window starting from `initial_cache`. The window is referenced, not
 /// owned: exactly one of `demand` (dense) and `sparse_demand` is set, and
-/// the trace must outlive the solve — controllers keep per-window buffers
-/// and hand out views instead of copying the window per decision. With the
-/// sparse representation the solver restricts P1/P2 to each (slot, SBS)
-/// active set (support union cached); for a trace with no truncation the
-/// restriction covers every coordinate that can ever be nonzero, so the
-/// solution is bit-identical to the dense path.
+/// the trace must outlive the solve — controllers keep a per-window buffer
+/// and hand out views instead of copying the window per decision. The
+/// solver restricts P1/P2 to each (slot, SBS) active set (support union
+/// cached); a dense window is converted to the sparse representation once,
+/// losslessly, at the start of the solve, so both inputs give the same
+/// bits.
 struct HorizonProblem {
   const model::NetworkConfig* config = nullptr;            // not owned
   const model::DemandTrace* demand = nullptr;              // window, W >= 1
   const model::SparseDemandTrace* sparse_demand = nullptr;
   model::CacheState initial_cache;                         // x^{tau-1}
 
-  bool use_sparse() const { return sparse_demand != nullptr; }
-  std::size_t horizon() const {
-    return use_sparse() ? sparse_demand->horizon() : demand->horizon();
-  }
+  std::size_t horizon() const { return demand_view().horizon(); }
   model::DemandTraceView demand_view() const {
-    return use_sparse() ? model::DemandTraceView(*sparse_demand)
-                        : model::DemandTraceView(*demand);
+    return sparse_demand != nullptr ? model::DemandTraceView(*sparse_demand)
+                                    : model::DemandTraceView(*demand);
   }
   void validate() const;
 };
@@ -86,36 +83,7 @@ struct PrimalDualOptions {
   /// Initialize mu at the marginal BS-cost gradient instead of zero when no
   /// warm start is supplied; dramatically reduces iterations to a good dual.
   bool marginal_initialization = true;
-  P1Backend backend = P1Backend::kFlow;
   LoadBalancingOptions load_balancing{};
-  /// Keep the per-(slot, SBS) P2 workspaces alive inside the solver across
-  /// solve() calls (the zero-allocation hot path). false runs the identical
-  /// code path with throwaway workspaces — the A/B baseline for the perf
-  /// bench; results are bit-identical either way.
-  bool reuse_workspaces = true;
-  /// Build each SBS's P1 flow network once per solve and only re-price the
-  /// occupancy arcs between dual iterations (see CachingFlowWorkspace).
-  /// false rebuilds the time-expanded network every iteration — the
-  /// pre-optimization behavior, kept as the A/B baseline for the perf
-  /// bench; results are bit-identical either way.
-  bool reuse_p1_network = true;
-  /// Carry P2 warm starts (the y vectors) across consecutive windows
-  /// (advance_window rotates the bank as the window slides) and accept a
-  /// warm mu for SAME-window replans (an online controller resyncing at an
-  /// unchanged tau). A mu-warm-started solve then CONTINUES the
-  /// diminishing-step schedule (16) where the previous solve stopped
-  /// instead of restarting at delta_0: a full-size first step would throw
-  /// mu far from the near-optimal warm point and the decayed tail of the
-  /// schedule could not pull it back within the iteration budget.
-  ///
-  /// Deliberately NOT covered: shifting mu across *slid* windows. Measured
-  /// head-to-head (see DESIGN.md), every shifted-mu policy — schedule
-  /// restart, schedule continuation, fixed offsets — converges slower than
-  /// the marginal re-initialization, because the window's initial cache
-  /// moves every slot and the tail slots carry end-of-window effects, so
-  /// the dual optimum genuinely shifts. false re-solves every window cold
-  /// with no warm starts of either kind.
-  bool cross_window_warm_start = true;
   /// Neighbor-demand tilt of P1 (DESIGN.md §13): when positive and the
   /// config carries a positive-bandwidth neighbor topology, every content's
   /// P1 reward at SBS n gains `price * (total demand rate the positive-
@@ -126,8 +94,8 @@ struct PrimalDualOptions {
   /// perturbs P1's objective, so with a positive price the reported lower
   /// bound is heuristic, not a valid bound on (9). 0.0 (the default)
   /// disables the tilt and leaves every solve bitwise-identical to the
-  /// pre-topology solver. In sparse mode the tilt only reaches contents in
-  /// the SBS's restricted window union (others stay un-cacheable there).
+  /// pre-topology solver. The tilt only reaches contents in the SBS's
+  /// restricted window union (others stay un-cacheable there).
   double p1_neighbor_price = 0.0;
   /// Process-level scale-out (DESIGN.md §11): number of worker subprocesses
   /// the dual decomposition is sharded over. 0 defers to the MDO_SHARDS
@@ -146,9 +114,8 @@ struct HorizonSolution {
   double upper_bound = 0.0;   // objective (9) of `schedule`
   double lower_bound = 0.0;   // best dual value (valid lower bound)
   std::size_t iterations = 0; // dual iterations performed
-  /// Final multipliers (for warm starts): dense layout for dense-demand
-  /// solves, the compact active-coordinate layout (core::mu_block_offsets
-  /// geometry) for sparse-demand solves. Empty in a sparse fallback
+  /// Final multipliers (for warm starts) on the compact active-coordinate
+  /// layout (core::mu_block_offsets geometry). Empty in a fallback
   /// (kNonFiniteInput/kWorkerFailure), which safely disables same-window
   /// warm starts downstream.
   linalg::Vec mu;
@@ -166,27 +133,6 @@ struct HorizonSolution {
   double gap() const;
 };
 
-/// Multiplier layout helpers: mu is flat, slot-major then SBS then class
-/// then content.
-std::size_t mu_size(const model::NetworkConfig& config, std::size_t horizon);
-
-/// Warm-start hand-off between consecutive windows: drops the first
-/// `shift` slots of mu and repeats the last slot to refill. Result has the
-/// same layout for horizon `horizon`.
-linalg::Vec shift_mu(const linalg::Vec& mu,
-                     const model::NetworkConfig& config, std::size_t horizon,
-                     std::size_t shift);
-
-/// General form: maps multipliers of an `old_horizon` window onto a
-/// `new_horizon` window advanced by `shift` slots — slot t of the new
-/// window takes slot min(t + shift, old_horizon - 1) of the old (shifts at
-/// or past the horizon repeat the last slot everywhere). The 3-horizon
-/// overload above is the old_horizon == new_horizon special case.
-linalg::Vec shift_mu(const linalg::Vec& mu,
-                     const model::NetworkConfig& config,
-                     std::size_t old_horizon, std::size_t new_horizon,
-                     std::size_t shift);
-
 class PrimalDualSolver {
  public:
   explicit PrimalDualSolver(PrimalDualOptions options = {});
@@ -196,13 +142,26 @@ class PrimalDualSolver {
   PrimalDualSolver(PrimalDualSolver&&) noexcept;
   PrimalDualSolver& operator=(PrimalDualSolver&&) noexcept;
 
-  /// Solves the window problem. `warm_mu` (layout above, sized for the
-  /// problem's horizon) seeds the multipliers when provided. Non-finite or
-  /// negative demand never throws: it is reported through the result status
-  /// with a safe fallback schedule (see HorizonSolution::status).
+  /// Solves the window problem. Non-finite or negative demand never
+  /// throws: it is reported through the result status with a safe fallback
+  /// schedule (see HorizonSolution::status).
+  ///
+  /// `warm_mu` (a previous solve's HorizonSolution::mu) seeds the
+  /// multipliers of a SAME-window replan — an online controller resyncing
+  /// at an unchanged tau. When a resync moved the start cache, and with it
+  /// the active sets, the warm vector is remapped by content id. A
+  /// mu-warm-started solve CONTINUES the diminishing-step schedule (16)
+  /// where the previous solve stopped instead of restarting at delta_0: a
+  /// full-size first step would throw mu far from the near-optimal warm
+  /// point and the decayed tail of the schedule could not pull it back
+  /// within the iteration budget. Multipliers are deliberately NOT shifted
+  /// across slid windows: measured head-to-head (see DESIGN.md), every
+  /// shifted-mu policy converges slower than the marginal
+  /// re-initialization, because the window's initial cache moves every slot
+  /// and the tail slots carry end-of-window effects.
   ///
   /// Non-const: the solver keeps the per-(slot, SBS) P2 workspace bank
-  /// between calls (see PrimalDualOptions::reuse_workspaces).
+  /// between calls (the zero-allocation hot path and the P2 warm starts).
   ///
   /// `deadline` (optional) bounds the solve: the token is polled once per
   /// dual iteration — after the first iteration completes, so a feasible
@@ -216,10 +175,9 @@ class PrimalDualSolver {
 
   /// Rotates the cached P2 warm starts when the window slides forward by
   /// `shift` slots (slot t of the next window reuses slot t + shift of the
-  /// previous one; tail slots repeat the last) — the workspace-bank
-  /// counterpart of shift_mu. Controllers call this between windows. No-op
-  /// when workspace reuse or cross-window warm starts are disabled, or past
-  /// the horizon (every slot then starts from the last slot's warm start).
+  /// previous one; tail slots repeat the last, so a shift at or past the
+  /// horizon starts every slot from the last slot's warm start).
+  /// Controllers call this between windows.
   void advance_window(std::size_t shift);
 
   const PrimalDualOptions& options() const { return options_; }
@@ -235,33 +193,44 @@ class PrimalDualSolver {
   void restore_state(util::BinaryReader& r);
 
  private:
-  HorizonSolution solve_in_process(
-      const HorizonProblem& problem, runtime::DeadlineToken* deadline,
-      linalg::Vec mu, double step_scale, std::size_t step_offset,
-      ActiveSets sets, const std::vector<linalg::Vec>* neighbor_rewards,
-      std::vector<CellState>& bank);
-  HorizonSolution solve_sharded(
-      const HorizonProblem& problem, runtime::DeadlineToken* deadline,
-      std::size_t shards, linalg::Vec mu, double step_scale,
-      std::size_t step_offset, const ActiveSets& sets,
-      const std::vector<std::size_t>& mu_offsets,
-      const std::vector<linalg::Vec>* neighbor_rewards,
-      std::vector<CellState>& bank);
+  /// The solve's window and its solve-scope structures, shared by the
+  /// in-process and the sharded loop.
+  struct Window {
+    const HorizonProblem* problem = nullptr;
+    const model::SparseDemandTrace* demand = nullptr;  // possibly converted
+    ActiveSets sets;
+    std::vector<std::size_t> mu_offsets;
+    const std::vector<linalg::Vec>* neighbor_rewards = nullptr;
+    double step_scale = 0.0;
+    std::size_t step_offset = 0;
+
+    ShardInputs inputs() const;
+  };
+
+  HorizonSolution solve_in_process(Window& window,
+                                   runtime::DeadlineToken* deadline,
+                                   linalg::Vec mu);
+  HorizonSolution solve_sharded(const Window& window,
+                                runtime::DeadlineToken* deadline,
+                                std::size_t shards, linalg::Vec mu);
+  /// Status, best schedule's bounds, and the step-schedule bookkeeping
+  /// shared by both loops' epilogues.
+  HorizonSolution finish_solve(HorizonSolution best, linalg::Vec mu,
+                               bool deadline_expired);
 
   PrimalDualOptions options_;
   std::vector<CellState> bank_;  // cell = t * num_sbs + n
   std::size_t bank_slots_ = 0;
   std::size_t bank_sbs_ = 0;
-  /// Geometry of the last compact solve (per-cell active lists + horizon):
-  /// a same-window warm mu is interpreted against THIS geometry and
-  /// remapped by content id onto the new solve's active sets when a resync
-  /// changed the start cache. Serialized with the warm state so a restored
-  /// solver keeps remapping correctly. Empty after dense solves.
+  /// Geometry of the last solve (per-cell active lists + horizon): a
+  /// same-window warm mu is interpreted against THIS geometry and remapped
+  /// by content id onto the new solve's active sets when a resync changed
+  /// the start cache. Serialized with the warm state so a restored solver
+  /// keeps remapping correctly.
   std::vector<std::vector<std::size_t>> last_active_;
   std::size_t last_horizon_ = 0;
   /// Where the previous solve's diminishing-step schedule stopped; a
-  /// warm-started solve resumes from here (see
-  /// PrimalDualOptions::cross_window_warm_start).
+  /// mu-warm-started solve resumes from here (see solve()).
   std::size_t step_offset_ = 0;
   /// Worker fleet for sharded solves; spawned on first use, torn down on
   /// any worker failure (and respawned by the next sharded solve).

@@ -9,6 +9,14 @@
 
 namespace mdo::core {
 
+const model::SparseDemandTrace& sparse_window(
+    model::DemandTraceView window, model::SparseDemandTrace& storage) {
+  MDO_REQUIRE(window.valid(), "sparse_window: no demand window");
+  if (window.is_sparse()) return *window.sparse();
+  storage = model::SparseDemandTrace::from_dense(*window.dense());
+  return storage;
+}
+
 ActiveSets build_active_sets(const model::NetworkConfig& config,
                              const model::SparseDemandTrace& demand,
                              const model::CacheState& initial_cache) {
@@ -68,15 +76,6 @@ std::vector<std::size_t> mu_block_offsets(const model::NetworkConfig& config,
 }
 
 void ShardCore::begin(const ShardInputs& in, const ShardOptions& opts,
-                      std::vector<CellState>& bank) {
-  ActiveSets sets;
-  if (in.sparse()) {
-    sets = build_active_sets(*in.config, *in.sparse_demand, *in.initial_cache);
-  }
-  begin(in, opts, bank, std::move(sets));
-}
-
-void ShardCore::begin(const ShardInputs& in, const ShardOptions& opts,
                       std::vector<CellState>& bank, ActiveSets sets) {
   MDO_REQUIRE(in.config != nullptr && in.initial_cache != nullptr,
               "shard core: config and initial cache must be set");
@@ -85,44 +84,34 @@ void ShardCore::begin(const ShardInputs& in, const ShardOptions& opts,
   inputs_ = in;
   options_ = opts;
   config_ = in.config;
-  sparse_ = in.sparse();
-  horizon_ = in.horizon();
-  layout_ = MuLayout(*config_);
+  if (in.demand != nullptr) {
+    inputs_.sparse_demand = &sparse_window(*in.demand, converted_);
+    inputs_.demand = nullptr;
+    sets = build_active_sets(*config_, *inputs_.sparse_demand,
+                             *in.initial_cache);
+  }
+  const model::SparseDemandTrace& demand = *inputs_.sparse_demand;
+  horizon_ = demand.horizon();
   sets_ = std::move(sets);
   bank_ = &bank;
-  mu_off_ = sparse_ ? mu_block_offsets(*config_, horizon_, sets_)
-                    : std::vector<std::size_t>{};
+  mu_off_ = mu_block_offsets(*config_, horizon_, sets_);
 
   const auto& config = *config_;
   const std::size_t w = horizon_;
   const std::size_t num_sbs = config.num_sbs();
-  const std::size_t k_count = config.num_contents;
-  const bool sparse = sparse_;
 
   // ---- Per-(slot, SBS) P2 workspaces: coefficients are built once here,
   // the dual loop then only refreshes the mu-dependent linear term (and the
   // repair loop the box upper bound). The workspaces also hold the warm
-  // starts across dual iterations — and across windows when the bank is the
-  // persistent one. A throwaway bank runs the same code path, so results
-  // are bit-identical either way.
+  // starts across dual iterations and across windows.
   bank.resize(w * num_sbs);
   util::parallel_for(0, w * num_sbs, [&](std::size_t cell) {
     const std::size_t t = cell / num_sbs;
     const std::size_t n = cell % num_sbs;
     CellState& cs = bank[cell];
-    if (!options_.cross_window_warm_start) {
-      cs.p2.clear_warm_start();
-      cs.repair.clear_warm_start();
-    }
-    if (sparse) {
-      cs.p2.bind_active(config.sbs[n], inputs_.sparse_demand->slot(t)[n],
-                        sets_.active[cell]);
-      cs.repair.bind_active(config.sbs[n], inputs_.sparse_demand->slot(t)[n],
-                            sets_.active[cell]);
-    } else {
-      cs.p2.bind(config.sbs[n], inputs_.demand->slot(t)[n]);
-      cs.repair.bind(config.sbs[n], inputs_.demand->slot(t)[n]);
-    }
+    cs.p2.bind_active(config.sbs[n], demand.slot(t)[n], sets_.active[cell]);
+    cs.repair.bind_active(config.sbs[n], demand.slot(t)[n],
+                          sets_.active[cell]);
   });
 
   // ---- Per-SBS P1 state, reused across dual iterations: the subproblem's
@@ -133,34 +122,24 @@ void ShardCore::begin(const ShardInputs& in, const ShardOptions& opts,
   p1_.resize(num_sbs);
   util::parallel_for(0, num_sbs, [&](std::size_t n) {
     CachingSubproblem& sub = p1_[n].sub;
-    // Sparse mode restricts P1 to the window's content union: everything
-    // outside has zero reward in every slot and is not initially cached, so
-    // (with beta > 0) the optimum never caches it. The flow pushes exactly
+    // P1 is restricted to the window's content union: everything outside
+    // has zero reward in every slot and is not initially cached, so (with
+    // beta > 0) the optimum never caches it. The flow pushes exactly
     // `capacity` units, surplus ones through the zero-cost pool chain, so
     // clamping capacity to the restricted catalogue only removes pool
     // augmentations and leaves x unchanged.
-    const std::size_t kp = sparse ? sets_.p1_list[n].size() : k_count;
+    const std::vector<std::size_t>& list = sets_.p1_list[n];
+    const std::size_t kp = list.size();
     sub.num_contents = kp;
     sub.horizon = w;
-    sub.capacity = sparse ? std::min(config.sbs[n].cache_capacity, kp)
-                          : config.sbs[n].cache_capacity;
+    sub.capacity = std::min(config.sbs[n].cache_capacity, kp);
     sub.beta = config.sbs[n].replacement_beta;
     sub.initial.assign(kp, 0);
-    if (sparse) {
-      for (std::size_t i = 0; i < kp; ++i) {
-        sub.initial[i] =
-            inputs_.initial_cache->cached(n, sets_.p1_list[n][i]) ? 1 : 0;
-      }
-    } else {
-      for (std::size_t k = 0; k < k_count; ++k) {
-        sub.initial[k] = inputs_.initial_cache->cached(n, k) ? 1 : 0;
-      }
+    for (std::size_t i = 0; i < kp; ++i) {
+      sub.initial[i] = inputs_.initial_cache->cached(n, list[i]) ? 1 : 0;
     }
     sub.rewards.assign(kp * w, 0.0);
-    if (options_.backend == P1Backend::kFlow && options_.reuse_p1_network &&
-        kp > 0) {
-      p1_[n].flow.bind(sub);
-    }
+    if (kp > 0) p1_[n].flow.bind(sub);
   });
 
   x_.assign(num_sbs, {});
@@ -172,13 +151,9 @@ void ShardCore::iterate(const linalg::Vec& mu) {
   const auto& config = *config_;
   const std::size_t w = horizon_;
   const std::size_t num_sbs = config.num_sbs();
-  const std::size_t k_count = config.num_contents;
-  const bool sparse = sparse_;
   std::vector<CellState>& bank = *bank_;
-  if (sparse) {
-    MDO_REQUIRE(mu.size() == mu_off_.back(),
-                "shard core: compact mu size mismatch");
-  }
+  MDO_REQUIRE(mu.size() == mu_off_.back(),
+              "shard core: compact mu size mismatch");
 
   // ---- P1 + P2, ONE fused task-pool submission per dual iteration. The
   // first num_sbs tasks are P1 (caching per SBS under rewards
@@ -202,25 +177,13 @@ void ShardCore::iterate(const linalg::Vec& mu) {
       const std::size_t classes = config.sbs[n].num_classes();
       const std::size_t kp = sub.num_contents;
       for (std::size_t t = 0; t < w; ++t) {
-        if (sparse) {
-          // Contiguous reads straight out of the cell's compact block —
-          // same addends, same order as the dense gather below.
-          const std::vector<std::size_t>& al = sets_.active[t * num_sbs + n];
-          const std::vector<std::size_t>& map =
-              sets_.cell_p1[t * num_sbs + n];
-          const double* block = mu.data() + mu_off_[t * num_sbs + n];
-          const std::size_t a_count = al.size();
-          for (std::size_t m = 0; m < classes; ++m) {
-            for (std::size_t i = 0; i < a_count; ++i) {
-              sub.rewards[t * kp + map[i]] += block[m * a_count + i];
-            }
-          }
-        } else {
-          const std::size_t base = layout_.offset(t, n);
-          for (std::size_t m = 0; m < classes; ++m) {
-            for (std::size_t k = 0; k < k_count; ++k) {
-              sub.rewards[t * k_count + k] += mu[base + m * k_count + k];
-            }
+        // Contiguous reads straight out of the cell's compact block.
+        const std::vector<std::size_t>& map = sets_.cell_p1[t * num_sbs + n];
+        const double* block = mu.data() + mu_off_[t * num_sbs + n];
+        const std::size_t a_count = map.size();
+        for (std::size_t m = 0; m < classes; ++m) {
+          for (std::size_t i = 0; i < a_count; ++i) {
+            sub.rewards[t * kp + map[i]] += block[m * a_count + i];
           }
         }
       }
@@ -237,31 +200,14 @@ void ShardCore::iterate(const linalg::Vec& mu) {
           }
         }
       }
-      if (options_.backend == P1Backend::kFlow) {
-        // A/B baseline: rebuild the network from scratch every iteration.
-        if (!options_.reuse_p1_network) p1_[n].flow.bind(sub);
-        p1_objectives_[n] = p1_[n].flow.solve_into(sub, x_[n]);
-      } else {
-        const CachingSolution sol = solve_caching_simplex(sub);
-        x_[n] = sol.x;
-        p1_objectives_[n] = sol.objective;
-      }
+      p1_objectives_[n] = p1_[n].flow.solve_into(sub, x_[n]);
       return;
     }
     const std::size_t cell = task - num_sbs;
-    const std::size_t t = cell / num_sbs;
-    const std::size_t n = cell % num_sbs;
     CellState& cs = bank[cell];
-    if (sparse) {
-      // The compact block IS the bound workspace's coefficient layout
-      // (class-major over active positions): a straight contiguous copy
-      // replaces the strided dense gather.
-      cs.p2.set_linear(mu.data() + mu_off_[cell], mu.data() + mu_off_[cell + 1]);
-    } else {
-      const std::size_t base = layout_.offset(t, n);
-      cs.p2.set_linear(mu.data() + base,
-                       mu.data() + base + layout_.sbs_size[n]);
-    }
+    // The compact block IS the bound workspace's coefficient layout
+    // (class-major over active positions): a straight contiguous copy.
+    cs.p2.set_linear(mu.data() + mu_off_[cell], mu.data() + mu_off_[cell + 1]);
     p2_objectives_[cell] =
         solve_load_balancing(cs.p2, options_.load_balancing).objective;
   });
@@ -271,8 +217,6 @@ void ShardCore::repair(model::Schedule* schedule) {
   const auto& config = *config_;
   const std::size_t w = horizon_;
   const std::size_t num_sbs = config.num_sbs();
-  const std::size_t k_count = config.num_contents;
-  const bool sparse = sparse_;
   std::vector<CellState>& bank = *bank_;
 
   // ---- Feasibility repair -> upper bound. P2 with c = 0 and ub = x.
@@ -283,28 +227,17 @@ void ShardCore::repair(model::Schedule* schedule) {
     const std::size_t n = cell % num_sbs;
     CellState& cs = bank[cell];
     const std::size_t classes = config.sbs[n].num_classes();
+    const std::vector<std::size_t>& al = sets_.active[cell];
+    const std::vector<std::size_t>& map = sets_.cell_p1[cell];
+    const std::size_t kp = p1_[n].sub.num_contents;
+    const std::size_t a_count = al.size();
     linalg::Vec& ub = cs.ub;
-    if (sparse) {
-      const std::vector<std::size_t>& al = sets_.active[cell];
-      const std::vector<std::size_t>& map = sets_.cell_p1[cell];
-      const std::size_t kp = p1_[n].sub.num_contents;
-      const std::size_t a_count = al.size();
-      ub.assign(classes * a_count, 0.0);
-      for (std::size_t i = 0; i < a_count; ++i) {
-        const bool cached = x_[n][t * kp + map[i]] != 0;
-        if (schedule != nullptr) (*schedule)[t].cache.set(n, al[i], cached);
-        if (cached) {
-          for (std::size_t m = 0; m < classes; ++m) ub[m * a_count + i] = 1.0;
-        }
-      }
-    } else {
-      ub.assign(classes * k_count, 0.0);
-      for (std::size_t k = 0; k < k_count; ++k) {
-        const bool cached = x_[n][t * k_count + k] != 0;
-        if (schedule != nullptr) (*schedule)[t].cache.set(n, k, cached);
-        if (cached) {
-          for (std::size_t m = 0; m < classes; ++m) ub[m * k_count + k] = 1.0;
-        }
+    ub.assign(classes * a_count, 0.0);
+    for (std::size_t i = 0; i < a_count; ++i) {
+      const bool cached = x_[n][t * kp + map[i]] != 0;
+      if (schedule != nullptr) (*schedule)[t].cache.set(n, al[i], cached);
+      if (cached) {
+        for (std::size_t m = 0; m < classes; ++m) ub[m * a_count + i] = 1.0;
       }
     }
     // Unchanged-x fast path: the workspace still holds the solution for
@@ -314,11 +247,8 @@ void ShardCore::repair(model::Schedule* schedule) {
       cs.repair.set_upper(ub);
       solve_load_balancing(cs.repair, options_.load_balancing);
     }
-    if (schedule == nullptr) return;
-    if (sparse) {
+    if (schedule != nullptr) {
       cs.repair.scatter_solution((*schedule)[t].load.sbs_data(n));
-    } else {
-      (*schedule)[t].load.sbs_data(n) = cs.repair.y();
     }
   });
 }
@@ -327,51 +257,35 @@ void ShardCore::dual_update(double delta, linalg::Vec& mu) {
   const auto& config = *config_;
   const std::size_t w = horizon_;
   const std::size_t num_sbs = config.num_sbs();
-  const std::size_t k_count = config.num_contents;
-  const bool sparse = sparse_;
   std::vector<CellState>& bank = *bank_;
 
-  // ---- Projected subgradient ascent on mu: g = y - x (17). In sparse
-  // mode only active coordinates exist (compact layout); off the active
-  // set y = 0 and x = 0, so the dense update would compute
-  // max(0, mu + 0) = mu = 0. Every coordinate updates independently of all
-  // others, so a worker applying this to its slice produces the same
-  // values as the full-range update — no cross-shard state is involved —
-  // and cells update in parallel (each owns a disjoint mu range).
+  // ---- Projected subgradient ascent on mu: g = y - x (17). Only active
+  // coordinates exist (compact layout); off the active set y = 0 and
+  // x = 0, so a full-catalogue update would compute max(0, mu + 0) = 0
+  // there. Every coordinate updates independently of all others, so a
+  // worker applying this to its slice produces the same values as the
+  // full-range update — no cross-shard state is involved — and cells
+  // update in parallel (each owns a disjoint mu range).
   util::parallel_for(0, w * num_sbs, [&](std::size_t cell) {
     const std::size_t t = cell / num_sbs;
     const std::size_t n = cell % num_sbs;
     const std::size_t classes = config.sbs[n].num_classes();
     CellState& cs = bank[cell];
     const linalg::Vec& y = cs.p2.y();
-    if (sparse) {
-      // Expand the P1 bits for this cell once, then run the fused
-      // max(0, mu + delta*(y - x)) kernel row by row over the contiguous
-      // block — per-coordinate arithmetic identical to the dense update.
-      const std::vector<std::size_t>& map = sets_.cell_p1[cell];
-      const std::size_t kp = p1_[n].sub.num_contents;
-      const std::size_t a_count = map.size();
-      cs.xd.resize(a_count);
-      for (std::size_t i = 0; i < a_count; ++i) {
-        cs.xd[i] = static_cast<double>(x_[n][t * kp + map[i]]);
-      }
-      double* block = mu.data() + mu_off_[cell];
-      for (std::size_t m = 0; m < classes; ++m) {
-        linalg::dual_ascent_project(block + m * a_count,
-                                    y.data() + m * a_count, cs.xd.data(),
-                                    delta, a_count);
-      }
-      return;
+    // Expand the P1 bits for this cell once, then run the fused
+    // max(0, mu + delta*(y - x)) kernel row by row over the contiguous
+    // block.
+    const std::vector<std::size_t>& map = sets_.cell_p1[cell];
+    const std::size_t kp = p1_[n].sub.num_contents;
+    const std::size_t a_count = map.size();
+    cs.xd.resize(a_count);
+    for (std::size_t i = 0; i < a_count; ++i) {
+      cs.xd[i] = static_cast<double>(x_[n][t * kp + map[i]]);
     }
-    const std::size_t base = layout_.offset(t, n);
+    double* block = mu.data() + mu_off_[cell];
     for (std::size_t m = 0; m < classes; ++m) {
-      for (std::size_t k = 0; k < k_count; ++k) {
-        const std::size_t j = base + m * k_count + k;
-        const double subgrad =
-            y[m * k_count + k] -
-            static_cast<double>(x_[n][t * k_count + k]);
-        mu[j] = std::max(0.0, mu[j] + delta * subgrad);
-      }
+      linalg::dual_ascent_project(block + m * a_count, y.data() + m * a_count,
+                                  cs.xd.data(), delta, a_count);
     }
   });
 }

@@ -11,15 +11,17 @@
 //   repair()       re-solves P2 with ub = x for the feasible incumbent,
 //   dual_update()  applies the projected subgradient step to mu.
 //
-// The in-process solver runs ONE full-range ShardCore (the exact loop bodies
-// this file was extracted from, so results are bit-identical to the
-// pre-refactor solver); the process-level coordinator (src/shard/) runs one
-// ShardCore per worker subprocess over a slice config. The thread pool still
-// parallelizes inside a shard, and every floating-point accumulation that
-// determines the result (P1/P2 sums, costs, bounds) stays OUTSIDE this
-// class, in the driver, in canonical serial index order — that is the
-// determinism argument for both thread- and shard-count invariance
-// (DESIGN.md §11).
+// There is one solver path: every window is solved on its per-(slot, SBS)
+// active sets with the compact mu layout. A dense window is converted once
+// at the boundary (sparse_window below), which is lossless.
+//
+// The in-process solver runs ONE full-range ShardCore; the process-level
+// coordinator (src/shard/) runs one ShardCore per worker subprocess over a
+// slice config. The thread pool still parallelizes inside a shard, and
+// every floating-point accumulation that determines the result (P1/P2
+// sums, costs, bounds) stays OUTSIDE this class, in the solver that runs
+// the shards, in canonical serial index order — that is the determinism
+// argument for both thread- and shard-count invariance (DESIGN.md §11).
 #pragma once
 
 #include <cstddef>
@@ -36,34 +38,14 @@
 
 namespace mdo::core {
 
-/// Which exact P1 backend the dual iterations use.
-enum class P1Backend {
-  kFlow,     // min-cost flow (default, fast)
-  kSimplex,  // the paper's LP + simplex route (slower, for fidelity/tests)
-};
-
-/// Index bookkeeping for the flat mu vector: slot-major, then SBS, then
-/// (class, content) flattened.
-struct MuLayout {
-  std::size_t per_slot = 0;
-  std::vector<std::size_t> sbs_offset;  // within one slot
-  std::vector<std::size_t> sbs_size;    // M_n * K
-
-  MuLayout() = default;
-  explicit MuLayout(const model::NetworkConfig& config) {
-    sbs_offset.resize(config.num_sbs());
-    sbs_size.resize(config.num_sbs());
-    for (std::size_t n = 0; n < config.num_sbs(); ++n) {
-      sbs_offset[n] = per_slot;
-      sbs_size[n] = config.sbs[n].num_classes() * config.num_contents;
-      per_slot += sbs_size[n];
-    }
-  }
-
-  std::size_t offset(std::size_t t, std::size_t n) const {
-    return t * per_slot + sbs_offset[n];
-  }
-};
+/// The solver's one demand representation: the sparse trace behind
+/// `window`, or — for a dense window — its SparseDemandTrace::from_dense
+/// conversion, written into `storage`. The conversion keeps every nonzero
+/// rate, negative and NaN ones included, so a finite/non-negative check on
+/// the result rejects exactly the windows it would reject on the dense
+/// input.
+const model::SparseDemandTrace& sparse_window(
+    model::DemandTraceView window, model::SparseDemandTrace& storage);
 
 /// Per-(slot, SBS) solver state, persisted across solves as the warm-start
 /// bank (cell = t * num_sbs + n).
@@ -71,10 +53,10 @@ struct CellState {
   P2Workspace p2;      // dual-iteration P2 (linear term = mu)
   P2Workspace repair;  // feasibility repair (c = 0, ub = x)
   linalg::Vec ub;      // repair upper-bound scratch
-  linalg::Vec xd;      // compact dual-ascent x-expansion scratch
+  linalg::Vec xd;      // dual-ascent x-expansion scratch
 };
 
-/// Sparse-mode index structures, deterministic functions of (demand window,
+/// Active-set index structures, deterministic functions of (demand window,
 /// initial cache): per-cell active sets (support union cached), the per-SBS
 /// sorted union over the window (P1's restricted content list), and the
 /// per-cell map from active position to P1 position. Built identically by
@@ -91,14 +73,13 @@ ActiveSets build_active_sets(const model::NetworkConfig& config,
                              const model::SparseDemandTrace& demand,
                              const model::CacheState& initial_cache);
 
-/// Block offsets of the COMPACT mu vector: cell = t * num_sbs + n owns the
+/// Block offsets of the compact mu vector: cell = t * num_sbs + n owns the
 /// half-open range [offsets[cell], offsets[cell + 1]), which holds its
 /// M_n x |active[cell]| multipliers in (class-major, active-position) order
-/// — exactly the per-cell block layout the shard wire protocol has always
-/// shipped. offsets.back() is the compact vector's total size. A
-/// deterministic function of (config, horizon, sets), so the driver, the
-/// coordinator and every worker (over its slice) derive identical
-/// geometry independently.
+/// — the per-cell block layout the shard wire ships. offsets.back() is the
+/// vector's total size. A deterministic function of (config, horizon,
+/// sets), so the solver, the coordinator and every worker (over its slice)
+/// derive identical geometry independently.
 std::vector<std::size_t> mu_block_offsets(const model::NetworkConfig& config,
                                           std::size_t horizon,
                                           const ActiveSets& sets);
@@ -106,15 +87,13 @@ std::vector<std::size_t> mu_block_offsets(const model::NetworkConfig& config,
 /// The subset of PrimalDualOptions a shard needs (kept separate so workers
 /// deserialize exactly these and nothing solver-lifecycle-related).
 struct ShardOptions {
-  P1Backend backend = P1Backend::kFlow;
   LoadBalancingOptions load_balancing{};
-  bool reuse_p1_network = true;
-  bool cross_window_warm_start = true;
 };
 
 /// Non-owning window problem handed to a shard. In a worker subprocess the
 /// config/demand/cache are the deserialized slice; in-process they are the
-/// full-range originals. Exactly one demand pointer is set.
+/// full-range originals. Exactly one demand pointer is set; a dense window
+/// is converted by begin().
 struct ShardInputs {
   const model::NetworkConfig* config = nullptr;
   const model::DemandTrace* demand = nullptr;
@@ -122,41 +101,32 @@ struct ShardInputs {
   const model::CacheState* initial_cache = nullptr;
   /// Optional P1 neighbor-demand reward addends (DESIGN.md §13): per SBS a
   /// vector in the P1 rewards layout ([t * kp + i] over the restricted
-  /// content list in sparse mode, [t * K + k] dense), computed serially by
-  /// the driver from the topology and the window demand and added to
-  /// sub.rewards each iteration. Constants of the solve — they never change
-  /// between dual iterations — so workers receive their slice once at
-  /// kBegin. Null or per-SBS empty vectors mean no tilt (the default).
+  /// content list), computed serially by the solver from the topology and
+  /// the window demand and added to sub.rewards each iteration. Constants
+  /// of the solve — they never change between dual iterations — so workers
+  /// receive their slice once at kBegin. Null or per-SBS empty vectors mean
+  /// no tilt (the default).
   const std::vector<linalg::Vec>* neighbor_rewards = nullptr;
-
-  bool sparse() const { return sparse_demand != nullptr; }
-  std::size_t horizon() const {
-    return sparse_demand != nullptr ? sparse_demand->horizon()
-                                    : demand->horizon();
-  }
 };
 
 class ShardCore {
  public:
   /// Binds the shard to a window problem. `bank` (cell = t * num_sbs + n,
   /// resized here) must outlive the shard's use; its workspaces keep their
-  /// warm starts — begin() re-binds them to the new window exactly like the
-  /// pre-refactor solve() prologue. `sets` must be the structures
-  /// build_active_sets returns for these inputs (moved in so the in-process
-  /// driver, which also needs them, builds them once); ignored in dense
-  /// mode. The overload without `sets` builds them internally (workers).
+  /// warm starts — begin() re-binds them to the new window. `sets` must be
+  /// the structures build_active_sets returns for these inputs (moved in so
+  /// the in-process solver, which also needs them, builds them once). For a
+  /// dense `in.demand` the window is converted here and `sets` is ignored:
+  /// begin() builds them from the converted window.
   void begin(const ShardInputs& in, const ShardOptions& opts,
              std::vector<CellState>& bank, ActiveSets sets);
-  void begin(const ShardInputs& in, const ShardOptions& opts,
-             std::vector<CellState>& bank);
 
   /// One dual iteration's P1 (caching per SBS under rewards nu = sum_m mu)
   /// and P2 (load balancing per cell with linear term mu) passes, batched
   /// into a SINGLE task-pool submission (P1 and P2 are independent within
   /// an iteration — repair is a separate call — so one fused parallel_for
   /// amortizes dispatch at large N). Each task writes only its own slot;
-  /// no reductions happen here. `mu` is compact (mu_offsets geometry) when
-  /// compact() is true, dense-layout otherwise.
+  /// no reductions happen here. `mu` is compact (mu_offsets() geometry).
   void iterate(const linalg::Vec& mu);
 
   /// Feasibility repair for the current x: P2 with c = 0 and ub = x per
@@ -178,17 +148,8 @@ class ShardCore {
   const std::vector<double>& p2_objectives() const { return p2_objectives_; }
   /// Per SBS: the P1 schedule, [t * kp + i] over the restricted list.
   const std::vector<std::vector<std::uint8_t>>& x() const { return x_; }
-  const ActiveSets& sets() const { return sets_; }
-  /// True when this solve stores mu compactly — always, for sparse-demand
-  /// solves (the dense-layout sparse-mu A/B path is retired, DESIGN.md §12).
-  bool compact() const { return sparse_; }
-  /// Compact block offsets (cells + 1 entries); empty unless compact().
+  /// Compact block offsets (cells + 1 entries).
   const std::vector<std::size_t>& mu_offsets() const { return mu_off_; }
-  /// kp of SBS n: restricted catalogue size (sparse) or K (dense).
-  std::size_t p1_contents(std::size_t n) const {
-    return p1_[n].sub.num_contents;
-  }
-  const std::vector<CellState>& bank() const { return *bank_; }
 
  private:
   struct P1State {
@@ -200,8 +161,7 @@ class ShardCore {
   ShardInputs inputs_;
   ShardOptions options_;
   std::size_t horizon_ = 0;
-  bool sparse_ = false;
-  MuLayout layout_;
+  model::SparseDemandTrace converted_;  // a dense input's window
   std::vector<std::size_t> mu_off_;
   ActiveSets sets_;
   std::vector<CellState>* bank_ = nullptr;

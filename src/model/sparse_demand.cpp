@@ -121,7 +121,10 @@ SparseSbsDemand SparseSbsDemand::from_dense(const SbsDemand& dense,
   for (std::size_t m = 0; m < dense.num_classes(); ++m) {
     for (std::size_t k = 0; k < dense.num_contents(); ++k) {
       const double rate = dense.at(m, k);
-      if (rate != 0.0 && !(rate < min_rate)) sparse.append(m, k, rate);
+      // Negative and NaN rates are kept, so validate() and the solver's
+      // finite/non-negative check still see them.
+      const bool truncated = rate >= 0.0 && rate < min_rate;
+      if (rate != 0.0 && !truncated) sparse.append(m, k, rate);
     }
   }
   sparse.finalize();

@@ -87,8 +87,9 @@ class SparseSbsDemand {
   /// computes, so the result matches from_dense of the scaled dense matrix.
   void scale_by_content(const std::vector<double>& factor);
 
-  /// Conversion from dense; entries with rate == 0 or rate < min_rate are
-  /// dropped (become structural zeros). min_rate == 0 is lossless.
+  /// Conversion from dense; entries with rate == 0 or 0 < rate < min_rate
+  /// are dropped (become structural zeros). Negative and NaN rates are kept
+  /// for validation to reject. min_rate == 0 is lossless.
   static SparseSbsDemand from_dense(const SbsDemand& dense,
                                     double min_rate = 0.0);
   SbsDemand to_dense() const;

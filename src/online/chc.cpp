@@ -67,35 +67,21 @@ void FhcPlanner::plan(std::ptrdiff_t tau,
   // A pre-horizon plan (tau < 0) predates every observation: querying the
   // predictor with the clamped slot-0 time would smuggle in information not
   // yet available at plan time, so those windows are zero/prior-only.
-  // The problem references the planner's per-representation window buffer,
-  // refilled in place each plan — no per-plan window copy.
-  const bool sparse = instance_->use_sparse_demand;
+  // The problem references the planner's window buffer, refilled in place
+  // each plan — no per-plan window copy.
   core::HorizonProblem problem;
   problem.config = &config;
-  if (sparse) {
-    window_sparse_.clear();
-    problem.sparse_demand = &window_sparse_;
-  } else {
-    window_demand_.clear();
-    problem.demand = &window_demand_;
-  }
+  forecast_.clear();
+  problem.sparse_demand = &forecast_;
   for (std::size_t i = 0; i < window_; ++i) {
     const std::ptrdiff_t abs_slot = tau + static_cast<std::ptrdiff_t>(i);
     if (abs_slot >= static_cast<std::ptrdiff_t>(total_horizon)) break;
     if (abs_slot < 0 || tau < 0) {
-      if (sparse) {
-        window_sparse_.push_back(model::make_zero_sparse_slot_demand(config));
-      } else {
-        window_demand_.push_back(model::make_zero_slot_demand(config));
-      }
-    } else if (sparse) {
-      window_sparse_.push_back(
+      forecast_.push_back(model::make_zero_sparse_slot_demand(config));
+    } else {
+      forecast_.push_back(
           predictor.predict_sparse(static_cast<std::size_t>(tau),
                                    static_cast<std::size_t>(abs_slot)));
-    } else {
-      window_demand_.push_back(
-          predictor.predict(static_cast<std::size_t>(tau),
-                            static_cast<std::size_t>(abs_slot)));
     }
   }
   MDO_CHECK(problem.horizon() >= 1, "FHC: empty planning window");
@@ -119,8 +105,7 @@ void FhcPlanner::plan(std::ptrdiff_t tau,
   // plans solve from the marginal init.
   const bool same_window =
       shift == 0 && !warm_mu_.empty() && warm_horizon_ == horizon;
-  const linalg::Vec* warm =
-      same_window && options_.cross_window_warm_start ? &warm_mu_ : nullptr;
+  const linalg::Vec* warm = same_window ? &warm_mu_ : nullptr;
   // The plan must cover this commitment block: a truncated backoff retry
   // may drop tail slots, but never below the block the planner commits.
   const std::size_t min_horizon = static_cast<std::size_t>(

@@ -76,10 +76,9 @@ class FhcPlanner {
   std::optional<model::CacheState> resync_cache_;
   linalg::Vec warm_mu_;
   std::size_t warm_horizon_ = 0;
-  /// Per-plan window buffers the HorizonProblem references (one per
-  /// representation; refilled in place each plan()).
-  model::DemandTrace window_demand_;
-  model::SparseDemandTrace window_sparse_;
+  /// Forecast window the HorizonProblem references (refilled in place each
+  /// plan()).
+  model::SparseDemandTrace forecast_;
 };
 
 class ChcController final : public Controller {

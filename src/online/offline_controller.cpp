@@ -8,13 +8,11 @@ OfflineController::OfflineController(core::PrimalDualOptions options)
     : options_(options) {}
 
 void OfflineController::reset(const model::ProblemInstance& instance) {
+  model::SparseDemandTrace converted;
   core::HorizonProblem problem;
   problem.config = &instance.config;
-  if (instance.use_sparse_demand) {
-    problem.sparse_demand = &instance.sparse_demand;
-  } else {
-    problem.demand = &instance.demand;
-  }
+  problem.sparse_demand =
+      &core::sparse_window(instance.demand_view(), converted);
   problem.initial_cache = instance.initial_cache;
   solution_ = core::PrimalDualSolver(options_).solve(problem);
 }

@@ -6,13 +6,6 @@
 
 namespace mdo::online {
 
-linalg::Vec advance_mu(const linalg::Vec& old_mu,
-                       const model::NetworkConfig& config,
-                       std::size_t old_horizon, std::size_t new_horizon,
-                       std::size_t shift) {
-  return core::shift_mu(old_mu, config, old_horizon, new_horizon, shift);
-}
-
 RhcController::RhcController(std::size_t window,
                              core::PrimalDualOptions options)
     : window_(window), options_(options), solver_(options_) {
@@ -34,19 +27,13 @@ model::SlotDecision RhcController::decide(const DecisionContext& ctx) {
   MDO_REQUIRE(instance_ != nullptr, "RHC: reset() must be called first");
   MDO_REQUIRE(ctx.predictor != nullptr, "RHC needs a predictor");
 
-  // The window problem references the controller's per-representation
-  // buffer: one trace reused across decisions, refilled in place — no
-  // per-decision window copy.
+  // The window problem references the controller's window buffer: one
+  // trace reused across decisions, refilled in place — no per-decision
+  // window copy.
   core::HorizonProblem problem;
   problem.config = &instance_->config;
-  if (instance_->use_sparse_demand) {
-    ctx.predictor->predict_window_sparse_into(ctx.slot, window_,
-                                              window_sparse_);
-    problem.sparse_demand = &window_sparse_;
-  } else {
-    ctx.predictor->predict_window_into(ctx.slot, window_, window_demand_);
-    problem.demand = &window_demand_;
-  }
+  ctx.predictor->predict_window_sparse_into(ctx.slot, window_, forecast_);
+  problem.sparse_demand = &forecast_;
   problem.initial_cache = trajectory_cache_;
   const std::size_t horizon = problem.horizon();
   MDO_REQUIRE(horizon >= 1, "RHC: slot beyond the instance horizon");

@@ -51,18 +51,9 @@ class RhcController final : public Controller {
   core::PrimalDualSolver solver_;
   const model::ProblemInstance* instance_ = nullptr;
   model::CacheState trajectory_cache_;  // x^{tau-1} along RHC's own path
-  /// Per-decision window buffers the HorizonProblem references (one per
-  /// representation; refilled in place each decide()).
-  model::DemandTrace window_demand_;
-  model::SparseDemandTrace window_sparse_;
+  /// Forecast window the HorizonProblem references (refilled in place each
+  /// decide()).
+  model::SparseDemandTrace forecast_;
 };
-
-/// Builds a warm-start multiplier vector for a new window of length
-/// `new_horizon` from the multipliers of the previous window (length
-/// `old_horizon`), advanced by `shift` slots. Shared by RHC and FHC.
-linalg::Vec advance_mu(const linalg::Vec& old_mu,
-                       const model::NetworkConfig& config,
-                       std::size_t old_horizon, std::size_t new_horizon,
-                       std::size_t shift);
 
 }  // namespace mdo::online

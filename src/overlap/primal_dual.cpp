@@ -66,7 +66,7 @@ void OverlapP1Core::begin(const OverlapHorizonProblem& problem,
     sub.beta = config.sbs[n].replacement_beta;
     sub.initial = problem.initial[n];
     sub.rewards.assign(k_count * w, 0.0);
-    if (options_.reuse_p1_network) p1_[i].flow.bind(sub);
+    p1_[i].flow.bind(sub);
   });
 }
 
@@ -88,8 +88,6 @@ void OverlapP1Core::iterate(const linalg::Vec& mu) {
         }
       }
     }
-    // A/B baseline: rebuild the network from scratch every iteration.
-    if (!options_.reuse_p1_network) p1_[i].flow.bind(sub);
     objectives_[i] = p1_[i].flow.solve_into(sub, x_[i]);
   });
 }
@@ -160,18 +158,11 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
 
   // ---- Per-slot P2 workspaces: coefficients built once here, the dual
   // loop then only refreshes the linear term (and the repair loop the box
-  // upper bound); the warm starts live inside. A throwaway bank runs the
-  // same code path, so results are bit-identical either way.
-  std::vector<SlotState> local_bank;
-  std::vector<SlotState>& bank =
-      options_.reuse_workspaces ? bank_ : local_bank;
+  // upper bound); the warm starts live inside and carry across solves.
+  std::vector<SlotState>& bank = bank_;
   bank.resize(w);
   util::parallel_for(0, w, [&](std::size_t t) {
     SlotState& ss = bank[t];
-    if (!options_.cross_window_warm_start) {
-      ss.p2.clear_warm_start();
-      ss.repair.clear_warm_start();
-    }
     ss.p2.bind(config, layout, problem.demand[t]);
     ss.repair.bind(config, layout, problem.demand[t]);
   });

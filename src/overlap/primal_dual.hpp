@@ -32,17 +32,6 @@ struct OverlapPrimalDualOptions {
   double step_scale = 0.0;  // 0 = automatic (marginal-gradient scale)
   bool marginal_initialization = true;
   OverlapP2Options p2{};
-  /// Keep the per-slot P2 workspaces alive across solve() calls (the
-  /// zero-allocation hot path); false runs the identical code path with
-  /// throwaway workspaces. Results are bit-identical either way.
-  bool reuse_workspaces = true;
-  /// Build each SBS's P1 flow network once per solve and only re-price the
-  /// occupancy arcs between dual iterations (see core::CachingFlowWorkspace);
-  /// false rebuilds it every iteration. Bit-identical either way.
-  bool reuse_p1_network = true;
-  /// Carry P2 warm starts (the y vectors) across consecutive solve()
-  /// calls; false starts every solve cold (the legacy behavior).
-  bool cross_window_warm_start = true;
 };
 
 struct OverlapHorizonSolution {
@@ -105,8 +94,8 @@ class OverlapPrimalDualSolver {
  public:
   explicit OverlapPrimalDualSolver(OverlapPrimalDualOptions options = {});
 
-  /// Non-const: the solver keeps the per-slot P2 workspace bank between
-  /// calls (see OverlapPrimalDualOptions::reuse_workspaces).
+  /// Non-const: the solver keeps the per-slot P2 workspace bank, and with
+  /// it the P2 warm starts, between calls (the zero-allocation hot path).
   ///
   /// `deadline` is polled once per dual iteration after the first one
   /// completes; on expiry the best feasible incumbent is returned with

@@ -13,32 +13,21 @@ namespace {
 
 /// Window prefix of `problem` with the first `horizon` slots — the
 /// truncated subproblem of a backoff retry. HorizonProblem references its
-/// demand window, so the holder owns the truncated trace and the embedded
-/// problem points into the holder (fill() rewires the pointers in place —
-/// the holder must not be moved afterwards).
+/// demand window, so the holder owns the truncated sparse trace and the
+/// embedded problem points into the holder (fill() rewires the pointer in
+/// place — the holder must not be moved afterwards).
 struct TruncatedProblem {
-  model::DemandTrace demand;
-  model::SparseDemandTrace sparse_demand;
+  model::SparseDemandTrace demand;
   core::HorizonProblem problem;
 
   void fill(const core::HorizonProblem& source, std::size_t horizon) {
     problem.config = source.config;
     problem.initial_cache = source.initial_cache;
-    if (source.use_sparse()) {
-      sparse_demand.clear();
-      for (std::size_t t = 0; t < horizon; ++t) {
-        sparse_demand.push_back(source.sparse_demand->slot(t));
-      }
-      problem.sparse_demand = &sparse_demand;
-      problem.demand = nullptr;
-    } else {
-      demand.clear();
-      for (std::size_t t = 0; t < horizon; ++t) {
-        demand.push_back(source.demand->slot(t));
-      }
-      problem.demand = &demand;
-      problem.sparse_demand = nullptr;
-    }
+    model::SparseDemandTrace converted;
+    const model::SparseDemandTrace& full =
+        core::sparse_window(source.demand_view(), converted);
+    demand = full.window(0, horizon);
+    problem.sparse_demand = &demand;
   }
 };
 

@@ -132,23 +132,20 @@ void Coordinator::teardown() {
   }
   workers_.clear();
   in_ = nullptr;
-  layout_ = nullptr;
   mu_offsets_ = nullptr;
   offsets_.clear();
 }
 
 bool Coordinator::begin(const core::ShardInputs& in,
                         const core::ShardOptions& opts, std::size_t shards,
-                        const core::MuLayout& layout,
-                        const std::vector<std::size_t>* mu_offsets,
+                        const std::vector<std::size_t>& mu_offsets,
                         const linalg::Vec& mu,
                         const std::vector<core::CellState>& bank) {
   const std::size_t num_sbs = in.config->num_sbs();
   if (shards == 0 || shards > num_sbs) return false;
   if (!ensure_workers(shards)) return false;
   in_ = &in;
-  layout_ = &layout;
-  mu_offsets_ = mu_offsets;
+  mu_offsets_ = &mu_offsets;
   offsets_.assign(shards + 1, 0);
   const std::size_t base = num_sbs / shards;
   const std::size_t rem = num_sbs % shards;
@@ -158,8 +155,8 @@ bool Coordinator::begin(const core::ShardInputs& in,
   const std::int64_t die_at = consume_kill_directive();
   for (std::size_t s = 0; s < shards; ++s) {
     util::BinaryWriter w;
-    encode_begin(w, in, opts, offsets_[s], offsets_[s + 1], layout,
-                 mu_offsets, mu, bank, num_sbs, s == 0 ? die_at : -1);
+    encode_begin(w, in, opts, offsets_[s], offsets_[s + 1], mu_offsets, mu,
+                 bank, num_sbs, s == 0 ? die_at : -1);
     if (!send_frame(workers_[s].fd, MessageType::kBegin, w.bytes())) {
       teardown();
       return false;
@@ -190,7 +187,7 @@ bool Coordinator::iterate(bool apply_prev, double delta,
     }
   }
   const std::size_t num_sbs = in_->config->num_sbs();
-  const std::size_t horizon = in_->horizon();
+  const std::size_t horizon = in_->sparse_demand->horizon();
   out->p1_objectives.assign(num_sbs, 0.0);
   out->p2_objectives.assign(horizon * num_sbs, 0.0);
   out->x.assign(num_sbs, {});
@@ -247,8 +244,7 @@ bool Coordinator::finish(bool apply_final, double delta, linalg::Vec& mu,
     }
   }
   const std::size_t num_sbs = in_->config->num_sbs();
-  const std::size_t horizon = in_->horizon();
-  const bool sparse = in_->sparse();
+  const std::size_t horizon = in_->sparse_demand->horizon();
   std::vector<std::uint8_t> payload;
   for (std::size_t s = 0; s < workers_.size(); ++s) {
     MessageType type;
@@ -271,25 +267,15 @@ bool Coordinator::finish(bool apply_final, double delta, linalg::Vec& mu,
         const std::size_t t = cell / count;
         const std::size_t n = off + cell % count;
         const linalg::Vec& block = reply.mu_blocks[cell];
-        if (sparse) {
-          // Compact: the wire block IS the stored block — straight copy.
-          const std::size_t first = (*mu_offsets_)[t * num_sbs + n];
-          const std::size_t last = (*mu_offsets_)[t * num_sbs + n + 1];
-          if (block.size() != last - first) {
-            teardown();
-            return false;
-          }
-          std::copy(block.begin(), block.end(),
-                    mu.begin() + static_cast<std::ptrdiff_t>(first));
-        } else {
-          if (block.size() != layout_->sbs_size[n]) {
-            teardown();
-            return false;
-          }
-          std::copy(
-              block.begin(), block.end(),
-              mu.begin() + static_cast<std::ptrdiff_t>(layout_->offset(t, n)));
+        // The wire block IS the stored compact block — straight copy.
+        const std::size_t first = (*mu_offsets_)[t * num_sbs + n];
+        const std::size_t last = (*mu_offsets_)[t * num_sbs + n + 1];
+        if (block.size() != last - first) {
+          teardown();
+          return false;
         }
+        std::copy(block.begin(), block.end(),
+                  mu.begin() + static_cast<std::ptrdiff_t>(first));
         util::BinaryReader blob(reply.warm_state[cell]);
         core::CellState& cs = bank[t * num_sbs + n];
         cs.p2.restore_warm_state(blob);
@@ -301,7 +287,6 @@ bool Coordinator::finish(bool apply_final, double delta, linalg::Vec& mu,
     }
   }
   in_ = nullptr;
-  layout_ = nullptr;
   mu_offsets_ = nullptr;
   return true;
 }

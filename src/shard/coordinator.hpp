@@ -51,16 +51,14 @@ class Coordinator {
 
   /// Opens a solve session over `shards` workers (spawning or resizing the
   /// fleet as needed) and ships each its slice of the problem, the initial
-  /// mu, and its warm-start blobs from `bank`. `mu_offsets` non-null means
-  /// `mu` is the COMPACT active-coordinate vector with that
-  /// mu_block_offsets geometry (full range); null means dense layout. The
-  /// referenced structures must outlive the session (they are the driver's
-  /// solve-scope state). False on any worker failure; the fleet is then
-  /// already torn down.
+  /// mu, and its warm-start blobs from `bank`. `in` carries the sparse
+  /// window; `mu` is the compact active-coordinate vector with the
+  /// full-range `mu_offsets` geometry. The referenced structures must
+  /// outlive the session (they are the solver's solve-scope state). False
+  /// on any worker failure; the fleet is then already torn down.
   bool begin(const core::ShardInputs& in, const core::ShardOptions& opts,
-             std::size_t shards, const core::MuLayout& layout,
-             const std::vector<std::size_t>* mu_offsets, const linalg::Vec& mu,
-             const std::vector<core::CellState>& bank);
+             std::size_t shards, const std::vector<std::size_t>& mu_offsets,
+             const linalg::Vec& mu, const std::vector<core::CellState>& bank);
 
   /// One dual iteration: workers apply the previous projected step (when
   /// `apply_prev` — delta_{l-1} computed driver-side) and solve P1/P2 +
@@ -91,7 +89,6 @@ class Coordinator {
 
   // Session state, valid between begin() and finish().
   const core::ShardInputs* in_ = nullptr;
-  const core::MuLayout* layout_ = nullptr;
   const std::vector<std::size_t>* mu_offsets_ = nullptr;  // compact geometry
   std::vector<std::size_t> offsets_;  // shard s covers [offsets_[s], offsets_[s+1])
 };

@@ -14,10 +14,10 @@ namespace mdo::shard {
 
 namespace {
 
-constexpr char kMagic[8] = {'M', 'D', 'O', 'S', 'H', 'R', 'D', '2'};
+constexpr char kMagic[8] = {'M', 'D', 'O', 'S', 'H', 'R', 'D', '3'};
 constexpr std::size_t kHeaderSize = sizeof(kMagic) + 4 + 8 + 8;
-/// Sanity cap: no legitimate frame approaches this (the largest, kBegin at
-/// N=1024/K=10^4 dense, is low single-digit GB; sparse frames are MBs).
+/// Sanity cap: no legitimate frame approaches this (kBegin carries sparse
+/// demand and compact mu, MBs even at N=1024/K=10^4 full support).
 constexpr std::uint64_t kMaxPayload = 1ULL << 36;
 
 bool send_all(int fd, const std::uint8_t* data, std::size_t size) {
@@ -118,9 +118,6 @@ bool recv_frame(int fd, MessageType* type,
 namespace {
 
 void write_options(util::BinaryWriter& w, const core::ShardOptions& opts) {
-  w.u8(static_cast<std::uint8_t>(opts.backend));
-  w.boolean(opts.reuse_p1_network);
-  w.boolean(opts.cross_window_warm_start);
   w.boolean(opts.load_balancing.prefer_exact);
   w.size(opts.load_balancing.first_order.max_iterations);
   w.f64(opts.load_balancing.first_order.gradient_tolerance);
@@ -130,9 +127,6 @@ void write_options(util::BinaryWriter& w, const core::ShardOptions& opts) {
 
 core::ShardOptions read_options(util::BinaryReader& r) {
   core::ShardOptions opts;
-  opts.backend = static_cast<core::P1Backend>(r.u8());
-  opts.reuse_p1_network = r.boolean();
-  opts.cross_window_warm_start = r.boolean();
   opts.load_balancing.prefer_exact = r.boolean();
   opts.load_balancing.first_order.max_iterations = r.size();
   opts.load_balancing.first_order.gradient_tolerance = r.f64();
@@ -167,39 +161,21 @@ model::SbsConfig read_sbs_config(util::BinaryReader& r) {
   return sbs;
 }
 
-void write_dense_demand(util::BinaryWriter& w, const model::SbsDemand& demand) {
-  w.size(demand.num_classes());
-  w.size(demand.num_contents());
-  w.f64_vec(demand.data());
-}
-
-model::SbsDemand read_dense_demand(util::BinaryReader& r) {
-  const std::size_t classes = r.size();
-  const std::size_t contents = r.size();
-  model::SbsDemand demand(classes, contents);
-  linalg::Vec data = r.f64_vec_as<linalg::Vec>();
-  MDO_REQUIRE(data.size() == classes * contents,
-              "shard wire: dense demand block size mismatch");
-  demand.data() = std::move(data);
-  return demand;
-}
-
 }  // namespace
 
 void encode_begin(util::BinaryWriter& w, const core::ShardInputs& in,
                   const core::ShardOptions& opts, std::size_t sbs_begin,
-                  std::size_t sbs_end, const core::MuLayout& layout,
-                  const std::vector<std::size_t>* mu_offsets,
+                  std::size_t sbs_end,
+                  const std::vector<std::size_t>& mu_offsets,
                   const linalg::Vec& mu,
                   const std::vector<core::CellState>& bank,
                   std::size_t num_sbs_total, std::int64_t die_at_iteration) {
-  const bool sparse = in.sparse();
-  const std::size_t horizon = in.horizon();
-  const std::size_t k_count = in.config->num_contents;
+  MDO_REQUIRE(in.sparse_demand != nullptr,
+              "shard wire: kBegin ships a sparse demand window");
+  const std::size_t horizon = in.sparse_demand->horizon();
   write_options(w, opts);
-  w.size(k_count);
+  w.size(in.config->num_contents);
   w.size(horizon);
-  w.boolean(sparse);
   w.i64(die_at_iteration);
   w.size(sbs_end - sbs_begin);
   for (std::size_t n = sbs_begin; n < sbs_end; ++n) {
@@ -210,11 +186,7 @@ void encode_begin(util::BinaryWriter& w, const core::ShardInputs& in,
   }
   for (std::size_t t = 0; t < horizon; ++t) {
     for (std::size_t n = sbs_begin; n < sbs_end; ++n) {
-      if (sparse) {
-        model::write_sparse_demand(w, in.sparse_demand->slot(t)[n]);
-      } else {
-        write_dense_demand(w, in.demand->slot(t)[n]);
-      }
+      model::write_sparse_demand(w, in.sparse_demand->slot(t)[n]);
     }
   }
   // Optional P1 neighbor-demand rewards (ShardInputs::neighbor_rewards):
@@ -227,26 +199,15 @@ void encode_begin(util::BinaryWriter& w, const core::ShardInputs& in,
       w.f64_vec(linalg::Vec{});
     }
   }
-  // mu blocks: the cell's compact active-coordinate span (sparse — the
-  // stored and wire layouts coincide, so no gather happens) or its dense
-  // slice.
-  MDO_REQUIRE(!sparse || mu_offsets != nullptr,
-              "shard wire: sparse kBegin requires compact mu offsets");
+  // mu blocks: the cell's compact active-coordinate span (the stored and
+  // wire layouts coincide, so no gather happens).
   for (std::size_t t = 0; t < horizon; ++t) {
     for (std::size_t n = sbs_begin; n < sbs_end; ++n) {
-      if (sparse) {
-        const std::size_t cell = t * num_sbs_total + n;
-        const std::size_t first = (*mu_offsets)[cell];
-        const std::size_t last = (*mu_offsets)[cell + 1];
-        w.size(last - first);
-        for (std::size_t j = first; j < last; ++j) w.f64(mu[j]);
-      } else {
-        const std::size_t base = layout.offset(t, n);
-        w.size(layout.sbs_size[n]);
-        for (std::size_t j = 0; j < layout.sbs_size[n]; ++j) {
-          w.f64(mu[base + j]);
-        }
-      }
+      const std::size_t cell = t * num_sbs_total + n;
+      const std::size_t first = mu_offsets[cell];
+      const std::size_t last = mu_offsets[cell + 1];
+      w.size(last - first);
+      for (std::size_t j = first; j < last; ++j) w.f64(mu[j]);
     }
   }
   // Warm-start blobs, nested so the worker restores them opaquely.
@@ -266,7 +227,6 @@ BeginMessage decode_begin(util::BinaryReader& r) {
   msg.options = read_options(r);
   msg.num_contents = r.size();
   msg.horizon = r.size();
-  msg.sparse = r.boolean();
   msg.die_at_iteration = r.i64();
   const std::size_t num_sbs = r.count();
   msg.sbs.reserve(num_sbs);
@@ -280,21 +240,12 @@ BeginMessage decode_begin(util::BinaryReader& r) {
                 "shard wire: cache bitmap size mismatch");
   }
   for (std::size_t t = 0; t < msg.horizon; ++t) {
-    if (msg.sparse) {
-      model::SparseSlotDemand slot;
-      slot.reserve(num_sbs);
-      for (std::size_t n = 0; n < num_sbs; ++n) {
-        slot.push_back(model::read_sparse_demand(r));
-      }
-      msg.sparse_slots.push_back(std::move(slot));
-    } else {
-      model::SlotDemand slot;
-      slot.reserve(num_sbs);
-      for (std::size_t n = 0; n < num_sbs; ++n) {
-        slot.push_back(read_dense_demand(r));
-      }
-      msg.dense_slots.push_back(std::move(slot));
+    model::SparseSlotDemand slot;
+    slot.reserve(num_sbs);
+    for (std::size_t n = 0; n < num_sbs; ++n) {
+      slot.push_back(model::read_sparse_demand(r));
     }
+    msg.slots.push_back(std::move(slot));
   }
   msg.neighbor_rewards.reserve(num_sbs);
   for (std::size_t n = 0; n < num_sbs; ++n) {

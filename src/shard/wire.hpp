@@ -2,14 +2,16 @@
 //
 // Every message is one frame on a SOCK_STREAM socketpair:
 //
-//   magic "MDOSHRD2" (8) | type u32 | payload size u64 | FNV-1a64 u64 | payload
+//   magic "MDOSHRD3" (8) | type u32 | payload size u64 | FNV-1a64 u64 | payload
 //
 // — the same framing discipline as the "MDOCKPT1" checkpoint files
 // (runtime/checkpoint), rebuilt here on util::BinaryWriter/fnv1a64 because
 // mdo_core cannot link the runtime layer. The magic's last byte is the
-// protocol version ("...D2" since the multi-tier routing refactor shipped
-// omega_neigh and the per-SBS neighbor-reward blocks in kBegin; "...D1"
-// before); a frame whose first seven bytes match but whose version differs
+// protocol version ("...D3" since the solver has one path: kBegin carries
+// only sparse demand and compact mu blocks, and the shard options lost
+// their backend and reuse fields; "...D2" added omega_neigh and the
+// per-SBS neighbor-reward blocks; "...D1" before); a frame whose first
+// seven bytes match but whose version differs
 // is rejected CLEANLY — recv_frame warns and returns false, surfacing as
 // SolveStatus::kWorkerFailure — rather than reading as checksum corruption.
 // Any other framing failure (bad magic, size, checksum) is
@@ -19,8 +21,8 @@
 // bitwise-equal to the in-process one.
 //
 // Per-solve protocol (driver -> worker):
-//   kBegin        slice config + demand window + initial cache
-//                 + neighbor-reward blocks + mu blocks
+//   kBegin        slice config + sparse demand window + initial cache
+//                 + neighbor-reward blocks + compact mu blocks
 //                 + warm-start blobs            -> kBeginAck
 //   kIterate      {apply_prev_dual_step, delta} -> kIterateReply
 //                 {per-SBS P1 objectives/x, per-cell P2 objectives,
@@ -42,7 +44,6 @@
 #include "core/shard_core.hpp"
 #include "linalg/vec.hpp"
 #include "model/decision.hpp"
-#include "model/demand.hpp"
 #include "model/network.hpp"
 #include "model/sparse_demand.hpp"
 #include "util/serialize.hpp"
@@ -90,17 +91,15 @@ struct BeginMessage {
   core::ShardOptions options;
   std::size_t num_contents = 0;
   std::size_t horizon = 0;
-  bool sparse = false;
   std::vector<model::SbsConfig> sbs;  // the contiguous slice
   /// Per local SBS: cached-content bitmap, size num_contents.
   std::vector<std::vector<std::uint8_t>> initial_cache;
-  std::vector<model::SlotDemand> dense_slots;         // [t][local n]
-  std::vector<model::SparseSlotDemand> sparse_slots;  // [t][local n]
+  std::vector<model::SparseSlotDemand> slots;  // [t][local n]
   /// Per local SBS: P1 neighbor-reward addends in the P1 rewards layout
   /// (ShardInputs::neighbor_rewards); empty = no tilt for that SBS.
   std::vector<linalg::Vec> neighbor_rewards;
-  /// Per local cell (t-major): initial mu at the cell's active coordinates
-  /// (sparse, [m * a_count + i]) or the full dense slice ([m * K + k]).
+  /// Per local cell (t-major): initial mu at the cell's active coordinates,
+  /// [m * a_count + i].
   std::vector<linalg::Vec> mu_blocks;
   /// Per local cell: nested save_warm_state blob (p2 then repair).
   std::vector<std::vector<std::uint8_t>> warm_state;
@@ -109,16 +108,14 @@ struct BeginMessage {
 };
 
 /// Encodes the kBegin payload for SBS range [sbs_begin, sbs_end) of the
-/// driver's full problem. `layout` indexes the FULL range; `bank` is the
-/// driver's full bank (cell = t * num_sbs_total + n). Sparse solves
-/// require `mu_offsets` (the mu_block_offsets geometry over the full
-/// range): `mu` is then the compact vector and each cell's block is
-/// written as a direct span — no gather. Dense solves pass null and a
-/// dense-layout `mu`.
+/// solver's full problem; `in` carries the sparse window. `mu` is the
+/// compact vector with the full-range `mu_offsets` geometry, so each
+/// cell's block is written as a direct span — no gather. `bank` is the
+/// solver's full bank (cell = t * num_sbs_total + n).
 void encode_begin(util::BinaryWriter& w, const core::ShardInputs& in,
                   const core::ShardOptions& opts, std::size_t sbs_begin,
-                  std::size_t sbs_end, const core::MuLayout& layout,
-                  const std::vector<std::size_t>* mu_offsets,
+                  std::size_t sbs_end,
+                  const std::vector<std::size_t>& mu_offsets,
                   const linalg::Vec& mu,
                   const std::vector<core::CellState>& bank,
                   std::size_t num_sbs_total, std::int64_t die_at_iteration);
@@ -128,7 +125,7 @@ struct IterateReply {
   std::vector<double> p1_objectives;         // per local SBS
   std::vector<double> p2_objectives;         // per local cell (t-major)
   std::vector<std::vector<std::uint8_t>> x;  // per local SBS, [t * kp + i]
-  std::vector<linalg::Vec> repair_y;         // per local cell (compact/dense)
+  std::vector<linalg::Vec> repair_y;         // per local cell (compact)
 };
 
 void encode_iterate_reply(util::BinaryWriter& w, const IterateReply& reply);

@@ -11,7 +11,6 @@
 #include "core/shard_core.hpp"
 #include "linalg/vec.hpp"
 #include "model/decision.hpp"
-#include "model/demand.hpp"
 #include "model/network.hpp"
 #include "model/sparse_demand.hpp"
 #include "shard/wire.hpp"
@@ -25,14 +24,12 @@ namespace {
 struct WorkerSession {
   core::ShardOptions options;
   model::NetworkConfig config;
-  model::DemandTrace dense_demand;
-  model::SparseDemandTrace sparse_demand;
+  model::SparseDemandTrace demand;
   model::CacheState initial_cache;
-  bool sparse = false;
   /// Per local SBS: P1 neighbor-reward addends (empty = no tilt).
   std::vector<linalg::Vec> neighbor_rewards;
   /// Slice mu: the compact block concatenation (mu_block_offsets over
-  /// `config`) for sparse solves, the dense slice layout otherwise.
+  /// `config`).
   linalg::Vec mu;
   std::vector<core::CellState> bank;
   core::ShardCore core;
@@ -43,7 +40,6 @@ struct WorkerSession {
 
 void bind_session(WorkerSession& s, BeginMessage msg) {
   s.options = msg.options;
-  s.sparse = msg.sparse;
   s.die_at_iteration = msg.die_at_iteration;
   s.iterates = 0;
 
@@ -52,14 +48,9 @@ void bind_session(WorkerSession& s, BeginMessage msg) {
   const std::size_t num_sbs = s.config.num_sbs();
   const std::size_t w = msg.horizon;
 
-  s.dense_demand.clear();
-  s.sparse_demand.clear();
-  for (std::size_t t = 0; t < w; ++t) {
-    if (s.sparse) {
-      s.sparse_demand.push_back(std::move(msg.sparse_slots[t]));
-    } else {
-      s.dense_demand.push_back(std::move(msg.dense_slots[t]));
-    }
+  s.demand.clear();
+  for (model::SparseSlotDemand& slot : msg.slots) {
+    s.demand.push_back(std::move(slot));
   }
 
   s.initial_cache = model::CacheState(s.config);
@@ -72,48 +63,27 @@ void bind_session(WorkerSession& s, BeginMessage msg) {
   core::ShardInputs inputs;
   inputs.config = &s.config;
   inputs.initial_cache = &s.initial_cache;
-  if (s.sparse) {
-    inputs.sparse_demand = &s.sparse_demand;
-  } else {
-    inputs.demand = &s.dense_demand;
-  }
+  inputs.sparse_demand = &s.demand;
   s.neighbor_rewards = std::move(msg.neighbor_rewards);
   inputs.neighbor_rewards = &s.neighbor_rewards;
 
   // Active sets first: mu scatter and the kEnd gather are defined on them.
   // They are the same deterministic function of (demand, cache) the driver
   // evaluated when it gathered the blocks.
-  core::ActiveSets sets;
-  if (s.sparse) {
-    sets = core::build_active_sets(s.config, s.sparse_demand, s.initial_cache);
-  }
+  core::ActiveSets sets =
+      core::build_active_sets(s.config, s.demand, s.initial_cache);
 
-  const core::MuLayout layout(s.config);
-  if (s.sparse) {
-    // The wire blocks ARE the compact storage: validate sizes against the
-    // locally rebuilt geometry and concatenate — no O(K) zero-fill.
-    const std::vector<std::size_t> off =
-        core::mu_block_offsets(s.config, w, sets);
-    s.mu.resize(off.back());
-    for (std::size_t cell = 0; cell < w * num_sbs; ++cell) {
-      const linalg::Vec& block = msg.mu_blocks[cell];
-      MDO_REQUIRE(block.size() == off[cell + 1] - off[cell],
-                  "shard worker: mu block size mismatch");
-      std::copy(block.begin(), block.end(),
-                s.mu.begin() + static_cast<std::ptrdiff_t>(off[cell]));
-    }
-  } else {
-    s.mu.assign(layout.per_slot * w, 0.0);
-    for (std::size_t cell = 0; cell < w * num_sbs; ++cell) {
-      const std::size_t t = cell / num_sbs;
-      const std::size_t n = cell % num_sbs;
-      const linalg::Vec& block = msg.mu_blocks[cell];
-      const std::size_t base = layout.offset(t, n);
-      MDO_REQUIRE(block.size() == layout.sbs_size[n],
-                  "shard worker: mu block size mismatch");
-      std::copy(block.begin(), block.end(),
-                s.mu.begin() + static_cast<std::ptrdiff_t>(base));
-    }
+  // The wire blocks ARE the compact storage: validate sizes against the
+  // locally rebuilt geometry and concatenate — no O(K) zero-fill.
+  const std::vector<std::size_t> off =
+      core::mu_block_offsets(s.config, w, sets);
+  s.mu.resize(off.back());
+  for (std::size_t cell = 0; cell < w * num_sbs; ++cell) {
+    const linalg::Vec& block = msg.mu_blocks[cell];
+    MDO_REQUIRE(block.size() == off[cell + 1] - off[cell],
+                "shard worker: mu block size mismatch");
+    std::copy(block.begin(), block.end(),
+              s.mu.begin() + static_cast<std::ptrdiff_t>(off[cell]));
   }
 
   // Restore the warm-start bank BEFORE begin() binds it — the same order
@@ -146,28 +116,15 @@ IterateReply run_iterate(WorkerSession& s) {
 }
 
 EndReply run_end(const WorkerSession& s) {
-  const std::size_t num_sbs = s.config.num_sbs();
-  const std::size_t w = s.bank.size() / (num_sbs > 0 ? num_sbs : 1);
-  const core::MuLayout layout(s.config);
+  // Compact storage already holds the wire blocks: sub-span copies.
+  const std::vector<std::size_t>& off = s.core.mu_offsets();
   EndReply reply;
   reply.mu_blocks.reserve(s.bank.size());
   reply.warm_state.reserve(s.bank.size());
-  for (std::size_t cell = 0; cell < w * num_sbs; ++cell) {
-    const std::size_t t = cell / num_sbs;
-    const std::size_t n = cell % num_sbs;
-    linalg::Vec block;
-    if (s.sparse) {
-      // Compact storage already holds the wire block: a sub-span copy.
-      const std::vector<std::size_t>& off = s.core.mu_offsets();
-      block.assign(s.mu.begin() + static_cast<std::ptrdiff_t>(off[cell]),
-                   s.mu.begin() + static_cast<std::ptrdiff_t>(off[cell + 1]));
-    } else {
-      const std::size_t base = layout.offset(t, n);
-      block.assign(s.mu.begin() + static_cast<std::ptrdiff_t>(base),
-                   s.mu.begin() +
-                       static_cast<std::ptrdiff_t>(base + layout.sbs_size[n]));
-    }
-    reply.mu_blocks.push_back(std::move(block));
+  for (std::size_t cell = 0; cell < s.bank.size(); ++cell) {
+    reply.mu_blocks.emplace_back(
+        s.mu.begin() + static_cast<std::ptrdiff_t>(off[cell]),
+        s.mu.begin() + static_cast<std::ptrdiff_t>(off[cell + 1]));
 
     util::BinaryWriter blob;
     s.bank[cell].p2.save_warm_state(blob);

@@ -52,6 +52,7 @@ struct ThreadPool::State {
   std::atomic<std::size_t> next{0};
   std::size_t chunk = 1;
   std::size_t busy_workers = 0;      // workers still inside the batch
+  std::size_t started_workers = 0;   // workers that reached worker_loop
 
   std::mutex error_mutex;
   std::exception_ptr error;
@@ -63,6 +64,15 @@ ThreadPool::ThreadPool(std::size_t threads)
   for (std::size_t i = 0; i + 1 < num_threads_; ++i) {
     state_->workers.emplace_back([this] { worker_loop(); });
   }
+  // Return only once every worker is parked in worker_loop: a thread still
+  // inside its start-up code may hold runtime-internal locks (the sanitizer
+  // runtimes' thread registries), and a fork() taken then — the shard
+  // coordinator forks its workers — would hand the child a lock nobody
+  // releases.
+  std::unique_lock<std::mutex> lock(state_->mutex);
+  state_->done_cv.wait(lock, [&] {
+    return state_->started_workers == state_->workers.size();
+  });
 }
 
 ThreadPool::~ThreadPool() {
@@ -84,6 +94,11 @@ void ThreadPool::run_range(std::size_t begin, std::size_t end,
 
 void ThreadPool::worker_loop() {
   t_worker_pool = this;
+  {
+    std::lock_guard<std::mutex> lock(state_->mutex);
+    ++state_->started_workers;
+  }
+  state_->done_cv.notify_all();
   std::uint64_t seen_batch = 0;
   for (;;) {
     const std::function<void(std::size_t)>* fn = nullptr;

@@ -3,8 +3,7 @@
 // the pre-refactor results, for every controller, at every thread and
 // shard count), cooperative <= non-cooperative on every generator,
 // rounding/repair feasibility under inter-SBS link caps, the
-// zero-bandwidth edge case, and the MDOSHRD2 wire behavior for the new
-// neighbor fields.
+// zero-bandwidth edge case, and the shard wire's protocol-version check.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -224,7 +223,7 @@ TEST(Collab, ExecutedDecisionsRespectInterSbsLinkCaps) {
 
 TEST(Collab, NeighborPricedSolveBitIdenticalAcrossShards) {
   // p1_neighbor_price > 0 ships per-SBS neighbor-reward blocks and
-  // omega_neigh through the MDOSHRD2 kBegin frame; the sharded solve must
+  // omega_neigh through the kBegin frame; the sharded solve must
   // still be bit-identical to the in-process one.
   const auto instance =
       small_scenario(workload::NeighborTopologyKind::kRing, 5.0).build();
@@ -269,7 +268,7 @@ TEST(Collab, NeighborPriceZeroMatchesUnpricedSolve) {
   EXPECT_EQ(got.lower_bound, want.lower_bound);
 }
 
-// ---- MDOSHRD2 wire framing -------------------------------------------------
+// ---- MDOSHRD3 wire framing -------------------------------------------------
 
 std::vector<std::uint8_t> raw_frame(const std::vector<std::uint8_t>& payload) {
   int fds[2];
@@ -301,21 +300,23 @@ bool frame_accepted(const std::vector<std::uint8_t>& raw) {
   return ok;
 }
 
-TEST(Collab, WireMagicCarriesProtocolVersionTwo) {
+TEST(Collab, WireMagicCarriesProtocolVersionThree) {
   const std::vector<std::uint8_t> clean = raw_frame({1, 2, 3});
   ASSERT_GE(clean.size(), 8u);
-  EXPECT_EQ(std::string(clean.begin(), clean.begin() + 8), "MDOSHRD2");
+  EXPECT_EQ(std::string(clean.begin(), clean.begin() + 8), "MDOSHRD3");
   EXPECT_TRUE(frame_accepted(clean));
 }
 
 TEST(Collab, WireRejectsOldProtocolVersionCleanly) {
-  // A well-formed frame from a "MDOSHRD1" peer: same 7-byte prefix, older
-  // version byte, checksum intact. Must be rejected as a version mismatch
-  // (clean false -> SolveStatus::kWorkerFailure), not read as payload
-  // corruption — and certainly not decoded.
-  std::vector<std::uint8_t> old = raw_frame({1, 2, 3});
-  old[7] = static_cast<std::uint8_t>('1');
-  EXPECT_FALSE(frame_accepted(old));
+  // Well-formed frames from "MDOSHRD2" and "MDOSHRD1" peers: same 7-byte
+  // prefix, older version byte, checksum intact. Must be rejected as a
+  // version mismatch (clean false -> SolveStatus::kWorkerFailure), not read
+  // as payload corruption — and certainly not decoded.
+  for (const char version : {'2', '1'}) {
+    std::vector<std::uint8_t> old = raw_frame({1, 2, 3});
+    old[7] = static_cast<std::uint8_t>(version);
+    EXPECT_FALSE(frame_accepted(old)) << "MDOSHRD" << version;
+  }
 
   // A garbled magic prefix stays rejected too.
   std::vector<std::uint8_t> garbled = raw_frame({1, 2, 3});

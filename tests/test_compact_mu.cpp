@@ -1,9 +1,8 @@
 // Tests for the compact active-coordinate mu layout (DESIGN.md §12) — the
-// ONLY mu layout of sparse solves since the dense-mu A/B switch retired:
-// mu_block_offsets geometry, compact<->dense scatter/gather round trips,
-// solver- and controller-level bit-identity across thread and shard counts,
-// shift_mu horizon edge cases, and the warm-state blob's count()-guarded
-// serialization.
+// solver's only mu layout: mu_block_offsets geometry, compact<->catalogue
+// scatter/gather round trips, solver- and controller-level bit-identity
+// across thread and shard counts, advance_window edge cases, and the
+// warm-state blob's count()-guarded serialization.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -49,6 +48,13 @@ model::ProblemInstance sparse_instance(std::size_t horizon = 6,
   return scenario.build_sparse();
 }
 
+/// Multipliers a window would hold over the full (class, content)
+/// catalogue of every cell.
+std::size_t catalogue_coordinates(const model::NetworkConfig& config,
+                                  std::size_t horizon) {
+  return config.total_classes() * config.num_contents * horizon;
+}
+
 core::HorizonProblem window_problem(const model::ProblemInstance& instance) {
   core::HorizonProblem problem;
   problem.config = &instance.config;
@@ -79,9 +85,9 @@ TEST(CompactMu, BlockOffsetsMatchActiveSetGeometry) {
           << "cell=" << cell;
     }
   }
-  // The truncated tail must actually shrink the compact vector.
-  const core::MuLayout layout(instance.config);
-  EXPECT_LT(offsets.back(), layout.per_slot * horizon);
+  // The truncated tail must actually shrink the compact vector below the
+  // full (class, content) catalogue of every cell.
+  EXPECT_LT(offsets.back(), catalogue_coordinates(instance.config, horizon));
 }
 
 TEST(CompactMu, CompactDenseRoundTripIsLossless) {
@@ -93,7 +99,15 @@ TEST(CompactMu, CompactDenseRoundTripIsLossless) {
   const std::size_t contents = instance.config.num_contents;
   const auto offsets =
       core::mu_block_offsets(instance.config, horizon, sets);
-  const core::MuLayout layout(instance.config);
+  // Full-catalogue position of cell (t, n): slot-major, then SBS, then
+  // (class, content).
+  const auto catalogue_offset = [&](std::size_t t, std::size_t n) {
+    std::size_t offset = t * catalogue_coordinates(instance.config, 1);
+    for (std::size_t p = 0; p < n; ++p) {
+      offset += instance.config.sbs[p].num_classes() * contents;
+    }
+    return offset;
+  };
 
   // Distinct value per compact coordinate.
   linalg::Vec compact(offsets.back());
@@ -101,9 +115,9 @@ TEST(CompactMu, CompactDenseRoundTripIsLossless) {
     compact[j] = 1.0 + 0.25 * static_cast<double>(j);
   }
 
-  // Scatter to the dense layout exactly as the wire/coordinator does
-  // (class-major over the active list within each cell)...
-  linalg::Vec dense(layout.per_slot * horizon, 0.0);
+  // Scatter to the full catalogue (class-major over the active list within
+  // each cell)...
+  linalg::Vec dense(catalogue_coordinates(instance.config, horizon), 0.0);
   for (std::size_t t = 0; t < horizon; ++t) {
     for (std::size_t n = 0; n < num_sbs; ++n) {
       const std::size_t cell = t * num_sbs + n;
@@ -111,7 +125,7 @@ TEST(CompactMu, CompactDenseRoundTripIsLossless) {
       const std::size_t classes = instance.config.sbs[n].num_classes();
       for (std::size_t m = 0; m < classes; ++m) {
         for (std::size_t i = 0; i < active.size(); ++i) {
-          dense[layout.offset(t, n) + m * contents + active[i]] =
+          dense[catalogue_offset(t, n) + m * contents + active[i]] =
               compact[offsets[cell] + m * active.size() + i];
         }
       }
@@ -125,7 +139,7 @@ TEST(CompactMu, CompactDenseRoundTripIsLossless) {
       const std::size_t classes = instance.config.sbs[n].num_classes();
       for (std::size_t m = 0; m < classes; ++m) {
         for (std::size_t i = 0; i < active.size(); ++i) {
-          EXPECT_EQ(dense[layout.offset(t, n) + m * contents + active[i]],
+          EXPECT_EQ(dense[catalogue_offset(t, n) + m * contents + active[i]],
                     compact[offsets[cell] + m * active.size() + i]);
         }
       }
@@ -149,8 +163,9 @@ TEST(CompactMu, SolverBitIdenticalAcrossThreadsAndShards) {
   const auto want = reference.solve(problem);
   // Sparse solves always keep mu on the compact layout.
   EXPECT_EQ(want.mu.size(), offsets.back());
-  EXPECT_LT(want.mu.size(), core::mu_size(instance.config,
-                                          instance.sparse_demand.horizon()));
+  EXPECT_LT(want.mu.size(),
+            catalogue_coordinates(instance.config,
+                                  instance.sparse_demand.horizon()));
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     for (const std::size_t shards :
@@ -171,7 +186,7 @@ TEST(CompactMu, SolverBitIdenticalAcrossThreadsAndShards) {
   util::ThreadPool::set_global_threads(1);
 }
 
-TEST(CompactMu, DenseDemandSolvesUseDenseLayout) {
+TEST(CompactMu, DenseDemandSolvesUseCompactLayout) {
   workload::PaperScenario scenario;
   scenario.num_sbs = 2;
   scenario.num_contents = 8;
@@ -189,9 +204,14 @@ TEST(CompactMu, DenseDemandSolvesUseDenseLayout) {
   core::PrimalDualOptions options;
   core::PrimalDualSolver solver(options);
   const auto solution = solver.solve(problem);
-  // Dense demand keeps the full dense mu layout (every content is active).
+  // A dense window is converted at the solver boundary: mu takes the
+  // compact geometry of the converted window's active sets.
+  const auto window = model::SparseDemandTrace::from_dense(instance.demand);
+  const auto sets = core::build_active_sets(instance.config, window,
+                                            instance.initial_cache);
   EXPECT_EQ(solution.mu.size(),
-            core::mu_size(instance.config, instance.demand.horizon()));
+            core::mu_block_offsets(instance.config, window.horizon(), sets)
+                .back());
 }
 
 // ---- controller-level bit-identity ---------------------------------------
@@ -243,55 +263,6 @@ TEST(CompactMu, ChcBitIdenticalAcrossThreadsShards) {
           << "threads=" << threads << " shards=" << shards;
     }
   }
-}
-
-// ---- shift_mu / advance_window edge cases --------------------------------
-
-TEST(CompactMu, ShiftMuHorizonShrinkGrowAndPastHorizon) {
-  workload::PaperScenario scenario;
-  scenario.num_sbs = 2;
-  scenario.num_contents = 4;
-  scenario.classes_per_sbs = 2;
-  scenario.cache_capacity = 2;
-  const auto config = scenario.build().config;
-  const core::MuLayout layout(config);
-  const std::size_t old_horizon = 3;
-
-  linalg::Vec mu(layout.per_slot * old_horizon);
-  for (std::size_t t = 0; t < old_horizon; ++t) {
-    for (std::size_t j = 0; j < layout.per_slot; ++j) {
-      mu[t * layout.per_slot + j] =
-          1000.0 * static_cast<double>(t) + static_cast<double>(j);
-    }
-  }
-
-  const auto expect_maps = [&](const linalg::Vec& out,
-                               std::size_t new_horizon, std::size_t shift) {
-    ASSERT_EQ(out.size(), layout.per_slot * new_horizon);
-    for (std::size_t t = 0; t < new_horizon; ++t) {
-      const std::size_t src = std::min(t + shift, old_horizon - 1);
-      for (std::size_t j = 0; j < layout.per_slot; ++j) {
-        EXPECT_EQ(out[t * layout.per_slot + j],
-                  mu[src * layout.per_slot + j])
-            << "t=" << t << " shift=" << shift;
-      }
-    }
-  };
-
-  // Same horizon, plain slide.
-  expect_maps(core::shift_mu(mu, config, old_horizon, old_horizon, 1),
-              old_horizon, 1);
-  // Horizon shrink and grow while sliding.
-  expect_maps(core::shift_mu(mu, config, old_horizon, 2, 1), 2, 1);
-  expect_maps(core::shift_mu(mu, config, old_horizon, 5, 1), 5, 1);
-  // Shift at/past the old horizon: the last slot repeats everywhere.
-  expect_maps(core::shift_mu(mu, config, old_horizon, old_horizon,
-                             old_horizon),
-              old_horizon, old_horizon);
-  expect_maps(core::shift_mu(mu, config, old_horizon, 2, 7), 2, 7);
-  // Zero shift is the identity on the overlapping prefix.
-  expect_maps(core::shift_mu(mu, config, old_horizon, old_horizon, 0),
-              old_horizon, 0);
 }
 
 TEST(CompactMu, AdvanceWindowEdgeCasesStayDeterministic) {

@@ -124,18 +124,6 @@ TEST(Rhc, FullWindowPerfectPredictionNearOffline) {
   EXPECT_LE(total(rhc_decisions), total(offline_decisions) * 1.10 + 1e-6);
 }
 
-TEST(Rhc, AdvanceMuShiftsBlocks) {
-  const auto instance = small_instance();
-  const std::size_t per_slot = core::mu_size(instance.config, 1);
-  linalg::Vec mu(per_slot * 3);
-  for (std::size_t i = 0; i < mu.size(); ++i) mu[i] = static_cast<double>(i);
-  const auto advanced = advance_mu(mu, instance.config, 3, 2, 1);
-  EXPECT_EQ(advanced.size(), per_slot * 2);
-  EXPECT_DOUBLE_EQ(advanced[0], mu[per_slot]);
-  EXPECT_DOUBLE_EQ(advanced[per_slot], mu[2 * per_slot]);
-  EXPECT_THROW(advance_mu(mu, instance.config, 4, 2, 1), InvalidArgument);
-}
-
 // -------------------------------------------------------------- FHC / CHC ----
 
 TEST(Fhc, ValidatesParameters) {

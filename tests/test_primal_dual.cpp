@@ -87,18 +87,22 @@ TEST(PrimalDual, WarmStartDoesNotBreakBounds) {
   EXPECT_LE(warm.upper_bound, cold.upper_bound * 1.05 + 1e-6);
 }
 
-TEST(PrimalDual, SimplexBackendAgreesWithFlow) {
-  const auto instance = small_instance(8, /*contents=*/4, /*classes=*/2,
-                                       /*horizon=*/3);
-  PrimalDualOptions flow_options;
-  PrimalDualOptions simplex_options;
-  simplex_options.backend = P1Backend::kSimplex;
-  const auto via_flow =
-      PrimalDualSolver(flow_options).solve(as_problem(instance));
-  const auto via_simplex =
-      PrimalDualSolver(simplex_options).solve(as_problem(instance));
-  EXPECT_NEAR(via_flow.upper_bound, via_simplex.upper_bound,
-              1e-6 * (1.0 + via_flow.upper_bound));
+TEST(PrimalDual, NegativeDenseRateReturnsNonFiniteFallback) {
+  // The dense window is converted at the solver boundary; the conversion
+  // keeps the negative rate, so the solve must still refuse the window.
+  auto instance = small_instance(11);
+  instance.demand.slot(1)[0].at(0, 2) = -0.5;
+  const auto solution = PrimalDualSolver().solve(as_problem(instance));
+  EXPECT_EQ(solution.status, solver::SolveStatus::kNonFiniteInput);
+  EXPECT_TRUE(solution.mu.empty());
+  EXPECT_TRUE(std::isinf(solution.upper_bound));
+  ASSERT_EQ(solution.schedule.size(), instance.horizon());
+  for (const auto& slot : solution.schedule) {
+    EXPECT_EQ(slot.cache, instance.initial_cache);
+    for (std::size_t n = 0; n < instance.config.num_sbs(); ++n) {
+      for (const double y : slot.load.sbs_data(n)) EXPECT_EQ(y, 0.0);
+    }
+  }
 }
 
 TEST(PrimalDual, ValidatesProblem) {
@@ -122,22 +126,6 @@ TEST(PrimalDual, OptionValidation) {
   options = {};
   options.step_alpha = -1.0;
   EXPECT_THROW(PrimalDualSolver{options}, InvalidArgument);
-}
-
-TEST(PrimalDual, MuLayoutHelpers) {
-  const auto instance = small_instance(10);
-  const std::size_t per_slot = mu_size(instance.config, 1);
-  EXPECT_EQ(per_slot, instance.config.total_classes() *
-                          instance.config.num_contents);
-  EXPECT_EQ(mu_size(instance.config, 4), 4 * per_slot);
-
-  linalg::Vec mu(3 * per_slot);
-  for (std::size_t i = 0; i < mu.size(); ++i) mu[i] = static_cast<double>(i);
-  const auto shifted = shift_mu(mu, instance.config, 3, 1);
-  // Slot 0 of the shifted vector equals slot 1 of the original.
-  EXPECT_DOUBLE_EQ(shifted[0], mu[per_slot]);
-  // Last slot repeats the original's last slot.
-  EXPECT_DOUBLE_EQ(shifted[2 * per_slot], mu[2 * per_slot]);
 }
 
 /// Property: the primal-dual upper bound is within a few percent of the

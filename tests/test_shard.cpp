@@ -31,6 +31,7 @@
 #include "shard/coordinator.hpp"
 #include "shard/wire.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/predictor.hpp"
 #include "workload/scenario.hpp"
 
@@ -340,6 +341,74 @@ TEST(ShardSolve, SparseBitwiseEqualAcrossShardCounts) {
 /// every size() against the payload length, so any catalogue larger than
 /// the blob itself was rejected as corrupt, every sharded solve fell back
 /// to kWorkerFailure, and only small-K tests could pass.
+TEST(ShardSolve, DenseWindowMatchesItsSparseConversionBitwise) {
+  MDO_SKIP_IF_TSAN();
+  // The solver converts a dense window once at its boundary: handing it the
+  // dense window or that window's from_dense conversion must give the same
+  // bits — schedules, bounds, status and compact mu — at every thread and
+  // shard count.
+  const auto instance = shard_instance(/*sparse=*/false);
+  const auto& config = instance.config;
+  struct Case {
+    const char* name;
+    model::DemandTrace demand;
+    model::CacheState cache;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"full support", instance.demand, instance.initial_cache});
+  // A pre-horizon FHC plan: every slot carries zero demand. With an empty
+  // cache every active set is empty; with a cached content the sets hold
+  // only that content.
+  model::DemandTrace zeros;
+  for (std::size_t t = 0; t < 3; ++t) {
+    zeros.push_back(model::make_zero_slot_demand(config));
+  }
+  cases.push_back({"all-zero window", zeros, model::CacheState(config)});
+  model::CacheState pinned(config);
+  pinned.set(1, 3, true);
+  cases.push_back({"all-zero window, cached content", zeros, pinned});
+  // Content 7 loses its demand at SBS 0 but stays cached there: a
+  // cached-only coordinate inside otherwise full active sets.
+  model::DemandTrace drained = instance.demand;
+  for (std::size_t t = 0; t < drained.horizon(); ++t) {
+    for (std::size_t m = 0; m < config.sbs[0].num_classes(); ++m) {
+      drained.slot(t)[0].at(m, 7) = 0.0;
+    }
+  }
+  model::CacheState cached_only(config);
+  cached_only.set(0, 7, true);
+  cases.push_back({"cached-only content", drained, cached_only});
+
+  for (const Case& c : cases) {
+    const model::SparseDemandTrace sparse =
+        model::SparseDemandTrace::from_dense(c.demand);
+    core::HorizonProblem dense_problem;
+    dense_problem.config = &config;
+    dense_problem.demand = &c.demand;
+    dense_problem.initial_cache = c.cache;
+    core::HorizonProblem sparse_problem = dense_problem;
+    sparse_problem.demand = nullptr;
+    sparse_problem.sparse_demand = &sparse;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      for (const std::size_t shards :
+           {shard::kShardsInProcess, std::size_t{2}}) {
+        SCOPED_TRACE(std::string(c.name) + " threads=" +
+                     std::to_string(threads) +
+                     " shards=" + std::to_string(shards));
+        util::ThreadPool::set_global_threads(threads);
+        const auto from_dense =
+            core::PrimalDualSolver(solver_options(shards)).solve(dense_problem);
+        const auto from_sparse =
+            core::PrimalDualSolver(solver_options(shards))
+                .solve(sparse_problem);
+        EXPECT_NE(from_dense.status, solver::SolveStatus::kWorkerFailure);
+        expect_bitwise_equal(from_dense, from_sparse);
+      }
+    }
+  }
+  util::ThreadPool::set_global_threads(1);
+}
+
 TEST(ShardSolve, CatalogueLargerThanWarmBlobBitwiseEqual) {
   MDO_SKIP_IF_TSAN();
   workload::PaperScenario scenario;

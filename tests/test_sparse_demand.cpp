@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "model/costs.hpp"
@@ -129,6 +130,27 @@ TEST(SparseDemand, AllZeroRowsAndEmptyMatrix) {
     EXPECT_EQ(d.total(), 0.0);
     EXPECT_TRUE(d.support().empty());
   }
+}
+
+TEST(SparseDemand, FromDenseKeepsNegativeAndNanRates) {
+  // Only exact zeros (and, with a positive min_rate, small non-negative
+  // rates) are dropped: poisoned entries survive the conversion so that
+  // validation and the solver's finite/non-negative check still see them.
+  model::SbsDemand dense(2, 3);
+  dense.at(0, 1) = -1.0;
+  dense.at(1, 0) = 0.5;
+  dense.at(1, 2) = std::numeric_limits<double>::quiet_NaN();
+  const auto sparse = model::SparseSbsDemand::from_dense(dense);
+  EXPECT_EQ(sparse.nnz(), 3u);
+  EXPECT_EQ(sparse.at(0, 1), -1.0);
+  EXPECT_EQ(sparse.at(1, 0), 0.5);
+  EXPECT_TRUE(std::isnan(sparse.at(1, 2)));
+
+  const auto truncated = model::SparseSbsDemand::from_dense(dense, 0.6);
+  EXPECT_EQ(truncated.nnz(), 2u);
+  EXPECT_EQ(truncated.at(0, 1), -1.0);
+  EXPECT_EQ(truncated.at(1, 0), 0.0);
+  EXPECT_TRUE(std::isnan(truncated.at(1, 2)));
 }
 
 TEST(SparseDemand, ActiveContentsUnionsSupportAndCache) {
