@@ -26,13 +26,12 @@ struct Candidate {
 /// independent; within the receiver all reductions run serially in index
 /// order (DESIGN.md §12).
 bool overlay_receiver(const model::NetworkConfig& config,
-                      model::SlotDemandView demand,
+                      const model::SparseSbsDemand& demand,
                       model::SlotDecision& decision, std::size_t n,
                       const CollabOptions& options) {
   const auto& sbs = config.sbs[n];
   const auto& row = config.topology.links[n];
   if (row.empty()) return false;
-  const std::size_t k_count = config.num_contents;
   model::LoadAllocation& load = decision.load;
 
   // Collect the positive-rate coordinates in (class, content) order and
@@ -41,31 +40,21 @@ bool overlay_receiver(const model::NetworkConfig& config,
   std::vector<Candidate> candidates;
   double residual = 0.0;  // R: omega_bs-weighted traffic still on the BS
   double neigh = 0.0;     // S: omega_neigh-weighted neighbor traffic
-  const auto consider = [&](std::size_t m, std::size_t k, double rate) {
-    if (rate <= 0.0) return;
-    const double y = load.at(n, m, k);
-    const double z = load.neighbor_at(n, m, k);
-    residual += sbs.classes[m].omega_bs * (1.0 - y - z) * rate;
-    neigh += sbs.classes[m].omega_neigh * z * rate;
-    const std::size_t src = model::neighbor_source(config, decision.cache, n, k);
-    if (src == config.num_sbs()) return;
-    if (1.0 - y - z <= 0.0) return;
-    candidates.push_back({m, k, rate, src});
-  };
-  if (demand.is_sparse()) {
-    const model::SparseSbsDemand& d = (*demand.sparse())[n];
-    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      for (const model::DemandEntry* it = d.row_begin(m); it != d.row_end(m);
-           ++it) {
-        consider(m, it->content, it->rate);
-      }
-    }
-  } else {
-    const double* d = (*demand.dense())[n].data().data();
-    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      for (std::size_t k = 0; k < k_count; ++k) {
-        consider(m, k, d[m * k_count + k]);
-      }
+  for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
+    for (const model::DemandEntry* it = demand.row_begin(m);
+         it != demand.row_end(m); ++it) {
+      const std::size_t k = it->content;
+      const double rate = it->rate;
+      if (rate <= 0.0) continue;
+      const double y = load.at(n, m, k);
+      const double z = load.neighbor_at(n, m, k);
+      residual += sbs.classes[m].omega_bs * (1.0 - y - z) * rate;
+      neigh += sbs.classes[m].omega_neigh * z * rate;
+      const std::size_t src =
+          model::neighbor_source(config, decision.cache, n, k);
+      if (src == config.num_sbs()) continue;
+      if (1.0 - y - z <= 0.0) continue;
+      candidates.push_back({m, k, rate, src});
     }
   }
   if (candidates.empty()) return false;
@@ -178,13 +167,16 @@ bool apply_neighbor_overlay(const model::NetworkConfig& config,
                             model::SlotDecision& decision,
                             const CollabOptions& options) {
   if (!config.has_neighbor_tier()) return false;
-  MDO_REQUIRE(demand.valid(), "apply_neighbor_overlay: empty demand view");
+  model::SparseSlotDemand storage;
+  const model::SparseSlotDemand& slot = model::sparse_slot(demand, storage);
   const std::size_t num_sbs = config.num_sbs();
+  MDO_REQUIRE(slot.size() == num_sbs,
+              "apply_neighbor_overlay: demand shape mismatch");
   decision.load.ensure_neighbor();
   std::vector<std::uint8_t> assigned(num_sbs, 0);
   util::parallel_for(0, num_sbs, [&](std::size_t n) {
     assigned[n] =
-        overlay_receiver(config, demand, decision, n, options) ? 1 : 0;
+        overlay_receiver(config, slot[n], decision, n, options) ? 1 : 0;
   });
   bool any = false;
   for (const auto flag : assigned) any = any || flag != 0;

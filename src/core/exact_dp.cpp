@@ -38,10 +38,11 @@ struct PerSbsResult {
   double objective = 0.0;
 };
 
-PerSbsResult solve_single_sbs(const model::NetworkConfig& config,
-                              std::size_t n, const model::DemandTrace& demand,
+PerSbsResult solve_single_sbs(const HorizonProblem& problem, std::size_t n,
                               std::uint32_t initial_set,
                               const ExactDpOptions& options) {
+  const model::NetworkConfig& config = *problem.config;
+  const model::DemandTrace& demand = *problem.demand;
   const std::size_t w = demand.horizon();
   const std::size_t k_count = config.num_contents;
   const auto sets = enumerate_sets(k_count, config.sbs[n].cache_capacity,
@@ -141,7 +142,7 @@ ExactDpResult solve_joint_exact(const HorizonProblem& problem,
       }
     }
     const PerSbsResult sbs_result =
-        solve_single_sbs(config, n, *problem.demand, initial_set, options);
+        solve_single_sbs(problem, n, initial_set, options);
     result.objective += sbs_result.objective;
     for (std::size_t t = 0; t < w; ++t) {
       for (std::size_t k = 0; k < config.num_contents; ++k) {

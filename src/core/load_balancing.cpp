@@ -496,33 +496,10 @@ LoadBalancingSolution solve_load_balancing_exact(
 }
 
 model::LoadAllocation optimal_load_for_cache(
-    const model::NetworkConfig& config, const model::SlotDemand& demand,
-    const model::CacheState& cache, const LoadBalancingOptions& options) {
-  model::LoadAllocation load(config);
-  for (std::size_t n = 0; n < config.num_sbs(); ++n) {
-    const std::size_t classes = config.sbs[n].num_classes();
-    const std::size_t k_count = config.num_contents;
-    LoadBalancingSubproblem p2;
-    p2.sbs = &config.sbs[n];
-    p2.demand = &demand[n];
-    p2.upper.assign(classes * k_count, 0.0);
-    for (std::size_t k = 0; k < k_count; ++k) {
-      if (!cache.cached(n, k)) continue;
-      for (std::size_t m = 0; m < classes; ++m) p2.upper[m * k_count + k] = 1.0;
-    }
-    load.sbs_data(n) = solve_load_balancing(p2, options).y;
-  }
-  return load;
-}
-
-model::LoadAllocation optimal_load_for_cache(
     const model::NetworkConfig& config, model::SlotDemandView demand,
     const model::CacheState& cache, const LoadBalancingOptions& options) {
-  MDO_REQUIRE(demand.valid(), "optimal_load_for_cache: empty demand view");
-  if (!demand.is_sparse()) {
-    return optimal_load_for_cache(config, *demand.dense(), cache, options);
-  }
-  const model::SparseSlotDemand& slot = *demand.sparse();
+  model::SparseSlotDemand storage;
+  const model::SparseSlotDemand& slot = model::sparse_slot(demand, storage);
   MDO_REQUIRE(slot.size() == config.num_sbs(),
               "optimal_load_for_cache: demand shape mismatch");
   model::LoadAllocation load(config);  // zero-initialized
@@ -530,7 +507,7 @@ model::LoadAllocation optimal_load_for_cache(
     const std::size_t classes = config.sbs[n].num_classes();
     const std::vector<std::size_t> active =
         model::active_contents(slot[n], cache, n);
-    // A throwaway workspace per SBS mirrors the legacy cold-start path.
+    // A throwaway workspace per SBS: every solve starts cold.
     P2Workspace ws;
     ws.bind_active(config.sbs[n], slot[n], active);
     linalg::Vec ub(classes * active.size(), 0.0);

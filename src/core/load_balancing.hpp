@@ -240,16 +240,9 @@ LoadBalancingSolution solve_load_balancing_exact(
 
 /// Optimal load balancing for one slot given a fixed cache: solves P2 per
 /// SBS with c = 0 and the box upper bound set to the caching vector
-/// (constraint (3) folded in). Used for feasibility repair, for the LRFU /
-/// classic baselines, and wherever "the best y for this x" is needed.
-model::LoadAllocation optimal_load_for_cache(
-    const model::NetworkConfig& config, const model::SlotDemand& demand,
-    const model::CacheState& cache, const LoadBalancingOptions& options = {});
-
-/// Representation-agnostic overload: a dense view delegates to the
-/// function above; a sparse view solves each SBS's P2 on the compact
-/// active set (support union cached) and scatters back — bit-identical
-/// when the active set covers every coordinate.
+/// (constraint (3) folded in), on the compact active set (support union
+/// cached; a dense view is converted by model::sparse_slot). Used for the
+/// LRFU / classic baselines and wherever "the best y for this x" is needed.
 model::LoadAllocation optimal_load_for_cache(
     const model::NetworkConfig& config, model::SlotDemandView demand,
     const model::CacheState& cache, const LoadBalancingOptions& options = {});

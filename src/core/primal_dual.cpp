@@ -173,7 +173,7 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   model::SparseDemandTrace converted;
   Window window;
   window.problem = &problem;
-  window.demand = &sparse_window(problem.demand_view(), converted);
+  window.demand = &model::sparse_trace(problem.demand_view(), converted);
   const model::SparseDemandTrace& demand = *window.demand;
   if (!demand_finite_nonnegative(demand)) {
     // Corrupted window (NaN/Inf/negative rates): iterating would only smear

@@ -9,14 +9,6 @@
 
 namespace mdo::core {
 
-const model::SparseDemandTrace& sparse_window(
-    model::DemandTraceView window, model::SparseDemandTrace& storage) {
-  MDO_REQUIRE(window.valid(), "sparse_window: no demand window");
-  if (window.is_sparse()) return *window.sparse();
-  storage = model::SparseDemandTrace::from_dense(*window.dense());
-  return storage;
-}
-
 ActiveSets build_active_sets(const model::NetworkConfig& config,
                              const model::SparseDemandTrace& demand,
                              const model::CacheState& initial_cache) {
@@ -85,7 +77,7 @@ void ShardCore::begin(const ShardInputs& in, const ShardOptions& opts,
   options_ = opts;
   config_ = in.config;
   if (in.demand != nullptr) {
-    inputs_.sparse_demand = &sparse_window(*in.demand, converted_);
+    inputs_.sparse_demand = &model::sparse_trace(*in.demand, converted_);
     inputs_.demand = nullptr;
     sets = build_active_sets(*config_, *inputs_.sparse_demand,
                              *in.initial_cache);

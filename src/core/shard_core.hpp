@@ -13,7 +13,7 @@
 //
 // There is one solver path: every window is solved on its per-(slot, SBS)
 // active sets with the compact mu layout. A dense window is converted once
-// at the boundary (sparse_window below), which is lossless.
+// at the boundary (model::sparse_trace), which is lossless.
 //
 // The in-process solver runs ONE full-range ShardCore; the process-level
 // coordinator (src/shard/) runs one ShardCore per worker subprocess over a
@@ -37,15 +37,6 @@
 #include "model/sparse_demand.hpp"
 
 namespace mdo::core {
-
-/// The solver's one demand representation: the sparse trace behind
-/// `window`, or — for a dense window — its SparseDemandTrace::from_dense
-/// conversion, written into `storage`. The conversion keeps every nonzero
-/// rate, negative and NaN ones included, so a finite/non-negative check on
-/// the result rejects exactly the windows it would reject on the dense
-/// input.
-const model::SparseDemandTrace& sparse_window(
-    model::DemandTraceView window, model::SparseDemandTrace& storage);
 
 /// Per-(slot, SBS) solver state, persisted across solves as the warm-start
 /// bank (cell = t * num_sbs + n).

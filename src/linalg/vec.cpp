@@ -133,18 +133,6 @@ std::pair<double, double> dot_pair(const Vec& a, const Vec& b, const Vec& x) {
   return {acc_a, acc_b};
 }
 
-double residual_dot(const double* a, const double* b, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += (1.0 - a[i]) * b[i];
-  return acc;
-}
-
-double dot_span(const double* a, const double* b, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
 Vec subtract(const Vec& a, const Vec& b) {
   MDO_REQUIRE(a.size() == b.size(), "subtract: size mismatch");
   Vec out(a.size());

@@ -93,13 +93,6 @@ void dual_ascent_project(double* mu, const double* y, const double* x,
 /// separate dot()s.
 std::pair<double, double> dot_pair(const Vec& a, const Vec& b, const Vec& x);
 
-/// sum_i (1 - a[i]) * b[i] over raw spans — the residual-traffic kernel of
-/// the cost functions (eq. 5).
-double residual_dot(const double* a, const double* b, std::size_t n);
-
-/// a . b over raw spans.
-double dot_span(const double* a, const double* b, std::size_t n);
-
 /// a - b as a new vector; sizes must match.
 Vec subtract(const Vec& a, const Vec& b);
 

@@ -1,31 +1,38 @@
 #include "model/costs.hpp"
 
-#include "linalg/vec.hpp"
 #include "util/error.hpp"
 
 namespace mdo::model {
 
-double bs_operating_cost(const NetworkConfig& config, const SlotDemand& demand,
-                         const LoadAllocation& load) {
-  MDO_REQUIRE(demand.size() == config.num_sbs(), "demand shape mismatch");
+namespace {
+
+double bs_cost(const NetworkConfig& config, const SparseSlotDemand& slot,
+               const LoadAllocation& load) {
+  MDO_REQUIRE(slot.size() == config.num_sbs(), "demand shape mismatch");
   const std::size_t k_count = config.num_contents;
   const bool neighbor = load.has_neighbor();
   double total = 0.0;
   for (std::size_t n = 0; n < config.num_sbs(); ++n) {
     const auto& sbs = config.sbs[n];
-    const double* d = demand[n].data().data();
+    const SparseSbsDemand& d = slot[n];
     const double* y = load.sbs_data(n).data();
     const double* z = neighbor ? load.neighbor_data(n).data() : nullptr;
     double weighted = 0.0;
     for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
       // Residual 1 - y_local (- y_neigh when the neighbor bank exists):
       // the subtraction is a separate serial accumulation so the baseline
-      // kernel sequence is untouched on bank-free decisions.
-      double class_rest =
-          linalg::residual_dot(y + m * k_count, d + m * k_count, k_count);
+      // sequence is untouched on bank-free decisions.
+      double class_rest = 0.0;
+      for (const DemandEntry* it = d.row_begin(m); it != d.row_end(m); ++it) {
+        class_rest += (1.0 - y[m * k_count + it->content]) * it->rate;
+      }
       if (neighbor) {
-        class_rest -= linalg::dot_span(z + m * k_count, d + m * k_count,
-                                       k_count);
+        double class_neigh = 0.0;
+        for (const DemandEntry* it = d.row_begin(m); it != d.row_end(m);
+             ++it) {
+          class_neigh += z[m * k_count + it->content] * it->rate;
+        }
+        class_rest -= class_neigh;
       }
       weighted += sbs.classes[m].omega_bs * class_rest;
     }
@@ -34,47 +41,80 @@ double bs_operating_cost(const NetworkConfig& config, const SlotDemand& demand,
   return total;
 }
 
-double sbs_operating_cost(const NetworkConfig& config,
-                          const SlotDemand& demand,
-                          const LoadAllocation& load) {
-  MDO_REQUIRE(demand.size() == config.num_sbs(), "demand shape mismatch");
+/// Sum over SBSs of (sum_m weight(m) * sum_k bank[m, k] * lambda[m, k])^2:
+/// g_t with the local bank and omega_sbs, \tilde{f}_t with the neighbor
+/// bank and omega_neigh.
+template <typename BankFn, typename WeightFn>
+double served_cost(const NetworkConfig& config, const SparseSlotDemand& slot,
+                   BankFn&& bank, WeightFn&& weight) {
+  MDO_REQUIRE(slot.size() == config.num_sbs(), "demand shape mismatch");
   const std::size_t k_count = config.num_contents;
   double total = 0.0;
   for (std::size_t n = 0; n < config.num_sbs(); ++n) {
     const auto& sbs = config.sbs[n];
-    const double* d = demand[n].data().data();
-    const double* y = load.sbs_data(n).data();
+    const SparseSbsDemand& d = slot[n];
+    const double* y = bank(n);
     double weighted = 0.0;
     for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      const double class_served =
-          linalg::dot_span(y + m * k_count, d + m * k_count, k_count);
-      weighted += sbs.classes[m].omega_sbs * class_served;
+      double class_served = 0.0;
+      for (const DemandEntry* it = d.row_begin(m); it != d.row_end(m); ++it) {
+        class_served += y[m * k_count + it->content] * it->rate;
+      }
+      weighted += weight(sbs.classes[m]) * class_served;
     }
     total += weighted * weighted;
   }
   return total;
 }
 
+double sbs_cost(const NetworkConfig& config, const SparseSlotDemand& slot,
+                const LoadAllocation& load) {
+  return served_cost(
+      config, slot, [&](std::size_t n) { return load.sbs_data(n).data(); },
+      [](const MuClass& mu) { return mu.omega_sbs; });
+}
+
+double neighbor_cost(const NetworkConfig& config, const SparseSlotDemand& slot,
+                     const LoadAllocation& load) {
+  if (!load.has_neighbor()) return 0.0;
+  return served_cost(
+      config, slot,
+      [&](std::size_t n) { return load.neighbor_data(n).data(); },
+      [](const MuClass& mu) { return mu.omega_neigh; });
+}
+
+CostBreakdown sparse_slot_cost(const NetworkConfig& config,
+                               const SparseSlotDemand& slot,
+                               const SlotDecision& decision,
+                               const CacheState& previous) {
+  CostBreakdown out;
+  out.bs = bs_cost(config, slot, decision.load);
+  out.sbs = sbs_cost(config, slot, decision.load);
+  out.neigh = neighbor_cost(config, slot, decision.load);
+  out.replacement = replacement_cost(config, decision.cache, previous);
+  return out;
+}
+
+}  // namespace
+
+double bs_operating_cost(const NetworkConfig& config, SlotDemandView demand,
+                         const LoadAllocation& load) {
+  SparseSlotDemand storage;
+  return bs_cost(config, sparse_slot(demand, storage), load);
+}
+
+double sbs_operating_cost(const NetworkConfig& config, SlotDemandView demand,
+                          const LoadAllocation& load) {
+  SparseSlotDemand storage;
+  return sbs_cost(config, sparse_slot(demand, storage), load);
+}
+
 double neighbor_operating_cost(const NetworkConfig& config,
-                               const SlotDemand& demand,
+                               SlotDemandView demand,
                                const LoadAllocation& load) {
   if (!load.has_neighbor()) return 0.0;
-  MDO_REQUIRE(demand.size() == config.num_sbs(), "demand shape mismatch");
-  const std::size_t k_count = config.num_contents;
-  double total = 0.0;
-  for (std::size_t n = 0; n < config.num_sbs(); ++n) {
-    const auto& sbs = config.sbs[n];
-    const double* d = demand[n].data().data();
-    const double* z = load.neighbor_data(n).data();
-    double weighted = 0.0;
-    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      const double class_served =
-          linalg::dot_span(z + m * k_count, d + m * k_count, k_count);
-      weighted += sbs.classes[m].omega_neigh * class_served;
-    }
-    total += weighted * weighted;
-  }
-  return total;
+  SparseSlotDemand storage;
+  return neighbor_cost(config, sparse_slot(demand, storage), load);
 }
 
 double replacement_cost(const NetworkConfig& config, const CacheState& cache,
@@ -104,150 +144,26 @@ CostBreakdown& CostBreakdown::operator+=(const CostBreakdown& other) {
   return *this;
 }
 
-CostBreakdown slot_cost(const NetworkConfig& config, const SlotDemand& demand,
-                        const SlotDecision& decision,
-                        const CacheState& previous) {
-  CostBreakdown out;
-  out.bs = bs_operating_cost(config, demand, decision.load);
-  out.sbs = sbs_operating_cost(config, demand, decision.load);
-  out.neigh = neighbor_operating_cost(config, demand, decision.load);
-  out.replacement = replacement_cost(config, decision.cache, previous);
-  return out;
-}
-
-CostBreakdown schedule_cost(const NetworkConfig& config,
-                            const DemandTrace& trace, const Schedule& schedule,
-                            const CacheState& initial_cache) {
-  MDO_REQUIRE(schedule.size() == trace.horizon(),
-              "schedule length must match trace horizon");
-  CostBreakdown total;
-  const CacheState* previous = &initial_cache;
-  for (std::size_t t = 0; t < schedule.size(); ++t) {
-    total += slot_cost(config, trace.slot(t), schedule[t], *previous);
-    previous = &schedule[t].cache;
-  }
-  return total;
-}
-
-double bs_operating_cost(const NetworkConfig& config, SlotDemandView demand,
-                         const LoadAllocation& load) {
-  MDO_REQUIRE(demand.valid(), "bs_operating_cost: empty demand view");
-  if (!demand.is_sparse()) {
-    return bs_operating_cost(config, *demand.dense(), load);
-  }
-  const SparseSlotDemand& slot = *demand.sparse();
-  MDO_REQUIRE(slot.size() == config.num_sbs(), "demand shape mismatch");
-  const std::size_t k_count = config.num_contents;
-  const bool neighbor = load.has_neighbor();
-  double total = 0.0;
-  for (std::size_t n = 0; n < config.num_sbs(); ++n) {
-    const auto& sbs = config.sbs[n];
-    const SparseSbsDemand& d = slot[n];
-    const double* y = load.sbs_data(n).data();
-    const double* z = neighbor ? load.neighbor_data(n).data() : nullptr;
-    double weighted = 0.0;
-    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      double class_rest = 0.0;
-      for (const DemandEntry* it = d.row_begin(m); it != d.row_end(m); ++it) {
-        class_rest += (1.0 - y[m * k_count + it->content]) * it->rate;
-      }
-      if (neighbor) {
-        // Separate accumulation mirroring the dense residual_dot - dot_span
-        // split, keeping sparse/dense bit-identity under the neighbor tier.
-        double class_neigh = 0.0;
-        for (const DemandEntry* it = d.row_begin(m); it != d.row_end(m);
-             ++it) {
-          class_neigh += z[m * k_count + it->content] * it->rate;
-        }
-        class_rest -= class_neigh;
-      }
-      weighted += sbs.classes[m].omega_bs * class_rest;
-    }
-    total += weighted * weighted;
-  }
-  return total;
-}
-
-double sbs_operating_cost(const NetworkConfig& config, SlotDemandView demand,
-                          const LoadAllocation& load) {
-  MDO_REQUIRE(demand.valid(), "sbs_operating_cost: empty demand view");
-  if (!demand.is_sparse()) {
-    return sbs_operating_cost(config, *demand.dense(), load);
-  }
-  const SparseSlotDemand& slot = *demand.sparse();
-  MDO_REQUIRE(slot.size() == config.num_sbs(), "demand shape mismatch");
-  const std::size_t k_count = config.num_contents;
-  double total = 0.0;
-  for (std::size_t n = 0; n < config.num_sbs(); ++n) {
-    const auto& sbs = config.sbs[n];
-    const SparseSbsDemand& d = slot[n];
-    const double* y = load.sbs_data(n).data();
-    double weighted = 0.0;
-    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      double class_served = 0.0;
-      for (const DemandEntry* it = d.row_begin(m); it != d.row_end(m); ++it) {
-        class_served += y[m * k_count + it->content] * it->rate;
-      }
-      weighted += sbs.classes[m].omega_sbs * class_served;
-    }
-    total += weighted * weighted;
-  }
-  return total;
-}
-
-double neighbor_operating_cost(const NetworkConfig& config,
-                               SlotDemandView demand,
-                               const LoadAllocation& load) {
-  if (!load.has_neighbor()) return 0.0;
-  MDO_REQUIRE(demand.valid(), "neighbor_operating_cost: empty demand view");
-  if (!demand.is_sparse()) {
-    return neighbor_operating_cost(config, *demand.dense(), load);
-  }
-  const SparseSlotDemand& slot = *demand.sparse();
-  MDO_REQUIRE(slot.size() == config.num_sbs(), "demand shape mismatch");
-  const std::size_t k_count = config.num_contents;
-  double total = 0.0;
-  for (std::size_t n = 0; n < config.num_sbs(); ++n) {
-    const auto& sbs = config.sbs[n];
-    const SparseSbsDemand& d = slot[n];
-    const double* z = load.neighbor_data(n).data();
-    double weighted = 0.0;
-    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      double class_served = 0.0;
-      for (const DemandEntry* it = d.row_begin(m); it != d.row_end(m); ++it) {
-        class_served += z[m * k_count + it->content] * it->rate;
-      }
-      weighted += sbs.classes[m].omega_neigh * class_served;
-    }
-    total += weighted * weighted;
-  }
-  return total;
-}
-
 CostBreakdown slot_cost(const NetworkConfig& config, SlotDemandView demand,
                         const SlotDecision& decision,
                         const CacheState& previous) {
-  CostBreakdown out;
-  out.bs = bs_operating_cost(config, demand, decision.load);
-  out.sbs = sbs_operating_cost(config, demand, decision.load);
-  out.neigh = neighbor_operating_cost(config, demand, decision.load);
-  out.replacement = replacement_cost(config, decision.cache, previous);
-  return out;
+  SparseSlotDemand storage;
+  return sparse_slot_cost(config, sparse_slot(demand, storage), decision,
+                          previous);
 }
 
 CostBreakdown schedule_cost(const NetworkConfig& config, DemandTraceView trace,
                             const Schedule& schedule,
                             const CacheState& initial_cache) {
   MDO_REQUIRE(trace.valid(), "schedule_cost: empty trace view");
-  if (!trace.is_sparse()) {
-    return schedule_cost(config, *trace.dense(), schedule, initial_cache);
-  }
   MDO_REQUIRE(schedule.size() == trace.horizon(),
               "schedule length must match trace horizon");
   CostBreakdown total;
+  SparseSlotDemand storage;
   const CacheState* previous = &initial_cache;
   for (std::size_t t = 0; t < schedule.size(); ++t) {
-    total += slot_cost(config, trace.slot(t), schedule[t], *previous);
+    total += sparse_slot_cost(config, sparse_slot(trace.slot(t), storage),
+                              schedule[t], *previous);
     previous = &schedule[t].cache;
   }
   return total;

@@ -13,6 +13,9 @@
 // 1 - y_local - y_neigh. All neighbor terms are guarded on
 // LoadAllocation::has_neighbor(), so decisions without the bank evaluate
 // the baseline arithmetic instruction for instruction.
+//
+// Each cost has one body, over the stored entries of a sparse slot; a dense
+// view is converted once by model::sparse_slot (sparse_demand.hpp).
 #pragma once
 
 #include <cstddef>
@@ -25,19 +28,18 @@
 namespace mdo::model {
 
 /// f_t(Y^t), eq. (5). Demand and load must be shaped after the config.
-double bs_operating_cost(const NetworkConfig& config, const SlotDemand& demand,
+double bs_operating_cost(const NetworkConfig& config, SlotDemandView demand,
                          const LoadAllocation& load);
 
 /// g_t(Y^t), eq. (6).
-double sbs_operating_cost(const NetworkConfig& config,
-                          const SlotDemand& demand,
+double sbs_operating_cost(const NetworkConfig& config, SlotDemandView demand,
                           const LoadAllocation& load);
 
 /// \tilde{f}_t: the neighbor-tier operating cost, per SBS the square of the
 /// \tilde{omega}-weighted traffic served out of neighbor caches. 0.0 when
 /// the load carries no neighbor bank.
 double neighbor_operating_cost(const NetworkConfig& config,
-                               const SlotDemand& demand,
+                               SlotDemandView demand,
                                const LoadAllocation& load);
 
 /// h(X^t, X^{t-1}), eq. (8).
@@ -64,31 +66,12 @@ struct CostBreakdown {
 };
 
 /// Evaluates one slot: f + g + h relative to `previous` cache state.
-CostBreakdown slot_cost(const NetworkConfig& config, const SlotDemand& demand,
+CostBreakdown slot_cost(const NetworkConfig& config, SlotDemandView demand,
                         const SlotDecision& decision,
                         const CacheState& previous);
 
 /// Evaluates a whole schedule against a demand trace, starting from
 /// `initial_cache` (the x^0 of the formulation; all-empty in the paper).
-CostBreakdown schedule_cost(const NetworkConfig& config,
-                            const DemandTrace& trace,
-                            const Schedule& schedule,
-                            const CacheState& initial_cache);
-
-/// Representation-agnostic overloads. A dense view delegates to the
-/// functions above verbatim; a sparse view accumulates over stored entries
-/// in the same index order, which is bit-identical because the skipped
-/// dense terms multiply exact zeros.
-double bs_operating_cost(const NetworkConfig& config, SlotDemandView demand,
-                         const LoadAllocation& load);
-double sbs_operating_cost(const NetworkConfig& config, SlotDemandView demand,
-                          const LoadAllocation& load);
-double neighbor_operating_cost(const NetworkConfig& config,
-                               SlotDemandView demand,
-                               const LoadAllocation& load);
-CostBreakdown slot_cost(const NetworkConfig& config, SlotDemandView demand,
-                        const SlotDecision& decision,
-                        const CacheState& previous);
 CostBreakdown schedule_cost(const NetworkConfig& config, DemandTraceView trace,
                             const Schedule& schedule,
                             const CacheState& initial_cache);

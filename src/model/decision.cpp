@@ -71,14 +71,6 @@ double& LoadAllocation::at(std::size_t n, std::size_t m, std::size_t k) {
   return y_[n][m * num_contents_ + k];
 }
 
-double LoadAllocation::sbs_load(std::size_t n, const SbsDemand& demand) const {
-  MDO_REQUIRE(n < y_.size(), "SBS index out of range");
-  MDO_REQUIRE(demand.num_classes() == shape_classes_[n] &&
-                  demand.num_contents() == num_contents_,
-              "demand shape mismatch");
-  return linalg::dot(y_[n], demand.data());
-}
-
 const linalg::Vec& LoadAllocation::sbs_data(std::size_t n) const {
   MDO_REQUIRE(n < y_.size(), "SBS index out of range");
   return y_[n];
@@ -109,16 +101,6 @@ double& LoadAllocation::neighbor_at(std::size_t n, std::size_t m,
   MDO_REQUIRE(n < yn_.size() && m < shape_classes_[n] && k < num_contents_,
               "neighbor load index out of range");
   return yn_[n][m * num_contents_ + k];
-}
-
-double LoadAllocation::neighbor_load(std::size_t n,
-                                     const SbsDemand& demand) const {
-  if (yn_.empty()) return 0.0;
-  MDO_REQUIRE(n < yn_.size(), "SBS index out of range");
-  MDO_REQUIRE(demand.num_classes() == shape_classes_[n] &&
-                  demand.num_contents() == num_contents_,
-              "demand shape mismatch");
-  return linalg::dot(yn_[n], demand.data());
 }
 
 const linalg::Vec& LoadAllocation::neighbor_data(std::size_t n) const {

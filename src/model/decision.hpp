@@ -49,7 +49,9 @@ class CacheState {
   std::vector<std::vector<std::uint8_t>> x_;
 };
 
-/// Per-slot load-balancing decision y[n, m, k] in [0, 1].
+/// Per-slot load-balancing decision y[n, m, k] in [0, 1]. The volumes it
+/// routes for a given demand are model::sbs_load / model::neighbor_load
+/// (sparse_demand.hpp).
 class LoadAllocation {
  public:
   LoadAllocation() = default;
@@ -63,9 +65,6 @@ class LoadAllocation {
 
   double at(std::size_t n, std::size_t m, std::size_t k) const;
   double& at(std::size_t n, std::size_t m, std::size_t k);
-
-  /// SBS-served volume at SBS n: sum_{m,k} lambda * y (left side of (2)).
-  double sbs_load(std::size_t n, const SbsDemand& demand) const;
 
   /// Flat per-SBS storage (class-major then content, 64-byte aligned), for
   /// solvers.
@@ -84,10 +83,6 @@ class LoadAllocation {
   /// the mutable access requires ensure_neighbor() first.
   double neighbor_at(std::size_t n, std::size_t m, std::size_t k) const;
   double& neighbor_at(std::size_t n, std::size_t m, std::size_t k);
-
-  /// Traffic SBS n pulls over the neighbor tier: sum_{m,k} lambda * y_neigh.
-  /// 0.0 when the bank is absent.
-  double neighbor_load(std::size_t n, const SbsDemand& demand) const;
 
   /// Flat neighbor-bank storage; requires has_neighbor().
   const linalg::Vec& neighbor_data(std::size_t n) const;

@@ -28,12 +28,10 @@ std::size_t link_index(const std::vector<NeighborLink>& row,
   return row.size();
 }
 
-/// Neighbor-tier violations for receiver SBS n. `rate` maps (m, k) to the
-/// demand rate; invoked only on coordinates with y_neigh > tol.
-template <typename RateFn>
+/// Neighbor-tier violations for receiver SBS n with demand `demand`.
 void check_neighbor_tier(const NetworkConfig& config,
                          const SlotDecision& decision, std::size_t n,
-                         double tol, RateFn&& rate,
+                         double tol, const SparseSbsDemand& demand,
                          std::vector<Violation>& out) {
   const auto& sbs = config.sbs[n];
   const std::vector<NeighborLink>* row =
@@ -65,7 +63,7 @@ void check_neighbor_tier(const NetworkConfig& config,
              << " but no positive-bandwidth neighbor caches it";
           out.push_back({os.str()});
         } else {
-          link_load[link_index(*row, src)] += rate(m, k) * z;
+          link_load[link_index(*row, src)] += demand.at(m, k) * z;
         }
       }
     }
@@ -83,10 +81,9 @@ void check_neighbor_tier(const NetworkConfig& config,
 
 /// Neighbor-tier repair for receiver SBS n: clamp, zero unavailable
 /// coordinates, trim y_local + y_neigh to 1, then scale each link down to
-/// its cap. `rate` maps (m, k) to the demand rate.
-template <typename RateFn>
+/// its cap.
 void repair_neighbor_tier(const NetworkConfig& config, SlotDecision& decision,
-                          std::size_t n, RateFn&& rate) {
+                          std::size_t n, const SparseSbsDemand& demand) {
   const auto& sbs = config.sbs[n];
   const std::vector<NeighborLink>* row =
       config.topology.links.empty() ? nullptr : &config.topology.links[n];
@@ -103,7 +100,7 @@ void repair_neighbor_tier(const NetworkConfig& config, SlotDecision& decision,
       }
       const double y = decision.load.at(n, m, k);
       if (y + z > 1.0) z = 1.0 - y;
-      link_load[link_index(*row, src)] += rate(m, k) * z;
+      link_load[link_index(*row, src)] += demand.at(m, k) * z;
     }
   }
   // Per-link proportional scale-down, mirroring the (2) repair.
@@ -130,9 +127,12 @@ void repair_neighbor_tier(const NetworkConfig& config, SlotDecision& decision,
 }  // namespace
 
 std::vector<Violation> check_feasibility(const NetworkConfig& config,
-                                         const SlotDemand& demand,
+                                         SlotDemandView demand,
                                          const SlotDecision& decision,
                                          double tol) {
+  SparseSlotDemand storage;
+  const SparseSlotDemand& slot = sparse_slot(demand, storage);
+  MDO_REQUIRE(slot.size() == config.num_sbs(), "demand shape mismatch");
   std::vector<Violation> out;
   auto report = [&out](const std::string& text) { out.push_back({text}); };
 
@@ -147,7 +147,7 @@ std::vector<Violation> check_feasibility(const NetworkConfig& config,
       report(os.str());
     }
     // (2) bandwidth
-    const double load = decision.load.sbs_load(n, demand[n]);
+    const double load = sbs_load(decision.load, n, slot[n]);
     if (load > sbs.bandwidth + tol) {
       std::ostringstream os;
       os << "SBS " << n << ": load " << load << " exceeds bandwidth "
@@ -173,107 +173,7 @@ std::vector<Violation> check_feasibility(const NetworkConfig& config,
       }
     }
     if (decision.load.has_neighbor()) {
-      const double* d = demand[n].data().data();
-      check_neighbor_tier(
-          config, decision, n, tol,
-          [&](std::size_t m, std::size_t k) {
-            return d[m * config.num_contents + k];
-          },
-          out);
-    }
-  }
-  return out;
-}
-
-bool is_feasible(const NetworkConfig& config, const SlotDemand& demand,
-                 const SlotDecision& decision, double tol) {
-  return check_feasibility(config, demand, decision, tol).empty();
-}
-
-void enforce_feasibility(const NetworkConfig& config, const SlotDemand& demand,
-                         SlotDecision& decision) {
-  for (std::size_t n = 0; n < config.num_sbs(); ++n) {
-    const auto& sbs = config.sbs[n];
-    MDO_REQUIRE(decision.cache.count(n) <= sbs.cache_capacity,
-                "cache capacity violated; controllers must respect (1)");
-    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      for (std::size_t k = 0; k < config.num_contents; ++k) {
-        double& y = decision.load.at(n, m, k);
-        y = std::clamp(y, 0.0, 1.0);
-        if (!decision.cache.cached(n, k)) y = 0.0;
-      }
-    }
-    const double load = decision.load.sbs_load(n, demand[n]);
-    if (load > sbs.bandwidth && load > 0.0) {
-      const double scale = sbs.bandwidth / load;
-      for (double& y : decision.load.sbs_data(n)) y *= scale;
-    }
-    if (decision.load.has_neighbor()) {
-      const double* d = demand[n].data().data();
-      repair_neighbor_tier(config, decision, n,
-                           [&](std::size_t m, std::size_t k) {
-                             return d[m * config.num_contents + k];
-                           });
-    }
-  }
-}
-
-std::vector<Violation> check_feasibility(const NetworkConfig& config,
-                                         SlotDemandView demand,
-                                         const SlotDecision& decision,
-                                         double tol) {
-  MDO_REQUIRE(demand.valid(), "check_feasibility: empty demand view");
-  if (!demand.is_sparse()) {
-    return check_feasibility(config, *demand.dense(), decision, tol);
-  }
-  std::vector<Violation> out;
-  auto report = [&out](const std::string& text) { out.push_back({text}); };
-
-  for (std::size_t n = 0; n < config.num_sbs(); ++n) {
-    const auto& sbs = config.sbs[n];
-    const std::size_t cached = decision.cache.count(n);
-    if (cached > sbs.cache_capacity) {
-      std::ostringstream os;
-      os << "SBS " << n << ": " << cached << " items cached, capacity "
-         << sbs.cache_capacity;
-      report(os.str());
-    }
-    const double load = sbs_load(decision.load, n, demand.sbs(n));
-    if (load > sbs.bandwidth + tol) {
-      std::ostringstream os;
-      os << "SBS " << n << ": load " << load << " exceeds bandwidth "
-         << sbs.bandwidth;
-      report(os.str());
-    }
-    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      for (std::size_t k = 0; k < config.num_contents; ++k) {
-        const double y = decision.load.at(n, m, k);
-        if (y < -tol || y > 1.0 + tol) {
-          std::ostringstream os;
-          os << "SBS " << n << " class " << m << " content " << k << ": y="
-             << y << " outside [0,1]";
-          report(os.str());
-        }
-        if (y > tol && !decision.cache.cached(n, k)) {
-          std::ostringstream os;
-          os << "SBS " << n << " class " << m << " content " << k << ": y="
-             << y << " but content not cached";
-          report(os.str());
-        }
-      }
-    }
-    if (decision.load.has_neighbor()) {
-      const SparseSbsDemand& d = (*demand.sparse())[n];
-      check_neighbor_tier(
-          config, decision, n, tol,
-          [&](std::size_t m, std::size_t k) -> double {
-            for (const DemandEntry* it = d.row_begin(m); it != d.row_end(m);
-                 ++it) {
-              if (it->content == k) return it->rate;
-            }
-            return 0.0;
-          },
-          out);
+      check_neighbor_tier(config, decision, n, tol, slot[n], out);
     }
   }
   return out;
@@ -286,11 +186,9 @@ bool is_feasible(const NetworkConfig& config, SlotDemandView demand,
 
 void enforce_feasibility(const NetworkConfig& config, SlotDemandView demand,
                          SlotDecision& decision) {
-  MDO_REQUIRE(demand.valid(), "enforce_feasibility: empty demand view");
-  if (!demand.is_sparse()) {
-    enforce_feasibility(config, *demand.dense(), decision);
-    return;
-  }
+  SparseSlotDemand storage;
+  const SparseSlotDemand& slot = sparse_slot(demand, storage);
+  MDO_REQUIRE(slot.size() == config.num_sbs(), "demand shape mismatch");
   for (std::size_t n = 0; n < config.num_sbs(); ++n) {
     const auto& sbs = config.sbs[n];
     MDO_REQUIRE(decision.cache.count(n) <= sbs.cache_capacity,
@@ -302,21 +200,13 @@ void enforce_feasibility(const NetworkConfig& config, SlotDemandView demand,
         if (!decision.cache.cached(n, k)) y = 0.0;
       }
     }
-    const double load = sbs_load(decision.load, n, demand.sbs(n));
+    const double load = sbs_load(decision.load, n, slot[n]);
     if (load > sbs.bandwidth && load > 0.0) {
       const double scale = sbs.bandwidth / load;
       for (double& y : decision.load.sbs_data(n)) y *= scale;
     }
     if (decision.load.has_neighbor()) {
-      const SparseSbsDemand& d = (*demand.sparse())[n];
-      repair_neighbor_tier(config, decision, n,
-                           [&](std::size_t m, std::size_t k) -> double {
-                             for (const DemandEntry* it = d.row_begin(m);
-                                  it != d.row_end(m); ++it) {
-                               if (it->content == k) return it->rate;
-                             }
-                             return 0.0;
-                           });
+      repair_neighbor_tier(config, decision, n, slot[n]);
     }
   }
 }

@@ -5,6 +5,10 @@
 // enforce_feasibility() is the documented repair: zero y where x = 0
 // (constraint (3)) and proportionally scale each SBS's allocation down to
 // its bandwidth (constraint (2)).
+//
+// Each function has one body, which evaluates the bandwidth loads over the
+// stored entries of a sparse slot; a dense view is converted once by
+// model::sparse_slot (sparse_demand.hpp).
 #pragma once
 
 #include <string>
@@ -40,12 +44,12 @@ std::size_t neighbor_source(const NetworkConfig& config,
 /// per-link bandwidth budgets under designated-source routing.
 /// Returns all violations (empty means feasible within `tol`).
 std::vector<Violation> check_feasibility(const NetworkConfig& config,
-                                         const SlotDemand& demand,
+                                         SlotDemandView demand,
                                          const SlotDecision& decision,
                                          double tol = 1e-6);
 
 /// Convenience: true when check_feasibility() returns no violations.
-bool is_feasible(const NetworkConfig& config, const SlotDemand& demand,
+bool is_feasible(const NetworkConfig& config, SlotDemandView demand,
                  const SlotDecision& decision, double tol = 1e-6);
 
 /// Repairs a decision in place so it is feasible for `demand`:
@@ -57,18 +61,6 @@ bool is_feasible(const NetworkConfig& config, const SlotDemand& demand,
 ///    scales each inter-SBS link down to its bandwidth cap.
 /// The cache part is never modified (capacity violations throw
 /// InvalidArgument: controllers must respect (1) themselves).
-void enforce_feasibility(const NetworkConfig& config, const SlotDemand& demand,
-                         SlotDecision& decision);
-
-/// Representation-agnostic overloads; dense views delegate to the
-/// functions above, sparse views evaluate the bandwidth load over stored
-/// entries only (bit-identical, the skipped terms are exact zeros).
-std::vector<Violation> check_feasibility(const NetworkConfig& config,
-                                         SlotDemandView demand,
-                                         const SlotDecision& decision,
-                                         double tol = 1e-6);
-bool is_feasible(const NetworkConfig& config, SlotDemandView demand,
-                 const SlotDecision& decision, double tol = 1e-6);
 void enforce_feasibility(const NetworkConfig& config, SlotDemandView demand,
                          SlotDecision& decision);
 

@@ -241,16 +241,44 @@ std::vector<std::size_t> active_contents(const SparseSbsDemand& demand,
   return active;
 }
 
-double sbs_load(const LoadAllocation& load, std::size_t n,
-                SbsDemandView demand) {
-  MDO_REQUIRE(demand.valid(), "sbs_load: empty demand view");
-  if (!demand.is_sparse()) return load.sbs_load(n, *demand.dense());
-  const SparseSbsDemand& sparse = *demand.sparse();
-  const double* y = load.sbs_data(n).data();
-  const std::size_t contents = sparse.num_contents();
+const SparseSlotDemand& sparse_slot(SlotDemandView demand,
+                                    SparseSlotDemand& storage) {
+  MDO_REQUIRE(demand.valid(), "sparse_slot: empty demand view");
+  if (demand.is_sparse()) return *demand.sparse();
+  storage.clear();
+  storage.reserve(demand.dense()->size());
+  for (const SbsDemand& sbs : *demand.dense()) {
+    storage.push_back(SparseSbsDemand::from_dense(sbs));
+  }
+  return storage;
+}
+
+const SparseDemandTrace& sparse_trace(DemandTraceView trace,
+                                      SparseDemandTrace& storage) {
+  MDO_REQUIRE(trace.valid(), "sparse_trace: no demand trace");
+  if (trace.is_sparse()) return *trace.sparse();
+  storage = SparseDemandTrace::from_dense(*trace.dense());
+  return storage;
+}
+
+namespace {
+
+/// sum_{m,k} bank[m * K + k] * lambda[m, k] over the stored entries of the
+/// SBS's demand (a dense view is converted first).
+double weighted_load(const linalg::Vec& bank, std::size_t classes,
+                     SbsDemandView view) {
+  MDO_REQUIRE(view.valid(), "load: empty demand view");
+  SparseSbsDemand storage;
+  if (!view.is_sparse()) storage = SparseSbsDemand::from_dense(*view.dense());
+  const SparseSbsDemand& demand = view.is_sparse() ? *view.sparse() : storage;
+  MDO_REQUIRE(demand.num_classes() == classes &&
+                  demand.num_classes() * demand.num_contents() == bank.size(),
+              "demand shape mismatch");
+  const double* y = bank.data();
+  const std::size_t contents = demand.num_contents();
   double total = 0.0;
-  for (std::size_t m = 0; m < sparse.num_classes(); ++m) {
-    for (const DemandEntry* it = sparse.row_begin(m); it != sparse.row_end(m);
+  for (std::size_t m = 0; m < classes; ++m) {
+    for (const DemandEntry* it = demand.row_begin(m); it != demand.row_end(m);
          ++it) {
       total += y[m * contents + it->content] * it->rate;
     }
@@ -258,47 +286,17 @@ double sbs_load(const LoadAllocation& load, std::size_t n,
   return total;
 }
 
+}  // namespace
+
+double sbs_load(const LoadAllocation& load, std::size_t n,
+                SbsDemandView demand) {
+  return weighted_load(load.sbs_data(n), load.num_classes(n), demand);
+}
+
 double neighbor_load(const LoadAllocation& load, std::size_t n,
                      SbsDemandView demand) {
   if (!load.has_neighbor()) return 0.0;
-  MDO_REQUIRE(demand.valid(), "neighbor_load: empty demand view");
-  if (!demand.is_sparse()) return load.neighbor_load(n, *demand.dense());
-  const SparseSbsDemand& sparse = *demand.sparse();
-  const double* z = load.neighbor_data(n).data();
-  const std::size_t contents = sparse.num_contents();
-  double total = 0.0;
-  for (std::size_t m = 0; m < sparse.num_classes(); ++m) {
-    for (const DemandEntry* it = sparse.row_begin(m); it != sparse.row_end(m);
-         ++it) {
-      total += z[m * contents + it->content] * it->rate;
-    }
-  }
-  return total;
-}
-
-std::size_t SbsDemandView::num_classes() const {
-  MDO_REQUIRE(valid(), "SbsDemandView: empty view");
-  return is_sparse() ? sparse_->num_classes() : dense_->num_classes();
-}
-
-std::size_t SbsDemandView::num_contents() const {
-  MDO_REQUIRE(valid(), "SbsDemandView: empty view");
-  return is_sparse() ? sparse_->num_contents() : dense_->num_contents();
-}
-
-double SbsDemandView::at(std::size_t m, std::size_t k) const {
-  MDO_REQUIRE(valid(), "SbsDemandView: empty view");
-  return is_sparse() ? sparse_->at(m, k) : dense_->at(m, k);
-}
-
-double SbsDemandView::total() const {
-  MDO_REQUIRE(valid(), "SbsDemandView: empty view");
-  return is_sparse() ? sparse_->total() : dense_->total();
-}
-
-double SbsDemandView::content_total(std::size_t k) const {
-  MDO_REQUIRE(valid(), "SbsDemandView: empty view");
-  return is_sparse() ? sparse_->content_total(k) : dense_->content_total(k);
+  return weighted_load(load.neighbor_data(n), load.num_classes(n), demand);
 }
 
 std::size_t SlotDemandView::num_sbs() const {

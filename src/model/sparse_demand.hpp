@@ -4,12 +4,17 @@
 // head of the catalogue, so the dense M x K matrices of SbsDemand waste
 // memory bandwidth on structural zeros once K grows past a few hundred.
 // SparseSbsDemand stores only the nonzero (class, content, rate) entries in
-// CSR layout plus the sorted support and cached per-content column totals;
-// the *View wrappers below let every consumer accept either representation
-// behind one accessor. Conversions are lossless: to_dense(from_dense(d))
-// reproduces d bitwise when min_rate == 0, and every accumulation (totals,
-// column sums, loads, costs) visits entries in the same index order as the
-// dense code, so skipping exact-zero terms leaves the results bit-identical.
+// CSR layout plus the sorted support and cached per-content column totals.
+//
+// This is the only module that knows demand comes in two representations.
+// Every model kernel (costs, feasibility, loads, P2, the overlay, the event
+// layer) has one body, written over sparse slots; the *View wrappers let
+// callers hand in either representation, and a dense view is converted once
+// at the kernel boundary by sparse_slot() / sparse_trace(). Conversions are
+// lossless: to_dense(from_dense(d)) reproduces d bitwise when min_rate == 0,
+// and every accumulation (totals, column sums, loads, costs) visits entries
+// in ascending index order, so skipping exact-zero terms leaves the results
+// bit-identical to a loop over the dense matrix.
 #pragma once
 
 #include <cstddef>
@@ -155,19 +160,32 @@ std::vector<std::size_t> active_contents(const SparseSbsDemand& demand,
                                          std::size_t n);
 
 class SbsDemandView;
+class SlotDemandView;
+class DemandTraceView;
 
-/// load.sbs_load(n, demand) over either representation: the dense view
-/// delegates to LoadAllocation::sbs_load verbatim; the sparse view iterates
-/// stored entries in the same index order (skipped terms are exact zeros).
+/// The kernels' one slot representation: the sparse slot behind `demand`,
+/// or — for a dense view — its from_dense conversion, written into
+/// `storage`. The conversion keeps every nonzero rate, negative and NaN
+/// ones included, so a finite/non-negative check on the result rejects
+/// exactly the slots it would reject on the dense input.
+const SparseSlotDemand& sparse_slot(SlotDemandView demand,
+                                    SparseSlotDemand& storage);
+
+/// Trace counterpart of sparse_slot(): the solver's one window
+/// representation.
+const SparseDemandTrace& sparse_trace(DemandTraceView trace,
+                                      SparseDemandTrace& storage);
+
+/// SBS-served volume at SBS n: sum_{m,k} lambda * y (left side of (2)),
+/// accumulated over stored entries in ascending (class, content) order.
 double sbs_load(const LoadAllocation& load, std::size_t n, SbsDemandView demand);
 
-/// Neighbor-tier traffic of SBS n over either representation; 0.0 when the
-/// load carries no neighbor bank.
+/// Traffic SBS n pulls over the neighbor tier: sum_{m,k} lambda * y_neigh.
+/// 0.0 when the load carries no neighbor bank.
 double neighbor_load(const LoadAllocation& load, std::size_t n,
                      SbsDemandView demand);
 
-/// Non-owning view over either demand representation of one SBS. The dense
-/// accessors delegate verbatim so dense-mode behavior is unchanged.
+/// Non-owning view over either demand representation of one SBS.
 class SbsDemandView {
  public:
   SbsDemandView() = default;
@@ -180,11 +198,6 @@ class SbsDemandView {
   const SbsDemand* dense() const { return dense_; }
   const SparseSbsDemand* sparse() const { return sparse_; }
 
-  std::size_t num_classes() const;
-  std::size_t num_contents() const;
-  double at(std::size_t m, std::size_t k) const;
-  double total() const;
-  double content_total(std::size_t k) const;
   template <class Vector>
   void content_totals_into(Vector& out) const {
     MDO_REQUIRE(valid(), "SbsDemandView: empty view");
@@ -217,7 +230,7 @@ class SlotDemandView {
   SbsDemandView sbs(std::size_t n) const;
 
   /// Materializes a dense copy (used by the fault-injection observation
-  /// path, which perturbs dense matrices).
+  /// path, which perturbs dense matrices, and the dense predictor API).
   SlotDemand to_dense() const;
 
  private:

@@ -37,8 +37,9 @@ struct DecisionContext {
   std::size_t slot = 0;                               // tau
   const model::SlotDemand* true_demand = nullptr;     // observed demand at tau
   /// Sparse twin of true_demand; exactly one of the two is set when demand
-  /// is observable (the simulator passes whichever representation the
-  /// instance carries). Controllers read it through demand().
+  /// is observable. The simulator passes the true demand here, converted
+  /// once per slot for a dense instance, and a fault-perturbed observation
+  /// through true_demand. Controllers read it through demand().
   const model::SparseSlotDemand* true_demand_sparse = nullptr;
   const workload::Predictor* predictor = nullptr;     // forecasts from tau
   /// Per-slot degraded network view; nullptr means the instance config.

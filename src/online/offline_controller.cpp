@@ -12,7 +12,7 @@ void OfflineController::reset(const model::ProblemInstance& instance) {
   core::HorizonProblem problem;
   problem.config = &instance.config;
   problem.sparse_demand =
-      &core::sparse_window(instance.demand_view(), converted);
+      &model::sparse_trace(instance.demand_view(), converted);
   problem.initial_cache = instance.initial_cache;
   solution_ = core::PrimalDualSolver(options_).solve(problem);
 }

@@ -15,34 +15,33 @@ namespace mdo::online {
 
 namespace {
 
-bool demand_clean(model::SlotDemandView demand) {
-  for (std::size_t n = 0; n < demand.num_sbs(); ++n) {
-    const model::SbsDemandView d = demand.sbs(n);
-    if (d.is_sparse()) {
-      const auto& sparse = *d.sparse();
-      for (std::size_t m = 0; m < sparse.num_classes(); ++m) {
-        for (const auto* it = sparse.row_begin(m); it != sparse.row_end(m);
-             ++it) {
-          if (!std::isfinite(it->rate) || it->rate < 0.0) return false;
-        }
-      }
-    } else {
-      for (const double rate : d.dense()->data()) {
-        if (!std::isfinite(rate) || rate < 0.0) return false;
+bool demand_clean(const model::SparseSlotDemand& demand) {
+  for (const model::SparseSbsDemand& sbs : demand) {
+    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
+      for (const auto* it = sbs.row_begin(m); it != sbs.row_end(m); ++it) {
+        if (!std::isfinite(it->rate) || it->rate < 0.0) return false;
       }
     }
   }
   return true;
 }
 
-/// Dense copy of the observed demand with NaN/Inf/negative rates zeroed —
-/// the least-assuming repair: a rate we cannot trust contributes no traffic.
-model::SlotDemand sanitize_demand(model::SlotDemandView demand) {
-  model::SlotDemand out = demand.to_dense();
-  for (auto& sbs_demand : out) {
-    for (double& rate : sbs_demand.data()) {
-      if (!std::isfinite(rate) || rate < 0.0) rate = 0.0;
+/// Copy of the observed demand without its NaN/Inf/negative rates — the
+/// least-assuming repair: a rate we cannot trust contributes no traffic.
+model::SparseSlotDemand sanitize_demand(const model::SparseSlotDemand& demand) {
+  model::SparseSlotDemand out;
+  out.reserve(demand.size());
+  for (const model::SparseSbsDemand& sbs : demand) {
+    model::SparseSbsDemand clean(sbs.num_classes(), sbs.num_contents());
+    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
+      for (const auto* it = sbs.row_begin(m); it != sbs.row_end(m); ++it) {
+        if (std::isfinite(it->rate) && it->rate >= 0.0) {
+          clean.append(m, it->content, it->rate);
+        }
+      }
     }
+    clean.finalize();
+    out.push_back(std::move(clean));
   }
   return out;
 }
@@ -58,7 +57,7 @@ bool decision_finite(const model::SlotDecision& decision) {
 
 /// Per-SBS content scores (total observed request volume) for eviction /
 /// top-C ranking: one column-sum pass instead of K content_total calls.
-linalg::Vec content_scores(model::SbsDemandView demand) {
+linalg::Vec content_scores(const model::SparseSbsDemand& demand) {
   linalg::Vec scores;
   demand.content_totals_into(scores);
   return scores;
@@ -136,14 +135,18 @@ model::SlotDecision RobustController::decide_guarded(
   MDO_REQUIRE(ctx.has_demand(), "Robust: demand must be set");
 
   // ---- Sanitize the observed world.
-  const bool demand_ok = demand_clean(ctx.demand());
-  model::SlotDemand sanitized;
-  model::SlotDemandView observed = ctx.demand();
+  model::SparseSlotDemand converted;
+  const model::SparseSlotDemand* observed =
+      &model::sparse_slot(ctx.demand(), converted);
+  MDO_REQUIRE(observed->size() == effective.num_sbs(),
+              "Robust: demand shape mismatch");
+  const bool demand_ok = demand_clean(*observed);
+  model::SparseSlotDemand sanitized;
   if (!demand_ok) {
     slot_kinds_.push_back(DegradationKind::kCorruptDemand);
     slot_details_.push_back("observed demand held NaN/Inf/negative rates");
-    sanitized = sanitize_demand(ctx.demand());
-    observed = model::SlotDemandView(sanitized);
+    sanitized = sanitize_demand(*observed);
+    observed = &sanitized;
   }
 
   // Projects `decision` onto the effective capacities: evicts the lowest-
@@ -158,7 +161,7 @@ model::SlotDecision RobustController::decide_guarded(
       const std::size_t capacity = effective.sbs[n].cache_capacity;
       if (decision.cache.count(n) > capacity) {
         evicted = true;
-        const linalg::Vec scores = content_scores(observed.sbs(n));
+        const linalg::Vec scores = content_scores((*observed)[n]);
         std::vector<std::size_t> cached;
         for (std::size_t k = 0; k < effective.num_contents; ++k) {
           if (decision.cache.cached(n, k)) cached.push_back(k);
@@ -181,7 +184,7 @@ model::SlotDecision RobustController::decide_guarded(
       }
       // Best-effort bandwidth projection against the observed demand; the
       // simulator still repairs against the truth afterwards.
-      const double load = model::sbs_load(decision.load, n, observed.sbs(n));
+      const double load = model::sbs_load(decision.load, n, (*observed)[n]);
       if (load > effective.sbs[n].bandwidth && load > 0.0) {
         const double scale = effective.sbs[n].bandwidth / load;
         for (double& y : decision.load.sbs_data(n)) y *= scale;
@@ -279,7 +282,7 @@ model::SlotDecision RobustController::decide_guarded(
   decision.cache = model::CacheState(instance_->config);
   decision.load = model::LoadAllocation(instance_->config);
   for (std::size_t n = 0; n < effective.num_sbs(); ++n) {
-    const linalg::Vec scores = content_scores(observed.sbs(n));
+    const linalg::Vec scores = content_scores((*observed)[n]);
     std::vector<std::size_t> order(effective.num_contents);
     std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(),

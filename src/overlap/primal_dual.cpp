@@ -42,31 +42,25 @@ double OverlapHorizonSolution::gap() const {
 }
 
 void OverlapP1Core::begin(const OverlapHorizonProblem& problem,
-                          const OverlapPrimalDualOptions& options,
-                          std::size_t sbs_begin, std::size_t sbs_end) {
-  MDO_REQUIRE(sbs_begin <= sbs_end &&
-                  sbs_end <= problem.config->num_sbs(),
-              "overlap P1 core: SBS range out of bounds");
+                          const OverlapPrimalDualOptions& options) {
   problem_ = &problem;
   options_ = options;
-  sbs_begin_ = sbs_begin;
   const auto& config = *problem.config;
-  const std::size_t count = sbs_end - sbs_begin;
+  const std::size_t count = config.num_sbs();
   const std::size_t k_count = config.num_contents;
   const std::size_t w = problem.horizon();
   p1_.assign(count, P1State{});
   objectives_.assign(count, 0.0);
   x_.assign(count, {});
-  util::parallel_for(0, count, [&](std::size_t i) {
-    const std::size_t n = sbs_begin + i;
-    core::CachingSubproblem& sub = p1_[i].sub;
+  util::parallel_for(0, count, [&](std::size_t n) {
+    core::CachingSubproblem& sub = p1_[n].sub;
     sub.num_contents = k_count;
     sub.horizon = w;
     sub.capacity = config.sbs[n].cache_capacity;
     sub.beta = config.sbs[n].replacement_beta;
     sub.initial = problem.initial[n];
     sub.rewards.assign(k_count * w, 0.0);
-    p1_[i].flow.bind(sub);
+    p1_[n].flow.bind(sub);
   });
 }
 
@@ -76,9 +70,8 @@ void OverlapP1Core::iterate(const linalg::Vec& mu) {
   const std::size_t k_count = config.num_contents;
   const std::size_t per_slot = layout.y_size();
   const std::size_t w = problem_->horizon();
-  util::parallel_for(0, p1_.size(), [&](std::size_t i) {
-    const std::size_t n = sbs_begin_ + i;
-    core::CachingSubproblem& sub = p1_[i].sub;
+  util::parallel_for(0, p1_.size(), [&](std::size_t n) {
+    core::CachingSubproblem& sub = p1_[n].sub;
     std::fill(sub.rewards.begin(), sub.rewards.end(), 0.0);
     for (std::size_t t = 0; t < w; ++t) {
       for (const std::size_t id : layout.links_of_sbs(n)) {
@@ -88,7 +81,7 @@ void OverlapP1Core::iterate(const linalg::Vec& mu) {
         }
       }
     }
-    objectives_[i] = p1_[i].flow.solve_into(sub, x_[i]);
+    objectives_[n] = p1_[n].flow.solve_into(sub, x_[n]);
   });
 }
 
@@ -149,11 +142,10 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
   best.lower_bound = -kInf;
 
   // ---- Per-SBS P1 state, reused across dual iterations (shape and initial
-  // cache are fixed for the whole solve; only the rewards change). Owned by
-  // the shard-local P1 core; overlap binds the full SBS range in process
-  // (P2 couples SBSs within a slot, so there is nothing to shard by SBS).
+  // cache are fixed for the whole solve; only the rewards change), owned by
+  // the P1 core.
   OverlapP1Core p1;
-  p1.begin(problem, options_, 0, config.num_sbs());
+  p1.begin(problem, options_);
   const std::vector<std::vector<std::uint8_t>>& x = p1.x();  // [t*K + k]
 
   // ---- Per-slot P2 workspaces: coefficients built once here, the dual

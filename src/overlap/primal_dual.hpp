@@ -48,32 +48,30 @@ struct OverlapHorizonSolution {
   double gap() const;
 };
 
-/// Shard-local core of the overlap P1 stage: owns the per-SBS caching
-/// subproblems and flow workspaces for a contiguous SBS range and runs one
-/// dual iteration's worth of P1 solves over it. Structured like
-/// core::ShardCore (DESIGN.md §11) so the per-SBS state has a single owner,
-/// but overlap stays in-process only: its P2 couples every SBS within a
-/// slot through the shared overlap links, so the slot-major stages cannot
-/// be partitioned by SBS the way the core solver's can.
+/// Core of the overlap P1 stage: owns every SBS's caching subproblem and
+/// flow workspace and runs one dual iteration's worth of P1 solves.
+/// Structured like core::ShardCore (DESIGN.md §11) so the per-SBS state has
+/// a single owner, but overlap stays in-process only: its P2 couples every
+/// SBS within a slot through the shared overlap links, so the slot-major
+/// stages cannot be partitioned by SBS the way the core solver's can.
 class OverlapP1Core {
  public:
-  /// Binds per-SBS P1 state for SBSs [sbs_begin, sbs_end) of `problem`.
-  /// The problem must outlive the core and stay unchanged until the next
-  /// begin(). Parallelizes over the range internally.
+  /// Binds per-SBS P1 state for every SBS of `problem`. The problem must
+  /// outlive the core and stay unchanged until the next begin().
+  /// Parallelizes over the SBSs internally.
   void begin(const OverlapHorizonProblem& problem,
-             const OverlapPrimalDualOptions& options, std::size_t sbs_begin,
-             std::size_t sbs_end);
+             const OverlapPrimalDualOptions& options);
 
-  /// One dual iteration of P1 over the bound range: rebuild rewards from
+  /// One dual iteration of P1 over every SBS: rebuild rewards from
   /// `mu` (full-length, slot-major), solve each SBS's min-cost flow, store
-  /// objectives and cache plans per local index. Bit-identical at any
+  /// objectives and cache plans per SBS. Bit-identical at any
   /// thread count (per-index output slots, no reductions).
   void iterate(const linalg::Vec& mu);
 
   std::size_t size() const { return p1_.size(); }
-  /// Per-SBS P1 objectives, indexed by local offset (n - sbs_begin).
+  /// Per-SBS P1 objectives, indexed by SBS.
   const std::vector<double>& objectives() const { return objectives_; }
-  /// Per-SBS cache plans [t * K + k], indexed by local offset.
+  /// Per-SBS cache plans [t * K + k], indexed by SBS.
   const std::vector<std::vector<std::uint8_t>>& x() const { return x_; }
 
  private:
@@ -84,7 +82,6 @@ class OverlapP1Core {
 
   const OverlapHorizonProblem* problem_ = nullptr;
   OverlapPrimalDualOptions options_;
-  std::size_t sbs_begin_ = 0;
   std::vector<P1State> p1_;
   std::vector<double> objectives_;
   std::vector<std::vector<std::uint8_t>> x_;

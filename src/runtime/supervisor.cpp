@@ -25,7 +25,7 @@ struct TruncatedProblem {
     problem.initial_cache = source.initial_cache;
     model::SparseDemandTrace converted;
     const model::SparseDemandTrace& full =
-        core::sparse_window(source.demand_view(), converted);
+        model::sparse_trace(source.demand_view(), converted);
     demand = full.window(0, horizon);
     problem.sparse_demand = &demand;
   }

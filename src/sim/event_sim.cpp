@@ -228,38 +228,29 @@ EventSlotMetrics EventSimulator::simulate_slot(
   Rng loop_rng(splitmix64(seed_state));
 
   // ---- Arrival generation: one Poisson stream per (n, m, k) cell, visited
-  // in lexicographic order so the draw sequence is representation-agnostic
-  // (the sparse path skips exact-zero cells, which draw nothing).
+  // in lexicographic order over the stored entries; exact-zero cells draw
+  // nothing, so the sequence does not depend on the input representation.
   arrivals_.clear();
   double slot_rate_total = 0.0;
-  auto emit_stream = [&](std::size_t n, std::size_t m, std::size_t k,
-                         double rate) {
-    if (rate <= 0.0) return;
-    slot_rate_total += rate;
-    const double intensity = rate * scale;
-    double t = arrival_rng.exponential(intensity);
-    while (t < 1.0) {
-      arrivals_.push_back(Arrival{t, static_cast<std::uint32_t>(n),
-                                  static_cast<std::uint32_t>(m),
-                                  static_cast<std::uint32_t>(k)});
-      t += arrival_rng.exponential(intensity);
-    }
-  };
+  model::SparseSlotDemand storage;
+  const model::SparseSlotDemand& slot_demand =
+      model::sparse_slot(demand, storage);
+  MDO_REQUIRE(slot_demand.size() == config.num_sbs(),
+              "simulate_slot: demand shape mismatch");
   for (std::size_t n = 0; n < config.num_sbs(); ++n) {
-    const model::SbsDemandView sbs = demand.sbs(n);
-    if (sbs.is_sparse()) {
-      const model::SparseSbsDemand& sparse = *sbs.sparse();
-      for (std::size_t m = 0; m < sparse.num_classes(); ++m) {
-        for (const auto* it = sparse.row_begin(m); it != sparse.row_end(m);
-             ++it) {
-          emit_stream(n, m, it->content, it->rate);
-        }
-      }
-    } else {
-      const model::SbsDemand& dense = *sbs.dense();
-      for (std::size_t m = 0; m < dense.num_classes(); ++m) {
-        for (std::size_t k = 0; k < dense.num_contents(); ++k) {
-          emit_stream(n, m, k, dense.at(m, k));
+    const model::SparseSbsDemand& sbs = slot_demand[n];
+    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
+      for (const auto* it = sbs.row_begin(m); it != sbs.row_end(m); ++it) {
+        const double rate = it->rate;
+        if (rate <= 0.0) continue;
+        slot_rate_total += rate;
+        const double intensity = rate * scale;
+        double t = arrival_rng.exponential(intensity);
+        while (t < 1.0) {
+          arrivals_.push_back(Arrival{t, static_cast<std::uint32_t>(n),
+                                      static_cast<std::uint32_t>(m),
+                                      static_cast<std::uint32_t>(it->content)});
+          t += arrival_rng.exponential(intensity);
         }
       }
     }

@@ -32,6 +32,52 @@ double SimulationResult::mean_decision_seconds() const {
   return total_seconds / static_cast<double>(slots.size());
 }
 
+SlotRecord execute_slot(const SimulatorOptions& options,
+                        const online::Controller& controller, std::size_t t,
+                        const model::NetworkConfig& config,
+                        const model::NetworkConfig& executed,
+                        const model::SparseSlotDemand& truth,
+                        const model::CacheState& previous,
+                        model::SlotDecision& decision, EventSimulator* events,
+                        EventMetrics* event_metrics) {
+  if (options.repair) {
+    model::enforce_feasibility(executed, truth, decision);
+  } else {
+    const auto violations = model::check_feasibility(
+        executed, truth, decision, options.feasibility_tol);
+    if (!violations.empty()) {
+      std::ostringstream os;
+      os << controller.name() << " infeasible at slot " << t << ": "
+         << violations.front().description;
+      throw InvalidArgument(os.str());
+    }
+  }
+
+  // Cooperative tier: route part of the repaired decision's BS residual
+  // through neighbor caches. Strictly cost-improving per slot by
+  // construction (core/collab.hpp).
+  if (options.cooperative_routing && executed.has_neighbor_tier()) {
+    core::apply_neighbor_overlay(executed, truth, decision, options.collab);
+  }
+
+  SlotRecord record;
+  record.cost = model::slot_cost(config, truth, decision, previous);
+  record.replacements = model::replacement_count(decision.cache, previous);
+  for (std::size_t n = 0; n < config.num_sbs(); ++n) {
+    record.demand_total += truth[n].total();
+    record.sbs_served += model::sbs_load(decision.load, n, truth[n]);
+    record.neigh_served += model::neighbor_load(decision.load, n, truth[n]);
+  }
+
+  // Request-level layer: replay the slot's individual requests against
+  // the executed decision (hit/miss, queueing delay, backhaul bytes).
+  // Purely observational; runs on the clean truth like the cost above.
+  if (events != nullptr) {
+    events->simulate_slot(t, truth, decision, previous, *event_metrics);
+  }
+  return record;
+}
+
 Simulator::Simulator(const model::ProblemInstance& instance,
                      const workload::Predictor& predictor,
                      SimulatorOptions options)
@@ -75,15 +121,13 @@ SimulationResult Simulator::run(online::Controller& controller) const {
   }
 
   const model::DemandTraceView trace = instance_->demand_view();
+  model::SparseSlotDemand converted;
   for (std::size_t t = start_slot; t < instance_->horizon(); ++t) {
-    const model::SlotDemandView truth = trace.slot(t);
+    const model::SparseSlotDemand& truth =
+        model::sparse_slot(trace.slot(t), converted);
     online::DecisionContext ctx;
     ctx.slot = t;
-    if (truth.is_sparse()) {
-      ctx.true_demand_sparse = truth.sparse();
-    } else {
-      ctx.true_demand = truth.dense();
-    }
+    ctx.true_demand_sparse = &truth;
     ctx.predictor = predictor_;
     // Fresh per-slot budget token; an unlimited token is not passed at all
     // so the no-budget path stays bitwise-identical to the pre-deadline
@@ -101,15 +145,15 @@ SimulationResult Simulator::run(online::Controller& controller) const {
 
     // Under fault injection the controller sees the observed world; the
     // truth below is still what gets accounted. The perturbation operates
-    // on dense matrices, so a sparse truth is densified for the observation
-    // only — the accounted truth stays in its native representation.
+    // on dense matrices, so the observation is made on a dense copy of the
+    // instance's own slot.
     model::SlotDemand observed;
     model::NetworkConfig degraded;
     if (!result.fault_plan.empty()) {
       const SlotFaults& faults = result.fault_plan[t];
       if (faults.corrupt_demand || faults.demand_scale != 1.0) {
-        observed = options_.faults->observed_demand(truth.to_dense(), t,
-                                                    faults);
+        observed = options_.faults->observed_demand(trace.slot(t).to_dense(),
+                                                    t, faults);
         ctx.true_demand = &observed;
         ctx.true_demand_sparse = nullptr;
       }
@@ -125,49 +169,18 @@ SimulationResult Simulator::run(online::Controller& controller) const {
     const Stopwatch decide_watch;
     model::SlotDecision decision = controller.decide(ctx);
     const double decision_seconds = decide_watch.elapsed_seconds();
-    if (options_.repair) {
-      model::enforce_feasibility(executed_config, truth, decision);
-    } else {
-      const auto violations = model::check_feasibility(
-          executed_config, truth, decision, options_.feasibility_tol);
-      if (!violations.empty()) {
-        std::ostringstream os;
-        os << controller.name() << " infeasible at slot " << t << ": "
-           << violations.front().description;
-        throw InvalidArgument(os.str());
-      }
-    }
 
-    // Cooperative tier: route part of the repaired decision's BS residual
-    // through neighbor caches. Runs on the executed (possibly degraded)
-    // config so outaged links carry nothing; accounted on the clean truth
-    // like everything else. Strictly cost-improving per slot by
-    // construction (core/collab.hpp).
-    if (options_.cooperative_routing && executed_config.has_neighbor_tier()) {
-      core::apply_neighbor_overlay(executed_config, truth, decision,
-                                   options_.collab);
-    }
-
-    SlotRecord record;
-    record.cost = model::slot_cost(config, truth, decision, previous);
-    record.replacements = model::replacement_count(decision.cache, previous);
+    // Outaged links carry nothing because repair and the overlay run on the
+    // executed (possibly degraded) config; the record is costed on the
+    // clean truth like everything else.
+    SlotRecord record = execute_slot(
+        options_, controller, t, config, executed_config, truth,
+        previous, decision, events ? &*events : nullptr,
+        events ? &*result.events : nullptr);
     record.decision_seconds = decision_seconds;
-    for (std::size_t n = 0; n < config.num_sbs(); ++n) {
-      record.demand_total += truth.sbs(n).total();
-      record.sbs_served += model::sbs_load(decision.load, n, truth.sbs(n));
-      record.neigh_served +=
-          model::neighbor_load(decision.load, n, truth.sbs(n));
-    }
     result.total += record.cost;
     result.total_replacements += record.replacements;
     result.slots.push_back(record);
-
-    // Request-level layer: replay the slot's individual requests against
-    // the executed decision (hit/miss, queueing delay, backhaul bytes).
-    // Purely observational; runs on the clean truth like the cost above.
-    if (events) {
-      events->simulate_slot(t, truth, decision, previous, *result.events);
-    }
 
     previous = decision.cache;
     controller.observe(t, decision);

@@ -6,7 +6,9 @@
 // noisy predictions can slightly overshoot the bandwidth cap (2); the
 // repair zeroes y on uncached contents and scales each SBS's allocation
 // down proportionally — a documented reproduction choice, see DESIGN.md),
-// and the true cost (9) is accounted.
+// and the true cost (9) is accounted. A dense instance's truth is converted
+// to the sparse representation once per slot (model::sparse_slot); the
+// controller and every per-slot kernel read that one copy.
 #pragma once
 
 #include <limits>
@@ -129,6 +131,24 @@ struct SimulatorOptions {
   /// kill/resume tests. max() = run to the horizon.
   std::size_t halt_after_slot = std::numeric_limits<std::size_t>::max();
 };
+
+/// Executes one decided slot against its true demand, in the order
+/// Simulator::run and run_streaming share:
+///  1. repair against `executed` (or, with options.repair off, the
+///     feasibility check, which throws naming `controller`);
+///  2. the cooperative overlay, when options.cooperative_routing is set and
+///     `executed` has a neighbor tier;
+///  3. the slot record, costed on the clean `config`;
+///  4. the request-level events, when `events` is set.
+/// The record's decision_seconds is left to the caller.
+SlotRecord execute_slot(const SimulatorOptions& options,
+                        const online::Controller& controller, std::size_t t,
+                        const model::NetworkConfig& config,
+                        const model::NetworkConfig& executed,
+                        const model::SparseSlotDemand& truth,
+                        const model::CacheState& previous,
+                        model::SlotDecision& decision, EventSimulator* events,
+                        EventMetrics* event_metrics);
 
 class Simulator {
  public:

@@ -1,9 +1,8 @@
 #include "sim/streaming_run.hpp"
 
-#include <sstream>
 #include <utility>
 
-#include "model/feasibility.hpp"
+#include "sim/simulator.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -73,42 +72,33 @@ StreamingRunResult run_streaming(const model::NetworkConfig& config,
     }
   };
 
+  // The streamed trace shares Simulator::run's per-slot step, cooperative
+  // overlay included; only repair/tolerance are configurable here.
+  SimulatorOptions step;
+  step.repair = options.repair;
+  step.feasibility_tol = options.feasibility_tol;
+
   model::CacheState previous = shell.initial_cache;
   for (std::size_t t = 0;; ++t) {
     refill(t);
     if (t >= predictor.horizon()) break;  // every yielded slot is accounted
 
-    const model::SparseSlotDemand& truth_sparse = predictor.at(t);
-    const model::SlotDemandView truth(truth_sparse);
+    const model::SparseSlotDemand& truth = predictor.at(t);
     online::DecisionContext ctx;
     ctx.slot = t;
-    ctx.true_demand_sparse = &truth_sparse;
+    ctx.true_demand_sparse = &truth;
     ctx.predictor = &predictor;
 
     model::SlotDecision decision = controller.decide(ctx);
-    if (options.repair) {
-      model::enforce_feasibility(shell.config, truth, decision);
-    } else {
-      const auto violations = model::check_feasibility(
-          shell.config, truth, decision, options.feasibility_tol);
-      if (!violations.empty()) {
-        std::ostringstream os;
-        os << controller.name() << " infeasible at slot " << t << ": "
-           << violations.front().description;
-        throw InvalidArgument(os.str());
-      }
-    }
-
-    result.total += model::slot_cost(shell.config, truth, decision, previous);
-    result.total_replacements +=
-        model::replacement_count(decision.cache, previous);
-    for (std::size_t n = 0; n < shell.config.num_sbs(); ++n) {
-      result.demand_total += truth.sbs(n).total();
-      result.sbs_served += model::sbs_load(decision.load, n, truth.sbs(n));
-    }
-    if (events) {
-      events->simulate_slot(t, truth, decision, previous, *result.events);
-    }
+    const SlotRecord record = execute_slot(
+        step, controller, t, shell.config, shell.config, truth, previous,
+        decision, events ? &*events : nullptr,
+        events ? &*result.events : nullptr);
+    result.total += record.cost;
+    result.total_replacements += record.replacements;
+    result.demand_total += record.demand_total;
+    result.sbs_served += record.sbs_served;
+    result.neigh_served += record.neigh_served;
 
     previous = decision.cache;
     controller.observe(t, decision);

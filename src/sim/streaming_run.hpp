@@ -11,11 +11,14 @@
 // The buffered truth is served to the controller through a
 // BufferedWindowPredictor whose horizon() is the buffered end, so
 // window-based controllers (RHC / CHC / AFHC) clip their forecast windows
-// exactly as they would against an in-memory PerfectPredictor — with
-// lookahead >= the controller window the decisions are bit-identical to a
-// materialized run over the same trace. Controllers that require the whole
-// horizon at reset() (OfflineController) cannot run streamed: they see an
-// empty-demand shell instance and fail loudly at the first decide().
+// exactly as they would against an in-memory PerfectPredictor. Each slot
+// then runs through sim::execute_slot, the step Simulator::run uses, so the
+// cooperative neighbor tier of a topology config is applied too: with
+// lookahead >= the controller window the decisions, costs and events are
+// bit-identical to a materialized run over the same trace. Controllers that
+// require the whole horizon at reset() (OfflineController) cannot run
+// streamed: they see an empty-demand shell instance and fail loudly at the
+// first decide().
 #pragma once
 
 #include <cstddef>
@@ -80,18 +83,23 @@ struct StreamingRunResult {
   std::size_t total_replacements = 0;
   double demand_total = 0.0;
   double sbs_served = 0.0;
+  double neigh_served = 0.0;  // traffic served out of neighbor caches
   std::optional<EventMetrics> events;
 
   double total_cost() const { return total.total(); }
+  /// Fraction of demand volume served by SBSs, neighbor tier included.
   double offload_ratio() const {
-    return demand_total > 0.0 ? sbs_served / demand_total : 0.0;
+    return demand_total > 0.0 ? (sbs_served + neigh_served) / demand_total
+                              : 0.0;
   }
 };
 
 /// Plays `controller` over every slot `reader` yields. The controller is
 /// reset against an empty-demand shell instance (config + all-empty initial
-/// cache, use_sparse_demand set); decisions, repair, and cost accounting
-/// match sim::Simulator slot for slot.
+/// cache, use_sparse_demand set). Each slot runs sim::execute_slot with the
+/// simulator's defaults, so decisions, repair, the cooperative overlay on a
+/// topology config, cost accounting and events match sim::Simulator slot
+/// for slot.
 StreamingRunResult run_streaming(const model::NetworkConfig& config,
                                  workload::StreamingTraceReader& reader,
                                  online::Controller& controller,

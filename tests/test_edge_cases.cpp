@@ -153,8 +153,9 @@ TEST(EdgeCases, ZeroBandwidthSbsStillCachesButServesNothing) {
   for (std::size_t t = 0; t < result.schedule.size(); ++t) {
     const auto& decision = result.schedule[t];
     // Per-slot: the executed allocation moves no traffic through the SBS.
-    EXPECT_NEAR(decision.load.sbs_load(0, instance.demand.slot(t)[0]), 0.0,
-                1e-12);
+    EXPECT_NEAR(
+        model::sbs_load(decision.load, 0, instance.demand.slot(t)[0]), 0.0,
+        1e-12);
     EXPECT_LE(decision.cache.count(0), instance.config.sbs[0].cache_capacity);
   }
   // All demand is billed at the BS.

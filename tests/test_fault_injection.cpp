@@ -553,7 +553,7 @@ TEST(FaultedSimulation, TwoHundredSlotRunMatchesInjectedSchedule) {
           faults.sbs_outage[n] != 0 ? 0 : instance.config.sbs[n].cache_capacity;
       EXPECT_LE(decision.cache.count(n), capacity) << "slot " << t;
       const double load =
-          decision.load.sbs_load(n, instance.demand.slot(t)[n]);
+          model::sbs_load(decision.load, n, instance.demand.slot(t)[n]);
       if (faults.sbs_outage[n] != 0) {
         EXPECT_NEAR(load, 0.0, 1e-12) << "slot " << t;
       }

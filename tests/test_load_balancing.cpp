@@ -307,8 +307,9 @@ TEST(OptimalLoadForCache, MasksUncachedAndStaysInBandwidth) {
 
   const auto load = optimal_load_for_cache(config, demand, cache);
   EXPECT_DOUBLE_EQ(load.at(0, 0, 2), 0.0);  // not cached
-  EXPECT_LE(load.sbs_load(0, demand[0]), 1.0 + 1e-6);
-  EXPECT_GT(load.sbs_load(0, demand[0]), 0.9);  // bandwidth worth using
+  EXPECT_LE(model::sbs_load(load, 0, demand[0]), 1.0 + 1e-6);
+  // Bandwidth worth using.
+  EXPECT_GT(model::sbs_load(load, 0, demand[0]), 0.9);
 }
 
 }  // namespace

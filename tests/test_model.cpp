@@ -146,8 +146,8 @@ TEST(LoadAllocation, AccessAndLoad) {
   y.at(0, 1, 1) = 1.0;
   const auto demand = uniform_demand(config, 2.0);
   // load = sum lambda * y = 2 * (0.5 + 1.0)
-  EXPECT_DOUBLE_EQ(y.sbs_load(0, demand[0]), 3.0);
-  EXPECT_DOUBLE_EQ(y.sbs_load(1, demand[1]), 0.0);
+  EXPECT_DOUBLE_EQ(model::sbs_load(y, 0, demand[0]), 3.0);
+  EXPECT_DOUBLE_EQ(model::sbs_load(y, 1, demand[1]), 0.0);
   EXPECT_THROW(y.at(0, 9, 0), InvalidArgument);
 }
 
@@ -274,7 +274,7 @@ TEST(Feasibility, EnforceRepairsLoad) {
   EXPECT_TRUE(is_feasible(config, demand, decision));
   EXPECT_DOUBLE_EQ(decision.load.at(0, 0, 1), 0.0);
   // Bandwidth: raw load would be 2*(1 + 1) = 4 <= 4, fine after clamping.
-  EXPECT_LE(decision.load.sbs_load(0, demand[0]), 4.0 + 1e-9);
+  EXPECT_LE(model::sbs_load(decision.load, 0, demand[0]), 4.0 + 1e-9);
 }
 
 TEST(Feasibility, EnforceScalesDownOverload) {
@@ -289,7 +289,7 @@ TEST(Feasibility, EnforceScalesDownOverload) {
     for (std::size_t k = 0; k < 2; ++k) decision.load.at(0, m, k) = 1.0;
   // Raw load: 3 * 4 = 12 > B = 4 -> scaled by 1/3.
   enforce_feasibility(config, demand, decision);
-  EXPECT_NEAR(decision.load.sbs_load(0, demand[0]), 4.0, 1e-9);
+  EXPECT_NEAR(model::sbs_load(decision.load, 0, demand[0]), 4.0, 1e-9);
   EXPECT_NEAR(decision.load.at(0, 0, 0), 1.0 / 3.0, 1e-9);
 }
 

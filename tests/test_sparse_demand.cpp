@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <sstream>
 
 #include "model/costs.hpp"
@@ -15,6 +16,7 @@
 #include "online/rhc.hpp"
 #include "online/robust_controller.hpp"
 #include "sim/experiment.hpp"
+#include "sim/fault_injector.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
 #include "workload/generator.hpp"
@@ -371,23 +373,35 @@ TEST(SparseDemand, BuildSparseDensifiesToBuild) {
 }
 
 TEST(SparseDemand, AllControllersBitIdenticalDenseVsSparse) {
-  auto config = small_experiment();
-  const auto dense_outcomes = sim::run_schemes(config);
-  config.use_sparse_demand = true;
-  const auto sparse_outcomes = sim::run_schemes(config);
+  // The ring input adds the cooperative overlay and the neighbor cost term.
+  auto ring = small_experiment();
+  ring.scenario.num_sbs = 4;
+  ring.scenario.neighbor_topology = workload::NeighborTopologyKind::kRing;
+  for (sim::ExperimentConfig config : {small_experiment(), ring}) {
+    const auto dense_outcomes = sim::run_schemes(config);
+    config.use_sparse_demand = true;
+    const auto sparse_outcomes = sim::run_schemes(config);
 
-  ASSERT_EQ(dense_outcomes.size(), sparse_outcomes.size());
-  for (std::size_t i = 0; i < dense_outcomes.size(); ++i) {
-    const auto& d = dense_outcomes[i];
-    const auto& s = sparse_outcomes[i];
-    EXPECT_EQ(d.name, s.name);
-    // Bitwise equality of every accounted quantity: same decisions, same
-    // loads, same accumulation order.
-    EXPECT_EQ(s.cost.bs, d.cost.bs) << d.name;
-    EXPECT_EQ(s.cost.sbs, d.cost.sbs) << d.name;
-    EXPECT_EQ(s.cost.replacement, d.cost.replacement) << d.name;
-    EXPECT_EQ(s.replacements, d.replacements) << d.name;
-    EXPECT_EQ(s.offload_ratio, d.offload_ratio) << d.name;
+    ASSERT_EQ(dense_outcomes.size(), sparse_outcomes.size());
+    double neigh = 0.0;
+    for (std::size_t i = 0; i < dense_outcomes.size(); ++i) {
+      const auto& d = dense_outcomes[i];
+      const auto& s = sparse_outcomes[i];
+      EXPECT_EQ(d.name, s.name);
+      // Bitwise equality of every accounted quantity: same decisions, same
+      // loads, same accumulation order.
+      EXPECT_EQ(s.cost.bs, d.cost.bs) << d.name;
+      EXPECT_EQ(s.cost.sbs, d.cost.sbs) << d.name;
+      EXPECT_EQ(s.cost.neigh, d.cost.neigh) << d.name;
+      EXPECT_EQ(s.cost.replacement, d.cost.replacement) << d.name;
+      EXPECT_EQ(s.replacements, d.replacements) << d.name;
+      EXPECT_EQ(s.offload_ratio, d.offload_ratio) << d.name;
+      neigh += d.cost.neigh;
+    }
+    if (config.scenario.neighbor_topology !=
+        workload::NeighborTopologyKind::kNone) {
+      EXPECT_GT(neigh, 0.0);
+    }
   }
 }
 
@@ -410,7 +424,17 @@ TEST(SparseDemand, EmaPredictorBitIdenticalDenseVsSparse) {
 
 TEST(SparseDemand, RobustControllerBitIdenticalDenseVsSparse) {
   const auto config = small_experiment();
-  const auto run = [&](bool sparse) {
+  // Under faults the wrapper reads the observed (spiked, corrupted) demand
+  // and serves fallback levels; none of that may depend on the
+  // representation of the instance.
+  sim::FaultInjectionConfig fault_config;
+  fault_config.corrupted_slots = {2, 5};
+  fault_config.spikes = {sim::SpikeWindow{sim::SlotRange{3, 5}, 2.5}};
+  fault_config.outages = {sim::OutageWindow{1, sim::SlotRange{4, 6}}};
+  fault_config.predictor_blackouts = {sim::SlotRange{6, 7}};
+  const sim::FaultInjector injector(fault_config);
+
+  const auto run = [&](bool sparse, const sim::FaultInjector* faults) {
     const model::ProblemInstance instance =
         sparse ? config.scenario.build_sparse() : config.scenario.build();
     std::unique_ptr<workload::Predictor> predictor;
@@ -423,17 +447,34 @@ TEST(SparseDemand, RobustControllerBitIdenticalDenseVsSparse) {
     }
     online::RhcController inner(config.window, config.primal_dual);
     online::RobustController robust(inner);
-    const sim::Simulator simulator(instance, *predictor);
+    sim::SimulatorOptions options;
+    options.faults = faults;
+    const sim::Simulator simulator(instance, *predictor, options);
     const auto result = simulator.run(robust);
-    EXPECT_EQ(robust.level_counts()[1] + robust.level_counts()[2], 0u);
-    return result.total;
+    const auto levels = robust.level_counts();
+    if (faults == nullptr) {
+      EXPECT_EQ(levels[1] + levels[2], 0u);
+    } else {
+      EXPECT_GT(levels[1] + levels[2], 0u);
+    }
+    return std::make_pair(result, levels);
   };
-  const auto dense_cost = run(false);
-  const auto sparse_cost = run(true);
-  EXPECT_EQ(sparse_cost.total(), dense_cost.total());
-  EXPECT_EQ(sparse_cost.bs, dense_cost.bs);
-  EXPECT_EQ(sparse_cost.sbs, dense_cost.sbs);
-  EXPECT_EQ(sparse_cost.replacement, dense_cost.replacement);
+  for (const sim::FaultInjector* faults :
+       {static_cast<const sim::FaultInjector*>(nullptr), &injector}) {
+    const auto [dense, dense_levels] = run(false, faults);
+    const auto [sparse, sparse_levels] = run(true, faults);
+    EXPECT_EQ(sparse.total.total(), dense.total.total());
+    EXPECT_EQ(sparse.total.bs, dense.total.bs);
+    EXPECT_EQ(sparse.total.sbs, dense.total.sbs);
+    EXPECT_EQ(sparse.total.replacement, dense.total.replacement);
+    EXPECT_EQ(sparse_levels, dense_levels);
+    ASSERT_EQ(sparse.slots.size(), dense.slots.size());
+    for (std::size_t t = 0; t < dense.slots.size(); ++t) {
+      EXPECT_EQ(sparse.slots[t].cost, dense.slots[t].cost) << "slot " << t;
+      EXPECT_EQ(sparse.slots[t].sbs_served, dense.slots[t].sbs_served)
+          << "slot " << t;
+    }
+  }
 }
 
 // ---- truncation edge cases -----------------------------------------------

@@ -193,40 +193,57 @@ workload::PaperScenario streaming_scenario() {
 }
 
 TEST(StreamingRun, MatchesMaterializedSimulatorBitForBit) {
-  const auto scenario = streaming_scenario();
-  const model::ProblemInstance instance = scenario.build_sparse();
-  std::stringstream buffer;
-  workload::save_trace_csv(buffer, instance.sparse_demand);
-  const std::string text = buffer.str();
+  // The second input puts four SBSs on a ring, so both drivers must apply
+  // the cooperative neighbor overlay to every slot.
+  workload::PaperScenario ring = streaming_scenario();
+  ring.num_sbs = 4;
+  ring.neighbor_topology = workload::NeighborTopologyKind::kRing;
+  for (const workload::PaperScenario& scenario : {streaming_scenario(), ring}) {
+    const model::ProblemInstance instance = scenario.build_sparse();
+    const bool cooperative = instance.config.has_neighbor_tier();
+    std::stringstream buffer;
+    workload::save_trace_csv(buffer, instance.sparse_demand);
+    const std::string text = buffer.str();
 
-  const std::size_t window = 4;
-  for (const bool with_events : {false, true}) {
-    // Reference: the materialized engine over the same trace.
-    const workload::PerfectPredictor predictor(instance.sparse_demand);
-    SimulatorOptions simulator_options;
-    simulator_options.simulate_events = with_events;
-    const Simulator simulator(instance, predictor, simulator_options);
-    online::RhcController reference_controller(window);
-    const auto reference = simulator.run(reference_controller);
+    const std::size_t window = 4;
+    for (const bool with_events : {false, true}) {
+      // Reference: the materialized engine over the same trace.
+      const workload::PerfectPredictor predictor(instance.sparse_demand);
+      SimulatorOptions simulator_options;
+      simulator_options.simulate_events = with_events;
+      const Simulator simulator(instance, predictor, simulator_options);
+      online::RhcController reference_controller(window);
+      const auto reference = simulator.run(reference_controller);
+      double reference_neigh_served = 0.0;
+      for (const SlotRecord& slot : reference.slots) {
+        reference_neigh_served += slot.neigh_served;
+      }
+      if (cooperative) {
+        ASSERT_GT(reference_neigh_served, 0.0);
+      }
 
-    std::stringstream stream_in(text);
-    workload::StreamingTraceReader reader(stream_in, instance.config);
-    StreamingRunOptions streaming_options;
-    streaming_options.lookahead = window;
-    streaming_options.simulate_events = with_events;
-    online::RhcController streamed_controller(window);
-    const auto streamed = run_streaming(instance.config, reader,
-                                        streamed_controller, streaming_options);
+      std::stringstream stream_in(text);
+      workload::StreamingTraceReader reader(stream_in, instance.config);
+      StreamingRunOptions streaming_options;
+      streaming_options.lookahead = window;
+      streaming_options.simulate_events = with_events;
+      online::RhcController streamed_controller(window);
+      const auto streamed = run_streaming(
+          instance.config, reader, streamed_controller, streaming_options);
 
-    EXPECT_EQ(streamed.slots, instance.horizon());
-    EXPECT_DOUBLE_EQ(streamed.total.bs, reference.total.bs);
-    EXPECT_DOUBLE_EQ(streamed.total.sbs, reference.total.sbs);
-    EXPECT_DOUBLE_EQ(streamed.total.replacement, reference.total.replacement);
-    EXPECT_EQ(streamed.total_replacements, reference.total_replacements);
-    EXPECT_DOUBLE_EQ(streamed.offload_ratio(), reference.offload_ratio());
-    ASSERT_EQ(streamed.events.has_value(), with_events);
-    if (with_events) {
-      EXPECT_TRUE(*streamed.events == *reference.events);
+      EXPECT_EQ(streamed.slots, instance.horizon());
+      EXPECT_DOUBLE_EQ(streamed.total.bs, reference.total.bs);
+      EXPECT_DOUBLE_EQ(streamed.total.sbs, reference.total.sbs);
+      EXPECT_DOUBLE_EQ(streamed.total.neigh, reference.total.neigh);
+      EXPECT_DOUBLE_EQ(streamed.total.replacement,
+                       reference.total.replacement);
+      EXPECT_EQ(streamed.total_replacements, reference.total_replacements);
+      EXPECT_DOUBLE_EQ(streamed.neigh_served, reference_neigh_served);
+      EXPECT_DOUBLE_EQ(streamed.offload_ratio(), reference.offload_ratio());
+      ASSERT_EQ(streamed.events.has_value(), with_events);
+      if (with_events) {
+        EXPECT_TRUE(*streamed.events == *reference.events);
+      }
     }
   }
 }
