@@ -141,20 +141,6 @@ void P2Workspace::set_linear(const double* begin, const double* end) {
   has_solution_ = false;
 }
 
-void P2Workspace::scatter_solution(linalg::Vec& dense) const {
-  MDO_REQUIRE(bound(), "P2 workspace: bind() before scatter_solution()");
-  MDO_REQUIRE(y_.size() == coeff_.lambda.size(),
-              "P2 workspace: no solution to scatter");
-  MDO_REQUIRE(dense.size() == classes_ * contents_,
-              "P2 workspace: scatter target size mismatch");
-  const std::size_t a_count = active_.size();
-  for (std::size_t m = 0; m < classes_; ++m) {
-    for (std::size_t i = 0; i < a_count; ++i) {
-      dense[m * contents_ + active_[i]] = y_[m * a_count + i];
-    }
-  }
-}
-
 void P2Workspace::set_upper(const linalg::Vec& upper) {
   MDO_REQUIRE(bound(), "P2 workspace: bind() before set_upper()");
   MDO_REQUIRE(upper.size() == coeff_.lambda.size(),
@@ -517,7 +503,14 @@ model::LoadAllocation optimal_load_for_cache(
     }
     ws.set_upper(ub);
     solve_load_balancing(ws, options);
-    ws.scatter_solution(load.sbs_data(n));
+    // Off-active loads are structural zeros of P2: scatter the compact y.
+    const std::size_t a_count = active.size();
+    linalg::Vec& row = load.sbs_data(n);
+    for (std::size_t m = 0; m < classes; ++m) {
+      for (std::size_t i = 0; i < a_count; ++i) {
+        row[m * config.num_contents + active[i]] = ws.y()[m * a_count + i];
+      }
+    }
   }
   return load;
 }

@@ -106,8 +106,7 @@ class P2Workspace {
   /// model::active_contents): rebuilds lambda/u/v/a and the cached
   /// Lipschitz norm, resets c to zero and ub to all-ones, and invalidates
   /// any cached solution. Coefficient vectors are laid out compactly as
-  /// m * |active| + i with active[i] the content; scatter_solution writes
-  /// the compact y back into a full-catalogue vector. The previous solution
+  /// m * |active| + i with active[i] the content. The previous solution
   /// vector is KEPT as the next solve's warm start (clear it with
   /// clear_warm_start() for a cold start) when the active set (and shape)
   /// matches the previous binding — a changed active set would misalign it.
@@ -121,10 +120,6 @@ class P2Workspace {
   /// Copies [begin, end) into the linear term c. Size must match.
   void set_linear(const double* begin, const double* end);
 
-  /// Scatters the compact solution over the active set into a
-  /// full-catalogue (m * K + k) vector; the caller zero-fills the
-  /// off-active coordinates, which are structural zeros of P2.
-  void scatter_solution(linalg::Vec& dense) const;
   /// Copies `upper` into the box upper bound; entries must be in [0, 1]
   /// (checked only when finite, mirroring the legacy validation order).
   void set_upper(const linalg::Vec& upper);

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <utility>
 
+#include "core/dual_ascent.hpp"
 #include "shard/coordinator.hpp"
-#include "solver/subgradient.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
@@ -51,7 +52,7 @@ HorizonSolution fallback_solution(const HorizonProblem& problem,
   return degraded;
 }
 
-/// All-zero window schedule: the repair buffer the dual loops fill.
+/// All-zero window schedule: the repair buffer the dual loop fills.
 model::Schedule empty_schedule(const model::NetworkConfig& config,
                                std::size_t horizon) {
   model::Schedule schedule(horizon);
@@ -82,10 +83,6 @@ void HorizonProblem::validate() const {
     MDO_REQUIRE(initial_cache.count(n) <= config->sbs[n].cache_capacity,
                 "horizon problem: initial cache over capacity");
   }
-}
-
-double HorizonSolution::gap() const {
-  return (upper_bound - lower_bound) / std::max(std::abs(upper_bound), 1e-12);
 }
 
 PrimalDualSolver::PrimalDualSolver(PrimalDualOptions options)
@@ -151,15 +148,6 @@ void PrimalDualSolver::restore_state(util::BinaryReader& r) {
   for (auto& cell : last_active_) cell = r.size_vec();
 }
 
-ShardInputs PrimalDualSolver::Window::inputs() const {
-  ShardInputs in;
-  in.config = problem->config;
-  in.sparse_demand = demand;
-  in.initial_cache = &problem->initial_cache;
-  in.neighbor_rewards = neighbor_rewards;
-  return in;
-}
-
 HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
                                         const linalg::Vec* warm_mu,
                                         runtime::DeadlineToken* deadline) {
@@ -171,10 +159,8 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   // conversion keeps negative and NaN rates, so the check below still sees
   // every poisoned entry.
   model::SparseDemandTrace converted;
-  Window window;
-  window.problem = &problem;
-  window.demand = &model::sparse_trace(problem.demand_view(), converted);
-  const model::SparseDemandTrace& demand = *window.demand;
+  const model::SparseDemandTrace& demand =
+      model::sparse_trace(problem.demand_view(), converted);
   if (!demand_finite_nonnegative(demand)) {
     // Corrupted window (NaN/Inf/negative rates): iterating would only smear
     // the poison through mu and the schedules, so return the safe fallback —
@@ -194,10 +180,8 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   // lambda; off-support the subgradient is -x <= 0 and the projection pins
   // mu at 0), so the compact vector stores exactly the active coordinates
   // and nothing else (DESIGN.md §12).
-  window.sets = build_active_sets(config, demand, problem.initial_cache);
-  window.mu_offsets = mu_block_offsets(config, w, window.sets);
-  const ActiveSets& sets = window.sets;
-  const std::vector<std::size_t>& mu_off = window.mu_offsets;
+  ActiveSets sets = build_active_sets(config, demand, problem.initial_cache);
+  const std::vector<std::size_t> mu_off = mu_block_offsets(config, w, sets);
 
   // ---- Marginal BS cost scale: used for both the automatic step size and
   // the marginal initialization of mu. For SBS n at slot t the gradient of
@@ -291,12 +275,13 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   }
   last_active_ = sets.active;
   last_horizon_ = w;
-  window.step_scale = options_.step_scale > 0.0
-                          ? options_.step_scale
-                          : std::max(1e-9, 0.5 * mean_marginal);
   // Warm-started solves resume the step schedule where the previous window
   // stopped (see the solve() comment); cold solves restart at delta_0.
-  window.step_offset = warm_mu != nullptr ? step_offset_ : 0;
+  const DualAscentParams params{
+      options_.max_iterations, options_.epsilon, options_.step_alpha,
+      options_.step_scale > 0.0 ? options_.step_scale
+                                : std::max(1e-9, 0.5 * mean_marginal),
+      warm_mu != nullptr ? step_offset_ : 0};
 
   // ---- The persistent warm-start bank (the zero-allocation hot path, also
   // the state a sharded solve ships out and reclaims).
@@ -342,204 +327,94 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
       }
     }
   }
-  if (!neighbor_rewards.empty()) window.neighbor_rewards = &neighbor_rewards;
+  const ShardInputs inputs{
+      .config = problem.config,
+      .sparse_demand = &demand,
+      .initial_cache = &problem.initial_cache,
+      .neighbor_rewards = neighbor_rewards.empty() ? nullptr
+                                                   : &neighbor_rewards};
+  const ShardOptions shard_options{options_.load_balancing};
 
+  // ---- Algorithm 1 (dual_ascent.hpp). Every cell of the repaired buffer
+  // rewrites exactly its active coordinates (the rest are structural
+  // zeros), so it is reused across iterations without re-zeroing.
+  auto bounds = [&](const std::vector<double>& p1_objectives,
+                    const std::vector<double>& p2_objectives,
+                    const model::Schedule& repaired) {
+    return DualIterate{
+        serial_sum(p1_objectives) + serial_sum(p2_objectives),
+        model::schedule_cost(config, model::DemandTraceView(demand), repaired,
+                             problem.initial_cache)
+            .total()};
+  };
+  auto size_buffer = [&](model::Schedule& repaired) {
+    if (repaired.size() != w) repaired = empty_schedule(config, w);
+  };
+  HorizonSolution best;
+  bool solved = false;
   const std::size_t shards =
       shard::resolved_shard_count(options_.shard_count, num_sbs);
   if (shards > 0) {
-    return solve_sharded(window, deadline, shards, std::move(mu));
+    // Worker subprocesses, each running a ShardCore over its SBS range; the
+    // schedule is written here from their replies. A worker death aborts
+    // the solve without touching the warm state: the bank was only READ
+    // (at encode time) and is written back only by a successful finish(),
+    // and step_offset_ is left alone — so the supervisor's retry of the
+    // same solve is bit-identical to the solve that was lost.
+    if (!coordinator_) coordinator_ = std::make_unique<shard::Coordinator>();
+    shard::Coordinator& fleet = *coordinator_;
+    shard::IterationOutputs out;
+    solved =
+        fleet.begin(inputs, shard_options, shards, mu_off, mu, bank_) &&
+        run_dual_ascent(
+            params, deadline,
+            [&](bool apply_step, double delta, model::Schedule& repaired)
+                -> std::optional<DualIterate> {
+              if (!fleet.iterate(apply_step, delta, &out)) return std::nullopt;
+              size_buffer(repaired);
+              util::parallel_for(0, w * num_sbs, [&](std::size_t cell) {
+                const std::size_t t = cell / num_sbs;
+                const std::size_t n = cell % num_sbs;
+                write_repaired_cell(sets, t, n, out.x[n], out.repair_y[cell],
+                                    repaired[t]);
+              });
+              return bounds(out.p1_objectives, out.p2_objectives, repaired);
+            },
+            [&](bool apply_step, double delta) {
+              return fleet.finish(apply_step, delta, mu, bank_);
+            },
+            best);
+  } else {
+    // One full-range ShardCore in this process.
+    ShardCore core;
+    core.begin(inputs, shard_options, bank_, std::move(sets));
+    auto step = [&](bool apply_step, double delta) {
+      if (apply_step) core.dual_update(delta, mu);
+      return true;
+    };
+    solved = run_dual_ascent(
+        params, deadline,
+        [&](bool apply_step, double delta, model::Schedule& repaired) {
+          step(apply_step, delta);
+          core.iterate(mu);
+          size_buffer(repaired);
+          core.repair(&repaired);
+          return std::optional<DualIterate>(
+              bounds(core.p1_objectives(), core.p2_objectives(), repaired));
+        },
+        step, best);
   }
-  return solve_in_process(window, deadline, std::move(mu));
-}
-
-HorizonSolution PrimalDualSolver::finish_solve(HorizonSolution best,
-                                               linalg::Vec mu,
-                                               bool deadline_expired) {
+  if (!solved) {
+    return fallback_solution(problem, solver::SolveStatus::kWorkerFailure);
+  }
   best.mu = std::move(mu);
   step_offset_ = best.iterations;
-  best.status = best.gap() <= options_.epsilon
-                    ? solver::SolveStatus::kConverged
-                : deadline_expired ? solver::SolveStatus::kDeadlineExpired
-                                   : solver::SolveStatus::kIterationLimit;
   MDO_CHECK(!best.schedule.empty(), "primal-dual produced no schedule");
   MDO_TRACE("primal-dual: UB=" << best.upper_bound
                                << " LB=" << best.lower_bound
                                << " gap=" << best.gap()
                                << " iters=" << best.iterations);
   return best;
-}
-
-HorizonSolution PrimalDualSolver::solve_in_process(
-    Window& window, runtime::DeadlineToken* deadline, linalg::Vec mu) {
-  const HorizonProblem& problem = *window.problem;
-  const auto& config = *problem.config;
-  const std::size_t w = window.demand->horizon();
-  const model::DemandTraceView demand(*window.demand);
-
-  // One full-range shard, with every reduction kept below in serial index
-  // order.
-  ShardCore core;
-  core.begin(window.inputs(), ShardOptions{options_.load_balancing}, bank_,
-             std::move(window.sets));
-
-  HorizonSolution best;
-  best.upper_bound = kInf;
-  best.lower_bound = -kInf;
-
-  // ---- Repair schedule buffer, reused across dual iterations. Every cell
-  // rewrites exactly its active coordinates each iteration (the off-active
-  // entries are structurally zero and never touched), so the buffer needs
-  // no re-zeroing between iterations. An improved upper bound swaps the
-  // buffer into `best` and rebuilds lazily: two allocations per solve
-  // instead of one w * N * M * K zero-fill per iteration.
-  model::Schedule schedule = empty_schedule(config, w);
-
-  const solver::DiminishingStep step(options_.step_alpha);
-  bool deadline_expired = false;
-  for (std::size_t iteration = 0; iteration < options_.max_iterations;
-       ++iteration) {
-    // ---- Deadline poll: once per dual iteration, only after the first
-    // iteration completed — the repair pass below guarantees a feasible
-    // incumbent exists before the budget can cut the loop short. The poll
-    // sits at this serial point (not inside the parallel sections) so the
-    // number of polls, and hence a logical after_checks() expiry, is
-    // identical at every thread count.
-    if (iteration > 0 && deadline != nullptr && deadline->poll()) {
-      deadline_expired = true;
-      break;
-    }
-    core.iterate(mu);
-    double p1_value = 0.0;
-    for (const double value : core.p1_objectives()) p1_value += value;
-    double p2_value = 0.0;
-    for (const double value : core.p2_objectives()) p2_value += value;
-
-    // ---- Dual value = lower bound (weak duality).
-    const double dual_value = p1_value + p2_value;
-    best.lower_bound = std::max(best.lower_bound, dual_value);
-
-    // ---- Feasibility repair -> upper bound. P2 with c = 0 and ub = x.
-    core.repair(&schedule);
-    const model::CostBreakdown cost = model::schedule_cost(
-        config, demand, schedule, problem.initial_cache);
-    if (cost.total() < best.upper_bound) {
-      best.upper_bound = cost.total();
-      std::swap(best.schedule, schedule);
-      if (schedule.size() != w) schedule = empty_schedule(config, w);
-    }
-
-    best.iterations = iteration + 1;
-    if (best.gap() <= options_.epsilon) break;
-
-    const double delta =
-        window.step_scale * step(window.step_offset + iteration);
-    core.dual_update(delta, mu);
-  }
-  return finish_solve(std::move(best), std::move(mu), deadline_expired);
-}
-
-HorizonSolution PrimalDualSolver::solve_sharded(
-    const Window& window, runtime::DeadlineToken* deadline,
-    std::size_t shards, linalg::Vec mu) {
-  const HorizonProblem& problem = *window.problem;
-  const auto& config = *problem.config;
-  const std::size_t w = window.demand->horizon();
-  const std::size_t num_sbs = config.num_sbs();
-  const std::size_t k_count = config.num_contents;
-  const model::DemandTraceView demand(*window.demand);
-  const ActiveSets& sets = window.sets;
-  const ShardInputs inputs = window.inputs();
-
-  if (!coordinator_) coordinator_ = std::make_unique<shard::Coordinator>();
-  // A worker death anywhere below aborts the solve without touching the
-  // warm state: the bank was only READ (at encode time) and is written back
-  // only by a successful finish(), and step_offset_ is left alone — so the
-  // supervisor's retry of the same solve is bit-identical to the solve that
-  // was lost.
-  auto fail = [&]() {
-    return fallback_solution(problem, solver::SolveStatus::kWorkerFailure);
-  };
-  if (!coordinator_->begin(inputs, ShardOptions{options_.load_balancing},
-                           shards, window.mu_offsets, mu, bank_)) {
-    return fail();
-  }
-
-  HorizonSolution best;
-  best.upper_bound = kInf;
-  best.lower_bound = -kInf;
-  model::Schedule schedule = empty_schedule(config, w);
-
-  const solver::DiminishingStep step(options_.step_alpha);
-  bool deadline_expired = false;
-  // The projected step for iteration l is applied lazily: computed here
-  // after the gap check, shipped with the NEXT kIterate (workers update
-  // their mu slices before solving — each coordinate's update is
-  // independent, so slice-local application is bit-identical), or with
-  // kEnd when the loop stops with the step still pending. That keeps mu
-  // entirely off the per-iteration wire.
-  bool pending = false;
-  double pending_delta = 0.0;
-  shard::IterationOutputs out;
-  for (std::size_t iteration = 0; iteration < options_.max_iterations;
-       ++iteration) {
-    // Same serial-point poll (and poll count) as the in-process loop.
-    if (iteration > 0 && deadline != nullptr && deadline->poll()) {
-      deadline_expired = true;
-      break;
-    }
-    if (!coordinator_->iterate(pending, pending_delta, &out)) return fail();
-    pending = false;
-    double p1_value = 0.0;
-    for (const double value : out.p1_objectives) p1_value += value;
-    double p2_value = 0.0;
-    for (const double value : out.p2_objectives) p2_value += value;
-    const double dual_value = p1_value + p2_value;
-    best.lower_bound = std::max(best.lower_bound, dual_value);
-
-    // ---- Assemble the repaired schedule from the workers' x bits and
-    // repaired loads — the schedule-writing half of ShardCore::repair(),
-    // driven from the full-range active sets. Pure per-cell writes; the
-    // serial cost reduction below is what defines the upper bound.
-    util::parallel_for(0, w * num_sbs, [&](std::size_t cell) {
-      const std::size_t t = cell / num_sbs;
-      const std::size_t n = cell % num_sbs;
-      const std::vector<std::size_t>& al = sets.active[cell];
-      const std::vector<std::size_t>& map = sets.cell_p1[cell];
-      const std::size_t kp = sets.p1_list[n].size();
-      const std::size_t classes = config.sbs[n].num_classes();
-      const std::size_t a_count = al.size();
-      const linalg::Vec& y = out.repair_y[cell];
-      linalg::Vec& load = schedule[t].load.sbs_data(n);
-      for (std::size_t i = 0; i < a_count; ++i) {
-        schedule[t].cache.set(n, al[i], out.x[n][t * kp + map[i]] != 0);
-      }
-      for (std::size_t m = 0; m < classes; ++m) {
-        for (std::size_t i = 0; i < a_count; ++i) {
-          load[m * k_count + al[i]] = y[m * a_count + i];
-        }
-      }
-    });
-    const model::CostBreakdown cost = model::schedule_cost(
-        config, demand, schedule, problem.initial_cache);
-    if (cost.total() < best.upper_bound) {
-      best.upper_bound = cost.total();
-      std::swap(best.schedule, schedule);
-      if (schedule.size() != w) schedule = empty_schedule(config, w);
-    }
-
-    best.iterations = iteration + 1;
-    if (best.gap() <= options_.epsilon) break;
-
-    pending_delta = window.step_scale * step(window.step_offset + iteration);
-    pending = true;
-  }
-
-  // Close the session: workers apply a still-pending final step (matching
-  // the in-process loop, whose dual update has already run when the
-  // deadline or the iteration budget stops it) and return the final mu and
-  // the warm-start bank to the driver.
-  if (!coordinator_->finish(pending, pending_delta, mu, bank_)) return fail();
-  return finish_solve(std::move(best), std::move(mu), deadline_expired);
 }
 
 }  // namespace mdo::core

@@ -18,18 +18,19 @@
 // true demand) and every online controller's window subproblem (26)-(31)
 // (window = prediction horizon, predicted demand).
 //
-// The per-SBS / per-(slot, SBS) loop bodies live in core::ShardCore
-// (shard_core.hpp): the solver here runs one full-range shard in process,
-// or — with PrimalDualOptions::shard_count / MDO_SHARDS — fans the shards
-// out to worker subprocesses through shard::Coordinator, with bitwise-equal
+// The outer loop is core::run_dual_ascent (dual_ascent.hpp). The
+// per-SBS / per-(slot, SBS) loop bodies live in core::ShardCore
+// (shard_core.hpp): the solver here plugs one full-range shard in process
+// into that loop, or — with PrimalDualOptions::shard_count / MDO_SHARDS —
+// the worker subprocesses behind shard::Coordinator, with bitwise-equal
 // results (DESIGN.md §11).
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <vector>
 
+#include "core/dual_ascent.hpp"
 #include "core/load_balancing.hpp"
 #include "core/shard_core.hpp"
 #include "linalg/vec.hpp"
@@ -130,7 +131,7 @@ struct HorizonSolution {
   solver::SolveStatus status = solver::SolveStatus::kConverged;
 
   /// Relative optimality gap (UB - LB) / max(|UB|, 1e-12).
-  double gap() const;
+  double gap() const { return relative_gap(upper_bound, lower_bound); }
 };
 
 class PrimalDualSolver {
@@ -193,31 +194,6 @@ class PrimalDualSolver {
   void restore_state(util::BinaryReader& r);
 
  private:
-  /// The solve's window and its solve-scope structures, shared by the
-  /// in-process and the sharded loop.
-  struct Window {
-    const HorizonProblem* problem = nullptr;
-    const model::SparseDemandTrace* demand = nullptr;  // possibly converted
-    ActiveSets sets;
-    std::vector<std::size_t> mu_offsets;
-    const std::vector<linalg::Vec>* neighbor_rewards = nullptr;
-    double step_scale = 0.0;
-    std::size_t step_offset = 0;
-
-    ShardInputs inputs() const;
-  };
-
-  HorizonSolution solve_in_process(Window& window,
-                                   runtime::DeadlineToken* deadline,
-                                   linalg::Vec mu);
-  HorizonSolution solve_sharded(const Window& window,
-                                runtime::DeadlineToken* deadline,
-                                std::size_t shards, linalg::Vec mu);
-  /// Status, best schedule's bounds, and the step-schedule bookkeeping
-  /// shared by both loops' epilogues.
-  HorizonSolution finish_solve(HorizonSolution best, linalg::Vec mu,
-                               bool deadline_expired);
-
   PrimalDualOptions options_;
   std::vector<CellState> bank_;  // cell = t * num_sbs + n
   std::size_t bank_slots_ = 0;

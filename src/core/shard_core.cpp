@@ -67,6 +67,29 @@ std::vector<std::size_t> mu_block_offsets(const model::NetworkConfig& config,
   return offsets;
 }
 
+void write_repaired_cell(const ActiveSets& sets, std::size_t t,
+                         std::size_t n, const std::vector<std::uint8_t>& x,
+                         const linalg::Vec& y, model::SlotDecision& slot) {
+  const std::size_t cell = t * sets.p1_list.size() + n;
+  const std::vector<std::size_t>& al = sets.active[cell];
+  const std::vector<std::size_t>& map = sets.cell_p1[cell];
+  const std::uint8_t* bits = x.data() + t * sets.p1_list[n].size();
+  const std::size_t a_count = al.size();
+  for (std::size_t i = 0; i < a_count; ++i) {
+    slot.cache.set(n, al[i], bits[map[i]] != 0);
+  }
+  linalg::Vec& load = slot.load.sbs_data(n);
+  const std::size_t k_count = slot.load.num_contents();
+  const std::size_t classes = slot.load.num_classes(n);
+  MDO_CHECK(y.size() == classes * a_count,
+            "repaired cell: load size disagrees with the active set");
+  for (std::size_t m = 0; m < classes; ++m) {
+    for (std::size_t i = 0; i < a_count; ++i) {
+      load[m * k_count + al[i]] = y[m * a_count + i];
+    }
+  }
+}
+
 void ShardCore::begin(const ShardInputs& in, const ShardOptions& opts,
                       std::vector<CellState>& bank, ActiveSets sets) {
   MDO_REQUIRE(in.config != nullptr && in.initial_cache != nullptr,
@@ -219,18 +242,14 @@ void ShardCore::repair(model::Schedule* schedule) {
     const std::size_t n = cell % num_sbs;
     CellState& cs = bank[cell];
     const std::size_t classes = config.sbs[n].num_classes();
-    const std::vector<std::size_t>& al = sets_.active[cell];
     const std::vector<std::size_t>& map = sets_.cell_p1[cell];
     const std::size_t kp = p1_[n].sub.num_contents;
-    const std::size_t a_count = al.size();
+    const std::size_t a_count = map.size();
     linalg::Vec& ub = cs.ub;
     ub.assign(classes * a_count, 0.0);
     for (std::size_t i = 0; i < a_count; ++i) {
-      const bool cached = x_[n][t * kp + map[i]] != 0;
-      if (schedule != nullptr) (*schedule)[t].cache.set(n, al[i], cached);
-      if (cached) {
-        for (std::size_t m = 0; m < classes; ++m) ub[m * a_count + i] = 1.0;
-      }
+      if (x_[n][t * kp + map[i]] == 0) continue;
+      for (std::size_t m = 0; m < classes; ++m) ub[m * a_count + i] = 1.0;
     }
     // Unchanged-x fast path: the workspace still holds the solution for
     // this exact upper bound (the skip is valid only within one solve —
@@ -240,15 +259,12 @@ void ShardCore::repair(model::Schedule* schedule) {
       solve_load_balancing(cs.repair, options_.load_balancing);
     }
     if (schedule != nullptr) {
-      cs.repair.scatter_solution((*schedule)[t].load.sbs_data(n));
+      write_repaired_cell(sets_, t, n, x_[n], cs.repair.y(), (*schedule)[t]);
     }
   });
 }
 
 void ShardCore::dual_update(double delta, linalg::Vec& mu) {
-  const auto& config = *config_;
-  const std::size_t w = horizon_;
-  const std::size_t num_sbs = config.num_sbs();
   std::vector<CellState>& bank = *bank_;
 
   // ---- Projected subgradient ascent on mu: g = y - x (17). Only active
@@ -257,28 +273,16 @@ void ShardCore::dual_update(double delta, linalg::Vec& mu) {
   // there. Every coordinate updates independently of all others, so a
   // worker applying this to its slice produces the same values as the
   // full-range update — no cross-shard state is involved — and cells
-  // update in parallel (each owns a disjoint mu range).
-  util::parallel_for(0, w * num_sbs, [&](std::size_t cell) {
-    const std::size_t t = cell / num_sbs;
-    const std::size_t n = cell % num_sbs;
-    const std::size_t classes = config.sbs[n].num_classes();
-    CellState& cs = bank[cell];
-    const linalg::Vec& y = cs.p2.y();
-    // Expand the P1 bits for this cell once, then run the fused
-    // max(0, mu + delta*(y - x)) kernel row by row over the contiguous
-    // block.
-    const std::vector<std::size_t>& map = sets_.cell_p1[cell];
-    const std::size_t kp = p1_[n].sub.num_contents;
-    const std::size_t a_count = map.size();
-    cs.xd.resize(a_count);
-    for (std::size_t i = 0; i < a_count; ++i) {
-      cs.xd[i] = static_cast<double>(x_[n][t * kp + map[i]]);
-    }
-    double* block = mu.data() + mu_off_[cell];
-    for (std::size_t m = 0; m < classes; ++m) {
-      linalg::dual_ascent_project(block + m * a_count, y.data() + m * a_count,
-                                  cs.xd.data(), delta, a_count);
-    }
+  // update in parallel (each owns a disjoint mu range). x comes from the
+  // repair's upper bound, which is the cell's P1 bits laid out exactly
+  // like its mu block.
+  util::parallel_for(0, bank.size(), [&](std::size_t cell) {
+    const CellState& cs = bank[cell];
+    const std::size_t size = mu_off_[cell + 1] - mu_off_[cell];
+    MDO_CHECK(cs.ub.size() == size && cs.p2.y().size() == size,
+              "shard core: dual_update() needs iterate() and repair()");
+    linalg::dual_ascent_project(mu.data() + mu_off_[cell], cs.p2.y().data(),
+                                cs.ub.data(), delta, size);
   });
 }
 

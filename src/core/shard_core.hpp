@@ -9,7 +9,8 @@
 //                  slice, demand window, initial cache and workspace bank),
 //   iterate(mu)    runs one dual iteration's P1 + P2 passes,
 //   repair()       re-solves P2 with ub = x for the feasible incumbent,
-//   dual_update()  applies the projected subgradient step to mu.
+//   dual_update()  applies the projected subgradient step to mu (lazily:
+//                  before the next iterate(), or at the end of the solve).
 //
 // There is one solver path: every window is solved on its per-(slot, SBS)
 // active sets with the compact mu layout. A dense window is converted once
@@ -17,11 +18,14 @@
 //
 // The in-process solver runs ONE full-range ShardCore; the process-level
 // coordinator (src/shard/) runs one ShardCore per worker subprocess over a
-// slice config. The thread pool still parallelizes inside a shard, and
-// every floating-point accumulation that determines the result (P1/P2
-// sums, costs, bounds) stays OUTSIDE this class, in the solver that runs
-// the shards, in canonical serial index order — that is the determinism
-// argument for both thread- and shard-count invariance (DESIGN.md §11).
+// slice config; core::run_dual_ascent drives both. write_repaired_cell
+// writes the repaired schedule, from repair() in process and from the
+// workers' replies when sharded. The thread pool still parallelizes
+// inside a shard, and every floating-point accumulation that determines
+// the result (P1/P2 sums, costs, bounds) stays OUTSIDE this class, in the
+// solver that runs the shards, in canonical serial index order — that is
+// the determinism argument for both thread- and shard-count invariance
+// (DESIGN.md §11).
 #pragma once
 
 #include <cstddef>
@@ -43,8 +47,7 @@ namespace mdo::core {
 struct CellState {
   P2Workspace p2;      // dual-iteration P2 (linear term = mu)
   P2Workspace repair;  // feasibility repair (c = 0, ub = x)
-  linalg::Vec ub;      // repair upper-bound scratch
-  linalg::Vec xd;      // dual-ascent x-expansion scratch
+  linalg::Vec ub;      // repair upper bound: x on the compact mu layout
 };
 
 /// Active-set index structures, deterministic functions of (demand window,
@@ -74,6 +77,15 @@ ActiveSets build_active_sets(const model::NetworkConfig& config,
 std::vector<std::size_t> mu_block_offsets(const model::NetworkConfig& config,
                                           std::size_t horizon,
                                           const ActiveSets& sets);
+
+/// Writes the repaired cell (t, n) into `slot`: each active content's cache
+/// bit from the SBS's P1 plan `x` ([t * kp + i] over p1_list[n]) and its
+/// loads from the compact repaired `y`. Off-active entries are structural
+/// zeros and stay untouched, so a reused zero-initialised slot needs no
+/// clearing.
+void write_repaired_cell(const ActiveSets& sets, std::size_t t,
+                         std::size_t n, const std::vector<std::uint8_t>& x,
+                         const linalg::Vec& y, model::SlotDecision& slot);
 
 /// The subset of PrimalDualOptions a shard needs (kept separate so workers
 /// deserialize exactly these and nothing solver-lifecycle-related).
@@ -121,16 +133,20 @@ class ShardCore {
   void iterate(const linalg::Vec& mu);
 
   /// Feasibility repair for the current x: P2 with c = 0 and ub = x per
-  /// cell. When `schedule` is non-null (the in-process driver), cache bits
-  /// and load rows are written into it (slots sized for this shard's
-  /// config); a worker passes null and ships the workspace solutions
-  /// instead. The repaired y stays in bank[cell].repair either way.
+  /// cell. When `schedule` is non-null (the in-process solve), every cell
+  /// is written into it with write_repaired_cell (slots sized for this
+  /// shard's config); a worker passes null and ships x and the repaired y
+  /// instead, and the coordinating solver writes the schedule from the
+  /// reply with the same function. The repaired y stays in
+  /// bank[cell].repair either way.
   void repair(model::Schedule* schedule);
 
   /// Projected subgradient ascent on mu: g = y - x (17), coordinatewise
-  /// max(0, mu + delta * g). Each coordinate's update is independent, so
-  /// workers apply it to their slice with values bit-identical to the
-  /// full-range update, and cells update in parallel (disjoint mu ranges).
+  /// max(0, mu + delta * g), for the x and y of the last iterate(); reads
+  /// x through the repair's upper bound, so repair() must come between.
+  /// Each coordinate's update is independent, so workers apply it to their
+  /// slice with values bit-identical to the full-range update, and cells
+  /// update in parallel (disjoint mu ranges).
   void dual_update(double delta, linalg::Vec& mu);
 
   // Per-index outputs of the last iterate(); the driver reduces them

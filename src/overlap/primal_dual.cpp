@@ -1,19 +1,15 @@
 #include "overlap/primal_dual.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <optional>
+#include <utility>
 
 #include "core/caching.hpp"
-#include "solver/subgradient.hpp"
+#include "core/dual_ascent.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mdo::overlap {
-
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}
 
 void OverlapHorizonProblem::validate() const {
   MDO_REQUIRE(config != nullptr && layout != nullptr,
@@ -35,10 +31,6 @@ void OverlapHorizonProblem::validate() const {
     MDO_REQUIRE(cached <= config->sbs[n].cache_capacity,
                 "overlap horizon: initial cache over capacity");
   }
-}
-
-double OverlapHorizonSolution::gap() const {
-  return (upper_bound - lower_bound) / std::max(std::abs(upper_bound), 1e-12);
 }
 
 void OverlapP1Core::begin(const OverlapHorizonProblem& problem,
@@ -132,14 +124,21 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
     MDO_REQUIRE(warm_mu->size() == mu.size(), "overlap: warm mu size");
     mu = *warm_mu;
   }
-  const double step_scale = options_.step_scale > 0.0
-                                ? options_.step_scale
-                                : std::max(1e-9, 0.5 * mean_marginal);
-  const solver::DiminishingStep step(options_.step_alpha);
+  const core::DualAscentParams params{
+      options_.max_iterations, options_.epsilon, options_.step_alpha,
+      options_.step_scale > 0.0 ? options_.step_scale
+                                : std::max(1e-9, 0.5 * mean_marginal),
+      /*step_offset=*/0};
 
-  OverlapHorizonSolution best;
-  best.upper_bound = kInf;
-  best.lower_bound = -kInf;
+  // ---- Per-slot P2 workspaces: coefficients built once here, the dual
+  // loop then only refreshes the linear term (and the repair loop the box
+  // upper bound); the warm starts live inside and carry across solves.
+  bank_.resize(w);
+  util::parallel_for(0, w, [&](std::size_t t) {
+    SlotState& ss = bank_[t];
+    ss.p2.bind(config, layout, problem.demand[t]);
+    ss.repair.bind(config, layout, problem.demand[t]);
+  });
 
   // ---- Per-SBS P1 state, reused across dual iterations (shape and initial
   // cache are fixed for the whole solve; only the rewards change), owned by
@@ -148,67 +147,51 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
   p1.begin(problem, options_);
   const std::vector<std::vector<std::uint8_t>>& x = p1.x();  // [t*K + k]
 
-  // ---- Per-slot P2 workspaces: coefficients built once here, the dual
-  // loop then only refreshes the linear term (and the repair loop the box
-  // upper bound); the warm starts live inside and carry across solves.
-  std::vector<SlotState>& bank = bank_;
-  bank.resize(w);
-  util::parallel_for(0, w, [&](std::size_t t) {
-    SlotState& ss = bank[t];
-    ss.p2.bind(config, layout, problem.demand[t]);
-    ss.repair.bind(config, layout, problem.demand[t]);
-  });
-
-  bool deadline_expired = false;
-  linalg::Vec xd;  // per-slot x expansion for the fused dual-ascent kernel
-  for (std::size_t iteration = 0; iteration < options_.max_iterations;
-       ++iteration) {
-    // ---- Deadline poll at the serial point of the loop, only after the
-    // first iteration completed (a feasible incumbent then exists) — same
-    // placement and semantics as core::PrimalDualSolver.
-    if (iteration > 0 && deadline != nullptr && deadline->poll()) {
-      deadline_expired = true;
-      break;
+  // ---- Subgradient ascent: g = y - x, the fused kernel over each slot's
+  // contiguous span. x on the link layout is the repair's upper bound: the
+  // 0/1 expansion of the P1 plan that the pending step was computed from.
+  auto step = [&](bool apply_step, double delta) {
+    for (std::size_t t = 0; apply_step && t < w; ++t) {
+      linalg::dual_ascent_project(mu.data() + t * per_slot,
+                                  bank_[t].p2.y().data(), bank_[t].ub.data(),
+                                  delta, per_slot);
     }
-    // ---- P1 per SBS (unchanged caching structure; reuse the flow solver).
-    // Independent per SBS: the core fans out, then we reduce serially in
-    // SBS order so the objective is bit-identical at any thread count.
+    return true;
+  };
+
+  std::vector<double> p2_objectives(w, 0.0);
+  auto iterate = [&](bool apply_step, double delta,
+                     std::vector<OverlapDecision>& repaired) {
+    step(apply_step, delta);
+    // ---- P1 per SBS (unchanged caching structure; reuse the flow
+    // solver), reduced serially in SBS order below.
     p1.iterate(mu);
-    double p1_value = 0.0;
-    for (const double value : p1.objectives()) p1_value += value;
 
     // ---- P2 per slot (coupled across SBSs, independent across slots).
-    std::vector<double> p2_objectives(w, 0.0);
     util::parallel_for(0, w, [&](std::size_t t) {
-      SlotState& ss = bank[t];
+      SlotState& ss = bank_[t];
       ss.p2.set_linear(mu.data() + t * per_slot,
                        mu.data() + (t + 1) * per_slot);
       p2_objectives[t] =
           solve_overlap_load_balancing(ss.p2, options_.p2).objective;
     });
-    double p2_value = 0.0;
-    for (const double value : p2_objectives) p2_value += value;
-
-    best.lower_bound = std::max(best.lower_bound, p1_value + p2_value);
 
     // ---- Feasibility repair -> upper bound (independent per slot).
-    std::vector<OverlapDecision> schedule(w);
+    repaired.resize(w);
     util::parallel_for(0, w, [&](std::size_t t) {
-      SlotState& ss = bank[t];
-      schedule[t].cache = empty_cache(config);
+      SlotState& ss = bank_[t];
+      repaired[t].cache = empty_cache(config);
       linalg::Vec& ub = ss.ub;
       ub.assign(per_slot, 0.0);
       for (std::size_t n = 0; n < config.num_sbs(); ++n) {
         for (std::size_t k = 0; k < k_count; ++k) {
-          schedule[t].cache[n][k] = x[n][t * k_count + k];
+          repaired[t].cache[n][k] = x[n][t * k_count + k];
         }
       }
       for (std::size_t id = 0; id < layout.num_links(); ++id) {
-        const auto [m, n] = layout.link(id);
-        (void)m;
+        const std::size_t n = layout.link(id).second;
         for (std::size_t k = 0; k < k_count; ++k) {
-          ub[layout.index(id, k)] =
-              x[n][t * k_count + k] != 0 ? 1.0 : 0.0;
+          ub[layout.index(id, k)] = x[n][t * k_count + k] != 0 ? 1.0 : 0.0;
         }
       }
       // Unchanged-x fast path (valid within one solve: bind() above
@@ -217,44 +200,20 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
         ss.repair.set_upper(ub);
         solve_overlap_load_balancing(ss.repair, options_.p2);
       }
-      schedule[t].y = ss.repair.y();
+      repaired[t].y = ss.repair.y();
     });
-    const double ub_candidate = schedule_cost(config, layout, problem.demand,
-                                              schedule, problem.initial);
-    if (ub_candidate < best.upper_bound) {
-      best.upper_bound = ub_candidate;
-      best.schedule = std::move(schedule);
-    }
+    return std::optional<core::DualIterate>(
+        {core::serial_sum(p1.objectives()) + core::serial_sum(p2_objectives),
+         schedule_cost(config, layout, problem.demand, repaired,
+                       problem.initial)});
+  };
 
-    best.iterations = iteration + 1;
-    if (best.gap() <= options_.epsilon) break;
-
-    // ---- Subgradient ascent: g = y - x. x is expanded once per slot onto
-    // the link layout so the fused kernel runs over contiguous spans; each
-    // coordinate's update is exactly max(0, mu + delta * (y - x)) as before.
-    const double delta = step_scale * step(iteration);
-    for (std::size_t t = 0; t < w; ++t) {
-      const linalg::Vec& y = bank[t].p2.y();
-      xd.resize(per_slot);
-      for (std::size_t id = 0; id < layout.num_links(); ++id) {
-        const auto [m, n] = layout.link(id);
-        (void)m;
-        for (std::size_t k = 0; k < k_count; ++k) {
-          xd[layout.index(id, k)] =
-              static_cast<double>(x[n][t * k_count + k]);
-        }
-      }
-      linalg::dual_ascent_project(mu.data() + t * per_slot, y.data(),
-                                  xd.data(), delta, per_slot);
-    }
-  }
-
+  OverlapHorizonSolution best;
+  const bool solved =
+      core::run_dual_ascent(params, deadline, iterate, step, best);
+  MDO_CHECK(solved && !best.schedule.empty(),
+            "overlap primal-dual: no schedule");
   best.mu = std::move(mu);
-  best.status = best.gap() <= options_.epsilon
-                    ? solver::SolveStatus::kConverged
-                : deadline_expired ? solver::SolveStatus::kDeadlineExpired
-                                   : solver::SolveStatus::kIterationLimit;
-  MDO_CHECK(!best.schedule.empty(), "overlap primal-dual: no schedule");
   return best;
 }
 

@@ -1,14 +1,18 @@
 // Algorithm 1 for the overlapping-coverage extension.
 //
-// Identical skeleton to core::PrimalDualSolver: dualize y <= x with
-// multipliers mu over (slot, link, content), solve P1 per SBS with the
-// *unchanged* min-cost-flow solver from core (the caching structure is the
-// same; Theorem 1 still applies per SBS), solve the coupled overlap P2 per
-// slot with FISTA + Dykstra, repair feasibility for the upper bound, and
-// ascend the dual with diminishing subgradient steps.
+// Runs the same loop as core::PrimalDualSolver, core::run_dual_ascent
+// (core/dual_ascent.hpp), with the overlap model plugged in: dualize
+// y <= x with multipliers mu over (slot, link, content), solve P1 per SBS
+// with the *unchanged* min-cost-flow solver from core (the caching
+// structure is the same; Theorem 1 still applies per SBS), solve the
+// coupled overlap P2 per slot with FISTA + Dykstra, repair feasibility for
+// the upper bound, and ascend the dual with diminishing subgradient steps.
+// The bounds, the deadline poll, the gap exit, the lazy step and the
+// status rules are the loop's, not this solver's.
 #pragma once
 
 #include "core/caching.hpp"
+#include "core/dual_ascent.hpp"
 #include "overlap/p2.hpp"
 #include "runtime/deadline.hpp"
 #include "solver/status.hpp"
@@ -45,7 +49,7 @@ struct OverlapHorizonSolution {
   /// semantics), mirroring core::HorizonSolution::status.
   solver::SolveStatus status = solver::SolveStatus::kConverged;
 
-  double gap() const;
+  double gap() const { return core::relative_gap(upper_bound, lower_bound); }
 };
 
 /// Core of the overlap P1 stage: owns every SBS's caching subproblem and

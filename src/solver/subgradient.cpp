@@ -1,7 +1,5 @@
 #include "solver/subgradient.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace mdo::solver {
@@ -16,16 +14,6 @@ double DiminishingStep::operator()(std::size_t l) const {
   // (The former 1 / (1 + alpha l) made delta_0 always 1 and reduced alpha to
   // a decay knob that never scaled the step.)
   return alpha_ / (1.0 + static_cast<double>(l));
-}
-
-void ascend_projected(linalg::Vec& mu, const linalg::Vec& subgradient,
-                      double step) {
-  MDO_REQUIRE(mu.size() == subgradient.size(),
-              "subgradient ascent: size mismatch");
-  MDO_REQUIRE(step >= 0.0, "step must be non-negative");
-  for (std::size_t i = 0; i < mu.size(); ++i) {
-    mu[i] = std::max(0.0, mu[i] + step * subgradient[i]);
-  }
 }
 
 }  // namespace mdo::solver

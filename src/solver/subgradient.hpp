@@ -5,12 +5,11 @@
 // delta_l = alpha / (1 + l),
 // a harmonic schedule that satisfies the diminishing-step conditions
 // (sum delta_l = inf, delta_l -> 0) with alpha scaling the step magnitude.
-// These helpers keep that logic in one tested place.
+// The projected update itself is linalg::dual_ascent_project, and the one
+// loop that uses both is core::run_dual_ascent.
 #pragma once
 
 #include <cstddef>
-
-#include "linalg/vec.hpp"
 
 namespace mdo::solver {
 
@@ -25,9 +24,5 @@ class DiminishingStep {
  private:
   double alpha_;
 };
-
-/// mu <- max(0, mu + step * subgradient), eq. (15). Sizes must match.
-void ascend_projected(linalg::Vec& mu, const linalg::Vec& subgradient,
-                      double step);
 
 }  // namespace mdo::solver

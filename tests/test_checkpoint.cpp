@@ -30,6 +30,7 @@
 #include "sim/simulator.hpp"
 #include "util/atomic_file.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/ema_predictor.hpp"
 #include "workload/predictor.hpp"
 #include "workload/scenario.hpp"
@@ -442,9 +443,15 @@ TEST(Checkpoint, SurvivesAbruptProcessDeath) {
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    // Child: run part of the horizon, then die without unwinding —
+    // Child: first forget the parent's thread pool, whose threads do not
+    // exist here (a solve could wait on them forever), and run serially:
+    // results do not depend on the thread count, and ThreadSanitizer
+    // refuses to start threads in the child of a multi-threaded fork.
+    // Then run part of the horizon and die without unwinding —
     // destructors, flushes, and atexit handlers never run, exactly like a
     // crash. The checkpoint on disk must still be complete and valid.
+    util::ThreadPool::reset_global_after_fork();
+    util::ThreadPool::set_global_threads(1);
     auto crash_options = options;
     crash_options.halt_after_slot = 7;
     const sim::Simulator crashing(instance, predictor, crash_options);

@@ -1,8 +1,10 @@
 // Unit tests for the projected-gradient / FISTA solver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "linalg/vec.hpp"
 #include "solver/first_order.hpp"
 #include "solver/projection.hpp"
 #include "solver/subgradient.hpp"
@@ -207,16 +209,40 @@ TEST(Subgradient, RejectsNonPositiveAlpha) {
 }
 
 TEST(Subgradient, AscendProjectsOntoNonNegativeOrthant) {
+  // The subgradient y - x = {1, -2, -1}, as P2 loads y minus P1 bits x.
   Vec mu{0.5, 0.1, 0.0};
-  ascend_projected(mu, {1.0, -2.0, -1.0}, 0.5);
+  const Vec y{1.0, 0.0, 0.0};
+  const Vec x{0.0, 2.0, 1.0};
+  linalg::dual_ascent_project(mu.data(), y.data(), x.data(), 0.5, mu.size());
   EXPECT_DOUBLE_EQ(mu[0], 1.0);
   EXPECT_DOUBLE_EQ(mu[1], 0.0);  // clipped at zero (eq. 15)
   EXPECT_DOUBLE_EQ(mu[2], 0.0);
 }
 
-TEST(Subgradient, AscendValidatesSizes) {
-  Vec mu{1.0};
-  EXPECT_THROW(ascend_projected(mu, {1.0, 2.0}, 0.1), InvalidArgument);
+TEST(Subgradient, AscendMatchesScalarUpdateAcrossSimdBodyAndTail) {
+  // 19 coordinates: a vectorized build runs the SIMD body and then the
+  // scalar tail. Every coordinate must equal the scalar update bitwise.
+  Rng rng(5);
+  Vec mu(19), y(19), x(19);
+  // Every third coordinate is cached but unserved (x = 1, y = 0), so the
+  // step takes it below zero and the projection clips it.
+  for (std::size_t i = 0; i < mu.size(); ++i) {
+    const bool clipped = i % 3 == 0;
+    mu[i] = rng.uniform(0.0, 1.0);
+    y[i] = clipped ? 0.0 : rng.uniform(0.0, 1.0);
+    x[i] = clipped ? 1.0 : 0.0;
+  }
+  const double delta = 1.5;
+  Vec expected(mu.size());
+  for (std::size_t i = 0; i < mu.size(); ++i) {
+    expected[i] = std::max(0.0, mu[i] + delta * (y[i] - x[i]));
+  }
+  linalg::dual_ascent_project(mu.data(), y.data(), x.data(), delta,
+                              mu.size());
+  for (std::size_t i = 0; i < mu.size(); ++i) {
+    EXPECT_EQ(mu[i], expected[i]) << i;
+  }
+  EXPECT_EQ(std::count(mu.begin(), mu.end(), 0.0), 7);
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include "model/sparse_demand_io.hpp"
 #include "online/chc.hpp"
 #include "online/rhc.hpp"
+#include "runtime/deadline.hpp"
 #include "runtime/supervisor.hpp"
 #include "shard/coordinator.hpp"
 #include "shard/wire.hpp"
@@ -336,11 +337,99 @@ TEST(ShardSolve, SparseBitwiseEqualAcrossShardCounts) {
   expect_shard_counts_bitwise_equal(/*sparse=*/true);
 }
 
-/// Regression: a truncated-catalogue warm-start blob is only tens of bytes
-/// yet stores num_contents as a scalar field. The reader used to bound
-/// every size() against the payload length, so any catalogue larger than
-/// the blob itself was rejected as corrupt, every sharded solve fell back
-/// to kWorkerFailure, and only small-K tests could pass.
+// ---- The three exits of the dual-ascent loop -------------------------------
+//
+// Every backend runs the same loop, which applies the projected step
+// lazily: a step still pending when the loop stops is applied on the way
+// out. A deadline exit after L iterations and an iteration-cap exit at L
+// must therefore leave the same multipliers, and a backend that dropped
+// the pending step on one exit would differ here.
+
+/// Shard counts every loop-exit test covers: in process, one worker, two
+/// workers. Worker subprocesses are left out under ThreadSanitizer.
+std::vector<std::size_t> loop_shard_counts() {
+#ifdef MDO_SHARD_TESTS_TSAN
+  return {shard::kShardsInProcess};
+#else
+  return {shard::kShardsInProcess, std::size_t{1}, std::size_t{2}};
+#endif
+}
+
+/// Options whose gap exit cannot fire (no reachable gap is below
+/// epsilon), so the loop ends on the iteration cap or on the deadline.
+core::PrimalDualOptions exit_options(std::size_t shard_count,
+                                     std::size_t max_iterations) {
+  core::PrimalDualOptions options = solver_options(shard_count);
+  options.max_iterations = max_iterations;
+  options.epsilon = 1e-16;
+  return options;
+}
+
+/// Solves with a deadline that expires after `iterations` dual iterations
+/// and an iteration cap far above that.
+core::HorizonSolution deadline_stopped(const core::HorizonProblem& problem,
+                                       std::size_t shard_count,
+                                       std::size_t iterations) {
+  auto token = runtime::DeadlineToken::after_checks(iterations - 1);
+  return core::PrimalDualSolver(exit_options(shard_count, 100))
+      .solve(problem, nullptr, &token);
+}
+
+TEST(ShardSolve, DeadlineExitMatchesIterationCapBitwise) {
+  constexpr std::size_t kIterations = 5;
+  const auto instance = shard_instance(/*sparse=*/true);
+  const auto problem = as_problem(instance);
+  for (const std::size_t shards : loop_shard_counts()) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const auto capped =
+        core::PrimalDualSolver(exit_options(shards, kIterations))
+            .solve(problem);
+    ASSERT_EQ(capped.status, solver::SolveStatus::kIterationLimit);
+    auto stopped = deadline_stopped(problem, shards, kIterations);
+    ASSERT_EQ(stopped.status, solver::SolveStatus::kDeadlineExpired);
+    EXPECT_EQ(stopped.iterations, kIterations);
+    stopped.status = capped.status;  // the one field that may differ
+    expect_bitwise_equal(stopped, capped);
+  }
+}
+
+TEST(ShardSolve, DeadlineStoppedBitwiseEqualAcrossShardCounts) {
+  MDO_SKIP_IF_TSAN();
+  const auto instance = shard_instance(/*sparse=*/true);
+  const auto problem = as_problem(instance);
+  const auto in_process = deadline_stopped(problem, shard::kShardsInProcess, 3);
+  ASSERT_EQ(in_process.status, solver::SolveStatus::kDeadlineExpired);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
+                                   instance.config.num_sbs()}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    expect_bitwise_equal(deadline_stopped(problem, shards, 3), in_process);
+  }
+}
+
+TEST(ShardSolve, GapConvergedBitwiseEqualAcrossShardCounts) {
+  MDO_SKIP_IF_TSAN();
+  const auto instance = shard_instance(/*sparse=*/true);
+  const auto problem = as_problem(instance);
+  auto options = [](std::size_t shards) {
+    core::PrimalDualOptions loose = solver_options(shards);
+    loose.max_iterations = 100;
+    // This instance's relative gap first drops below 4% at the fifth
+    // iteration, so the loop stops on the gap after four steps.
+    loose.epsilon = 0.04;
+    return loose;
+  };
+  const auto in_process =
+      core::PrimalDualSolver(options(shard::kShardsInProcess)).solve(problem);
+  ASSERT_EQ(in_process.status, solver::SolveStatus::kConverged);
+  EXPECT_EQ(in_process.iterations, 5u);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
+                                   instance.config.num_sbs()}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    expect_bitwise_equal(core::PrimalDualSolver(options(shards)).solve(problem),
+                         in_process);
+  }
+}
+
 TEST(ShardSolve, DenseWindowMatchesItsSparseConversionBitwise) {
   MDO_SKIP_IF_TSAN();
   // The solver converts a dense window once at its boundary: handing it the
@@ -409,6 +498,11 @@ TEST(ShardSolve, DenseWindowMatchesItsSparseConversionBitwise) {
   util::ThreadPool::set_global_threads(1);
 }
 
+/// Regression: a truncated-catalogue warm-start blob is only tens of bytes
+/// yet stores num_contents as a scalar field. The reader used to bound
+/// every size() against the payload length, so any catalogue larger than
+/// the blob itself was rejected as corrupt, every sharded solve fell back
+/// to kWorkerFailure, and only small-K tests could pass.
 TEST(ShardSolve, CatalogueLargerThanWarmBlobBitwiseEqual) {
   MDO_SKIP_IF_TSAN();
   workload::PaperScenario scenario;
