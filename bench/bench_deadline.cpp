@@ -28,7 +28,6 @@
 //   --threads N   thread count for the determinism re-run (default 4)
 //   --json PATH   output path (default BENCH_deadline.json)
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -42,15 +41,6 @@
 namespace {
 
 using namespace mdo;
-
-/// Nearest-rank percentile of an unsorted sample; p in (0, 100].
-double percentile(std::vector<double> sample, double p) {
-  if (sample.empty()) return 0.0;
-  std::sort(sample.begin(), sample.end());
-  const auto n = static_cast<double>(sample.size());
-  const auto rank = static_cast<std::size_t>(std::ceil(p / 100.0 * n));
-  return sample[std::min(sample.size() - 1, rank > 0 ? rank - 1 : 0)];
-}
 
 std::vector<double> decision_latencies(const sim::SimulationResult& result) {
   std::vector<double> seconds;
@@ -88,8 +78,8 @@ BudgetRun run_budgeted(const model::ProblemInstance& instance,
     const auto latencies = decision_latencies(result);
     // Keep the best repetition's latency profile (load spikes only ever
     // make a run look worse, never better than the true cost of a solve).
-    out.p50 = std::min(out.p50, percentile(latencies, 50.0));
-    out.p99 = std::min(out.p99, percentile(latencies, 99.0));
+    out.p50 = std::min(out.p50, bench::percentile(latencies, 50.0));
+    out.p99 = std::min(out.p99, bench::percentile(latencies, 99.0));
     if (rep == 0) {
       out.cost = result.total_cost();
       out.expirations = log.deadline_expirations;

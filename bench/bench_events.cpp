@@ -19,10 +19,10 @@
 //     layer: one materializes the whole trace (batch loader + Simulator),
 //     one streams it slot by slot (StreamingTraceReader + run_streaming,
 //     O(lookahead) resident slots). Each child reports its own
-//     getrusage(RUSAGE_SELF).ru_maxrss over a pipe, exactly like
-//     bench_scaling, so the peak is attributed per mode. Gates: both modes
-//     must agree on cost and event metrics bit for bit, and the streaming
-//     peak RSS must stay below the materialized peak.
+//     getrusage(RUSAGE_SELF).ru_maxrss over a pipe (the RESULT-line
+//     protocol in common.hpp), so the peak is attributed per mode. Gates:
+//     both modes must agree on cost and event metrics bit for bit, and the
+//     streaming peak RSS must stay below the materialized peak.
 //
 // Flags:
 //   --slots N        convergence-scenario horizon (default 40)

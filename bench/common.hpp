@@ -38,9 +38,9 @@
 
 namespace mdo::bench {
 
-// ---- Measurement helpers shared by the subprocess-isolating benches
-// (bench_scaling, bench_events, bench_shard): percentiles, peak-RSS
-// attribution, and the popen-self / RESULT-line protocol. ----------------
+// ---- Measurement helpers for the benches that time decisions or isolate
+// measurements in subprocesses (bench_deadline, bench_events): percentiles,
+// peak-RSS attribution, and the popen-self / RESULT-line protocol. --------
 
 /// Nearest-rank percentile of an unsorted sample; p in (0, 100].
 inline double percentile(std::vector<double> sample, double p) {
@@ -55,15 +55,6 @@ inline double percentile(std::vector<double> sample, double p) {
 inline long self_peak_rss_kb() {
   struct rusage usage {};
   getrusage(RUSAGE_SELF, &usage);
-  return usage.ru_maxrss;
-}
-
-/// High-water peak RSS over every reaped child process in KiB. For a
-/// single-fleet run this is the largest worker's footprint — the number
-/// that bounds per-worker provisioning.
-inline long children_peak_rss_kb() {
-  struct rusage usage {};
-  getrusage(RUSAGE_CHILDREN, &usage);
   return usage.ru_maxrss;
 }
 

@@ -1,6 +1,8 @@
 #!/bin/sh
-# Regenerates every experiment in DESIGN.md §5 (default T=50; pass-through
-# of the paper-scale run: add --slots 100 to each line).
+# Regenerates every experiment in DESIGN.md §5 that still has a bench of
+# its own (default T=50; pass-through of the paper-scale run: add --slots
+# 100 to each line). E9-E11, E14 and E15 are measured by perfbench/run.py
+# and gated by ctest (EXPERIMENTS.md).
 set -x
 cd "$(dirname "$0")/.."
 ./build/bench/bench_headline_table          > results/headline.txt 2>&1
@@ -11,14 +13,8 @@ cd "$(dirname "$0")/.."
 ./build/bench/bench_ablation                > results/ablation.txt 2>&1
 ./build/bench/bench_competitive_ratio       > results/competitive_ratio.txt 2>&1
 ./build/bench/bench_solvers                 > results/solvers.txt 2>&1
-./build/bench/bench_hotpath --json BENCH_hotpath.json > results/hotpath.txt 2>&1
-./build/bench/bench_scaling --json BENCH_scaling.json > results/scaling.txt 2>&1
 ./build/bench/bench_deadline --json results/BENCH_deadline.json > results/deadline.txt 2>&1
 ./build/bench/bench_events --rss-slots 1500 --rss-scale 250 --min-requests 10000000 --json results/BENCH_events.json > results/events.txt 2>&1
-./build/bench/bench_shard --json results/BENCH_shard.json > results/shard.txt 2>&1
-# E15 — compact-mu byte accounting + p99 budget (two-way bitwise guard:
-# dense vs sparse instances, which share the one compact-mu solver path).
-./build/bench/bench_scaling --ks 10000 --p99-budget-ms 2000 --json results/BENCH_compact_mu.json > results/compact_mu.txt 2>&1
 # E16 — collaborative SBS-to-SBS caching: cooperative vs non-cooperative on
 # ring/grid/geo topologies; fails unless cooperation strictly helps on every
 # topology and the zero-bandwidth arms agree bit for bit.

@@ -1,0 +1,134 @@
+// Steady-state allocation gate for P2 (see DESIGN.md "hot-path memory
+// model"): once a core::P2Workspace is bound and warmed up, re-solving it
+// with a refreshed linear term — exactly what the dual loop does per
+// iteration — must not touch the heap, on the exact parametric path AND on
+// the FISTA path.
+//
+// The binary replaces the global allocation functions with a counting
+// forwarder to malloc/free, so it is its own executable: the counter would
+// otherwise see every allocation of the suites linked next to it.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "core/load_balancing.hpp"
+#include "linalg/vec.hpp"
+#include "model/sparse_demand.hpp"
+#include "util/rng.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  void* ptr = std::malloc(size > 0 ? size : 1);
+  if (ptr == nullptr) throw std::bad_alloc();
+  return ptr;
+}
+
+void* counted_alloc_aligned(std::size_t size, std::size_t alignment) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
+  void* ptr = std::aligned_alloc(alignment, rounded > 0 ? rounded : alignment);
+  if (ptr == nullptr) throw std::bad_alloc();
+  return ptr;
+}
+
+std::uint64_t allocation_count() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_alloc_aligned(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_alloc_aligned(size, static_cast<std::size_t>(align));
+}
+void operator delete(void* ptr) noexcept { std::free(ptr); }
+void operator delete[](void* ptr) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::align_val_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::align_val_t) noexcept {
+  std::free(ptr);
+}
+void operator delete(void* ptr, std::size_t, std::align_val_t) noexcept {
+  std::free(ptr);
+}
+void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept {
+  std::free(ptr);
+}
+
+namespace mdo {
+namespace {
+
+/// Binds one workspace on a 30x30 cell, solves twice to warm it up, then
+/// re-solves `repeats` times with a perturbed linear term (the dual loop's
+/// per-iteration pattern) and returns the heap allocations of those
+/// re-solves. A nonzero omega on every MU class sends the solve down the
+/// FISTA path; omega = 0 qualifies it for the exact solver.
+std::uint64_t steady_p2_allocations(bool fista_path, std::size_t repeats) {
+  const std::size_t classes = 30, contents = 30;
+  model::SbsConfig sbs;
+  sbs.cache_capacity = contents;
+  sbs.bandwidth = static_cast<double>(classes) / 2.0;
+  sbs.replacement_beta = 1.0;
+  model::SbsDemand dense(classes, contents);
+  Rng rng(5);
+  sbs.classes.resize(classes);
+  for (auto& mu : sbs.classes) {
+    mu = {rng.uniform(0.0, 1.0), fista_path ? 0.05 : 0.0};
+  }
+  for (auto& v : dense.data()) v = rng.uniform(0.0, 2.0 / contents);
+  const model::SparseSbsDemand demand =
+      model::SparseSbsDemand::from_dense(dense);
+  std::vector<std::size_t> active(contents);
+  for (std::size_t k = 0; k < contents; ++k) active[k] = k;
+  linalg::Vec base(classes * contents);
+  for (auto& v : base) v = rng.uniform(0.0, 0.2);
+  linalg::Vec c = base;
+
+  core::P2Workspace ws;
+  const core::LoadBalancingOptions options;
+  ws.bind_active(sbs, demand, active);
+  ws.set_linear(c.data(), c.data() + c.size());
+  core::solve_load_balancing(ws, options);
+  // Second warm-up with the steady loop's perturbation pattern: the exact
+  // parametric path sizes a tie-grouping scratch by the number of distinct
+  // breakpoints, which the perturbed c can raise once.
+  for (std::size_t j = 0; j < c.size(); ++j) {
+    c[j] = base[j] * (1.0 + 0.01 * static_cast<double>(j % 7));
+  }
+  ws.set_linear(c.data(), c.data() + c.size());
+  core::solve_load_balancing(ws, options);
+
+  const std::uint64_t before_steady = allocation_count();
+  for (std::size_t r = 0; r < repeats; ++r) {
+    for (std::size_t j = 0; j < c.size(); ++j) {
+      c[j] = base[j] * (1.0 + 0.01 * static_cast<double>((r + j) % 7));
+    }
+    ws.set_linear(c.data(), c.data() + c.size());
+    core::solve_load_balancing(ws, options);
+  }
+  return allocation_count() - before_steady;
+}
+
+constexpr std::size_t kSteadyRepeats = 64;
+
+TEST(Allocations, ExactP2SteadyStateIsAllocationFree) {
+  EXPECT_EQ(steady_p2_allocations(false, kSteadyRepeats), 0u);
+}
+
+TEST(Allocations, FistaP2SteadyStateIsAllocationFree) {
+  EXPECT_EQ(steady_p2_allocations(true, kSteadyRepeats), 0u);
+}
+
+}  // namespace
+}  // namespace mdo

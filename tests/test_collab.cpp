@@ -26,6 +26,7 @@
 #include "shard/coordinator.hpp"
 #include "shard/wire.hpp"
 #include "sim/simulator.hpp"
+#include "tsan_skip.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/predictor.hpp"
 #include "workload/scenario.hpp"
@@ -222,6 +223,7 @@ TEST(Collab, ExecutedDecisionsRespectInterSbsLinkCaps) {
 // ---- solver neighbor coupling across the wire -----------------------------
 
 TEST(Collab, NeighborPricedSolveBitIdenticalAcrossShards) {
+  MDO_SKIP_IF_TSAN();
   // p1_neighbor_price > 0 ships per-SBS neighbor-reward blocks and
   // omega_neigh through the kBegin frame; the sharded solve must
   // still be bit-identical to the in-process one.

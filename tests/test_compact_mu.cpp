@@ -16,6 +16,7 @@
 #include "online/rhc.hpp"
 #include "shard/coordinator.hpp"
 #include "sim/simulator.hpp"
+#include "tsan_skip.hpp"
 #include "util/error.hpp"
 #include "util/serialize.hpp"
 #include "util/thread_pool.hpp"
@@ -150,6 +151,7 @@ TEST(CompactMu, CompactDenseRoundTripIsLossless) {
 // ---- solver-level bit-identity -------------------------------------------
 
 TEST(CompactMu, SolverBitIdenticalAcrossThreadsAndShards) {
+  MDO_SKIP_IF_TSAN();
   const auto instance = sparse_instance();
   const auto problem = window_problem(instance);
   const auto sets = core::build_active_sets(

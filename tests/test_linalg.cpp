@@ -1,11 +1,8 @@
 // Unit tests for the dense linear-algebra substrate.
 #include <gtest/gtest.h>
 
-#include "linalg/lu.hpp"
-#include "linalg/matrix.hpp"
 #include "linalg/vec.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace mdo::linalg {
 namespace {
@@ -45,97 +42,6 @@ TEST(Vec, ApproxEqual) {
   EXPECT_FALSE(approx_equal({1.0}, {1.1}, 1e-9));
   EXPECT_FALSE(approx_equal({1.0}, {1.0, 2.0}, 1e-9));
 }
-
-TEST(Matrix, ConstructionAndAccess) {
-  Matrix m{{1.0, 2.0}, {3.0, 4.0}};
-  EXPECT_EQ(m.rows(), 2u);
-  EXPECT_EQ(m.cols(), 2u);
-  EXPECT_DOUBLE_EQ(m(0, 1), 2.0);
-  EXPECT_DOUBLE_EQ(m.at(1, 0), 3.0);
-  EXPECT_THROW(m.at(2, 0), InvalidArgument);
-}
-
-TEST(Matrix, RejectsRaggedRows) {
-  EXPECT_THROW(Matrix({{1.0, 2.0}, {3.0}}), InvalidArgument);
-}
-
-TEST(Matrix, MultiplyVector) {
-  Matrix m{{1.0, 2.0}, {3.0, 4.0}};
-  EXPECT_EQ(m.multiply(Vec{1.0, 1.0}), (Vec{3.0, 7.0}));
-  EXPECT_EQ(m.multiply_transpose(Vec{1.0, 1.0}), (Vec{4.0, 6.0}));
-}
-
-TEST(Matrix, MultiplyMatrixMatchesManual) {
-  Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  Matrix b{{0.0, 1.0}, {1.0, 0.0}};
-  const Matrix c = a.multiply(b);
-  EXPECT_DOUBLE_EQ(c(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(c(0, 1), 1.0);
-  EXPECT_DOUBLE_EQ(c(1, 0), 4.0);
-  EXPECT_DOUBLE_EQ(c(1, 1), 3.0);
-}
-
-TEST(Matrix, TransposeAndSwapRows) {
-  Matrix m{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
-  const Matrix t = m.transpose();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_DOUBLE_EQ(t(2, 1), 6.0);
-  m.swap_rows(0, 1);
-  EXPECT_DOUBLE_EQ(m(0, 0), 4.0);
-  EXPECT_EQ(m.row(1), (Vec{1.0, 2.0, 3.0}));
-}
-
-TEST(Matrix, IdentityMultiplicationIsNoop) {
-  const Matrix identity = Matrix::identity(3);
-  Matrix m{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}, {7.0, 8.0, 9.0}};
-  EXPECT_DOUBLE_EQ(Matrix::max_abs_diff(m.multiply(identity), m), 0.0);
-}
-
-TEST(Lu, SolvesKnownSystem) {
-  Matrix a{{2.0, 1.0}, {1.0, 3.0}};
-  const Vec x = lu_solve(a, {3.0, 5.0});
-  EXPECT_NEAR(x[0], 0.8, 1e-12);
-  EXPECT_NEAR(x[1], 1.4, 1e-12);
-}
-
-TEST(Lu, DetectsSingular) {
-  Matrix a{{1.0, 2.0}, {2.0, 4.0}};
-  EXPECT_THROW(LuDecomposition{a}, SolverError);
-}
-
-TEST(Lu, Determinant) {
-  Matrix a{{2.0, 0.0}, {0.0, 3.0}};
-  EXPECT_NEAR(LuDecomposition(a).determinant(), 6.0, 1e-12);
-  Matrix b{{0.0, 1.0}, {1.0, 0.0}};  // permutation: det = -1
-  EXPECT_NEAR(LuDecomposition(b).determinant(), -1.0, 1e-12);
-}
-
-TEST(Lu, RequiresSquare) {
-  Matrix a(2, 3, 1.0);
-  EXPECT_THROW(LuDecomposition{a}, InvalidArgument);
-}
-
-/// Property: LU solve recovers x from b = A x on random well-conditioned
-/// systems of varying sizes.
-class LuRandomTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(LuRandomTest, SolveRecoversSolution) {
-  const std::size_t n = GetParam();
-  Rng rng(1000 + n);
-  Matrix a(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.uniform(-1.0, 1.0);
-    a(i, i) += static_cast<double>(n);  // diagonal dominance
-  }
-  Vec x_true(n);
-  for (auto& v : x_true) v = rng.uniform(-5.0, 5.0);
-  const Vec b = a.multiply(x_true);
-  const Vec x = lu_solve(a, b);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, LuRandomTest,
-                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 }  // namespace
 }  // namespace mdo::linalg

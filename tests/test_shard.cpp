@@ -31,23 +31,11 @@
 #include "runtime/supervisor.hpp"
 #include "shard/coordinator.hpp"
 #include "shard/wire.hpp"
+#include "tsan_skip.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/predictor.hpp"
 #include "workload/scenario.hpp"
-
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define MDO_SHARD_TESTS_TSAN 1
-#endif
-#endif
-
-#ifdef MDO_SHARD_TESTS_TSAN
-#define MDO_SKIP_IF_TSAN() \
-  GTEST_SKIP() << "fork-based shard tests are not TSan-compatible"
-#else
-#define MDO_SKIP_IF_TSAN() (void)0
-#endif
 
 namespace mdo {
 namespace {
@@ -376,6 +364,7 @@ core::HorizonSolution deadline_stopped(const core::HorizonProblem& problem,
 }
 
 TEST(ShardSolve, DeadlineExitMatchesIterationCapBitwise) {
+  MDO_SKIP_IF_TSAN();
   constexpr std::size_t kIterations = 5;
   const auto instance = shard_instance(/*sparse=*/true);
   const auto problem = as_problem(instance);

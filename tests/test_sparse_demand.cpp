@@ -23,6 +23,7 @@
 #include "workload/predictor.hpp"
 #include "workload/scenario.hpp"
 #include "workload/trace_io.hpp"
+#include "workload/zipf.hpp"
 
 namespace mdo {
 namespace {
@@ -377,7 +378,15 @@ TEST(SparseDemand, AllControllersBitIdenticalDenseVsSparse) {
   auto ring = small_experiment();
   ring.scenario.num_sbs = 4;
   ring.scenario.neighbor_topology = workload::NeighborTopologyKind::kRing;
-  for (sim::ExperimentConfig config : {small_experiment(), ring}) {
+  // The truncated-Zipf input cuts a large catalogue at a K-tied min_rate,
+  // the Zipf pmf at rank 0.02 K, so both representations keep only the
+  // head and the sparse support is a small fraction of the catalogue.
+  auto zipf = small_experiment();
+  zipf.scenario.num_contents = 1000;
+  zipf.scenario.workload.min_rate = workload::zipf_mandelbrot_pmf(
+      zipf.scenario.num_contents, zipf.scenario.workload.zipf_alpha,
+      zipf.scenario.workload.zipf_q)[zipf.scenario.num_contents / 50];
+  for (sim::ExperimentConfig config : {small_experiment(), ring, zipf}) {
     const auto dense_outcomes = sim::run_schemes(config);
     config.use_sparse_demand = true;
     const auto sparse_outcomes = sim::run_schemes(config);
