@@ -42,6 +42,30 @@ void bind_workspace(P2Workspace& ws, const LoadBalancingSubproblem& problem) {
   if (!problem.upper.empty()) ws.set_upper(problem.upper);
 }
 
+/// Insertion moves per entry a warm order may take before repair_order
+/// gives up on it and sorts from scratch.
+constexpr std::size_t kRepairMovesPerEntry = 8;
+
+/// Sorts a warm `order` ascending. It arrives in the previous call's order
+/// with fresh thresholds, which one diminishing mu step leaves nearly
+/// sorted, so an insertion pass repairs it in O(n + moves). The pairs are
+/// totally ordered (j is unique), so the result is std::sort's, element
+/// for element.
+void repair_order(std::vector<std::pair<double, std::size_t>>& order) {
+  std::size_t moves_left = kRepairMovesPerEntry * order.size();
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    const std::pair<double, std::size_t> entry = order[i];
+    std::size_t k = i;
+    for (; k > 0 && entry < order[k - 1]; --k) order[k] = order[k - 1];
+    order[k] = entry;
+    if (i - k > moves_left) {
+      std::sort(order.begin(), order.end());
+      return;
+    }
+    moves_left -= i - k;
+  }
+}
+
 }  // namespace
 
 void LoadBalancingSubproblem::validate() const {
@@ -130,6 +154,12 @@ void P2Workspace::bind_active(const model::SbsConfig& sbs,
   coeff_.ub.assign(size, 1.0);
   upper_finite_ = true;
   has_solution_ = false;
+
+  zero_u_.clear();
+  for (std::size_t j = 0; j < size; ++j) {
+    if (coeff_.u[j] <= 0.0) zero_u_.push_back(j);
+  }
+  order_warm_ = false;
 }
 
 void P2Workspace::set_linear(const double* begin, const double* end) {
@@ -146,6 +176,7 @@ void P2Workspace::set_upper(const linalg::Vec& upper) {
   MDO_REQUIRE(upper.size() == coeff_.lambda.size(),
               "P2 workspace: upper size");
   coeff_.ub = upper;
+  order_warm_ = false;
   upper_finite_ = all_finite(coeff_.ub);
   if (upper_finite_) {
     // Non-finite bounds are reported via the solve status instead of thrown,
@@ -240,28 +271,40 @@ void P2Workspace::stationary_point(double theta) {
 
   // Coordinates with u_j = 0 do not move s: they activate exactly when
   // their linear coefficient (c_j + theta lambda_j) is negative.
-  // Coordinates with u_j > 0 activate when phi = 2(a - s) exceeds their
-  // threshold t_j = (c_j + theta lambda_j) / u_j.
-  thresholds_.clear();
-  if (thresholds_.capacity() < size) thresholds_.reserve(size);
-  for (std::size_t j = 0; j < size; ++j) {
+  for (const std::size_t j : zero_u_) {
     const double price = coeff_.c[j] + theta * coeff_.lambda[j];
-    if (coeff_.u[j] <= 0.0) {
-      if (price < 0.0) exact_y_[j] = coeff_.ub[j];
-      continue;
-    }
-    if (coeff_.ub[j] <= 0.0) continue;  // pinned at zero
-    thresholds_.push_back({price / coeff_.u[j], j});
+    if (price < 0.0) exact_y_[j] = coeff_.ub[j];
   }
-  std::sort(thresholds_.begin(), thresholds_.end());
+  // Eligible coordinates (u_j > 0, ub_j > 0) activate when phi = 2(a - s)
+  // exceeds their threshold t_j = (c_j + theta lambda_j) / u_j. The first
+  // call after a binding collects and sorts them; later calls recompute the
+  // thresholds in the last call's order and repair it.
+  const auto threshold_of = [&](std::size_t j) {
+    const double price = coeff_.c[j] + theta * coeff_.lambda[j];
+    return price / coeff_.u[j];
+  };
+  if (order_warm_) {
+    for (auto& [threshold, j] : order_) threshold = threshold_of(j);
+    repair_order(order_);
+  } else {
+    order_.clear();
+    if (order_.capacity() < size) order_.reserve(size);
+    for (std::size_t j = 0; j < size; ++j) {
+      if (coeff_.u[j] <= 0.0) continue;   // in zero_u_
+      if (coeff_.ub[j] <= 0.0) continue;  // pinned at zero
+      order_.push_back({threshold_of(j), j});
+    }
+    std::sort(order_.begin(), order_.end());
+    order_warm_ = true;
+  }
 
   // Group equal thresholds (within a tiny tolerance) so ties are split
   // fractionally rather than flip-flopped. Groups are (begin, end) ranges
-  // into the sorted thresholds array — no per-group member vectors.
+  // into the sorted order — no per-group member vectors.
   groups_.clear();
-  for (std::size_t i = 0; i < thresholds_.size(); ++i) {
-    const double threshold = thresholds_[i].first;
-    const std::size_t j = thresholds_[i].second;
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    const double threshold = order_[i].first;
+    const std::size_t j = order_[i].second;
     if (groups_.empty() ||
         threshold >
             groups_.back().threshold + 1e-12 * (1.0 + std::abs(threshold))) {
@@ -311,14 +354,14 @@ void P2Workspace::stationary_point(double theta) {
 
   for (std::size_t g = 0; g < active_groups; ++g) {
     for (std::size_t i = groups_[g].begin; i < groups_[g].end; ++i) {
-      const std::size_t j = thresholds_[i].second;
+      const std::size_t j = order_[i].second;
       exact_y_[j] = coeff_.ub[j];
     }
   }
   if (solved_group < groups_.size()) {
     for (std::size_t i = groups_[solved_group].begin;
          i < groups_[solved_group].end; ++i) {
-      const std::size_t j = thresholds_[i].second;
+      const std::size_t j = order_[i].second;
       exact_y_[j] = fraction * coeff_.ub[j];
     }
   }

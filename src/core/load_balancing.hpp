@@ -20,10 +20,16 @@
 // (slot, SBS) per dual iteration. P2Workspace keeps everything that does
 // NOT change between dual iterations — the coefficient vectors lambda/u/v,
 // the scalar a, the cached feasible set, the FISTA buffers, and the exact
-// solver's sort/group scratch — and exposes cheap in-place refreshes for
-// the parts that DO change: the linear term c (the multipliers) and the
-// box upper bound ub (the repair cache vector). The previous solution
-// stays in the workspace as the next solve's warm start. A workspace-based
+// solver's coordinate classification and sort/group scratch — and exposes
+// cheap in-place refreshes for the parts that DO change: the linear term c
+// (the multipliers) and the box upper bound ub (the repair cache vector).
+// The previous solution stays in the workspace as the next solve's warm
+// start. The exact solver also keeps its last sorted threshold order: mu
+// moves one diminishing step between dual iterations, so the next call
+// repairs that order with an insertion pass (falling back to a full sort
+// past a fixed move budget) instead of sorting from scratch. The order is
+// only a hint — the (threshold, j) pairs are totally ordered, so the
+// repaired order equals a cold sort element for element. A workspace-based
 // solve heap-allocates nothing once its buffers reach the instance size,
 // and returns bit-identical results to the legacy entry points (which are
 // now thin wrappers over a throwaway workspace).
@@ -141,7 +147,9 @@ class P2Workspace {
   /// can influence future results: the warm-start vector y and the compact
   /// binding metadata (compact_/classes_/contents_/active_) that
   /// bind_active() consults to decide whether the warm start is still
-  /// aligned. Everything else is rebuilt by the next bind. Restoring this
+  /// aligned. Everything else is rebuilt by the next bind — including the
+  /// exact solver's warm threshold order, which only speeds up the sort
+  /// and never changes its result, so it is not saved. Restoring this
   /// state into a fresh workspace makes the next solve bit-identical to
   /// one on the original workspace — the checkpoint/resume contract.
   void save_warm_state(util::BinaryWriter& w) const;
@@ -176,16 +184,21 @@ class P2Workspace {
   solver::BoxKnapsackSet feasible_;
   solver::FirstOrderWorkspace first_order_;
 
-  // Exact-solver scratch: flat sorted thresholds plus group ranges into
-  // them (the legacy per-group member vectors were one heap allocation per
-  // group per bisection probe).
+  // Exact-solver state. The coordinates split by the binding: zero_u_
+  // holds those with u_j <= 0, order_ the eligible ones (u_j > 0 and
+  // ub_j > 0) as (threshold, j) pairs in the last call's sorted order —
+  // the warm order the next call repairs. groups_ are tie ranges into
+  // order_ (the legacy per-group member vectors were one heap allocation
+  // per group per bisection probe).
   struct GroupRange {
     double threshold = 0.0;
-    std::size_t begin = 0;  // range into thresholds_
+    std::size_t begin = 0;  // range into order_
     std::size_t end = 0;
     double mass = 0.0;  // sum of u_j * ub_j over the range
   };
-  std::vector<std::pair<double, std::size_t>> thresholds_;
+  std::vector<std::size_t> zero_u_;
+  std::vector<std::pair<double, std::size_t>> order_;
+  bool order_warm_ = false;  // order_ is a previous call's sorted order
   std::vector<GroupRange> groups_;
   linalg::Vec exact_y_;  // stationary-point candidate
 

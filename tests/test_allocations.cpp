@@ -1,8 +1,10 @@
 // Steady-state allocation gate for P2 (see DESIGN.md "hot-path memory
 // model"): once a core::P2Workspace is bound and warmed up, re-solving it
 // with a refreshed linear term — exactly what the dual loop does per
-// iteration — must not touch the heap, on the exact parametric path AND on
-// the FISTA path.
+// iteration — must not touch the heap, on the exact parametric path (with
+// the bandwidth binding or slack) AND on the FISTA path. Neither must the
+// feasibility repair's pattern, a box upper bound alternating between two
+// cache masks.
 //
 // The binary replaces the global allocation functions with a counting
 // forwarder to malloc/free, so it is its own executable: the counter would
@@ -69,16 +71,25 @@ void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept {
 namespace mdo {
 namespace {
 
+enum class Regime {
+  kExactBinding,  // the exact solver bisects the bandwidth multiplier
+  kExactSlack,    // the exact solver stops at theta = 0
+  kMaskToggle,    // exact; set_upper alternates two masks, c = 0
+  kFista,         // a nonzero omega_sbs sends the solve down FISTA
+};
+
 /// Binds one workspace on a 30x30 cell, solves twice to warm it up, then
 /// re-solves `repeats` times with a perturbed linear term (the dual loop's
-/// per-iteration pattern) and returns the heap allocations of those
-/// re-solves. A nonzero omega on every MU class sends the solve down the
-/// FISTA path; omega = 0 qualifies it for the exact solver.
-std::uint64_t steady_p2_allocations(bool fista_path, std::size_t repeats) {
+/// per-iteration pattern; the repair's mask toggle for kMaskToggle) and
+/// returns the heap allocations of those re-solves.
+std::uint64_t steady_p2_allocations(Regime regime, std::size_t repeats) {
+  const bool fista_path = regime == Regime::kFista;
   const std::size_t classes = 30, contents = 30;
   model::SbsConfig sbs;
   sbs.cache_capacity = contents;
-  sbs.bandwidth = static_cast<double>(classes) / 2.0;
+  sbs.bandwidth = regime == Regime::kExactSlack
+                      ? 1e6
+                      : static_cast<double>(classes) / 2.0;
   sbs.replacement_beta = 1.0;
   model::SbsDemand dense(classes, contents);
   Rng rng(5);
@@ -98,6 +109,21 @@ std::uint64_t steady_p2_allocations(bool fista_path, std::size_t repeats) {
   core::P2Workspace ws;
   const core::LoadBalancingOptions options;
   ws.bind_active(sbs, demand, active);
+  if (regime == Regime::kMaskToggle) {
+    linalg::Vec masks[2] = {linalg::Vec(classes * contents),
+                            linalg::Vec(classes * contents)};
+    for (auto& mask : masks) {
+      for (auto& b : mask) b = rng.bernoulli(0.3) ? 0.0 : 1.0;
+      ws.set_upper(mask);  // warm-up: both masks once
+      core::solve_load_balancing(ws, options);
+    }
+    const std::uint64_t before_steady = allocation_count();
+    for (std::size_t r = 0; r < repeats; ++r) {
+      ws.set_upper(masks[r % 2]);
+      core::solve_load_balancing(ws, options);
+    }
+    return allocation_count() - before_steady;
+  }
   ws.set_linear(c.data(), c.data() + c.size());
   core::solve_load_balancing(ws, options);
   // Second warm-up with the steady loop's perturbation pattern: the exact
@@ -123,11 +149,19 @@ std::uint64_t steady_p2_allocations(bool fista_path, std::size_t repeats) {
 constexpr std::size_t kSteadyRepeats = 64;
 
 TEST(Allocations, ExactP2SteadyStateIsAllocationFree) {
-  EXPECT_EQ(steady_p2_allocations(false, kSteadyRepeats), 0u);
+  EXPECT_EQ(steady_p2_allocations(Regime::kExactBinding, kSteadyRepeats), 0u);
+}
+
+TEST(Allocations, ExactP2SlackBandwidthIsAllocationFree) {
+  EXPECT_EQ(steady_p2_allocations(Regime::kExactSlack, kSteadyRepeats), 0u);
+}
+
+TEST(Allocations, ExactP2MaskToggleIsAllocationFree) {
+  EXPECT_EQ(steady_p2_allocations(Regime::kMaskToggle, kSteadyRepeats), 0u);
 }
 
 TEST(Allocations, FistaP2SteadyStateIsAllocationFree) {
-  EXPECT_EQ(steady_p2_allocations(true, kSteadyRepeats), 0u);
+  EXPECT_EQ(steady_p2_allocations(Regime::kFista, kSteadyRepeats), 0u);
 }
 
 }  // namespace

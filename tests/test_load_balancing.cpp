@@ -1,11 +1,17 @@
 // Tests for the load-balancing subproblem P2.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <vector>
 
 #include "core/load_balancing.hpp"
+#include "model/sparse_demand.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
 
 namespace mdo::core {
 namespace {
@@ -283,6 +289,187 @@ TEST_P(ExactVsFistaTest, ObjectivesAgree) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, ExactVsFistaTest,
                          ::testing::Range<std::uint64_t>(1, 41));
+
+// ------------------------------------------------ warm threshold order ----
+
+/// An exact-path cell on the compact active set of all contents. Rates and
+/// omegas repeat, so thresholds tie across distinct j; rate-0 entries and
+/// the omega-0 class give u_j = 0 coordinates.
+struct WarmOrderCell {
+  model::SbsConfig sbs;
+  model::SparseSbsDemand demand;
+  std::vector<std::size_t> active;
+  std::size_t size = 0;
+
+  WarmOrderCell(double bandwidth, std::uint64_t seed) {
+    const std::size_t classes = 4, contents = 40;
+    sbs.cache_capacity = contents;
+    sbs.bandwidth = bandwidth;
+    sbs.replacement_beta = 1.0;
+    sbs.classes = {model::MuClass{0.8, 0.0}, model::MuClass{0.3, 0.0},
+                   model::MuClass{0.8, 0.0}, model::MuClass{0.0, 0.0}};
+    const double rates[] = {0.0, 0.05, 0.1, 0.1, 0.2};
+    Rng rng(seed);
+    model::SbsDemand dense(classes, contents);
+    for (auto& v : dense.data()) v = rates[rng.uniform_int(0, 4)];
+    demand = model::SparseSbsDemand::from_dense(dense);
+    active.resize(contents);
+    std::iota(active.begin(), active.end(), std::size_t{0});
+    size = classes * contents;
+  }
+};
+
+/// Solves `warm` as the caller left it and expects y and the objective to
+/// be bitwise equal to a freshly bound workspace solved on the same
+/// (c, ub), whose first call sorts cold. Returns the warm solve's
+/// iteration count (> 1 once the bandwidth bisection ran).
+std::size_t expect_warm_equals_cold(P2Workspace& warm,
+                                    const WarmOrderCell& cell,
+                                    const linalg::Vec& c,
+                                    const linalg::Vec& ub) {
+  const LoadBalancingOutcome warm_out = solve_load_balancing(warm, {});
+
+  P2Workspace cold;
+  cold.bind_active(cell.sbs, cell.demand, cell.active);
+  cold.set_linear(c.data(), c.data() + c.size());
+  cold.set_upper(ub);
+  const LoadBalancingOutcome cold_out = solve_load_balancing(cold, {});
+
+  EXPECT_EQ(warm.y().size(), cold.y().size());
+  if (warm.y().size() == cold.y().size()) {
+    EXPECT_EQ(std::memcmp(warm.y().data(), cold.y().data(),
+                          sizeof(double) * cold.y().size()),
+              0);
+  }
+  EXPECT_EQ(std::memcmp(&warm_out.objective, &cold_out.objective,
+                        sizeof(double)),
+            0);
+  return warm_out.iterations;
+}
+
+/// Bandwidth of the cell: slack (theta = 0 only) or binding (bisection).
+class WarmOrderTest : public ::testing::TestWithParam<double> {};
+
+TEST_P(WarmOrderTest, LinearSequenceMatchesColdSort) {
+  const WarmOrderCell cell(GetParam(), 3);
+  const bool binding = GetParam() < 5.0;
+  Rng rng(17);
+  linalg::Vec c(cell.size, 0.0);
+  const linalg::Vec ub(cell.size, 1.0);
+  P2Workspace ws;
+  ws.bind_active(cell.sbs, cell.demand, cell.active);
+  std::size_t bisections = 0;
+  const auto step = [&] {
+    ws.set_linear(c.data(), c.data() + c.size());
+    if (expect_warm_equals_cold(ws, cell, c, ub) > 1) ++bisections;
+  };
+
+  // All-zero c: one tie group at threshold 0.
+  step();
+  // Small diminishing steps of a projected subgradient walk.
+  for (auto& v : c) v = rng.uniform(0.0, 0.3);
+  step();
+  for (int s = 1; s <= 40; ++s) {
+    for (auto& v : c) {
+      v = std::max(0.0, v + rng.uniform(-0.02, 0.02) / s);
+    }
+    step();
+  }
+  // Large jumps: far from the warm order, past the move budget.
+  for (int s = 0; s < 5; ++s) {
+    for (auto& v : c) v = rng.uniform(-0.5, 1.0);
+    step();
+  }
+  std::fill(c.begin(), c.end(), 0.0);
+  step();
+  // Mixed signed zeros, alone and around a repeated nonzero value.
+  for (auto& v : c) v = rng.bernoulli(0.5) ? -0.0 : 0.0;
+  step();
+  for (auto& v : c) {
+    v = rng.bernoulli(0.3) ? 0.1 : (rng.bernoulli(0.5) ? -0.0 : 0.0);
+  }
+  step();
+  // Repeated values: large tie groups that shift between steps.
+  const double levels[] = {0.0, 0.04, 0.08, -0.04};
+  for (int s = 0; s < 10; ++s) {
+    for (auto& v : c) {
+      if (rng.bernoulli(0.2)) v = levels[rng.uniform_int(0, 3)];
+    }
+    step();
+  }
+
+  if (binding) {
+    EXPECT_GT(bisections, 0u);
+  } else {
+    EXPECT_EQ(bisections, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Bandwidth, WarmOrderTest,
+                         ::testing::Values(100.0, 1.0));
+
+TEST(WarmOrder, UpperMaskToggleMatchesColdSort) {
+  // The repair pattern: c = 0 and set_upper alternating between two cache
+  // masks, on a binding bandwidth so every solve bisects.
+  const WarmOrderCell cell(1.0, 5);
+  Rng rng(23);
+  linalg::Vec c(cell.size, 0.0);
+  linalg::Vec mask_a(cell.size), mask_b(cell.size);
+  for (auto& b : mask_a) b = rng.bernoulli(0.3) ? 0.0 : 1.0;
+  for (auto& b : mask_b) b = rng.bernoulli(0.3) ? 0.0 : 1.0;
+  P2Workspace ws;
+  ws.bind_active(cell.sbs, cell.demand, cell.active);
+  for (int round = 0; round < 6; ++round) {
+    const linalg::Vec& mask = round % 2 == 0 ? mask_a : mask_b;
+    ws.set_upper(mask);
+    EXPECT_GT(expect_warm_equals_cold(ws, cell, c, mask), 1u);
+  }
+  // The same toggle under a nonzero linear term.
+  for (auto& v : c) v = rng.uniform(0.0, 0.2);
+  ws.set_linear(c.data(), c.data() + c.size());
+  for (int round = 0; round < 4; ++round) {
+    const linalg::Vec& mask = round % 2 == 0 ? mask_a : mask_b;
+    ws.set_upper(mask);
+    expect_warm_equals_cold(ws, cell, c, mask);
+  }
+}
+
+TEST(WarmOrder, CheckpointRoundTripSolvesLikeTheWarmWorkspace) {
+  // The order is not checkpointed: a restored workspace sorts cold on its
+  // first solve and must still match the warm original bit for bit.
+  const WarmOrderCell cell(1.0, 7);
+  Rng rng(29);
+  linalg::Vec c(cell.size);
+  for (auto& v : c) v = rng.uniform(0.0, 0.3);
+  P2Workspace warm;
+  warm.bind_active(cell.sbs, cell.demand, cell.active);
+  for (int s = 1; s <= 5; ++s) {
+    for (auto& v : c) v = std::max(0.0, v + rng.uniform(-0.02, 0.02) / s);
+    warm.set_linear(c.data(), c.data() + c.size());
+    solve_load_balancing(warm, {});
+  }
+
+  util::BinaryWriter writer;
+  warm.save_warm_state(writer);
+  P2Workspace restored;
+  util::BinaryReader reader(writer.bytes());
+  restored.restore_warm_state(reader);
+  restored.bind_active(cell.sbs, cell.demand, cell.active);
+
+  for (auto& v : c) v = std::max(0.0, v + rng.uniform(-0.02, 0.02) / 6);
+  warm.set_linear(c.data(), c.data() + c.size());
+  restored.set_linear(c.data(), c.data() + c.size());
+  const LoadBalancingOutcome warm_out = solve_load_balancing(warm, {});
+  const LoadBalancingOutcome restored_out =
+      solve_load_balancing(restored, {});
+  ASSERT_EQ(warm.y().size(), restored.y().size());
+  EXPECT_EQ(std::memcmp(warm.y().data(), restored.y().data(),
+                        sizeof(double) * warm.y().size()),
+            0);
+  EXPECT_EQ(std::memcmp(&warm_out.objective, &restored_out.objective,
+                        sizeof(double)),
+            0);
+}
 
 // ------------------------------------------------- optimal_load_for_cache ----
 
