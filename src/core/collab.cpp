@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "model/feasibility.hpp"
+#include "solver/first_order.hpp"
 #include "solver/projection.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -11,6 +12,10 @@
 namespace mdo::core {
 
 namespace {
+
+/// Relative improvement a group must achieve to be accepted (see the
+/// acceptance test in overlay_receiver).
+constexpr double kAcceptanceMargin = 1e-9;
 
 /// One offloadable coordinate of receiver n: class m, content k, demand
 /// rate lambda > 0, routed through designated source `src`.
@@ -27,8 +32,7 @@ struct Candidate {
 /// order (DESIGN.md §12).
 bool overlay_receiver(const model::NetworkConfig& config,
                       const model::SparseSbsDemand& demand,
-                      model::SlotDecision& decision, std::size_t n,
-                      const CollabOptions& options) {
+                      model::SlotDecision& decision, std::size_t n) {
   const auto& sbs = config.sbs[n];
   const auto& row = config.topology.links[n];
   if (row.empty()) return false;
@@ -119,7 +123,9 @@ bool overlay_receiver(const model::NetworkConfig& config,
     const auto project = [&](const linalg::Vec& in, linalg::Vec& out) {
       solver::project_box_knapsack_into(in, set, out);
     };
-    solver::FirstOrderOptions fo = options.first_order;
+    // The default FISTA options converge these tiny (<= active-set-size)
+    // problems well below the acceptance margin.
+    solver::FirstOrderOptions fo;
     fo.lipschitz = lipschitz;
     ws.x.assign(dim, 0.0);
     minimize_projected(objective, project, ws, fo);
@@ -145,7 +151,7 @@ bool overlay_receiver(const model::NetworkConfig& config,
     // Accept only a strict improvement with margin: the margin absorbs
     // last-ulp re-association in the downstream cost kernels, keeping
     // cooperative <= non-cooperative at full double precision.
-    if (!(after + options.acceptance_margin * (before + 1.0) < before)) {
+    if (!(after + kAcceptanceMargin * (before + 1.0) < before)) {
       continue;
     }
     for (std::size_t i = 0; i < dim; ++i) {
@@ -164,8 +170,7 @@ bool overlay_receiver(const model::NetworkConfig& config,
 
 bool apply_neighbor_overlay(const model::NetworkConfig& config,
                             model::SlotDemandView demand,
-                            model::SlotDecision& decision,
-                            const CollabOptions& options) {
+                            model::SlotDecision& decision) {
   if (!config.has_neighbor_tier()) return false;
   model::SparseSlotDemand storage;
   const model::SparseSlotDemand& slot = model::sparse_slot(demand, storage);
@@ -176,7 +181,7 @@ bool apply_neighbor_overlay(const model::NetworkConfig& config,
   std::vector<std::uint8_t> assigned(num_sbs, 0);
   util::parallel_for(0, num_sbs, [&](std::size_t n) {
     assigned[n] =
-        overlay_receiver(config, slot[n], decision, n, options) ? 1 : 0;
+        overlay_receiver(config, slot[n], decision, n) ? 1 : 0;
   });
   bool any = false;
   for (const auto flag : assigned) any = any || flag != 0;

@@ -15,10 +15,10 @@
 // (R = current omega_bs-weighted BS residual, S = current omega_neigh-
 // weighted neighbor traffic of SBS n) with FISTA over a box+knapsack
 // projection, in ascending source order with running R and S
-// (Gauss-Seidel). A group's solution is only accepted when it strictly
-// improves the closed-form objective, so the overlaid decision never
-// costs more than the input decision: cooperative <= non-cooperative by
-// construction, slot by slot.
+// (Gauss-Seidel). A group's solution is only accepted when it improves
+// the closed-form objective by a relative margin of 1e-9 (collab.cpp), so
+// the overlaid decision never costs more than the input decision:
+// cooperative <= non-cooperative by construction, slot by slot.
 //
 // The overlay mutates ONLY the decision's neighbor bank. The cache
 // schedule, the local fractions, mu trajectories and warm-start banks are
@@ -36,20 +36,8 @@
 #include "model/demand.hpp"
 #include "model/network.hpp"
 #include "model/sparse_demand.hpp"
-#include "solver/first_order.hpp"
 
 namespace mdo::core {
-
-struct CollabOptions {
-  /// Inner FISTA options for the per-group solves. The defaults converge
-  /// these tiny (<= active-set-size) problems well below the acceptance
-  /// margin.
-  solver::FirstOrderOptions first_order{};
-  /// Relative improvement a group must achieve to be accepted; guards the
-  /// cooperative <= non-cooperative invariant against last-ulp
-  /// re-association in downstream cost accounting.
-  double acceptance_margin = 1e-9;
-};
 
 /// Applies the overlay to one slot's decision in place. Allocates the
 /// decision's neighbor bank on first use. Returns true when any neighbor
@@ -57,7 +45,6 @@ struct CollabOptions {
 /// no positive-bandwidth link.
 bool apply_neighbor_overlay(const model::NetworkConfig& config,
                             model::SlotDemandView demand,
-                            model::SlotDecision& decision,
-                            const CollabOptions& options = {});
+                            model::SlotDecision& decision);
 
 }  // namespace mdo::core

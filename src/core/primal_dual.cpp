@@ -16,6 +16,9 @@ namespace mdo::core {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// alpha in the step schedule delta_l = alpha / (1 + l) (16); 1 keeps
+// delta_0 = 1, so the first step is exactly the marginal-cost scale.
+constexpr double kStepAlpha = 1.0;
 
 bool demand_finite_nonnegative(const model::SparseDemandTrace& demand) {
   for (std::size_t t = 0; t < demand.horizon(); ++t) {
@@ -89,8 +92,6 @@ PrimalDualSolver::PrimalDualSolver(PrimalDualOptions options)
     : options_(options) {
   MDO_REQUIRE(options_.max_iterations >= 1, "need at least one iteration");
   MDO_REQUIRE(options_.epsilon > 0.0, "epsilon must be positive");
-  MDO_REQUIRE(options_.step_alpha > 0.0, "step_alpha must be positive");
-  MDO_REQUIRE(options_.step_scale >= 0.0, "step_scale must be >= 0");
   MDO_REQUIRE(options_.p1_neighbor_price >= 0.0,
               "p1_neighbor_price must be >= 0");
 }
@@ -183,7 +184,7 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   ActiveSets sets = build_active_sets(config, demand, problem.initial_cache);
   const std::vector<std::size_t> mu_off = mu_block_offsets(config, w, sets);
 
-  // ---- Marginal BS cost scale: used for both the automatic step size and
+  // ---- Marginal BS cost scale: used for both the step size and
   // the marginal initialization of mu. For SBS n at slot t the gradient of
   // f at y = 0 is 2 * a * u_j, with a the omega-weighted total demand. Only
   // stored entries are visited: the skipped terms are exact zeros (they
@@ -217,7 +218,7 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
                it != cell_demand.row_end(m); ++it) {
             const double value = 2.0 * a * sbs.classes[m].omega_bs * it->rate;
             mean_marginal += value;
-            if (options_.marginal_initialization && warm_mu == nullptr) {
+            if (warm_mu == nullptr) {
               while (pos < a_count && al[pos] < it->content) ++pos;
               MDO_CHECK(pos < a_count && al[pos] == it->content,
                         "compact mu: support content missing from active "
@@ -278,9 +279,8 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   // Warm-started solves resume the step schedule where the previous window
   // stopped (see the solve() comment); cold solves restart at delta_0.
   const DualAscentParams params{
-      options_.max_iterations, options_.epsilon, options_.step_alpha,
-      options_.step_scale > 0.0 ? options_.step_scale
-                                : std::max(1e-9, 0.5 * mean_marginal),
+      options_.max_iterations, options_.epsilon, kStepAlpha,
+      std::max(1e-9, 0.5 * mean_marginal),
       warm_mu != nullptr ? step_offset_ : 0};
 
   // ---- The persistent warm-start bank (the zero-allocation hot path, also

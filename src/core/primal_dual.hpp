@@ -74,16 +74,9 @@ struct HorizonProblem {
 struct PrimalDualOptions {
   std::size_t max_iterations = 16;  // L in Algorithm 1
   double epsilon = 1e-4;            // relative-gap accuracy (paper: 0.0001)
-  /// alpha in delta_l = alpha / (1 + l) (16). Recalibrated from the old
-  /// 0.08 (which under the former 1/(1 + alpha l) schedule never scaled the
-  /// first step): 1.0 keeps delta_0 = 1 so step_scale retains its meaning.
-  double step_alpha = 1.0;
-  /// Multiplies the schedule (16); 0 selects an automatic scale derived
-  /// from the marginal BS cost (see primal_dual.cpp).
-  double step_scale = 0.0;
-  /// Initialize mu at the marginal BS-cost gradient instead of zero when no
-  /// warm start is supplied; dramatically reduces iterations to a good dual.
-  bool marginal_initialization = true;
+  // The step schedule (16) and the cold start are constants in
+  // primal_dual.cpp: delta_l = alpha / (1 + l) with alpha = 1, scaled by half
+  // the mean marginal BS cost, and mu starts at the marginal BS-cost gradient.
   LoadBalancingOptions load_balancing{};
   /// Neighbor-demand tilt of P1 (DESIGN.md §13): when positive and the
   /// config carries a positive-bandwidth neighbor topology, every content's

@@ -116,7 +116,7 @@ void FhcPlanner::plan(std::ptrdiff_t tau,
   // With no deadline and no log this is exactly solver_.solve(problem,
   // warm) — the clean path stays bit-identical to the unsupervised planner.
   auto solution = runtime::supervised_solve(solver_, problem, warm,
-                                            deadline, {}, log,
+                                            deadline, log,
                                             static_cast<std::size_t>(
                                                 std::max<std::ptrdiff_t>(tau,
                                                                          0)),

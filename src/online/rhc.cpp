@@ -49,7 +49,7 @@ model::SlotDecision RhcController::decide(const DecisionContext& ctx) {
   // RHC commits only the first action, so a truncated backoff retry may
   // shrink the window down to a single slot.
   const auto solution = runtime::supervised_solve(
-      solver_, problem, /*warm_mu=*/nullptr, ctx.deadline, {},
+      solver_, problem, /*warm_mu=*/nullptr, ctx.deadline,
       ctx.supervision, ctx.slot, /*min_horizon=*/1);
 
   trajectory_cache_ = solution.schedule.front().cache;

@@ -11,6 +11,11 @@
 
 namespace mdo::overlap {
 
+namespace {
+// alpha in the step schedule delta_l = alpha / (1 + l) (16).
+constexpr double kStepAlpha = 1.0;
+}  // namespace
+
 void OverlapHorizonProblem::validate() const {
   MDO_REQUIRE(config != nullptr && layout != nullptr,
               "overlap horizon: config/layout must be set");
@@ -82,7 +87,6 @@ OverlapPrimalDualSolver::OverlapPrimalDualSolver(
     : options_(options) {
   MDO_REQUIRE(options_.max_iterations >= 1, "need at least one iteration");
   MDO_REQUIRE(options_.epsilon > 0.0, "epsilon must be positive");
-  MDO_REQUIRE(options_.step_alpha > 0.0, "step_alpha must be positive");
 }
 
 OverlapHorizonSolution OverlapPrimalDualSolver::solve(
@@ -113,7 +117,7 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
         const double marginal =
             2.0 * a * config.classes[m].omega_bs * demand.at(m, k);
         mean_marginal += marginal;
-        if (options_.marginal_initialization && warm_mu == nullptr) {
+        if (warm_mu == nullptr) {
           mu[t * per_slot + layout.index(id, k)] = marginal;
         }
       }
@@ -125,9 +129,8 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
     mu = *warm_mu;
   }
   const core::DualAscentParams params{
-      options_.max_iterations, options_.epsilon, options_.step_alpha,
-      options_.step_scale > 0.0 ? options_.step_scale
-                                : std::max(1e-9, 0.5 * mean_marginal),
+      options_.max_iterations, options_.epsilon, kStepAlpha,
+      std::max(1e-9, 0.5 * mean_marginal),
       /*step_offset=*/0};
 
   // ---- Per-slot P2 workspaces: coefficients built once here, the dual

@@ -32,9 +32,8 @@ struct OverlapHorizonProblem {
 struct OverlapPrimalDualOptions {
   std::size_t max_iterations = 16;
   double epsilon = 1e-4;
-  double step_alpha = 1.0;  // delta_l = alpha / (1 + l), see subgradient.hpp
-  double step_scale = 0.0;  // 0 = automatic (marginal-gradient scale)
-  bool marginal_initialization = true;
+  // Step schedule and cold start as in core::PrimalDualOptions: alpha = 1,
+  // marginal-gradient scale and initialization (primal_dual.cpp).
   OverlapP2Options p2{};
 };
 

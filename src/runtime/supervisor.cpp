@@ -11,6 +11,11 @@ namespace mdo::runtime {
 
 namespace {
 
+/// Backoff retries after a failed primary solve.
+constexpr std::size_t kMaxRetries = 2;
+/// Tolerance multiplier per retry: attempt i solves to epsilon * relax^i.
+constexpr double kToleranceRelax = 10.0;
+
 /// Window prefix of `problem` with the first `horizon` slots — the
 /// truncated subproblem of a backoff retry. HorizonProblem references its
 /// demand window, so the holder owns the truncated sparse trace and the
@@ -62,7 +67,6 @@ core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
                                        const core::HorizonProblem& problem,
                                        const linalg::Vec* warm_mu,
                                        DeadlineToken* deadline,
-                                       const SupervisionOptions& options,
                                        SupervisionLog* log, std::size_t slot,
                                        std::size_t min_horizon) {
   core::HorizonSolution primary = solver.solve(problem, warm_mu, deadline);
@@ -98,7 +102,9 @@ core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
     // untouched by the aborted solve — so the retry runs the SAME problem
     // on the SAME solver (no tolerance relax, no truncation): it respawns
     // the worker fleet and reproduces the lost solve bit-identically.
-    for (std::size_t attempt = 1; attempt <= options.max_retries; ++attempt) {
+    std::size_t last_attempt = 0;
+    for (std::size_t attempt = 1; attempt <= kMaxRetries; ++attempt) {
+      last_attempt = attempt;
       core::HorizonSolution retry = solver.solve(problem, warm_mu, deadline);
       record(SupervisionEventKind::kRetry, attempt, problem.horizon(), retry);
       if (usable(retry)) {
@@ -115,8 +121,8 @@ core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
         break;
       }
     }
-    record(SupervisionEventKind::kExhausted, options.max_retries,
-           problem.horizon(), primary);
+    record(SupervisionEventKind::kExhausted, last_attempt, problem.horizon(),
+           primary);
     MDO_WARN("supervisor: slot "
              << slot
              << " exhausted worker-failure retries; serving the safe "
@@ -133,24 +139,23 @@ core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
   const std::size_t floor_horizon =
       std::min(std::max<std::size_t>(min_horizon, 1), full_horizon);
   std::size_t prev_horizon = full_horizon;
-  for (std::size_t attempt = 1; attempt <= options.max_retries; ++attempt) {
-    std::size_t horizon = full_horizon;
-    if (options.halve_horizon) {
-      horizon = std::max(floor_horizon, full_horizon >> attempt);
-    }
+  std::size_t last_attempt = 0;
+  for (std::size_t attempt = 1; attempt <= kMaxRetries; ++attempt) {
+    const std::size_t horizon =
+        std::max(floor_horizon, full_horizon >> attempt);
     if (horizon == prev_horizon && attempt > 1) {
       // The window cannot shrink further; re-solving the identical poisoned
       // prefix would fail identically.
       break;
     }
     prev_horizon = horizon;
+    last_attempt = attempt;
 
     // Retries run on a throwaway solver so a degraded attempt never
     // perturbs the persistent warm-start bank (which is checkpointed and
     // must stay bit-identical to the clean trajectory).
     core::PrimalDualOptions relaxed = solver.options();
-    relaxed.epsilon *= std::pow(options.tolerance_relax,
-                                static_cast<double>(attempt));
+    relaxed.epsilon *= std::pow(kToleranceRelax, static_cast<double>(attempt));
     core::PrimalDualSolver retry_solver(relaxed);
 
     TruncatedProblem truncated;
@@ -170,7 +175,7 @@ core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
     }
   }
 
-  record(SupervisionEventKind::kExhausted, options.max_retries, prev_horizon,
+  record(SupervisionEventKind::kExhausted, last_attempt, prev_horizon,
          primary);
   MDO_WARN("supervisor: slot " << slot
                                << " exhausted retries; serving the safe "

@@ -10,18 +10,19 @@
 //    stays bounded by the solver's one-iteration polling granularity.
 //
 //  - Solve failure (SolveStatus::kNonFiniteInput) escalates through bounded
-//    retry-with-backoff: each retry relaxes the tolerance by
-//    `tolerance_relax` and halves the planning horizon (clamped to
+//    retry-with-backoff: up to two retries, attempt i solving to
+//    epsilon * 10^i on the planning horizon halved i times (clamped to
 //    `min_horizon`, the prefix the caller must still commit). Truncation is
 //    the mechanism that can actually recover — it excises poisoned tail
 //    slots while keeping the committed prefix intact. Retries run on a
 //    throwaway solver so the persistent solver's warm-start bank (which is
 //    checkpointed) is never perturbed by a degraded attempt.
 //
-//  - If every retry fails, the attempt-0 fallback solution (carry the
-//    cache, serve everything from the BS) is returned unchanged and the
-//    caller's own degradation chain (RobustController: full -> warm-reuse
-//    -> BS-only) takes over.
+//  - If every retry fails — or the horizon can shrink no further — the
+//    kExhausted event names the last attempt that ran, the attempt-0
+//    fallback solution (carry the cache, serve everything from the BS) is
+//    returned unchanged, and the caller's own degradation chain
+//    (RobustController: full -> warm-reuse -> BS-only) takes over.
 //
 // Every step emits a typed SupervisionEvent. When the caller passes neither
 // a deadline nor a log, supervised_solve is exactly one plain solve() —
@@ -78,17 +79,6 @@ struct SupervisionLog {
   void clear();
 };
 
-struct SupervisionOptions {
-  /// Backoff retries after a failed primary solve.
-  std::size_t max_retries = 2;
-  /// Tolerance multiplier per retry: attempt i solves to epsilon * relax^i.
-  double tolerance_relax = 10.0;
-  /// Halve the horizon on each retry (never below the caller's
-  /// min_horizon). Disabling leaves only the tolerance relaxation, which
-  /// cannot recover from poisoned input — kept as a knob for experiments.
-  bool halve_horizon = true;
-};
-
 /// Solves `problem` on `solver` under the supervision policy above.
 ///
 /// `deadline` may be null (unlimited). `log` may be null; retries are then
@@ -100,7 +90,6 @@ core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
                                        const core::HorizonProblem& problem,
                                        const linalg::Vec* warm_mu,
                                        DeadlineToken* deadline,
-                                       const SupervisionOptions& options,
                                        SupervisionLog* log, std::size_t slot,
                                        std::size_t min_horizon);
 

@@ -11,18 +11,17 @@
 
 namespace mdo::sim {
 
+namespace {
+// Station utilization at the bandwidth (SBS, link) or demand (BS) rate:
+// every station serves at its offered rate * S / utilization.
+constexpr double kSbsUtilization = 0.8;
+constexpr double kBsUtilization = 0.8;
+}  // namespace
+
 void EventSimOptions::validate() const {
   MDO_REQUIRE(std::isfinite(requests_per_rate_unit) &&
                   requests_per_rate_unit > 0.0,
               "requests_per_rate_unit must be finite and positive");
-  MDO_REQUIRE(sbs_utilization > 0.0 && sbs_utilization <= 1.0,
-              "sbs_utilization must be in (0, 1]");
-  MDO_REQUIRE(bs_utilization > 0.0 && bs_utilization <= 1.0,
-              "bs_utilization must be in (0, 1]");
-  MDO_REQUIRE(std::isfinite(sbs_service_rate) && sbs_service_rate >= 0.0,
-              "sbs_service_rate must be finite and non-negative");
-  MDO_REQUIRE(std::isfinite(bs_service_rate) && bs_service_rate >= 0.0,
-              "bs_service_rate must be finite and non-negative");
   MDO_REQUIRE(std::isfinite(content_size_bytes) && content_size_bytes > 0.0,
               "content_size_bytes must be finite and positive");
 }
@@ -268,20 +267,16 @@ EventSlotMetrics EventSimulator::simulate_slot(
   std::vector<Station> stations(config.num_sbs() + 1 + link_stations_.size());
   for (std::size_t n = 0; n < config.num_sbs(); ++n) {
     stations[n].service_rate =
-        options_.sbs_service_rate > 0.0
-            ? options_.sbs_service_rate
-            : config.sbs[n].bandwidth * scale / options_.sbs_utilization;
+        config.sbs[n].bandwidth * scale / kSbsUtilization;
   }
   stations[config.num_sbs()].service_rate =
-      options_.bs_service_rate > 0.0
-          ? options_.bs_service_rate
-          : slot_rate_total * scale / options_.bs_utilization;
+      slot_rate_total * scale / kBsUtilization;
   const auto bs_station = static_cast<std::uint32_t>(config.num_sbs());
   for (std::size_t l = 0; l < link_stations_.size(); ++l) {
     // The link's bandwidth cap with the same 1/utilization headroom rule
     // as the SBS downlinks.
     stations[config.num_sbs() + 1 + l].service_rate =
-        link_stations_[l].bandwidth * scale / options_.sbs_utilization;
+        link_stations_[l].bandwidth * scale / kSbsUtilization;
   }
   const bool neigh_tier =
       decision.load.has_neighbor() && !link_stations_.empty();
@@ -298,9 +293,7 @@ EventSlotMetrics EventSimulator::simulate_slot(
   auto draw_service = [&](const Station& station) {
     MDO_CHECK(station.service_rate > 0.0,
               "event station with zero service rate received a request");
-    return options_.deterministic_service
-               ? 1.0 / station.service_rate
-               : loop_rng.exponential(station.service_rate);
+    return loop_rng.exponential(station.service_rate);
   };
 
   // ---- EV_ARRIVAL / EV_DEPART loop. Arrivals are consumed in time order

@@ -10,12 +10,16 @@
 // and queues requests at single-server FCFS stations — one per SBS
 // downlink, one per positive-bandwidth directed inter-SBS link (only when
 // the topology is non-empty), and one at the BS — with exponential
-// (M/M/1-style) or deterministic service times. It reports
-// the production-shaped metrics the fluid model never does: cache-hit
-// ratio, mean/p50/p99 access delay, backhaul bytes, and the *empirical*
-// operating cost, which converges to the fluid cost (5)-(6) as the arrival
-// intensity scale grows (the per-class empirical rates concentrate around
-// their means at rate O(1/sqrt(scale))).
+// (M/M/1-style) service times. Service rates follow one rule: SBS n
+// serves at B_n * S / 0.8 requests per slot (its bandwidth cap with
+// 1/0.8 headroom), an inter-SBS link at its bandwidth * S / 0.8, and the
+// BS at S * (slot total demand) / 0.8 (the BS can absorb the whole cell
+// per the model). It reports the production-shaped metrics the fluid
+// model never does: cache-hit ratio, mean/p50/p99 access delay, backhaul
+// bytes, and the *empirical* operating cost, which converges to the fluid
+// cost (5)-(6) as the arrival intensity scale grows (the per-class
+// empirical rates concentrate around their means at rate
+// O(1/sqrt(scale))).
 //
 // Determinism: every slot draws from an Rng seeded from (seed, slot) via
 // splitmix64, arrivals are generated in (SBS, class, content) order, and
@@ -42,20 +46,8 @@ struct EventSimOptions {
   /// generates Poisson(lambda * S) requests per slot. Larger values sharpen
   /// the fluid limit (and cost proportionally more event-loop work).
   double requests_per_rate_unit = 50.0;
-  /// Auto service-rate sizing: SBS n serves at B_n * S / sbs_utilization
-  /// requests per slot (its bandwidth cap with 1/utilization headroom), the
-  /// BS at (slot total demand) * S / bs_utilization (the BS can absorb the
-  /// whole cell per the model). Explicit *_service_rate overrides win.
-  double sbs_utilization = 0.8;
-  double bs_utilization = 0.8;
-  /// Explicit service rates in requests per slot; 0 selects the auto rule.
-  double sbs_service_rate = 0.0;
-  double bs_service_rate = 0.0;
   /// Size of one content item; scales backhaul accounting only.
   double content_size_bytes = 1.0;
-  /// Deterministic service times (exactly 1/mu) instead of exponential;
-  /// M/D/1 queues, useful for isolating arrival randomness in tests.
-  bool deterministic_service = false;
   std::uint64_t seed = 2024;
 
   void validate() const;

@@ -55,11 +55,8 @@ std::vector<SchemeOutcome> run_schemes(const ExperimentConfig& config) {
   simulator_options.event_options = config.event_options;
   simulator_options.cooperative_routing = config.cooperative_routing;
 
-  // Solver options shared by every solver-backed scheme; an explicit
-  // experiment-level shard count overrides the per-options value (which in
-  // turn defers to MDO_SHARDS when 0).
-  core::PrimalDualOptions solver_options = config.primal_dual;
-  if (config.shard_count != 0) solver_options.shard_count = config.shard_count;
+  // Solver options shared by every solver-backed scheme.
+  const core::PrimalDualOptions& solver_options = config.primal_dual;
 
   std::vector<std::unique_ptr<online::Controller>> controllers;
   if (config.schemes.offline) {

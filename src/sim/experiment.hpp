@@ -46,12 +46,9 @@ struct ExperimentConfig {
   std::uint64_t predictor_seed = 1234;
   std::size_t window = 10;           // w
   std::size_t commit = 5;            // r for CHC (AFHC uses r = w)
+  /// Shared by every solver-backed scheme; process-level scale-out goes
+  /// through primal_dual.shard_count (0 defers to MDO_SHARDS).
   core::PrimalDualOptions primal_dual{};
-  /// Process-level scale-out (shard/coordinator.hpp): forwarded into every
-  /// solver-backed scheme's PrimalDualOptions::shard_count. 0 keeps the
-  /// per-options value (itself deferring to the MDO_SHARDS environment
-  /// variable); any explicit value here wins over primal_dual.shard_count.
-  std::size_t shard_count = 0;
   SchemeSelection schemes{};
 
   /// Cooperative SBS-to-SBS routing (core/collab.hpp): forwarded into

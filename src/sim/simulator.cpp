@@ -3,6 +3,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/collab.hpp"
 #include "model/feasibility.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/deadline.hpp"
@@ -12,6 +13,11 @@
 #include "util/stopwatch.hpp"
 
 namespace mdo::sim {
+
+namespace {
+// Tolerance of the feasibility check when repair is disabled.
+constexpr double kFeasibilityTol = 1e-6;
+}  // namespace
 
 double SimulationResult::offload_ratio() const {
   double demand = 0.0;
@@ -44,7 +50,7 @@ SlotRecord execute_slot(const SimulatorOptions& options,
     model::enforce_feasibility(executed, truth, decision);
   } else {
     const auto violations = model::check_feasibility(
-        executed, truth, decision, options.feasibility_tol);
+        executed, truth, decision, kFeasibilityTol);
     if (!violations.empty()) {
       std::ostringstream os;
       os << controller.name() << " infeasible at slot " << t << ": "
@@ -57,7 +63,7 @@ SlotRecord execute_slot(const SimulatorOptions& options,
   // through neighbor caches. Strictly cost-improving per slot by
   // construction (core/collab.hpp).
   if (options.cooperative_routing && executed.has_neighbor_tier()) {
-    core::apply_neighbor_overlay(executed, truth, decision, options.collab);
+    core::apply_neighbor_overlay(executed, truth, decision);
   }
 
   SlotRecord record;

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "core/collab.hpp"
 #include "model/costs.hpp"
 #include "model/instance.hpp"
 #include "online/controller.hpp"
@@ -64,10 +63,9 @@ struct SimulationResult {
 
 struct SimulatorOptions {
   /// Repair bandwidth/coupling violations against the true demand (default)
-  /// instead of throwing.
+  /// instead of throwing. Without repair an infeasible decision (tolerance
+  /// 1e-6, simulator.cpp) throws.
   bool repair = true;
-  /// Tolerance for the feasibility check when repair is disabled.
-  double feasibility_tol = 1e-6;
   /// Fault-injection harness (not owned; must outlive the simulator). When
   /// set, each slot's DecisionContext carries the *observed* world — spiked
   /// or corrupted demand, a null predictor during blackouts, and an
@@ -87,7 +85,6 @@ struct SimulatorOptions {
   /// baseline on the same topology. With an empty topology this flag is
   /// inert and the run is bitwise-identical to the pre-topology model.
   bool cooperative_routing = true;
-  core::CollabOptions collab;
 
   // ---- Request-level event layer (sim/event_sim.hpp). -------------------
   /// Opt-in: after each slot's decision is repaired and executed, simulate

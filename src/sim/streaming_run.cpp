@@ -72,11 +72,9 @@ StreamingRunResult run_streaming(const model::NetworkConfig& config,
     }
   };
 
-  // The streamed trace shares Simulator::run's per-slot step, cooperative
-  // overlay included; only repair/tolerance are configurable here.
-  SimulatorOptions step;
-  step.repair = options.repair;
-  step.feasibility_tol = options.feasibility_tol;
+  // The streamed trace shares Simulator::run's per-slot step with the
+  // simulator's defaults: repair and the cooperative overlay included.
+  const SimulatorOptions step{};
 
   model::CacheState previous = shell.initial_cache;
   for (std::size_t t = 0;; ++t) {

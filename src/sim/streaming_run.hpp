@@ -63,10 +63,6 @@ struct StreamingRunOptions {
   /// be >= the controller's forecast window for decisions to match an
   /// in-memory run; must be >= 1.
   std::size_t lookahead = 10;
-  /// Repair bandwidth/coupling violations against the true demand
-  /// (default) instead of throwing — same semantics as SimulatorOptions.
-  bool repair = true;
-  double feasibility_tol = 1e-6;
   /// Request-level event layer (sim/event_sim.hpp), accumulated into
   /// StreamingRunResult::events.
   bool simulate_events = false;

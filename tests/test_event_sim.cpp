@@ -107,9 +107,6 @@ TEST(EventSim, ValidatesOptions) {
   options.requests_per_rate_unit = 0.0;
   EXPECT_THROW(EventSimulator(instance.config, options), InvalidArgument);
   options = {};
-  options.sbs_utilization = 1.5;
-  EXPECT_THROW(EventSimulator(instance.config, options), InvalidArgument);
-  options = {};
   options.content_size_bytes = 0.0;
   EXPECT_THROW(EventSimulator(instance.config, options), InvalidArgument);
 }

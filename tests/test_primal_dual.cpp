@@ -123,9 +123,6 @@ TEST(PrimalDual, OptionValidation) {
   options = {};
   options.epsilon = 0.0;
   EXPECT_THROW(PrimalDualSolver{options}, InvalidArgument);
-  options = {};
-  options.step_alpha = -1.0;
-  EXPECT_THROW(PrimalDualSolver{options}, InvalidArgument);
 }
 
 /// Property: the primal-dual upper bound is within a few percent of the

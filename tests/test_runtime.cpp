@@ -274,7 +274,7 @@ TEST(Supervisor, CleanSolveEmitsNoEvents) {
   core::PrimalDualSolver supervised(tight_options());
   runtime::SupervisionLog log;
   const auto a = runtime::supervised_solve(supervised, problem, nullptr,
-                                           nullptr, {}, &log, /*slot=*/0,
+                                           nullptr, &log, /*slot=*/0,
                                            /*min_horizon=*/1);
   EXPECT_TRUE(log.events.empty());
   core::PrimalDualSolver plain(tight_options());
@@ -290,7 +290,7 @@ TEST(Supervisor, DeadlineExpiryIsLoggedNotRetried) {
   runtime::SupervisionLog log;
   auto token = runtime::DeadlineToken::after_checks(0);
   const auto solution = runtime::supervised_solve(
-      solver, problem, nullptr, &token, {}, &log, /*slot=*/4,
+      solver, problem, nullptr, &token, &log, /*slot=*/4,
       /*min_horizon=*/1);
   EXPECT_EQ(solution.status, solver::SolveStatus::kDeadlineExpired);
   ASSERT_EQ(log.events.size(), 1u);
@@ -324,7 +324,7 @@ TEST(Supervisor, TruncatedRetryRecoversFromPoisonedTail) {
   core::PrimalDualSolver solver(tight_options());
   runtime::SupervisionLog log;
   const auto solution = runtime::supervised_solve(
-      solver, problem, nullptr, nullptr, {}, &log, /*slot=*/0,
+      solver, problem, nullptr, nullptr, &log, /*slot=*/0,
       /*min_horizon=*/1);
   // Horizon 4, halved to 2 on attempt 1: the NaN tail slot is gone.
   EXPECT_NE(solution.status, solver::SolveStatus::kNonFiniteInput);
@@ -351,13 +351,45 @@ TEST(Supervisor, ExhaustionReturnsSafeFallback) {
   core::PrimalDualSolver solver(tight_options());
   runtime::SupervisionLog log;
   const auto solution = runtime::supervised_solve(
-      solver, problem, nullptr, nullptr, {}, &log, /*slot=*/0,
+      solver, problem, nullptr, nullptr, &log, /*slot=*/0,
       /*min_horizon=*/1);
   EXPECT_EQ(solution.status, solver::SolveStatus::kNonFiniteInput);
   EXPECT_EQ(solution.schedule.size(), instance.horizon());
+  // The retry ladder: two retries, the horizon halving 4 -> 2 -> 1.
+  ASSERT_EQ(log.events.size(), 4u);
+  EXPECT_EQ(log.events[0].kind, runtime::SupervisionEventKind::kSolveFailure);
+  EXPECT_EQ(log.events[1].kind, runtime::SupervisionEventKind::kRetry);
+  EXPECT_EQ(log.events[1].attempt, 1u);
+  EXPECT_EQ(log.events[1].horizon, 2u);
+  EXPECT_EQ(log.events[2].kind, runtime::SupervisionEventKind::kRetry);
+  EXPECT_EQ(log.events[2].attempt, 2u);
+  EXPECT_EQ(log.events[2].horizon, 1u);
+  EXPECT_EQ(log.retries, 2u);
   EXPECT_EQ(log.events.back().kind,
             runtime::SupervisionEventKind::kExhausted);
+  EXPECT_EQ(log.events.back().attempt, 2u);
   EXPECT_EQ(log.recoveries, 0u);
+}
+
+TEST(Supervisor, ExhaustionReportsLastAttemptRun) {
+  const auto instance = small_instance(15);
+  model::DemandTrace demand = instance.demand;
+  demand.slot(0)[0].at(0, 0) = std::numeric_limits<double>::quiet_NaN();
+  core::HorizonProblem problem = as_problem(instance);
+  problem.demand = &demand;
+  core::PrimalDualSolver solver(tight_options());
+  runtime::SupervisionLog log;
+  const auto solution = runtime::supervised_solve(
+      solver, problem, nullptr, nullptr, &log, /*slot=*/0,
+      /*min_horizon=*/2);
+  // Horizon 4 halves to the floor 2 on attempt 1; attempt 2 would solve
+  // the same 2-slot prefix again, so the ladder stops after one retry.
+  EXPECT_EQ(solution.status, solver::SolveStatus::kNonFiniteInput);
+  EXPECT_EQ(log.retries, 1u);
+  EXPECT_EQ(log.events.back().kind,
+            runtime::SupervisionEventKind::kExhausted);
+  EXPECT_EQ(log.events.back().attempt, 1u);
+  EXPECT_EQ(log.events.back().horizon, 2u);
 }
 
 TEST(Supervisor, MinHorizonFloorsTruncation) {
@@ -367,7 +399,7 @@ TEST(Supervisor, MinHorizonFloorsTruncation) {
   core::PrimalDualSolver solver(tight_options());
   runtime::SupervisionLog log;
   const auto solution = runtime::supervised_solve(
-      solver, problem, nullptr, nullptr, {}, &log, /*slot=*/0,
+      solver, problem, nullptr, nullptr, &log, /*slot=*/0,
       /*min_horizon=*/3);
   // Horizon 4 halves to 2 < floor 3, so the retry solves exactly 3 slots —
   // which excises the poisoned slot 3 and recovers.
@@ -386,7 +418,7 @@ TEST(Supervisor, NullLogDisablesRetries) {
   const auto& problem = owned.problem;
   core::PrimalDualSolver supervised(tight_options());
   const auto a = runtime::supervised_solve(supervised, problem, nullptr,
-                                           nullptr, {}, nullptr, /*slot=*/0,
+                                           nullptr, nullptr, /*slot=*/0,
                                            /*min_horizon=*/1);
   // Without a log the call is exactly one plain solve: same fallback.
   core::PrimalDualSolver plain(tight_options());

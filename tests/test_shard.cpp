@@ -631,7 +631,7 @@ TEST(ShardSupervision, SupervisedSolveRecoversFromWorkerDeath) {
   core::PrimalDualSolver solver(solver_options(2));
   runtime::SupervisionLog log;
   const auto solution = runtime::supervised_solve(
-      solver, problem, nullptr, nullptr, {}, &log, /*slot=*/3,
+      solver, problem, nullptr, nullptr, &log, /*slot=*/3,
       /*min_horizon=*/1);
   expect_bitwise_equal(solution, reference);
 
