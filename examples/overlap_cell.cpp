@@ -95,19 +95,19 @@ int main(int argc, char** argv) {
       }
       for (std::size_t t = 0; t < slots; ++t) {
         greedy[t].cache = cache;
-        OverlapP2Problem p2;
-        p2.config = &config;
-        p2.layout = &layout;
-        p2.demand = &problem.demand[t];
-        p2.upper.assign(layout.y_size(), 0.0);
+        linalg::Vec upper(layout.y_size(), 0.0);
         for (std::size_t id = 0; id < layout.num_links(); ++id) {
           const auto [m, n] = layout.link(id);
           (void)m;
           for (std::size_t k = 0; k < contents; ++k) {
-            if (cache[n][k]) p2.upper[layout.index(id, k)] = 1.0;
+            if (cache[n][k]) upper[layout.index(id, k)] = 1.0;
           }
         }
-        greedy[t].y = solve_overlap_load_balancing(p2).y;
+        OverlapP2Workspace p2;
+        p2.bind(config, layout, problem.demand[t]);
+        p2.set_upper(upper);
+        solve_overlap_load_balancing(p2, {});
+        greedy[t].y = p2.y();
       }
     }
     const double greedy_cost = schedule_cost(config, layout, problem.demand,

@@ -4,7 +4,9 @@
 // the dual value as a lower bound, repairs the P1 cache plan into a
 // feasible schedule whose cost is an upper bound, stops once the relative
 // gap is within epsilon, and otherwise takes the projected step (15)-(17)
-// of size step_scale * alpha / (1 + offset + l).
+// of size step_scale / (1 + offset + l): the diminishing schedule (16),
+// square-summable but not summable, as Algorithm 1's convergence argument
+// requires.
 //
 // The step is lazy: iteration l+1 first applies the pending delta_l and
 // then solves, and whichever exit ends the loop applies a step still
@@ -24,7 +26,6 @@
 
 #include "runtime/deadline.hpp"
 #include "solver/status.hpp"
-#include "solver/subgradient.hpp"
 
 namespace mdo::core {
 
@@ -49,7 +50,6 @@ struct DualIterate {
 struct DualAscentParams {
   std::size_t max_iterations = 1;
   double epsilon = 0.0;
-  double step_alpha = 1.0;
   double step_scale = 1.0;
   /// First index of the step schedule: a warm-started solve resumes where
   /// the previous one stopped.
@@ -75,7 +75,6 @@ bool run_dual_ascent(const DualAscentParams& params,
   best.lower_bound = -std::numeric_limits<double>::infinity();
   best.iterations = 0;
   decltype(best.schedule) repaired;
-  const solver::DiminishingStep step(params.step_alpha);
   bool pending = false;
   double delta = 0.0;
   bool deadline_expired = false;
@@ -97,7 +96,8 @@ bool run_dual_ascent(const DualAscentParams& params,
     if (relative_gap(best.upper_bound, best.lower_bound) <= params.epsilon) {
       break;
     }
-    delta = params.step_scale * step(params.step_offset + iteration);
+    delta = params.step_scale *
+            (1.0 / (1.0 + static_cast<double>(params.step_offset + iteration)));
     pending = true;
   }
   if (!finish(pending, delta)) return false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "util/error.hpp"
 
@@ -38,40 +39,41 @@ struct PerSbsResult {
   double objective = 0.0;
 };
 
-PerSbsResult solve_single_sbs(const HorizonProblem& problem, std::size_t n,
-                              std::uint32_t initial_set,
+PerSbsResult solve_single_sbs(const model::NetworkConfig& config,
+                              const model::SparseDemandTrace& demand,
+                              std::size_t n, std::uint32_t initial_set,
                               const ExactDpOptions& options) {
-  const model::NetworkConfig& config = *problem.config;
-  const model::DemandTrace& demand = *problem.demand;
   const std::size_t w = demand.horizon();
   const std::size_t k_count = config.num_contents;
   const auto sets = enumerate_sets(k_count, config.sbs[n].cache_capacity,
                                    options.max_states);
   const double beta = config.sbs[n].replacement_beta;
   const std::size_t classes = config.sbs[n].num_classes();
+  std::vector<std::size_t> all(k_count);
+  std::iota(all.begin(), all.end(), std::size_t{0});
 
   // opcost[t][s]: optimal f+g restricted to cache set sets[s] at slot t;
-  // keep the minimizing y for reconstruction.
+  // keep the minimizing y for reconstruction. P2 is bound over the whole
+  // catalogue, so its compact layout m * K + k is the dense one.
   std::vector<std::vector<double>> opcost(w,
                                           std::vector<double>(sets.size()));
   std::vector<std::vector<linalg::Vec>> best_y(
       w, std::vector<linalg::Vec>(sets.size()));
+  P2Workspace ws;
+  linalg::Vec ub;
   for (std::size_t t = 0; t < w; ++t) {
+    ws.bind_active(config.sbs[n], demand.slot(t)[n], all);
     for (std::size_t s = 0; s < sets.size(); ++s) {
-      LoadBalancingSubproblem p2;
-      p2.sbs = &config.sbs[n];
-      p2.demand = &demand.slot(t)[n];
-      p2.upper.assign(classes * k_count, 0.0);
+      ub.assign(classes * k_count, 0.0);
       for (std::size_t k = 0; k < k_count; ++k) {
         if ((sets[s] >> k) & 1u) {
-          for (std::size_t m = 0; m < classes; ++m) {
-            p2.upper[m * k_count + k] = 1.0;
-          }
+          for (std::size_t m = 0; m < classes; ++m) ub[m * k_count + k] = 1.0;
         }
       }
-      const auto sol = solve_load_balancing(p2, options.load_balancing);
-      opcost[t][s] = sol.objective;
-      best_y[t][s] = sol.y;
+      ws.set_upper(ub);
+      ws.clear_warm_start();  // every cache set solves from a cold start
+      opcost[t][s] = solve_load_balancing(ws, options.load_balancing).objective;
+      best_y[t][s] = ws.y();
     }
   }
 
@@ -125,7 +127,10 @@ ExactDpResult solve_joint_exact(const HorizonProblem& problem,
                                 const ExactDpOptions& options) {
   problem.validate();
   const auto& config = *problem.config;
-  const std::size_t w = problem.horizon();
+  model::SparseDemandTrace storage;
+  const model::SparseDemandTrace& demand =
+      model::sparse_trace(problem.demand_view(), storage);
+  const std::size_t w = demand.horizon();
 
   ExactDpResult result;
   result.schedule.assign(w, {});
@@ -142,7 +147,7 @@ ExactDpResult solve_joint_exact(const HorizonProblem& problem,
       }
     }
     const PerSbsResult sbs_result =
-        solve_single_sbs(problem, n, initial_set, options);
+        solve_single_sbs(config, demand, n, initial_set, options);
     result.objective += sbs_result.objective;
     for (std::size_t t = 0; t < w; ++t) {
       for (std::size_t k = 0; k < config.num_contents; ++k) {

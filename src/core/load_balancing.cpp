@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <vector>
 
 #include "util/error.hpp"
@@ -17,29 +16,6 @@ bool all_finite(const linalg::Vec& v) {
     if (!std::isfinite(value)) return false;
   }
   return true;
-}
-
-bool load_balancing_inputs_finite(const LoadBalancingSubproblem& problem) {
-  MDO_REQUIRE(problem.sbs != nullptr && problem.demand != nullptr,
-              "P2: sbs and demand must be set");
-  return std::isfinite(problem.sbs->bandwidth) &&
-         all_finite(problem.demand->data()) && all_finite(problem.linear) &&
-         all_finite(problem.upper);
-}
-
-/// Seeds a throwaway workspace from a one-shot subproblem description:
-/// bound over the full catalogue, the compact layout m * K + k is the
-/// subproblem's own.
-void bind_workspace(P2Workspace& ws, const LoadBalancingSubproblem& problem) {
-  std::vector<std::size_t> all(problem.demand->num_contents());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  ws.bind_active(*problem.sbs,
-                 model::SparseSbsDemand::from_dense(*problem.demand), all);
-  if (!problem.linear.empty()) {
-    ws.set_linear(problem.linear.data(),
-                  problem.linear.data() + problem.linear.size());
-  }
-  if (!problem.upper.empty()) ws.set_upper(problem.upper);
 }
 
 /// Insertion moves per entry a warm order may take before repair_order
@@ -67,19 +43,6 @@ void repair_order(std::vector<std::pair<double, std::size_t>>& order) {
 }
 
 }  // namespace
-
-void LoadBalancingSubproblem::validate() const {
-  MDO_REQUIRE(sbs != nullptr && demand != nullptr,
-              "P2: sbs and demand must be set");
-  MDO_REQUIRE(demand->num_classes() == sbs->num_classes(),
-              "P2: class count mismatch");
-  const std::size_t size = demand->num_classes() * demand->num_contents();
-  MDO_REQUIRE(linear.empty() || linear.size() == size, "P2: linear size");
-  MDO_REQUIRE(upper.empty() || upper.size() == size, "P2: upper size");
-  for (const double b : upper) {
-    MDO_REQUIRE(b >= 0.0 && b <= 1.0, "P2: upper bounds must be in [0, 1]");
-  }
-}
 
 void P2Workspace::save_warm_state(util::BinaryWriter& w) const {
   w.boolean(compact_);
@@ -179,8 +142,7 @@ void P2Workspace::set_upper(const linalg::Vec& upper) {
   order_warm_ = false;
   upper_finite_ = all_finite(coeff_.ub);
   if (upper_finite_) {
-    // Non-finite bounds are reported via the solve status instead of thrown,
-    // matching the legacy finite-check-before-validate order.
+    // Non-finite bounds are reported via the solve status instead of thrown.
     for (const double b : coeff_.ub) {
       MDO_REQUIRE(b >= 0.0 && b <= 1.0, "P2: upper bounds must be in [0, 1]");
     }
@@ -263,8 +225,8 @@ void P2Workspace::solve_fista(const LoadBalancingOptions& options,
 }
 
 /// Solves the fixed-theta stationarity system of the exact solver into
-/// exact_y_, with the consistent scalar s = u . y. See the header for the
-/// math. Allocation-free once the scratch buffers reach the instance size.
+/// exact_y_, with the consistent scalar s = u . y. See the header comment
+/// for the math. Allocation-free once the scratch buffers reach the instance size.
 void P2Workspace::stationary_point(double theta) {
   const std::size_t size = coeff_.u.size();
   exact_y_.assign(size, 0.0);
@@ -451,35 +413,6 @@ LoadBalancingOutcome solve_load_balancing(P2Workspace& ws,
   return out;
 }
 
-LoadBalancingSolution solve_load_balancing(
-    const LoadBalancingSubproblem& problem,
-    const LoadBalancingOptions& options, const linalg::Vec* warm_start) {
-  if (!load_balancing_inputs_finite(problem)) {
-    LoadBalancingSolution out;
-    out.y.assign(problem.demand->num_classes() * problem.demand->num_contents(),
-                 0.0);
-    out.status = solver::SolveStatus::kNonFiniteInput;
-    return out;
-  }
-  problem.validate();
-  if (options.prefer_exact && load_balancing_exact_applicable(problem)) {
-    return solve_load_balancing_exact(problem);
-  }
-
-  P2Workspace ws;
-  bind_workspace(ws, problem);
-  if (warm_start != nullptr) ws.warm_start() = *warm_start;
-  const LoadBalancingOutcome outcome = solve_load_balancing(ws, options);
-
-  LoadBalancingSolution out;
-  out.y = std::move(ws.warm_start());
-  out.objective = outcome.objective;
-  out.iterations = outcome.iterations;
-  out.converged = outcome.converged;
-  out.status = outcome.status;
-  return out;
-}
-
 double load_balancing_objective(const Coefficients& coeff,
                                 const linalg::Vec& y) {
   MDO_REQUIRE(y.size() == coeff.lambda.size(), "P2 objective: y size");
@@ -489,44 +422,9 @@ double load_balancing_objective(const Coefficients& coeff,
   return bs_term * bs_term + sbs_term * sbs_term + linalg::dot(coeff.c, y);
 }
 
-double load_balancing_objective(const LoadBalancingSubproblem& problem,
-                                const linalg::Vec& y) {
-  problem.validate();
-  P2Workspace ws;
-  bind_workspace(ws, problem);
-  return load_balancing_objective(ws.coefficients(), y);
-}
-
-bool load_balancing_exact_applicable(const LoadBalancingSubproblem& problem) {
-  problem.validate();
-  for (const auto& mu : problem.sbs->classes) {
-    if (mu.omega_sbs != 0.0) return false;
-  }
-  return true;
-}
-
-LoadBalancingSolution solve_load_balancing_exact(
-    const LoadBalancingSubproblem& problem) {
-  MDO_REQUIRE(load_balancing_exact_applicable(problem),
-              "exact P2 solver requires all omega_sbs = 0");
-  P2Workspace ws;
-  bind_workspace(ws, problem);
-
-  LoadBalancingOutcome outcome;
-  ws.solve_exact(outcome);
-
-  LoadBalancingSolution out;
-  out.y = std::move(ws.warm_start());
-  out.objective = outcome.objective;
-  out.iterations = outcome.iterations;
-  out.converged = outcome.converged;
-  out.status = outcome.status;
-  return out;
-}
-
-model::LoadAllocation optimal_load_for_cache(
-    const model::NetworkConfig& config, model::SlotDemandView demand,
-    const model::CacheState& cache, const LoadBalancingOptions& options) {
+model::LoadAllocation optimal_load_for_cache(const model::NetworkConfig& config,
+                                             model::SlotDemandView demand,
+                                             const model::CacheState& cache) {
   model::SparseSlotDemand storage;
   const model::SparseSlotDemand& slot = model::sparse_slot(demand, storage);
   MDO_REQUIRE(slot.size() == config.num_sbs(),
@@ -545,7 +443,7 @@ model::LoadAllocation optimal_load_for_cache(
       for (std::size_t m = 0; m < classes; ++m) ub[m * active.size() + i] = 1.0;
     }
     ws.set_upper(ub);
-    solve_load_balancing(ws, options);
+    solve_load_balancing(ws, {});
     // Off-active loads are structural zeros of P2: scatter the compact y.
     const std::size_t a_count = active.size();
     linalg::Vec& row = load.sbs_data(n);

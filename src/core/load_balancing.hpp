@@ -30,9 +30,17 @@
 // past a fixed move budget) instead of sorting from scratch. The order is
 // only a hint — the (threshold, j) pairs are totally ordered, so the
 // repaired order equals a cold sort element for element. A workspace-based
-// solve heap-allocates nothing once its buffers reach the instance size,
-// and returns bit-identical results to the legacy entry points (which are
-// now thin wrappers over a throwaway workspace).
+// solve heap-allocates nothing once its buffers reach the instance size.
+//
+// Exact solver (v = 0, every omega_sbs zero — the paper's simulation
+// regime):
+//   min (a - u.y)^2 + c.y   s.t.  lambda.y <= B,  0 <= y <= ub.
+// For a fixed bandwidth multiplier theta the stationarity condition sorts
+// coordinates by the threshold (c_j + theta lambda_j) / u_j and the scalar
+// s = u.y solves a piecewise-linear fixed point exactly (one fractional
+// coordinate at most); theta itself is found by bisection when the
+// bandwidth row binds. FISTA solves every other instance; the two are
+// cross-checked in tests.
 #pragma once
 
 #include "linalg/vec.hpp"
@@ -46,21 +54,6 @@
 
 namespace mdo::core {
 
-/// One (SBS, slot) instance of P2.
-struct LoadBalancingSubproblem {
-  /// SBS parameters (classes supply omega / omega_sbs) — not owned.
-  const model::SbsConfig* sbs = nullptr;
-  /// Demand matrix for this SBS and slot — not owned.
-  const model::SbsDemand* demand = nullptr;
-  /// Linear coefficients c (the multipliers), flattened m * K + k.
-  /// Empty means all-zero.
-  linalg::Vec linear;
-  /// Per-coordinate upper bounds (e.g. the caching vector); empty means 1.
-  linalg::Vec upper;
-
-  void validate() const;
-};
-
 /// Precomputed coefficient vectors of one P2 instance (see file comment).
 struct Coefficients {
   linalg::Vec lambda;  // demand rates
@@ -69,16 +62,6 @@ struct Coefficients {
   double a = 0.0;      // u . 1
   linalg::Vec c;       // linear term
   linalg::Vec ub;      // upper bounds
-};
-
-struct LoadBalancingSolution {
-  linalg::Vec y;            // flattened m * K + k
-  double objective = 0.0;   // value of the P2 objective above
-  std::size_t iterations = 0;
-  bool converged = false;
-  /// kNonFiniteInput when demand/linear/upper contained NaN/Inf; y is then
-  /// the all-zero (always feasible) allocation.
-  solver::SolveStatus status = solver::SolveStatus::kConverged;
 };
 
 /// Result of a workspace-based solve; the solution vector itself lives in
@@ -96,8 +79,8 @@ struct LoadBalancingOptions {
                                         .lipschitz = 1.0,  // overwritten
                                         .accelerate = true};
   /// Use the exact parametric KKT solver when the instance qualifies
-  /// (all omega_sbs = 0, i.e. v = 0 — the paper's simulation regime).
-  /// Falls back to FISTA otherwise. The two are cross-checked in tests.
+  /// (all omega_sbs = 0, i.e. v = 0; see the file comment). Falls back to
+  /// FISTA otherwise.
   bool prefer_exact = true;
 };
 
@@ -127,7 +110,8 @@ class P2Workspace {
   void set_linear(const double* begin, const double* end);
 
   /// Copies `upper` into the box upper bound; entries must be in [0, 1]
-  /// (checked only when finite, mirroring the legacy validation order).
+  /// (checked only when finite: non-finite bounds are reported by the next
+  /// solve's status instead).
   void set_upper(const linalg::Vec& upper);
 
   const Coefficients& coefficients() const { return coeff_; }
@@ -158,8 +142,6 @@ class P2Workspace {
  private:
   friend LoadBalancingOutcome solve_load_balancing(
       P2Workspace& ws, const LoadBalancingOptions& options);
-  friend LoadBalancingSolution solve_load_balancing_exact(
-      const LoadBalancingSubproblem& problem);
 
   const model::SbsConfig* sbs_ = nullptr;
   Coefficients coeff_;
@@ -188,8 +170,7 @@ class P2Workspace {
   // holds those with u_j <= 0, order_ the eligible ones (u_j > 0 and
   // ub_j > 0) as (threshold, j) pairs in the last call's sorted order —
   // the warm order the next call repairs. groups_ are tie ranges into
-  // order_ (the legacy per-group member vectors were one heap allocation
-  // per group per bisection probe).
+  // order_, so grouping allocates nothing per bisection probe.
   struct GroupRange {
     double threshold = 0.0;
     std::size_t begin = 0;  // range into order_
@@ -209,50 +190,24 @@ class P2Workspace {
                    LoadBalancingOutcome& out);
 };
 
-/// Workspace-based solve: reads the bound coefficients, writes the solution
-/// into ws.y(), and reports value/iterations/status. Allocation-free in
-/// steady state; bit-identical to the legacy entry point below.
+/// Solves the bound P2: reads the coefficients, writes the solution into
+/// ws.y(), and reports value/iterations/status. Non-finite rates, linear
+/// terms or bounds give y = 0 (always feasible) and kNonFiniteInput.
+/// Allocation-free in steady state.
 LoadBalancingOutcome solve_load_balancing(P2Workspace& ws,
                                           const LoadBalancingOptions& options);
 
-/// Solves one (SBS, slot) P2 instance. `warm_start` (same layout as y) is
-/// optional and speeds up repeated solves inside the dual loop. Thin
-/// wrapper over a throwaway P2Workspace.
-LoadBalancingSolution solve_load_balancing(
-    const LoadBalancingSubproblem& problem,
-    const LoadBalancingOptions& options = {},
-    const linalg::Vec* warm_start = nullptr);
-
-/// Evaluates the P2 objective at a given y (for tests / brute force).
-double load_balancing_objective(const LoadBalancingSubproblem& problem,
-                                const linalg::Vec& y);
-
-/// Same, from precomputed coefficients — no validation or coefficient
-/// rebuild; the overload the solver/repair loops use.
+/// Evaluates the P2 objective at y from bound coefficients.
 double load_balancing_objective(const Coefficients& coeff,
                                 const linalg::Vec& y);
-
-/// True when the instance qualifies for the exact parametric solver
-/// (rank-one quadratic: every omega_sbs is zero).
-bool load_balancing_exact_applicable(const LoadBalancingSubproblem& problem);
-
-/// Exact KKT solver for the v = 0 case:
-///   min (a - u.y)^2 + c.y   s.t.  lambda.y <= B,  0 <= y <= ub.
-/// For a fixed bandwidth multiplier theta the stationarity condition sorts
-/// coordinates by the threshold (c_j + theta lambda_j) / u_j and the scalar
-/// s = u.y solves a piecewise-linear fixed point exactly (one fractional
-/// coordinate at most); theta itself is found by bisection when the
-/// bandwidth row binds. Throws InvalidArgument when not applicable.
-LoadBalancingSolution solve_load_balancing_exact(
-    const LoadBalancingSubproblem& problem);
 
 /// Optimal load balancing for one slot given a fixed cache: solves P2 per
 /// SBS with c = 0 and the box upper bound set to the caching vector
 /// (constraint (3) folded in), on the compact active set (support union
 /// cached; a dense view is converted by model::sparse_slot). Used for the
 /// LRFU / classic baselines and wherever "the best y for this x" is needed.
-model::LoadAllocation optimal_load_for_cache(
-    const model::NetworkConfig& config, model::SlotDemandView demand,
-    const model::CacheState& cache, const LoadBalancingOptions& options = {});
+model::LoadAllocation optimal_load_for_cache(const model::NetworkConfig& config,
+                                             model::SlotDemandView demand,
+                                             const model::CacheState& cache);
 
 }  // namespace mdo::core

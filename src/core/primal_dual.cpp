@@ -16,9 +16,6 @@ namespace mdo::core {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-// alpha in the step schedule delta_l = alpha / (1 + l) (16); 1 keeps
-// delta_0 = 1, so the first step is exactly the marginal-cost scale.
-constexpr double kStepAlpha = 1.0;
 
 bool demand_finite_nonnegative(const model::SparseDemandTrace& demand) {
   for (std::size_t t = 0; t < demand.horizon(); ++t) {
@@ -279,7 +276,7 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   // Warm-started solves resume the step schedule where the previous window
   // stopped (see the solve() comment); cold solves restart at delta_0.
   const DualAscentParams params{
-      options_.max_iterations, options_.epsilon, kStepAlpha,
+      options_.max_iterations, options_.epsilon,
       std::max(1e-9, 0.5 * mean_marginal),
       warm_mu != nullptr ? step_offset_ : 0};
 
@@ -333,7 +330,7 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
       .initial_cache = &problem.initial_cache,
       .neighbor_rewards = neighbor_rewards.empty() ? nullptr
                                                    : &neighbor_rewards};
-  const ShardOptions shard_options{options_.load_balancing};
+  const ShardOptions shard_options{};
 
   // ---- Algorithm 1 (dual_ascent.hpp). Every cell of the repaired buffer
   // rewrites exactly its active coordinates (the rest are structural

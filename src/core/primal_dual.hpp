@@ -74,10 +74,9 @@ struct HorizonProblem {
 struct PrimalDualOptions {
   std::size_t max_iterations = 16;  // L in Algorithm 1
   double epsilon = 1e-4;            // relative-gap accuracy (paper: 0.0001)
-  // The step schedule (16) and the cold start are constants in
-  // primal_dual.cpp: delta_l = alpha / (1 + l) with alpha = 1, scaled by half
-  // the mean marginal BS cost, and mu starts at the marginal BS-cost gradient.
-  LoadBalancingOptions load_balancing{};
+  // The step schedule (16) and the cold start are fixed: delta_l = 1 / (1 + l)
+  // (dual_ascent.hpp), scaled by half the mean marginal BS cost, and mu
+  // starts at the marginal BS-cost gradient (primal_dual.cpp).
   /// Neighbor-demand tilt of P1 (DESIGN.md §13): when positive and the
   /// config carries a positive-bandwidth neighbor topology, every content's
   /// P1 reward at SBS n gains `price * (total demand rate the positive-

@@ -85,11 +85,11 @@ void scaled_sub(const Vec& y, double alpha, const Vec& g, Vec& out) {
   for (std::size_t i = 0; i < n; ++i) po[i] = py[i] - alpha * pg[i];
 }
 
-void scaled_sub_project_box(const Vec& y, double alpha, const Vec& g,
-                            const Vec& lo, const Vec& hi, Vec& out) {
+void scaled_sub_clamp(const Vec& y, double alpha, const Vec& g,
+                      const Vec& lo, const Vec& hi, Vec& out) {
   MDO_REQUIRE(y.size() == g.size() && y.size() == lo.size() &&
                   y.size() == hi.size() && y.size() == out.size(),
-              "scaled_sub_project_box: size mismatch");
+              "scaled_sub_clamp: size mismatch");
   MDO_ASSERT_VEC_ALIGNED(y.data());
   MDO_ASSERT_VEC_ALIGNED(out.data());
   const double* py = y.data();

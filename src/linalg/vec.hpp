@@ -78,8 +78,8 @@ void scaled_sub(const Vec& y, double alpha, const Vec& g, Vec& out);
 /// out[i] = clamp(y[i] - alpha * g[i], lo[i], hi[i]) — the fused gradient
 /// step + box projection used by the first-order and knapsack-projection
 /// inner loops. out must be pre-sized.
-void scaled_sub_project_box(const Vec& y, double alpha, const Vec& g,
-                            const Vec& lo, const Vec& hi, Vec& out);
+void scaled_sub_clamp(const Vec& y, double alpha, const Vec& g,
+                      const Vec& lo, const Vec& hi, Vec& out);
 
 /// mu[i] = max(0, mu[i] + delta * (y[i] - x[i])) over raw spans — the fused
 /// projected dual-ascent step. Per-coordinate arithmetic matches the scalar

@@ -4,6 +4,7 @@
 #include <limits>
 #include <numeric>
 
+#include "core/load_balancing.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -33,9 +34,6 @@ model::CacheState top_c_cache(const model::NetworkConfig& config,
 
 // ---------------------------------------------------------------- LRFU ----
 
-LrfuController::LrfuController(core::LoadBalancingOptions options)
-    : options_(options) {}
-
 void LrfuController::reset(const model::ProblemInstance& instance) {
   instance_ = &instance;
 }
@@ -54,17 +52,15 @@ model::SlotDecision LrfuController::decide(const DecisionContext& ctx) {
   }
   model::SlotDecision decision;
   decision.cache = top_c_cache(config, scores);
-  decision.load =
-      core::optimal_load_for_cache(config, demand, decision.cache, options_);
+  decision.load = core::optimal_load_for_cache(config, demand, decision.cache);
   return decision;
 }
 
 // ------------------------------------------------- request-stream base ----
 
-RequestStreamController::RequestStreamController(
-    std::size_t requests_per_slot, std::uint64_t seed,
-    core::LoadBalancingOptions options)
-    : requests_per_slot_(requests_per_slot), seed_(seed), options_(options) {
+RequestStreamController::RequestStreamController(std::size_t requests_per_slot,
+                                                 std::uint64_t seed)
+    : requests_per_slot_(requests_per_slot), seed_(seed) {
   MDO_REQUIRE(requests_per_slot >= 1, "need at least one request per slot");
 }
 
@@ -108,17 +104,15 @@ model::SlotDecision RequestStreamController::decide(
       decision.cache.set(n, k, bitmap[k] != 0);
     }
   }
-  decision.load =
-      core::optimal_load_for_cache(config, demand, decision.cache, options_);
+  decision.load = core::optimal_load_for_cache(config, demand, decision.cache);
   return decision;
 }
 
 // ----------------------------------------------------------------- LRU ----
 
 LruController::LruController(std::size_t requests_per_slot,
-                             std::uint64_t seed,
-                             core::LoadBalancingOptions options)
-    : RequestStreamController(requests_per_slot, seed, options) {}
+                             std::uint64_t seed)
+    : RequestStreamController(requests_per_slot, seed) {}
 
 void LruController::clear(const model::NetworkConfig& config) {
   cache_.assign(config.num_sbs(),
@@ -160,9 +154,8 @@ const std::vector<std::uint8_t>& LruController::cache_of(
 // ----------------------------------------------------------------- LFU ----
 
 LfuController::LfuController(std::size_t requests_per_slot,
-                             std::uint64_t seed,
-                             core::LoadBalancingOptions options)
-    : RequestStreamController(requests_per_slot, seed, options) {}
+                             std::uint64_t seed)
+    : RequestStreamController(requests_per_slot, seed) {}
 
 void LfuController::clear(const model::NetworkConfig& config) {
   cache_.assign(config.num_sbs(),
@@ -206,9 +199,8 @@ const std::vector<std::uint8_t>& LfuController::cache_of(
 // ---------------------------------------------------------------- FIFO ----
 
 FifoController::FifoController(std::size_t requests_per_slot,
-                               std::uint64_t seed,
-                               core::LoadBalancingOptions options)
-    : RequestStreamController(requests_per_slot, seed, options) {}
+                               std::uint64_t seed)
+    : RequestStreamController(requests_per_slot, seed) {}
 
 void FifoController::clear(const model::NetworkConfig& config) {
   cache_.assign(config.num_sbs(),
@@ -236,9 +228,6 @@ const std::vector<std::uint8_t>& FifoController::cache_of(
 
 // ---------------------------------------------------------- static topC ----
 
-StaticTopCController::StaticTopCController(core::LoadBalancingOptions options)
-    : options_(options) {}
-
 void StaticTopCController::reset(const model::ProblemInstance& instance) {
   instance_ = &instance;
   const auto& config = instance.config;
@@ -262,8 +251,8 @@ model::SlotDecision StaticTopCController::decide(const DecisionContext& ctx) {
   MDO_REQUIRE(ctx.has_demand(), "StaticTopC uses the true demand");
   model::SlotDecision decision;
   decision.cache = static_cache_;
-  decision.load = core::optimal_load_for_cache(
-      instance_->config, ctx.demand(), decision.cache, options_);
+  decision.load = core::optimal_load_for_cache(instance_->config, ctx.demand(),
+                                               decision.cache);
   return decision;
 }
 

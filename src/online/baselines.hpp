@@ -22,7 +22,6 @@
 #include <deque>
 #include <vector>
 
-#include "core/load_balancing.hpp"
 #include "online/controller.hpp"
 
 namespace mdo::online {
@@ -30,14 +29,11 @@ namespace mdo::online {
 /// The paper's LRFU baseline.
 class LrfuController final : public Controller {
  public:
-  explicit LrfuController(core::LoadBalancingOptions options = {});
-
   std::string name() const override { return "LRFU"; }
   void reset(const model::ProblemInstance& instance) override;
   model::SlotDecision decide(const DecisionContext& ctx) override;
 
  private:
-  core::LoadBalancingOptions options_;
   const model::ProblemInstance* instance_ = nullptr;
 };
 
@@ -45,8 +41,7 @@ class LrfuController final : public Controller {
 class RequestStreamController : public Controller {
  public:
   /// `requests_per_slot`: discrete requests sampled from the slot demand.
-  RequestStreamController(std::size_t requests_per_slot, std::uint64_t seed,
-                          core::LoadBalancingOptions options);
+  RequestStreamController(std::size_t requests_per_slot, std::uint64_t seed);
 
   void reset(const model::ProblemInstance& instance) override;
   model::SlotDecision decide(const DecisionContext& ctx) override;
@@ -65,15 +60,13 @@ class RequestStreamController : public Controller {
  private:
   std::size_t requests_per_slot_;
   std::uint64_t seed_;
-  core::LoadBalancingOptions options_;
 };
 
 /// Least Recently Used over the sampled request stream.
 class LruController final : public RequestStreamController {
  public:
   explicit LruController(std::size_t requests_per_slot = 64,
-                         std::uint64_t seed = 99,
-                         core::LoadBalancingOptions options = {});
+                         std::uint64_t seed = 99);
   std::string name() const override { return "LRU"; }
 
  protected:
@@ -92,8 +85,7 @@ class LruController final : public RequestStreamController {
 class LfuController final : public RequestStreamController {
  public:
   explicit LfuController(std::size_t requests_per_slot = 64,
-                         std::uint64_t seed = 99,
-                         core::LoadBalancingOptions options = {});
+                         std::uint64_t seed = 99);
   std::string name() const override { return "LFU"; }
 
  protected:
@@ -111,8 +103,7 @@ class LfuController final : public RequestStreamController {
 class FifoController final : public RequestStreamController {
  public:
   explicit FifoController(std::size_t requests_per_slot = 64,
-                          std::uint64_t seed = 99,
-                          core::LoadBalancingOptions options = {});
+                          std::uint64_t seed = 99);
   std::string name() const override { return "FIFO"; }
 
  protected:
@@ -129,14 +120,11 @@ class FifoController final : public RequestStreamController {
 /// Clairvoyant static top-C cache (never replaces after the first slot).
 class StaticTopCController final : public Controller {
  public:
-  explicit StaticTopCController(core::LoadBalancingOptions options = {});
-
   std::string name() const override { return "StaticTopC"; }
   void reset(const model::ProblemInstance& instance) override;
   model::SlotDecision decide(const DecisionContext& ctx) override;
 
  private:
-  core::LoadBalancingOptions options_;
   const model::ProblemInstance* instance_ = nullptr;
   model::CacheState static_cache_;
 };

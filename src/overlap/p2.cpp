@@ -30,14 +30,6 @@ double sparse_dot(const linalg::Vec& coeff,
 
 }  // namespace
 
-OverlapFeasibleSet::OverlapFeasibleSet(const OverlapConfig& config,
-                                       const OverlapLayout& layout,
-                                       const ClassDemand& demand,
-                                       linalg::Vec ub)
-    : config_(&config), layout_(&layout), demand_(&demand), ub_(std::move(ub)) {
-  check_upper_bounds(ub_, layout);
-}
-
 void OverlapFeasibleSet::rebind(const OverlapConfig& config,
                                 const OverlapLayout& layout,
                                 const ClassDemand& demand,
@@ -151,15 +143,6 @@ void OverlapFeasibleSet::project_with(const linalg::Vec& point,
   out = scratch.x;
 }
 
-linalg::Vec OverlapFeasibleSet::project(const linalg::Vec& point,
-                                        std::size_t max_iterations,
-                                        double tol) const {
-  ProjectionScratch scratch;
-  linalg::Vec out;
-  project_with(point, out, max_iterations, tol, scratch);
-  return out;
-}
-
 bool OverlapFeasibleSet::contains(const linalg::Vec& y, double tol) const {
   if (y.size() != ub_.size()) return false;
   for (std::size_t j = 0; j < y.size(); ++j) {
@@ -186,19 +169,6 @@ bool OverlapFeasibleSet::contains(const linalg::Vec& y, double tol) const {
     }
   }
   return true;
-}
-
-void OverlapP2Problem::validate() const {
-  MDO_REQUIRE(config != nullptr && layout != nullptr && demand != nullptr,
-              "overlap P2: config/layout/demand must be set");
-  MDO_REQUIRE(demand->num_classes() == config->num_classes() &&
-                  demand->num_contents() == config->num_contents,
-              "overlap P2: demand shape mismatch");
-  const std::size_t size = layout->y_size();
-  MDO_REQUIRE(linear.empty() || linear.size() == size,
-              "overlap P2: linear size mismatch");
-  MDO_REQUIRE(upper.empty() || upper.size() == size,
-              "overlap P2: upper size mismatch");
 }
 
 void OverlapP2Workspace::bind(const OverlapConfig& config,
@@ -256,12 +226,6 @@ void OverlapP2Workspace::set_linear(const double* begin, const double* end) {
   has_solution_ = false;
 }
 
-void OverlapP2Workspace::set_linear_zero() {
-  MDO_REQUIRE(bound(), "overlap workspace: bind() before set_linear_zero()");
-  c_.assign(u_.size(), 0.0);
-  has_solution_ = false;
-}
-
 void OverlapP2Workspace::set_upper(const linalg::Vec& upper) {
   MDO_REQUIRE(bound(), "overlap workspace: bind() before set_upper()");
   MDO_REQUIRE(upper.size() == u_.size(), "overlap workspace: upper size");
@@ -269,23 +233,18 @@ void OverlapP2Workspace::set_upper(const linalg::Vec& upper) {
   has_solution_ = false;
 }
 
-double overlap_p2_objective(const OverlapP2Problem& problem,
-                            const linalg::Vec& y) {
-  problem.validate();
-  OverlapP2Workspace ws;
-  ws.bind(*problem.config, *problem.layout, *problem.demand);
-  if (!problem.linear.empty()) {
-    ws.set_linear(problem.linear.data(),
-                  problem.linear.data() + problem.linear.size());
+double OverlapP2Workspace::objective(const linalg::Vec& y) const {
+  MDO_REQUIRE(bound(), "overlap workspace: bind() before objective()");
+  MDO_REQUIRE(y.size() == u_.size(), "overlap objective: y size");
+  // Off the demand support u_ and v_ are exact zeros: the skipped dot terms
+  // are +0.0 (see sparse_dot).
+  const double bs_term = a_ - sparse_dot(u_, u_active_, y);
+  double value = bs_term * bs_term + linalg::dot(c_, y);
+  for (std::size_t n = 0; n < v_.size(); ++n) {
+    const double served = sparse_dot(v_[n], v_active_[n], y);
+    value += served * served;
   }
-  MDO_REQUIRE(y.size() == ws.u_.size(), "overlap objective: y size");
-  const double bs_term = ws.a_ - linalg::dot(ws.u_, y);
-  double total = bs_term * bs_term + linalg::dot(ws.c_, y);
-  for (const auto& v : ws.v_) {
-    const double served = linalg::dot(v, y);
-    total += served * served;
-  }
-  return total;
+  return value;
 }
 
 OverlapP2Outcome solve_overlap_load_balancing(OverlapP2Workspace& ws,
@@ -296,7 +255,7 @@ OverlapP2Outcome solve_overlap_load_balancing(OverlapP2Workspace& ws,
   OverlapP2Outcome out;
   if (ws.lipschitz_ <= 1e-14) {
     ws.y_.assign(size, 0.0);
-    out.objective = ws.a_ * ws.a_;
+    out.objective = ws.objective(ws.y_);
     out.converged = true;
     ws.has_solution_ = true;
     return out;
@@ -308,15 +267,14 @@ OverlapP2Outcome solve_overlap_load_balancing(OverlapP2Workspace& ws,
   // storage: no allocation.
   const solver::ValueGradientFn objective = [&ws](const linalg::Vec& y,
                                                   linalg::Vec& grad) {
-    // Active-coordinate evaluation: off the demand support u_ and v_ are
+    // Active-coordinate gradient: off the demand support u_ and v_ are
     // exact zeros, so grad there is just c_ (the dense code adds a signed
-    // zero, which cannot change it) and the skipped dot terms are +0.0.
+    // zero, which cannot change it).
     const double bs_term = ws.a_ - sparse_dot(ws.u_, ws.u_active_, y);
     grad = ws.c_;
     for (const std::size_t j : ws.u_active_) {
       grad[j] = -2.0 * bs_term * ws.u_[j] + ws.c_[j];
     }
-    double value = bs_term * bs_term + linalg::dot(ws.c_, y);
     for (std::size_t n = 0; n < ws.v_.size(); ++n) {
       const double served = sparse_dot(ws.v_[n], ws.v_active_[n], y);
       if (served != 0.0) {
@@ -324,9 +282,8 @@ OverlapP2Outcome solve_overlap_load_balancing(OverlapP2Workspace& ws,
           grad[j] += 2.0 * served * ws.v_[n][j];
         }
       }
-      value += served * served;
     }
-    return value;
+    return ws.objective(y);
   };
   const solver::ProjectionIntoFn project =
       [&ws, &options](const linalg::Vec& in, linalg::Vec& out_vec) {
@@ -347,30 +304,6 @@ OverlapP2Outcome solve_overlap_load_balancing(OverlapP2Workspace& ws,
   out.iterations = summary.iterations;
   out.converged = summary.converged;
   ws.has_solution_ = true;
-  return out;
-}
-
-OverlapP2Solution solve_overlap_load_balancing(
-    const OverlapP2Problem& problem, const OverlapP2Options& options,
-    const linalg::Vec* warm_start) {
-  problem.validate();
-  OverlapP2Workspace ws;
-  ws.bind(*problem.config, *problem.layout, *problem.demand);
-  if (!problem.linear.empty()) {
-    ws.set_linear(problem.linear.data(),
-                  problem.linear.data() + problem.linear.size());
-  }
-  if (!problem.upper.empty()) ws.set_upper(problem.upper);
-  if (warm_start != nullptr && warm_start->size() == problem.layout->y_size()) {
-    ws.warm_start() = *warm_start;
-  }
-  const OverlapP2Outcome outcome = solve_overlap_load_balancing(ws, options);
-
-  OverlapP2Solution out;
-  out.y = std::move(ws.warm_start());
-  out.objective = outcome.objective;
-  out.iterations = outcome.iterations;
-  out.converged = outcome.converged;
   return out;
 }
 

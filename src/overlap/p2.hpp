@@ -13,8 +13,7 @@
 // Hot-path memory model: mirrors core::P2Workspace. OverlapP2Workspace
 // keeps the coefficient vectors, the Dykstra/FISTA scratch, and the warm
 // start alive across dual iterations (and across solves); only the linear
-// term c and the box upper bound are refreshed in place. The legacy
-// one-shot entry points wrap a throwaway workspace and stay bit-identical.
+// term c and the box upper bound are refreshed in place.
 #pragma once
 
 #include "overlap/model.hpp"
@@ -37,28 +36,17 @@ class OverlapFeasibleSet {
     linalg::Vec row_point, row_projected;
   };
 
-  /// Empty set; rebind() before use.
-  OverlapFeasibleSet() = default;
-
-  /// ub: per-coordinate upper bounds (e.g. the caching vector), size
-  /// layout.y_size(); all objects must outlive the set.
-  OverlapFeasibleSet(const OverlapConfig& config, const OverlapLayout& layout,
-                     const ClassDemand& demand, linalg::Vec ub);
-
-  /// Re-points the set at new problem data and copies `ub` into place
-  /// without releasing any storage. Same [0, 1] bound checks as the
-  /// constructor.
+  /// Points the set at problem data and copies `ub` (per-coordinate upper
+  /// bounds in [0, 1], e.g. the caching vector, size layout.y_size()) into
+  /// place without releasing any storage. The config, layout and demand
+  /// must outlive the set. An empty set must be rebound before use.
   void rebind(const OverlapConfig& config, const OverlapLayout& layout,
               const ClassDemand& demand, const linalg::Vec& ub);
 
-  /// Euclidean projection via Dykstra's algorithm.
-  linalg::Vec project(const linalg::Vec& point,
-                      std::size_t max_iterations = 60,
-                      double tol = 1e-9) const;
-
-  /// Same iteration with caller-owned scratch: writes the projection of
-  /// `point` into `out` (resized as needed), allocation-free once the
-  /// scratch buffers reach the instance size. Bit-identical to project().
+  /// Euclidean projection via Dykstra's algorithm with caller-owned
+  /// scratch: writes the projection of `point` into `out` (resized as
+  /// needed), allocation-free once the scratch buffers reach the instance
+  /// size.
   void project_with(const linalg::Vec& point, linalg::Vec& out,
                     std::size_t max_iterations, double tol,
                     ProjectionScratch& scratch) const;
@@ -82,29 +70,12 @@ class OverlapFeasibleSet {
   linalg::Vec ub_;
 };
 
-struct OverlapP2Problem {
-  const OverlapConfig* config = nullptr;
-  const OverlapLayout* layout = nullptr;
-  const ClassDemand* demand = nullptr;
-  linalg::Vec linear;  // c (multipliers); empty = zero
-  linalg::Vec upper;   // ub; empty = all-ones
-
-  void validate() const;
-};
-
 struct OverlapP2Options {
   solver::FirstOrderOptions first_order{.max_iterations = 250,
                                         .gradient_tolerance = 1e-6,
                                         .lipschitz = 1.0,  // overwritten
                                         .accelerate = true};
   std::size_t dykstra_iterations = 60;
-};
-
-struct OverlapP2Solution {
-  linalg::Vec y;
-  double objective = 0.0;  // f + g + c.y
-  std::size_t iterations = 0;
-  bool converged = false;
 };
 
 /// Result of a workspace-based solve; the solution itself lives in
@@ -130,9 +101,8 @@ class OverlapP2Workspace {
 
   /// Copies [begin, end) into the linear term c. Size must match.
   void set_linear(const double* begin, const double* end);
-  void set_linear_zero();
   /// Copies `upper` into the box upper bound (bounds are checked when the
-  /// feasible set is rebuilt at solve time, as in the legacy path).
+  /// feasible set is rebuilt at solve time).
   void set_upper(const linalg::Vec& upper);
 
   const linalg::Vec& upper() const { return ub_; }
@@ -146,11 +116,13 @@ class OverlapP2Workspace {
   /// (bind, c, ub) state (the repair loop's unchanged-ub fast path).
   bool has_solution() const { return has_solution_; }
 
+  /// The objective f + g + c.y at y under the bound coefficients; the
+  /// value a solve reports.
+  double objective(const linalg::Vec& y) const;
+
  private:
   friend OverlapP2Outcome solve_overlap_load_balancing(
       OverlapP2Workspace& ws, const OverlapP2Options& options);
-  friend double overlap_p2_objective(const OverlapP2Problem& problem,
-                                     const linalg::Vec& y);
 
   const OverlapConfig* config_ = nullptr;
   const OverlapLayout* layout_ = nullptr;
@@ -176,20 +148,10 @@ class OverlapP2Workspace {
   solver::FirstOrderWorkspace first_order_;
 };
 
-/// Workspace-based solve: reads the bound coefficients, writes the solution
-/// into ws.y(). Allocation-free in steady state; bit-identical to the
-/// legacy entry point below.
+/// Minimizes f + g + c.y over the overlap feasible set: reads the bound
+/// coefficients and writes the solution into ws.y(). Allocation-free in
+/// steady state.
 OverlapP2Outcome solve_overlap_load_balancing(OverlapP2Workspace& ws,
                                               const OverlapP2Options& options);
-
-/// Minimizes f + g + c.y over the overlap feasible set. Thin wrapper over a
-/// throwaway OverlapP2Workspace.
-OverlapP2Solution solve_overlap_load_balancing(
-    const OverlapP2Problem& problem, const OverlapP2Options& options = {},
-    const linalg::Vec* warm_start = nullptr);
-
-/// Objective evaluation at a given y (tests / brute force).
-double overlap_p2_objective(const OverlapP2Problem& problem,
-                            const linalg::Vec& y);
 
 }  // namespace mdo::overlap

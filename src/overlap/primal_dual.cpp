@@ -11,11 +11,6 @@
 
 namespace mdo::overlap {
 
-namespace {
-// alpha in the step schedule delta_l = alpha / (1 + l) (16).
-constexpr double kStepAlpha = 1.0;
-}  // namespace
-
 void OverlapHorizonProblem::validate() const {
   MDO_REQUIRE(config != nullptr && layout != nullptr,
               "overlap horizon: config/layout must be set");
@@ -129,7 +124,7 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
     mu = *warm_mu;
   }
   const core::DualAscentParams params{
-      options_.max_iterations, options_.epsilon, kStepAlpha,
+      options_.max_iterations, options_.epsilon,
       std::max(1e-9, 0.5 * mean_marginal),
       /*step_offset=*/0};
 
@@ -176,7 +171,7 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
       ss.p2.set_linear(mu.data() + t * per_slot,
                        mu.data() + (t + 1) * per_slot);
       p2_objectives[t] =
-          solve_overlap_load_balancing(ss.p2, options_.p2).objective;
+          solve_overlap_load_balancing(ss.p2, {}).objective;
     });
 
     // ---- Feasibility repair -> upper bound (independent per slot).
@@ -201,7 +196,7 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
       // invalidated any previous window's solution).
       if (!ss.repair.has_solution() || ub != ss.repair.upper()) {
         ss.repair.set_upper(ub);
-        solve_overlap_load_balancing(ss.repair, options_.p2);
+        solve_overlap_load_balancing(ss.repair, {});
       }
       repaired[t].y = ss.repair.y();
     });

@@ -32,9 +32,9 @@ struct OverlapHorizonProblem {
 struct OverlapPrimalDualOptions {
   std::size_t max_iterations = 16;
   double epsilon = 1e-4;
-  // Step schedule and cold start as in core::PrimalDualOptions: alpha = 1,
-  // marginal-gradient scale and initialization (primal_dual.cpp).
-  OverlapP2Options p2{};
+  // Step schedule and cold start as in core::PrimalDualOptions: delta_l =
+  // 1 / (1 + l), marginal-gradient scale and initialization; P2 runs at the
+  // OverlapP2Options defaults.
 };
 
 struct OverlapHorizonSolution {

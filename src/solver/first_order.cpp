@@ -100,25 +100,4 @@ FirstOrderSummary minimize_projected(const ValueGradientFn& objective,
   return summary;
 }
 
-FirstOrderResult minimize_projected(const ValueGradientFn& objective,
-                                    const ProjectionFn& project,
-                                    const linalg::Vec& x0,
-                                    const FirstOrderOptions& options) {
-  FirstOrderWorkspace ws;
-  ws.x = x0;
-  const ProjectionIntoFn project_into =
-      [&project](const linalg::Vec& in, linalg::Vec& out) {
-        out = project(in);
-      };
-  const FirstOrderSummary summary =
-      minimize_projected(objective, project_into, ws, options);
-  FirstOrderResult result;
-  result.x = std::move(ws.x);
-  result.objective_value = summary.objective_value;
-  result.iterations = summary.iterations;
-  result.converged = summary.converged;
-  result.status = summary.status;
-  return result;
-}
-
 }  // namespace mdo::solver

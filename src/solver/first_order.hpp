@@ -3,13 +3,9 @@
 // Used for the load-balancing subproblem P2 (Sec. III): the objective
 // f_t + g_t + mu.y is smooth and convex, the feasible set is box ∩ knapsack
 // with an exact projection, so projected gradient / FISTA converge at the
-// standard O(1/k) / O(1/k^2) rates with step 1/L.
-//
-// Two entry points share one implementation:
-//  - the workspace overload runs the whole FISTA loop in caller-owned
-//    buffers (zero heap allocations per iteration in steady state), and
-//  - the legacy overload wraps it, paying one workspace allocation per
-//    call (plus whatever the caller's by-value ProjectionFn allocates).
+// standard O(1/k) / O(1/k^2) rates with step 1/L. The loop runs in
+// caller-owned buffers: zero heap allocations per iteration in steady
+// state.
 #pragma once
 
 #include <cstddef>
@@ -23,9 +19,6 @@ namespace mdo::solver {
 /// Evaluates the objective and writes its gradient; returns the value.
 using ValueGradientFn =
     std::function<double(const linalg::Vec& x, linalg::Vec& grad)>;
-
-/// Projects a point onto the feasible set.
-using ProjectionFn = std::function<linalg::Vec(const linalg::Vec& x)>;
 
 /// Allocation-free projection: writes the projection of `in` into `out`
 /// (pre-sized by the solver). `in` and `out` never alias.
@@ -44,7 +37,7 @@ struct FirstOrderOptions {
   bool accelerate = true;
 };
 
-/// Caller-owned iteration buffers for the workspace overload. Reusing one
+/// Caller-owned iteration buffers of minimize_projected. Reusing one
 /// workspace across solves of the same dimension makes the loop
 /// allocation-free after the first call; dimension changes just re-size.
 struct FirstOrderWorkspace {
@@ -55,7 +48,7 @@ struct FirstOrderWorkspace {
   linalg::Vec projected;  // post-projection iterate
 };
 
-/// Result of the workspace overload; the solution itself lives in
+/// Result of minimize_projected; the solution itself lives in
 /// FirstOrderWorkspace::x.
 struct FirstOrderSummary {
   double objective_value = 0.0;
@@ -64,35 +57,15 @@ struct FirstOrderSummary {
   SolveStatus status = SolveStatus::kIterationLimit;
 };
 
-struct FirstOrderResult {
-  linalg::Vec x;
-  double objective_value = 0.0;
-  std::size_t iterations = 0;
-  bool converged = false;
-  /// kNonFiniteInput when x0 or an iterate turned NaN/Inf; the returned x is
-  /// then the last finite iterate (or the zero vector at entry).
-  SolveStatus status = SolveStatus::kIterationLimit;
-};
-
-/// Workspace overload: minimizes over the set defined by `project`,
+/// Minimizes a smooth convex function over the set defined by `project`,
 /// starting from ws.x (projected first if infeasible); ws.x holds the
-/// solution on return. No heap allocation once the workspace buffers have
-/// reached the problem dimension. Bit-identical iterates to the legacy
-/// overload.
+/// solution on return. A non-finite start or iterate is reported via the
+/// status rather than thrown: ws.x is then the last finite iterate (or the
+/// zero vector at entry). No heap allocation once the workspace buffers
+/// have reached the problem dimension.
 FirstOrderSummary minimize_projected(const ValueGradientFn& objective,
                                      const ProjectionIntoFn& project,
                                      FirstOrderWorkspace& ws,
                                      const FirstOrderOptions& options);
-
-/// Minimizes a smooth convex function over the set defined by `project`,
-/// starting from `x0` (projected first if infeasible). Non-finite inputs are
-/// reported via the result status rather than thrown. Thin wrapper over the
-/// workspace overload: one workspace allocation per call, none per
-/// iteration (the by-value `project` return is the caller's only remaining
-/// per-iteration allocation).
-FirstOrderResult minimize_projected(const ValueGradientFn& objective,
-                                    const ProjectionFn& project,
-                                    const linalg::Vec& x0,
-                                    const FirstOrderOptions& options);
 
 }  // namespace mdo::solver

@@ -8,26 +8,6 @@
 
 namespace mdo::solver {
 
-linalg::Vec project_box(const linalg::Vec& point, const linalg::Vec& lo,
-                        const linalg::Vec& hi) {
-  MDO_REQUIRE(point.size() == lo.size() && point.size() == hi.size(),
-              "project_box: size mismatch");
-  const std::size_t n = point.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    MDO_REQUIRE(lo[i] <= hi[i], "project_box: lo > hi");
-  }
-  linalg::Vec out(n);
-  const double* p = point.data();
-  const double* l = lo.data();
-  const double* h = hi.data();
-  double* o = out.data();
-  MDO_SIMD_LOOP
-  for (std::size_t i = 0; i < n; ++i) {
-    o[i] = std::clamp(p[i], l[i], h[i]);
-  }
-  return out;
-}
-
 void BoxKnapsackSet::validate() const {
   MDO_REQUIRE(lo.size() == hi.size() && lo.size() == weights.size(),
               "BoxKnapsackSet: size mismatch");
@@ -112,16 +92,7 @@ void project_box_knapsack_into(const linalg::Vec& point,
     if (knapsack_value(point, set, mid) > set.budget) theta_lo = mid;
     else theta_hi = mid;
   }
-  linalg::scaled_sub_project_box(point, theta_hi, set.weights, set.lo, set.hi,
-                                 out);
-}
-
-linalg::Vec project_box_knapsack(const linalg::Vec& point,
-                                 const BoxKnapsackSet& set, double tol) {
-  set.validate();
-  linalg::Vec out(point.size());
-  project_box_knapsack_into(point, set, out, tol);
-  return out;
+  linalg::scaled_sub_clamp(point, theta_hi, set.weights, set.lo, set.hi, out);
 }
 
 }  // namespace mdo::solver

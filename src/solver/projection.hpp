@@ -12,10 +12,6 @@
 
 namespace mdo::solver {
 
-/// Projects `point` onto the box [lo, hi]^n (component-wise clamp).
-linalg::Vec project_box(const linalg::Vec& point, const linalg::Vec& lo,
-                        const linalg::Vec& hi);
-
 /// Parameters of the box-plus-knapsack feasible set.
 struct BoxKnapsackSet {
   linalg::Vec lo;       // finite lower bounds
@@ -31,16 +27,11 @@ struct BoxKnapsackSet {
   bool contains(const linalg::Vec& y, double tol = 1e-7) const;
 };
 
-/// Exact Euclidean projection onto a BoxKnapsackSet.
+/// Exact Euclidean projection onto a BoxKnapsackSet: writes the projection
+/// of `point` into `out` (pre-sized to point.size()) without allocating.
 /// `tol` controls the bisection stopping threshold on the multiplier.
-linalg::Vec project_box_knapsack(const linalg::Vec& point,
-                                 const BoxKnapsackSet& set,
-                                 double tol = 1e-10);
-
-/// Allocation-free variant: writes the projection of `point` into `out`
-/// (pre-sized to point.size()). Identical arithmetic to the allocating
-/// overload. Precondition: `set` is consistent (the hot paths validate once
-/// when the set is (re)built instead of on every projection).
+/// Precondition: `set` is consistent — callers validate() it once when
+/// they (re)build it, not on every projection.
 void project_box_knapsack_into(const linalg::Vec& point,
                                const BoxKnapsackSet& set, linalg::Vec& out,
                                double tol = 1e-10);

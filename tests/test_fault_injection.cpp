@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 
@@ -428,13 +429,17 @@ TEST(SolveStatus, LoadBalancingRejectsNonFiniteDemand) {
   const auto instance = faulty_instance(1);
   model::SbsDemand demand = instance.demand.slot(0)[0];
   demand.at(0, 0) = std::numeric_limits<double>::infinity();
-  core::LoadBalancingSubproblem problem;
-  problem.sbs = &instance.config.sbs[0];
-  problem.demand = &demand;
-  core::LoadBalancingSolution solution;
-  EXPECT_NO_THROW(solution = core::solve_load_balancing(problem));
-  EXPECT_EQ(solution.status, solver::SolveStatus::kNonFiniteInput);
-  for (const double y : solution.y) EXPECT_EQ(y, 0.0);  // safe fallback
+  std::vector<std::size_t> all(demand.num_contents());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  core::P2Workspace ws;
+  EXPECT_NO_THROW(ws.bind_active(instance.config.sbs[0],
+                                 model::SparseSbsDemand::from_dense(demand),
+                                 all));
+  core::LoadBalancingOutcome outcome;
+  EXPECT_NO_THROW(outcome = core::solve_load_balancing(ws, {}));
+  EXPECT_EQ(outcome.status, solver::SolveStatus::kNonFiniteInput);
+  EXPECT_EQ(ws.y().size(), demand.data().size());
+  for (const double y : ws.y()) EXPECT_EQ(y, 0.0);  // safe fallback
 }
 
 TEST(SolveStatus, PrimalDualDegradesOnNonFiniteDemand) {

@@ -3,11 +3,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <optional>
+#include <utility>
+#include <vector>
 
+#include "core/dual_ascent.hpp"
 #include "linalg/vec.hpp"
 #include "solver/first_order.hpp"
 #include "solver/projection.hpp"
-#include "solver/subgradient.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -29,13 +33,16 @@ ValueGradientFn quadratic(const Vec& target) {
   };
 }
 
-ProjectionFn box(double lo, double hi) {
-  return [lo, hi](const Vec& x) {
-    Vec out = x;
-    for (auto& v : out) v = std::clamp(v, lo, hi);
-    return out;
+/// Componentwise clamp onto [lo, hi].
+ProjectionIntoFn box(double lo, double hi) {
+  return [lo, hi](const Vec& in, Vec& out) {
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      out[i] = std::clamp(in[i], lo, hi);
+    }
   };
 }
+
+const ProjectionIntoFn identity = [](const Vec& in, Vec& out) { out = in; };
 
 TEST(FirstOrder, UnconstrainedQuadraticConverges) {
   const Vec target{1.0, -2.0, 3.0};
@@ -43,11 +50,12 @@ TEST(FirstOrder, UnconstrainedQuadraticConverges) {
   options.lipschitz = 2.0;
   options.gradient_tolerance = 1e-10;
   options.max_iterations = 2000;
-  const auto result = minimize_projected(
-      quadratic(target), [](const Vec& x) { return x; }, Vec(3, 0.0),
-      options);
+  FirstOrderWorkspace ws;
+  ws.x = Vec(3, 0.0);
+  const auto result =
+      minimize_projected(quadratic(target), identity, ws, options);
   EXPECT_TRUE(result.converged);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(result.x[i], target[i], 1e-6);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(ws.x[i], target[i], 1e-6);
   EXPECT_NEAR(result.objective_value, 0.0, 1e-10);
 }
 
@@ -57,12 +65,14 @@ TEST(FirstOrder, BoxConstraintClampsOptimum) {
   options.lipschitz = 2.0;
   options.gradient_tolerance = 1e-10;
   options.max_iterations = 2000;
-  const auto result = minimize_projected(quadratic(target), box(0.0, 1.0),
-                                         Vec(3, 0.5), options);
+  FirstOrderWorkspace ws;
+  ws.x = Vec(3, 0.5);
+  const auto result =
+      minimize_projected(quadratic(target), box(0.0, 1.0), ws, options);
   EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.x[0], 1.0, 1e-7);
-  EXPECT_NEAR(result.x[1], 0.0, 1e-7);
-  EXPECT_NEAR(result.x[2], 0.25, 1e-6);
+  EXPECT_NEAR(ws.x[0], 1.0, 1e-7);
+  EXPECT_NEAR(ws.x[1], 0.0, 1e-7);
+  EXPECT_NEAR(ws.x[2], 0.25, 1e-6);
 }
 
 TEST(FirstOrder, PlainGradientAlsoConverges) {
@@ -72,10 +82,12 @@ TEST(FirstOrder, PlainGradientAlsoConverges) {
   options.accelerate = false;
   options.gradient_tolerance = 1e-10;
   options.max_iterations = 5000;
-  const auto result = minimize_projected(quadratic(target), box(0.0, 1.0),
-                                         Vec(2, 0.0), options);
+  FirstOrderWorkspace ws;
+  ws.x = Vec(2, 0.0);
+  const auto result =
+      minimize_projected(quadratic(target), box(0.0, 1.0), ws, options);
   EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.x[0], 0.5, 1e-6);
+  EXPECT_NEAR(ws.x[0], 0.5, 1e-6);
 }
 
 TEST(FirstOrder, AccelerationIsFasterOnIllConditionedProblem) {
@@ -93,10 +105,11 @@ TEST(FirstOrder, AccelerationIsFasterOnIllConditionedProblem) {
   fast.max_iterations = 20000;
   FirstOrderOptions slow = fast;
   slow.accelerate = false;
-  const auto id = [](const Vec& x) { return x; };
-  const auto accelerated =
-      minimize_projected(objective, id, Vec(2, 0.0), fast);
-  const auto plain = minimize_projected(objective, id, Vec(2, 0.0), slow);
+  FirstOrderWorkspace fast_ws, slow_ws;
+  fast_ws.x = Vec(2, 0.0);
+  slow_ws.x = Vec(2, 0.0);
+  const auto accelerated = minimize_projected(objective, identity, fast_ws, fast);
+  const auto plain = minimize_projected(objective, identity, slow_ws, slow);
   EXPECT_TRUE(accelerated.converged);
   EXPECT_TRUE(plain.converged);
   EXPECT_LT(accelerated.iterations, plain.iterations);
@@ -107,10 +120,11 @@ TEST(FirstOrder, InfeasibleStartIsProjectedFirst) {
   FirstOrderOptions options;
   options.lipschitz = 2.0;
   options.max_iterations = 100;
-  const auto result = minimize_projected(quadratic(target), box(0.0, 1.0),
-                                         Vec{25.0}, options);
-  EXPECT_GE(result.x[0], 0.0);
-  EXPECT_LE(result.x[0], 1.0);
+  FirstOrderWorkspace ws;
+  ws.x = Vec{25.0};
+  minimize_projected(quadratic(target), box(0.0, 1.0), ws, options);
+  EXPECT_GE(ws.x[0], 0.0);
+  EXPECT_LE(ws.x[0], 1.0);
 }
 
 TEST(FirstOrder, IterationLimitReported) {
@@ -119,9 +133,10 @@ TEST(FirstOrder, IterationLimitReported) {
   options.lipschitz = 2000.0;  // absurdly small steps
   options.max_iterations = 3;
   options.gradient_tolerance = 1e-14;
-  const auto result = minimize_projected(quadratic(target),
-                                         [](const Vec& x) { return x; },
-                                         Vec{0.0}, options);
+  FirstOrderWorkspace ws;
+  ws.x = Vec{0.0};
+  const auto result =
+      minimize_projected(quadratic(target), identity, ws, options);
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.iterations, 3u);
 }
@@ -129,14 +144,13 @@ TEST(FirstOrder, IterationLimitReported) {
 TEST(FirstOrder, ValidatesInputs) {
   FirstOrderOptions options;
   options.lipschitz = 0.0;
-  EXPECT_THROW(minimize_projected(quadratic({1.0}),
-                                  [](const Vec& x) { return x; }, Vec{0.0},
-                                  options),
+  FirstOrderWorkspace ws;
+  ws.x = Vec{0.0};
+  EXPECT_THROW(minimize_projected(quadratic({1.0}), identity, ws, options),
                InvalidArgument);
   options.lipschitz = 1.0;
-  EXPECT_THROW(minimize_projected(quadratic({}),
-                                  [](const Vec& x) { return x; }, Vec{},
-                                  options),
+  ws.x.clear();
+  EXPECT_THROW(minimize_projected(quadratic({}), identity, ws, options),
                InvalidArgument);
 }
 
@@ -157,15 +171,21 @@ TEST_P(FirstOrderRandomTest, NearOptimalOnRandomQuadratics) {
   for (auto& w : set.weights) w = rng.uniform(0.0, 2.0);
   set.budget = rng.uniform(0.2, 2.0);
 
+  set.validate();
+
   FirstOrderOptions options;
   options.lipschitz = 2.0;
   options.gradient_tolerance = 1e-9;
   options.max_iterations = 5000;
+  FirstOrderWorkspace ws;
+  ws.x = Vec(n, 0.0);
   const auto result = minimize_projected(
       quadratic(target),
-      [&set](const Vec& x) { return project_box_knapsack(x, set); },
-      Vec(n, 0.0), options);
-  EXPECT_TRUE(set.contains(result.x, 1e-6));
+      [&set](const Vec& in, Vec& out) {
+        project_box_knapsack_into(in, set, out);
+      },
+      ws, options);
+  EXPECT_TRUE(set.contains(ws.x, 1e-6));
 
   Rng sampler(GetParam() + 99);
   for (int trial = 0; trial < 300; ++trial) {
@@ -187,25 +207,66 @@ INSTANTIATE_TEST_SUITE_P(RandomProblems, FirstOrderRandomTest,
 
 // ----------------------------------------------------------- subgradient ----
 
+/// The stub backend's solution: what run_dual_ascent fills.
+struct StubSolution {
+  double upper_bound = 0.0;
+  double lower_bound = 0.0;
+  std::size_t iterations = 0;
+  std::vector<int> schedule;
+  SolveStatus status = SolveStatus::kConverged;
+};
+
 TEST(Subgradient, StepScheduleMatchesEq16) {
-  // delta_l = alpha / (1 + l): alpha scales the magnitude (the old
-  // 1 / (1 + alpha l) form pinned delta_0 at 1.0 regardless of alpha).
-  const DiminishingStep step(0.5);
-  EXPECT_DOUBLE_EQ(step(0), 0.5);
-  EXPECT_DOUBLE_EQ(step(1), 0.25);
-  EXPECT_DOUBLE_EQ(step(4), 0.1);
-}
+  // delta_l = step_scale / (1 + offset + l), eq. (16): iteration l + 1
+  // applies delta_l before it solves, and finish() gets the step left
+  // pending when the iteration cap ends the loop.
+  core::DualAscentParams params;
+  params.max_iterations = 4;
+  params.epsilon = 1e-3;  // never reached: the stub's gap stays at 1/2
+  params.step_scale = 0.75;
+  params.step_offset = 3;
+  std::vector<std::pair<bool, double>> steps;
+  const auto iterate = [&](bool apply_step, double delta,
+                           std::vector<int>& repaired) {
+    steps.emplace_back(apply_step, delta);
+    repaired.assign(1, static_cast<int>(steps.size()));
+    return std::optional<core::DualIterate>({1.0, 2.0});
+  };
+  const auto finish = [&](bool apply_step, double delta) {
+    steps.emplace_back(apply_step, delta);
+    return true;
+  };
+  StubSolution best;
+  ASSERT_TRUE(core::run_dual_ascent(params, nullptr, iterate, finish, best));
 
-TEST(Subgradient, AlphaScalesTheWholeSchedule) {
-  const DiminishingStep unit(1.0);
-  const DiminishingStep doubled(2.0);
-  for (std::size_t l = 0; l < 6; ++l) {
-    EXPECT_DOUBLE_EQ(doubled(l), 2.0 * unit(l)) << l;
+  const auto delta = [&](std::size_t l) {
+    return params.step_scale *
+           (1.0 / (1.0 + static_cast<double>(params.step_offset + l)));
+  };
+  ASSERT_EQ(steps.size(), 5u);
+  EXPECT_FALSE(steps[0].first);
+  EXPECT_EQ(steps[0].second, 0.0);
+  for (std::size_t l = 0; l < 4; ++l) {
+    EXPECT_TRUE(steps[l + 1].first) << l;
+    const double expected = delta(l);
+    EXPECT_EQ(std::memcmp(&steps[l + 1].second, &expected, sizeof(double)), 0)
+        << l;
   }
-}
+  EXPECT_EQ(steps[1].second, 0.1875);  // 0.75 / 4, exact in binary
+  EXPECT_EQ(best.iterations, 4u);
+  EXPECT_EQ(best.upper_bound, 2.0);
+  EXPECT_EQ(best.lower_bound, 1.0);
+  EXPECT_EQ(best.schedule, std::vector<int>{1});  // the first 2.0 incumbent
+  EXPECT_EQ(best.status, SolveStatus::kIterationLimit);
 
-TEST(Subgradient, RejectsNonPositiveAlpha) {
-  EXPECT_THROW(DiminishingStep{0.0}, InvalidArgument);
+  // A gap exit leaves no step pending.
+  params.epsilon = 0.5;
+  steps.clear();
+  ASSERT_TRUE(core::run_dual_ascent(params, nullptr, iterate, finish, best));
+  ASSERT_EQ(steps.size(), 2u);
+  EXPECT_FALSE(steps[1].first);
+  EXPECT_EQ(best.iterations, 1u);
+  EXPECT_EQ(best.status, SolveStatus::kConverged);
 }
 
 TEST(Subgradient, AscendProjectsOntoNonNegativeOrthant) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/load_balancing.hpp"
+#include "model/decision.hpp"
 #include "model/sparse_demand.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -28,11 +29,42 @@ struct Fixture {
     sbs.classes.assign(classes, model::MuClass{1.0, 0.0});
   }
 
-  LoadBalancingSubproblem problem() const {
-    LoadBalancingSubproblem p;
-    p.sbs = &sbs;
-    p.demand = &demand;
-    return p;
+  std::vector<std::size_t> all_contents() const {
+    std::vector<std::size_t> all(demand.num_contents());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    return all;
+  }
+
+  /// ShardCore's binding of a cell: the demand support plus the contents
+  /// cached at the SBS (model::active_contents).
+  std::vector<std::size_t> active_contents(
+      const std::vector<std::size_t>& cached) const {
+    model::NetworkConfig config;
+    config.num_contents = demand.num_contents();
+    config.sbs = {sbs};
+    model::CacheState cache(config);
+    for (const std::size_t k : cached) cache.set(0, k, true);
+    return model::active_contents(model::SparseSbsDemand::from_dense(demand),
+                                  cache, 0);
+  }
+
+  /// Binds `ws` over `contents`; the coefficient layout is then
+  /// m * |contents| + i.
+  void bind_over(P2Workspace& ws,
+                 const std::vector<std::size_t>& contents) const {
+    ws.bind_active(sbs, model::SparseSbsDemand::from_dense(demand), contents);
+  }
+
+  /// Binds `ws` over the whole catalogue (layout m * K + k) with linear
+  /// term `linear` and box bound `upper`; empty keeps the bind's zero and
+  /// all-ones.
+  void bind(P2Workspace& ws, const linalg::Vec& linear = {},
+            const linalg::Vec& upper = {}) const {
+    bind_over(ws, all_contents());
+    if (!linear.empty()) {
+      ws.set_linear(linear.data(), linear.data() + linear.size());
+    }
+    if (!upper.empty()) ws.set_upper(upper);
   }
 };
 
@@ -41,29 +73,33 @@ TEST(LoadBalancing, ServesEverythingWhenBandwidthAmple) {
   // at y = 1 (a = u here).
   Fixture fx(1, 1, 100.0);
   fx.demand.at(0, 0) = 3.0;
-  const auto sol = solve_load_balancing(fx.problem());
-  EXPECT_NEAR(sol.y[0], 1.0, 1e-4);
-  EXPECT_NEAR(sol.objective, 0.0, 1e-4);
+  P2Workspace ws;
+  fx.bind(ws);
+  const auto out = solve_load_balancing(ws, {});
+  EXPECT_NEAR(ws.y()[0], 1.0, 1e-4);
+  EXPECT_NEAR(out.objective, 0.0, 1e-4);
 }
 
 TEST(LoadBalancing, BandwidthCapBinds) {
   Fixture fx(1, 1, 1.0);  // bandwidth 1 < demand 3
   fx.demand.at(0, 0) = 3.0;
-  const auto sol = solve_load_balancing(fx.problem());
+  P2Workspace ws;
+  fx.bind(ws);
+  const auto out = solve_load_balancing(ws, {});
   // lambda y <= 1 -> y <= 1/3; the BS term decreases in y so y* = 1/3.
-  EXPECT_NEAR(sol.y[0], 1.0 / 3.0, 1e-4);
-  EXPECT_NEAR(sol.objective, (3.0 - 1.0) * (3.0 - 1.0), 1e-3);
+  EXPECT_NEAR(ws.y()[0], 1.0 / 3.0, 1e-4);
+  EXPECT_NEAR(out.objective, (3.0 - 1.0) * (3.0 - 1.0), 1e-3);
 }
 
 TEST(LoadBalancing, UpperBoundFromCachingRespected) {
   Fixture fx(1, 2, 100.0);
   fx.demand.at(0, 0) = 2.0;
   fx.demand.at(0, 1) = 2.0;
-  auto p = fx.problem();
-  p.upper = {1.0, 0.0};  // content 1 not cached
-  const auto sol = solve_load_balancing(p);
-  EXPECT_NEAR(sol.y[0], 1.0, 1e-4);
-  EXPECT_NEAR(sol.y[1], 0.0, 1e-8);
+  P2Workspace ws;
+  fx.bind(ws, {}, {1.0, 0.0});  // content 1 not cached
+  solve_load_balancing(ws, {});
+  EXPECT_NEAR(ws.y()[0], 1.0, 1e-4);
+  EXPECT_NEAR(ws.y()[1], 0.0, 1e-8);
 }
 
 TEST(LoadBalancing, PrioritizesHighOmegaClassesUnderScarcity) {
@@ -72,60 +108,68 @@ TEST(LoadBalancing, PrioritizesHighOmegaClassesUnderScarcity) {
   fx.sbs.classes[1].omega_bs = 0.1;
   fx.demand.at(0, 0) = 2.0;
   fx.demand.at(1, 0) = 2.0;
-  const auto sol = solve_load_balancing(fx.problem());
+  P2Workspace ws;
+  fx.bind(ws);
+  solve_load_balancing(ws, {});
   // Only 2 units of bandwidth for 4 units of demand: serve the expensive
   // class first.
-  EXPECT_GT(sol.y[0], 0.95);
-  EXPECT_LT(sol.y[1], 0.05);
+  EXPECT_GT(ws.y()[0], 0.95);
+  EXPECT_LT(ws.y()[1], 0.05);
 }
 
 TEST(LoadBalancing, LinearTermDiscouragesService) {
   Fixture fx(1, 1, 100.0);
   fx.demand.at(0, 0) = 1.0;
-  auto p = fx.problem();
   // Gradient of (1 - y)^2 at y is -2(1-y); with c = 3 > 2 the multiplier
   // dominates everywhere and y* = 0.
-  p.linear = {3.0};
-  const auto sol = solve_load_balancing(p);
-  EXPECT_NEAR(sol.y[0], 0.0, 1e-4);
+  P2Workspace ws;
+  fx.bind(ws, {3.0});
+  solve_load_balancing(ws, {});
+  EXPECT_NEAR(ws.y()[0], 0.0, 1e-4);
 }
 
 TEST(LoadBalancing, LinearTermPartialInterior) {
   Fixture fx(1, 1, 100.0);
   fx.demand.at(0, 0) = 1.0;
-  auto p = fx.problem();
   // Stationarity: -2(1 - y) + c = 0 -> y = 1 - c/2 = 0.4 for c = 1.2.
-  p.linear = {1.2};
-  const auto sol = solve_load_balancing(p);
-  EXPECT_NEAR(sol.y[0], 0.4, 1e-3);
+  P2Workspace ws;
+  fx.bind(ws, {1.2});
+  solve_load_balancing(ws, {});
+  EXPECT_NEAR(ws.y()[0], 0.4, 1e-3);
 }
 
 TEST(LoadBalancing, SbsCostTermPullsDown) {
   Fixture fx(1, 1, 100.0);
   fx.sbs.classes[0].omega_sbs = 1.0;  // same weight both sides
   fx.demand.at(0, 0) = 1.0;
-  const auto sol = solve_load_balancing(fx.problem());
+  P2Workspace ws;
+  fx.bind(ws);
+  solve_load_balancing(ws, {});
   // min (1-y)^2 + y^2 -> y = 0.5.
-  EXPECT_NEAR(sol.y[0], 0.5, 1e-3);
+  EXPECT_NEAR(ws.y()[0], 0.5, 1e-3);
 }
 
 TEST(LoadBalancing, ZeroDemandDegenerates) {
   Fixture fx(2, 2, 1.0);
-  const auto sol = solve_load_balancing(fx.problem());
-  EXPECT_TRUE(sol.converged);
-  for (const double y : sol.y) EXPECT_DOUBLE_EQ(y, 0.0);
-  EXPECT_DOUBLE_EQ(sol.objective, 0.0);
+  P2Workspace ws;
+  fx.bind(ws);
+  const auto out = solve_load_balancing(ws, {});
+  EXPECT_TRUE(out.converged);
+  for (const double y : ws.y()) EXPECT_DOUBLE_EQ(y, 0.0);
+  EXPECT_DOUBLE_EQ(out.objective, 0.0);
 }
 
 TEST(LoadBalancing, WarmStartGivesSameAnswer) {
   Fixture fx(3, 4, 2.0);
   Rng rng(5);
   for (auto& v : fx.demand.data()) v = rng.uniform(0.0, 2.0);
-  const auto cold = solve_load_balancing(fx.problem());
-  linalg::Vec warm_start(12, 0.7);
-  const auto warm =
-      solve_load_balancing(fx.problem(), {}, &warm_start);
-  EXPECT_NEAR(cold.objective, warm.objective, 1e-4);
+  P2Workspace cold, warm;
+  fx.bind(cold);
+  fx.bind(warm);
+  warm.warm_start() = linalg::Vec(12, 0.7);
+  const auto cold_out = solve_load_balancing(cold, {});
+  const auto warm_out = solve_load_balancing(warm, {});
+  EXPECT_NEAR(cold_out.objective, warm_out.objective, 1e-4);
 }
 
 TEST(LoadBalancing, ObjectiveEvaluatorConsistent) {
@@ -133,72 +177,119 @@ TEST(LoadBalancing, ObjectiveEvaluatorConsistent) {
   fx.demand.at(0, 0) = 1.0;
   fx.demand.at(0, 1) = 2.0;
   fx.demand.at(1, 0) = 0.5;
-  auto p = fx.problem();
-  p.linear = {0.1, 0.2, 0.3, 0.4};
+  P2Workspace ws;
+  fx.bind(ws, {0.1, 0.2, 0.3, 0.4});
   const linalg::Vec y{0.5, 0.25, 1.0, 0.0};
   // a = 1 + 2 + 0.5 = 3.5; u.y = 0.5 + 0.5 + 0.5 = 1.5; c.y = 0.1*0.5 +
   // 0.2*0.25 + 0.3*1 = 0.4.
-  EXPECT_NEAR(load_balancing_objective(p, y), 2.0 * 2.0 + 0.4, 1e-12);
+  EXPECT_NEAR(load_balancing_objective(ws.coefficients(), y), 2.0 * 2.0 + 0.4,
+              1e-12);
 }
 
 TEST(LoadBalancing, ValidatesInputs) {
   Fixture fx(1, 2, 1.0);
-  auto p = fx.problem();
-  p.upper = {0.5};  // wrong size
-  EXPECT_THROW(p.validate(), InvalidArgument);
-  p = fx.problem();
-  p.upper = {1.5, 0.0};  // outside [0, 1]
-  EXPECT_THROW(p.validate(), InvalidArgument);
-  p = fx.problem();
-  p.sbs = nullptr;
-  EXPECT_THROW(p.validate(), InvalidArgument);
+  P2Workspace ws;
+  EXPECT_THROW(solve_load_balancing(ws, {}), InvalidArgument);  // unbound
+  fx.bind(ws);
+  EXPECT_THROW(ws.set_upper({0.5}), InvalidArgument);  // wrong size
+  EXPECT_THROW(ws.set_upper({1.5, 0.0}), InvalidArgument);  // outside [0, 1]
+  const linalg::Vec linear{0.1};
+  EXPECT_THROW(ws.set_linear(linear.data(), linear.data() + linear.size()),
+               InvalidArgument);  // wrong size
+  fx.sbs.classes.push_back(model::MuClass{1.0, 0.0});  // 2 classes, 1 row
+  EXPECT_THROW(fx.bind(ws), InvalidArgument);
 }
+
+/// A random instance of the property tests below, bound either over the
+/// whole catalogue or — as ShardCore binds a cell — over the compact active
+/// set. The compact variant appends two zero-demand contents and caches the
+/// first, so its active set is the demand support plus one cached-only
+/// content: a strict subset of the catalogue.
+struct RandomCell {
+  Fixture fx;
+  std::size_t contents;
+  bool compact;
+
+  RandomCell(std::size_t classes, std::size_t contents_, double bandwidth,
+             bool compact_)
+      : fx(classes, contents_ + (compact_ ? 2 : 0), bandwidth),
+        contents(contents_),
+        compact(compact_) {}
+
+  /// Fills the demand of the first `contents` columns in row-major order.
+  template <class Draw>
+  void fill_demand(Draw draw) {
+    for (std::size_t m = 0; m < fx.demand.num_classes(); ++m) {
+      for (std::size_t k = 0; k < contents; ++k) fx.demand.at(m, k) = draw();
+    }
+  }
+
+  /// Binds `ws` and returns its coordinate count.
+  std::size_t bind(P2Workspace& ws) const {
+    fx.bind_over(ws,
+                 compact ? fx.active_contents({contents}) : fx.all_contents());
+    if (compact) {
+      EXPECT_LT(ws.coefficients().lambda.size(),
+                fx.demand.num_classes() * fx.demand.num_contents());
+    }
+    return ws.coefficients().lambda.size();
+  }
+};
 
 /// Property: the FISTA solution beats random feasible samples.
 class LoadBalancingRandomTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LoadBalancingRandomTest, BeatsRandomFeasiblePoints) {
-  Rng rng(GetParam());
-  const std::size_t classes = 1 + static_cast<std::size_t>(rng.uniform_int(0, 2));
-  const std::size_t contents = 1 + static_cast<std::size_t>(rng.uniform_int(0, 2));
-  Fixture fx(classes, contents, rng.uniform(0.5, 5.0));
-  for (auto& mu : fx.sbs.classes) {
-    mu.omega_bs = rng.uniform(0.0, 1.0);
-    mu.omega_sbs = rng.uniform(0.0, 0.2);
-  }
-  for (auto& v : fx.demand.data()) v = rng.uniform(0.0, 2.0);
-  auto p = fx.problem();
-  p.linear.resize(classes * contents);
-  for (auto& c : p.linear) c = rng.uniform(0.0, 1.0);
-  p.upper.resize(classes * contents);
-  for (auto& u : p.upper) u = rng.bernoulli(0.3) ? 0.0 : 1.0;
-
-  LoadBalancingOptions tight;
-  tight.first_order.max_iterations = 3000;
-  tight.first_order.gradient_tolerance = 1e-9;
-  const auto sol = solve_load_balancing(p, tight);
-
-  // Solution must be feasible.
-  double load = 0.0;
-  for (std::size_t j = 0; j < sol.y.size(); ++j) {
-    EXPECT_GE(sol.y[j], -1e-8);
-    EXPECT_LE(sol.y[j], p.upper[j] + 1e-8);
-    load += fx.demand.data()[j] * sol.y[j];
-  }
-  EXPECT_LE(load, fx.sbs.bandwidth + 1e-6);
-
-  Rng sampler(GetParam() + 1234);
-  for (int trial = 0; trial < 200; ++trial) {
-    linalg::Vec candidate(sol.y.size());
-    double candidate_load = 0.0;
-    for (std::size_t j = 0; j < candidate.size(); ++j) {
-      candidate[j] = sampler.uniform(0.0, p.upper[j]);
-      candidate_load += fx.demand.data()[j] * candidate[j];
+  for (const bool compact : {false, true}) {
+    SCOPED_TRACE(compact ? "compact active set" : "whole catalogue");
+    Rng rng(GetParam());
+    const std::size_t classes =
+        1 + static_cast<std::size_t>(rng.uniform_int(0, 2));
+    const std::size_t contents =
+        1 + static_cast<std::size_t>(rng.uniform_int(0, 2));
+    RandomCell cell(classes, contents, rng.uniform(0.5, 5.0), compact);
+    for (auto& mu : cell.fx.sbs.classes) {
+      mu.omega_bs = rng.uniform(0.0, 1.0);
+      mu.omega_sbs = rng.uniform(0.0, 0.2);
     }
-    if (candidate_load > fx.sbs.bandwidth) continue;
-    EXPECT_GE(load_balancing_objective(p, candidate),
-              sol.objective - 1e-4);
+    cell.fill_demand([&] { return rng.uniform(0.0, 2.0); });
+    P2Workspace ws;
+    const std::size_t size = cell.bind(ws);
+    linalg::Vec linear(size), upper(size);
+    for (auto& c : linear) c = rng.uniform(0.0, 1.0);
+    for (auto& u : upper) u = rng.bernoulli(0.3) ? 0.0 : 1.0;
+    ws.set_linear(linear.data(), linear.data() + size);
+    ws.set_upper(upper);
+
+    LoadBalancingOptions tight;
+    tight.first_order.max_iterations = 3000;
+    tight.first_order.gradient_tolerance = 1e-9;
+    const auto out = solve_load_balancing(ws, tight);
+    const linalg::Vec& y = ws.y();
+    const Coefficients& coeff = ws.coefficients();
+
+    // Solution must be feasible.
+    double load = 0.0;
+    for (std::size_t j = 0; j < size; ++j) {
+      EXPECT_GE(y[j], -1e-8);
+      EXPECT_LE(y[j], upper[j] + 1e-8);
+      load += coeff.lambda[j] * y[j];
+    }
+    EXPECT_LE(load, cell.fx.sbs.bandwidth + 1e-6);
+
+    Rng sampler(GetParam() + 1234);
+    for (int trial = 0; trial < 200; ++trial) {
+      linalg::Vec candidate(size);
+      double candidate_load = 0.0;
+      for (std::size_t j = 0; j < size; ++j) {
+        candidate[j] = sampler.uniform(0.0, upper[j]);
+        candidate_load += coeff.lambda[j] * candidate[j];
+      }
+      if (candidate_load > cell.fx.sbs.bandwidth) continue;
+      EXPECT_GE(load_balancing_objective(coeff, candidate),
+                out.objective - 1e-4);
+    }
   }
 }
 
@@ -208,27 +299,55 @@ INSTANTIATE_TEST_SUITE_P(RandomInstances, LoadBalancingRandomTest,
 // ------------------------------------------------------------ exact KKT ----
 
 TEST(ExactLoadBalancing, ApplicabilityDetection) {
-  Fixture fx(2, 2, 1.0);
-  EXPECT_TRUE(load_balancing_exact_applicable(fx.problem()));
+  // The default options take the exact solver exactly when every
+  // omega_sbs is zero; otherwise they run FISTA, bit for bit.
+  Fixture fx(2, 2, 100.0);
+  fx.demand.at(0, 0) = 1.0;
+  fx.demand.at(0, 1) = 0.5;
+  fx.demand.at(1, 0) = 2.0;
+  fx.demand.at(1, 1) = 0.25;
+  LoadBalancingOptions fista;
+  fista.prefer_exact = false;
+  {
+    P2Workspace by_default, by_fista;
+    fx.bind(by_default);
+    fx.bind(by_fista);
+    // Ample bandwidth: the exact solve is the single theta = 0 point.
+    EXPECT_EQ(solve_load_balancing(by_default, {}).iterations, 1u);
+    EXPECT_GT(solve_load_balancing(by_fista, fista).iterations, 1u);
+  }
   fx.sbs.classes[1].omega_sbs = 0.1;
-  EXPECT_FALSE(load_balancing_exact_applicable(fx.problem()));
-  EXPECT_THROW(solve_load_balancing_exact(fx.problem()), InvalidArgument);
+  P2Workspace by_default, by_fista;
+  fx.bind(by_default);
+  fx.bind(by_fista);
+  const auto default_out = solve_load_balancing(by_default, {});
+  const auto fista_out = solve_load_balancing(by_fista, fista);
+  EXPECT_EQ(default_out.iterations, fista_out.iterations);
+  ASSERT_EQ(by_default.y().size(), by_fista.y().size());
+  EXPECT_EQ(std::memcmp(by_default.y().data(), by_fista.y().data(),
+                        sizeof(double) * by_fista.y().size()),
+            0);
+  EXPECT_EQ(std::memcmp(&default_out.objective, &fista_out.objective,
+                        sizeof(double)),
+            0);
 }
 
 TEST(ExactLoadBalancing, MatchesClosedFormInterior) {
   Fixture fx(1, 1, 100.0);
   fx.demand.at(0, 0) = 1.0;
-  auto p = fx.problem();
-  p.linear = {1.2};  // stationarity: y = 1 - c/2 = 0.4
-  const auto sol = solve_load_balancing_exact(p);
-  EXPECT_NEAR(sol.y[0], 0.4, 1e-9);
+  P2Workspace ws;
+  fx.bind(ws, {1.2});  // stationarity: y = 1 - c/2 = 0.4
+  solve_load_balancing(ws, {});
+  EXPECT_NEAR(ws.y()[0], 0.4, 1e-9);
 }
 
 TEST(ExactLoadBalancing, BandwidthBindingMatchesKkt) {
   Fixture fx(1, 1, 1.0);
   fx.demand.at(0, 0) = 3.0;
-  const auto sol = solve_load_balancing_exact(fx.problem());
-  EXPECT_NEAR(sol.y[0], 1.0 / 3.0, 1e-6);
+  P2Workspace ws;
+  fx.bind(ws);
+  solve_load_balancing(ws, {});
+  EXPECT_NEAR(ws.y()[0], 1.0 / 3.0, 1e-6);
 }
 
 TEST(ExactLoadBalancing, ZeroUCoordinatesFollowLinearSign) {
@@ -237,12 +356,13 @@ TEST(ExactLoadBalancing, ZeroUCoordinatesFollowLinearSign) {
   fx.sbs.classes[1].omega_bs = 0.0;
   fx.demand.at(0, 0) = 1.0;
   fx.demand.at(1, 0) = 1.0;
-  auto p = fx.problem();
-  p.linear = {0.0, -0.5};  // negative coefficient: push to the upper bound
-  const auto sol = solve_load_balancing_exact(p);
-  EXPECT_NEAR(sol.y[1], 1.0, 1e-9);
-  p.linear = {0.0, 0.5};
-  EXPECT_NEAR(solve_load_balancing_exact(p).y[1], 0.0, 1e-9);
+  P2Workspace ws;
+  fx.bind(ws, {0.0, -0.5});  // negative coefficient: push to the upper bound
+  solve_load_balancing(ws, {});
+  EXPECT_NEAR(ws.y()[1], 1.0, 1e-9);
+  fx.bind(ws, {0.0, 0.5});
+  solve_load_balancing(ws, {});
+  EXPECT_NEAR(ws.y()[1], 0.0, 1e-9);
 }
 
 /// Property: exact and (tightly converged) FISTA agree in objective value
@@ -250,41 +370,51 @@ TEST(ExactLoadBalancing, ZeroUCoordinatesFollowLinearSign) {
 class ExactVsFistaTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ExactVsFistaTest, ObjectivesAgree) {
-  Rng rng(GetParam() * 7 + 3);
-  const std::size_t classes = 1 + static_cast<std::size_t>(rng.uniform_int(0, 3));
-  const std::size_t contents = 1 + static_cast<std::size_t>(rng.uniform_int(0, 3));
-  Fixture fx(classes, contents, rng.uniform(0.2, 4.0));
-  for (auto& mu : fx.sbs.classes) mu.omega_bs = rng.uniform(0.0, 1.0);
-  for (auto& v : fx.demand.data()) {
-    v = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 2.0);
+  for (const bool compact : {false, true}) {
+    SCOPED_TRACE(compact ? "compact active set" : "whole catalogue");
+    Rng rng(GetParam() * 7 + 3);
+    const std::size_t classes =
+        1 + static_cast<std::size_t>(rng.uniform_int(0, 3));
+    const std::size_t contents =
+        1 + static_cast<std::size_t>(rng.uniform_int(0, 3));
+    RandomCell cell(classes, contents, rng.uniform(0.2, 4.0), compact);
+    for (auto& mu : cell.fx.sbs.classes) mu.omega_bs = rng.uniform(0.0, 1.0);
+    cell.fill_demand(
+        [&] { return rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 2.0); });
+    P2Workspace ws, fista_ws;
+    const std::size_t size = cell.bind(ws);
+    cell.bind(fista_ws);
+    linalg::Vec linear(size), upper(size);
+    for (auto& c : linear) c = rng.uniform(-0.3, 1.0);
+    for (auto& u : upper) u = rng.bernoulli(0.25) ? 0.0 : 1.0;
+    ws.set_linear(linear.data(), linear.data() + size);
+    ws.set_upper(upper);
+    const auto exact = solve_load_balancing(ws, {});
+    const linalg::Vec& y = ws.y();
+    const Coefficients& coeff = ws.coefficients();
+
+    fista_ws.set_linear(linear.data(), linear.data() + size);
+    fista_ws.set_upper(upper);
+    LoadBalancingOptions tight;
+    tight.prefer_exact = false;
+    tight.first_order.max_iterations = 8000;
+    tight.first_order.gradient_tolerance = 1e-10;
+    const auto fista = solve_load_balancing(fista_ws, tight);
+
+    // Feasibility of the exact solution.
+    double load = 0.0;
+    for (std::size_t j = 0; j < size; ++j) {
+      EXPECT_GE(y[j], -1e-9);
+      EXPECT_LE(y[j], upper[j] + 1e-9);
+      load += coeff.lambda[j] * y[j];
+    }
+    EXPECT_LE(load, cell.fx.sbs.bandwidth + 1e-6);
+
+    EXPECT_NEAR(exact.objective, fista.objective,
+                1e-4 * (1.0 + std::abs(fista.objective)));
+    // Objective evaluations agree with the reported values.
+    EXPECT_NEAR(load_balancing_objective(coeff, y), exact.objective, 1e-9);
   }
-  auto p = fx.problem();
-  p.linear.resize(classes * contents);
-  for (auto& c : p.linear) c = rng.uniform(-0.3, 1.0);
-  p.upper.resize(classes * contents);
-  for (auto& u : p.upper) u = rng.bernoulli(0.25) ? 0.0 : 1.0;
-
-  const auto exact = solve_load_balancing_exact(p);
-
-  LoadBalancingOptions tight;
-  tight.prefer_exact = false;
-  tight.first_order.max_iterations = 8000;
-  tight.first_order.gradient_tolerance = 1e-10;
-  const auto fista = solve_load_balancing(p, tight);
-
-  // Feasibility of the exact solution.
-  double load = 0.0;
-  for (std::size_t j = 0; j < exact.y.size(); ++j) {
-    EXPECT_GE(exact.y[j], -1e-9);
-    EXPECT_LE(exact.y[j], p.upper[j] + 1e-9);
-    load += fx.demand.data()[j] * exact.y[j];
-  }
-  EXPECT_LE(load, fx.sbs.bandwidth + 1e-6);
-
-  EXPECT_NEAR(exact.objective, fista.objective,
-              1e-4 * (1.0 + std::abs(fista.objective)));
-  // Objective evaluations agree with the reported values.
-  EXPECT_NEAR(load_balancing_objective(p, exact.y), exact.objective, 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, ExactVsFistaTest,

@@ -135,15 +135,18 @@ TEST_P(OverlapProjectionTest, FeasibleIdempotentAndNotBeatenBySamples) {
   for (auto& v : demand.data()) v = rng.uniform(0.0, 1.5);
   linalg::Vec ub(layout.y_size());
   for (auto& b : ub) b = rng.bernoulli(0.2) ? 0.0 : 1.0;
-  const OverlapFeasibleSet set(config, layout, demand, ub);
+  OverlapFeasibleSet set;
+  set.rebind(config, layout, demand, ub);
 
   linalg::Vec point(layout.y_size());
   for (auto& v : point) v = rng.uniform(-0.5, 1.8);
 
-  const linalg::Vec projected = set.project(point, 200, 1e-11);
+  OverlapFeasibleSet::ProjectionScratch scratch;
+  linalg::Vec projected, twice;
+  set.project_with(point, projected, 200, 1e-11, scratch);
   EXPECT_TRUE(set.contains(projected, 1e-5));
 
-  const linalg::Vec twice = set.project(projected, 200, 1e-11);
+  set.project_with(projected, twice, 200, 1e-11, scratch);
   for (std::size_t j = 0; j < projected.size(); ++j) {
     EXPECT_NEAR(twice[j], projected[j], 1e-4);
   }
@@ -185,15 +188,13 @@ TEST(OverlapP2, SharedClassUsesBothNeighborsUnderScarcity) {
   ClassDemand demand(config.num_classes(), 1);
   demand.at(0, 0) = 3.0;
 
-  OverlapP2Problem problem;
-  problem.config = &config;
-  problem.layout = &layout;
-  problem.demand = &demand;
-  const auto sol = solve_overlap_load_balancing(problem);
+  OverlapP2Workspace ws;
+  ws.bind(config, layout, demand);
+  solve_overlap_load_balancing(ws, {});
 
   const auto& class0 = layout.links_of_class(0);
-  const double y0 = sol.y[layout.index(class0[0], 0)];
-  const double y1 = sol.y[layout.index(class0[1], 0)];
+  const double y0 = ws.y()[layout.index(class0[0], 0)];
+  const double y1 = ws.y()[layout.index(class0[1], 0)];
   EXPECT_GT(y0, 0.1);
   EXPECT_GT(y1, 0.1);
   // Bandwidths: 2.0 / 1.5 over demand 3 -> shares <= 2/3 and 1/2.
@@ -216,30 +217,29 @@ TEST_P(OverlapP2RandomTest, BeatsRandomFeasiblePoints) {
   ClassDemand demand(config.num_classes(), 2);
   for (auto& v : demand.data()) v = rng.uniform(0.0, 2.0);
 
-  OverlapP2Problem problem;
-  problem.config = &config;
-  problem.layout = &layout;
-  problem.demand = &demand;
-  problem.linear.resize(layout.y_size());
-  for (auto& c : problem.linear) c = rng.uniform(0.0, 0.8);
+  linalg::Vec linear(layout.y_size());
+  for (auto& c : linear) c = rng.uniform(0.0, 0.8);
+  OverlapP2Workspace ws;
+  ws.bind(config, layout, demand);
+  ws.set_linear(linear.data(), linear.data() + linear.size());
 
   OverlapP2Options tight;
   tight.first_order.max_iterations = 2000;
   tight.first_order.gradient_tolerance = 1e-9;
   tight.dykstra_iterations = 200;
-  const auto sol = solve_overlap_load_balancing(problem, tight);
+  const auto sol = solve_overlap_load_balancing(ws, tight);
+  EXPECT_EQ(ws.objective(ws.y()), sol.objective);
 
-  const OverlapFeasibleSet set(config, layout, demand,
-                               linalg::Vec(layout.y_size(), 1.0));
-  EXPECT_TRUE(set.contains(sol.y, 1e-4));
+  OverlapFeasibleSet set;
+  set.rebind(config, layout, demand, linalg::Vec(layout.y_size(), 1.0));
+  EXPECT_TRUE(set.contains(ws.y(), 1e-4));
 
   Rng sampler(GetParam() + 99);
   for (int trial = 0; trial < 150; ++trial) {
     linalg::Vec candidate(layout.y_size());
     for (auto& v : candidate) v = sampler.uniform(0.0, 1.0);
     if (!set.contains(candidate, 0.0)) continue;
-    EXPECT_GE(overlap_p2_objective(problem, candidate),
-              sol.objective - 1e-3);
+    EXPECT_GE(ws.objective(candidate), sol.objective - 1e-3);
   }
 }
 
@@ -332,21 +332,22 @@ double brute_force_optimum(const OverlapConfig& config,
   const std::size_t slots = problem.horizon();
   std::vector<std::vector<double>> opcost(slots,
                                           std::vector<double>(combos.size()));
+  OverlapP2Workspace ws;
+  linalg::Vec upper;
   for (std::size_t t = 0; t < slots; ++t) {
+    ws.bind(config, layout, problem.demand[t]);
     for (std::size_t s = 0; s < combos.size(); ++s) {
-      OverlapP2Problem p2;
-      p2.config = &config;
-      p2.layout = &layout;
-      p2.demand = &problem.demand[t];
-      p2.upper.assign(layout.y_size(), 0.0);
+      upper.assign(layout.y_size(), 0.0);
       for (std::size_t id = 0; id < layout.num_links(); ++id) {
         const auto [m, n] = layout.link(id);
         (void)m;
         for (std::size_t k = 0; k < k_count; ++k) {
-          if ((combos[s][n] >> k) & 1u) p2.upper[layout.index(id, k)] = 1.0;
+          if ((combos[s][n] >> k) & 1u) upper[layout.index(id, k)] = 1.0;
         }
       }
-      opcost[t][s] = solve_overlap_load_balancing(p2, tight).objective;
+      ws.set_upper(upper);
+      ws.clear_warm_start();
+      opcost[t][s] = solve_overlap_load_balancing(ws, tight).objective;
     }
   }
   // DP over slots with replacement transition costs.

@@ -172,6 +172,34 @@ TEST(ExactDp, ScheduleIsFeasible) {
   }
 }
 
+TEST(ExactDp, SparseWindowMatchesDenseBitwise) {
+  // The oracle reads a sparse window through the same conversion as a
+  // dense one, so both give the same objective and schedule.
+  workload::PaperScenario scenario;
+  scenario.num_sbs = 1;
+  scenario.num_contents = 4;
+  scenario.horizon = 3;
+  scenario.classes_per_sbs = 2;
+  scenario.cache_capacity = 2;
+  const auto dense = scenario.build();
+  const auto sparse = scenario.build_sparse();
+  HorizonProblem sparse_problem;
+  sparse_problem.config = &sparse.config;
+  sparse_problem.sparse_demand = &sparse.sparse_demand;
+  sparse_problem.initial_cache = sparse.initial_cache;
+  const auto from_dense = solve_joint_exact(as_problem(dense));
+  const auto from_sparse = solve_joint_exact(sparse_problem);
+  EXPECT_EQ(from_dense.objective, from_sparse.objective);
+  ASSERT_EQ(from_dense.schedule.size(), from_sparse.schedule.size());
+  for (std::size_t t = 0; t < from_dense.schedule.size(); ++t) {
+    EXPECT_EQ(from_dense.schedule[t].cache, from_sparse.schedule[t].cache)
+        << "slot " << t;
+    EXPECT_EQ(from_dense.schedule[t].load.sbs_data(0),
+              from_sparse.schedule[t].load.sbs_data(0))
+        << "slot " << t;
+  }
+}
+
 TEST(ExactDp, RefusesHugeCatalogues) {
   workload::PaperScenario scenario;
   scenario.num_contents = 25;  // 2^25 subsets: must refuse

@@ -1,4 +1,4 @@
-// Unit and property tests for the box / box-knapsack projections.
+// Unit and property tests for the box-knapsack projection.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,17 +19,15 @@ BoxKnapsackSet unit_set(std::size_t n, Vec weights, double budget) {
   set.hi.assign(n, 1.0);
   set.weights = std::move(weights);
   set.budget = budget;
+  set.validate();
   return set;
 }
 
-TEST(ProjectBox, ClampsComponentwise) {
-  const Vec out = project_box({-1.0, 0.5, 3.0}, {0.0, 0.0, 0.0},
-                              {1.0, 1.0, 1.0});
-  EXPECT_EQ(out, (Vec{0.0, 0.5, 1.0}));
-}
-
-TEST(ProjectBox, RejectsMismatchedSizes) {
-  EXPECT_THROW(project_box({1.0}, {0.0, 0.0}, {1.0, 1.0}), InvalidArgument);
+/// Projects `point` onto a set validated when it was built.
+Vec project(const Vec& point, const BoxKnapsackSet& set) {
+  Vec out(point.size());
+  project_box_knapsack_into(point, set, out);
+  return out;
 }
 
 TEST(BoxKnapsack, ValidateCatchesEmptySet) {
@@ -52,13 +50,13 @@ TEST(BoxKnapsack, ContainsChecksEverything) {
 TEST(BoxKnapsack, FeasiblePointIsFixed) {
   const auto set = unit_set(3, {1.0, 2.0, 3.0}, 10.0);
   const Vec point{0.2, 0.4, 0.6};
-  const Vec out = project_box_knapsack(point, set);
+  const Vec out = project(point, set);
   EXPECT_TRUE(linalg::approx_equal(out, point, 1e-12));
 }
 
 TEST(BoxKnapsack, InfeasiblePointLandsOnHyperplane) {
   const auto set = unit_set(2, {1.0, 1.0}, 1.0);
-  const Vec out = project_box_knapsack({1.0, 1.0}, set);
+  const Vec out = project({1.0, 1.0}, set);
   EXPECT_NEAR(out[0] + out[1], 1.0, 1e-7);
   EXPECT_NEAR(out[0], 0.5, 1e-7);  // symmetric projection
 }
@@ -66,14 +64,14 @@ TEST(BoxKnapsack, InfeasiblePointLandsOnHyperplane) {
 TEST(BoxKnapsack, ZeroWeightCoordinatesUnconstrained) {
   // Second coordinate has zero knapsack weight: only the box applies.
   const auto set = unit_set(2, {1.0, 0.0}, 0.5);
-  const Vec out = project_box_knapsack({2.0, 0.7}, set);
+  const Vec out = project({2.0, 0.7}, set);
   EXPECT_NEAR(out[0], 0.5, 1e-7);
   EXPECT_DOUBLE_EQ(out[1], 0.7);
 }
 
 TEST(BoxKnapsack, TightBudgetForcesLowerBounds) {
   const auto set = unit_set(2, {1.0, 1.0}, 0.0);
-  const Vec out = project_box_knapsack({1.0, 1.0}, set);
+  const Vec out = project({1.0, 1.0}, set);
   EXPECT_NEAR(out[0], 0.0, 1e-6);
   EXPECT_NEAR(out[1], 0.0, 1e-6);
 }
@@ -95,6 +93,7 @@ class ProjectionRandomTest : public ::testing::TestWithParam<std::uint64_t> {
       min_value += set_.weights[i] * set_.lo[i];
     }
     set_.budget = min_value + rng.uniform(0.1, 4.0);
+    set_.validate();
     point_.resize(n);
     for (auto& v : point_) v = rng.uniform(-2.0, 3.0);
   }
@@ -104,20 +103,20 @@ class ProjectionRandomTest : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(ProjectionRandomTest, ResultIsFeasible) {
-  const Vec out = project_box_knapsack(point_, set_);
+  const Vec out = project(point_, set_);
   EXPECT_TRUE(set_.contains(out, 1e-6));
 }
 
 TEST_P(ProjectionRandomTest, Idempotent) {
-  const Vec once = project_box_knapsack(point_, set_);
-  const Vec twice = project_box_knapsack(once, set_);
+  const Vec once = project(point_, set_);
+  const Vec twice = project(once, set_);
   EXPECT_TRUE(linalg::approx_equal(once, twice, 1e-6));
 }
 
 TEST_P(ProjectionRandomTest, NoFeasiblePointIsCloser) {
   // Optimality check by random feasible sampling: the projection must be
   // at least as close to the point as any sampled feasible candidate.
-  const Vec projected = project_box_knapsack(point_, set_);
+  const Vec projected = project(point_, set_);
   const double best = linalg::norm2(linalg::subtract(projected, point_));
   Rng rng(GetParam() + 777);
   for (int trial = 0; trial < 200; ++trial) {
@@ -135,8 +134,8 @@ TEST_P(ProjectionRandomTest, NonExpansive) {
   Rng rng(GetParam() + 555);
   Vec other(point_.size());
   for (auto& v : other) v = rng.uniform(-2.0, 3.0);
-  const Vec pa = project_box_knapsack(point_, set_);
-  const Vec pb = project_box_knapsack(other, set_);
+  const Vec pa = project(point_, set_);
+  const Vec pb = project(other, set_);
   const double input_dist = linalg::norm2(linalg::subtract(point_, other));
   const double output_dist = linalg::norm2(linalg::subtract(pa, pb));
   EXPECT_LE(output_dist, input_dist + 1e-6);
