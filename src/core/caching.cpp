@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "solver/lp.hpp"
 #include "solver/mcmf.hpp"
@@ -158,6 +159,49 @@ CachingSolution solve_caching_flow(const CachingSubproblem& problem) {
   CachingSolution solution;
   solution.objective = workspace.solve_into(problem, solution.x);
   return solution;
+}
+
+void CachingBank::reset(std::size_t count) {
+  p1_.clear();
+  p1_.resize(count);
+  objectives_.assign(count, 0.0);
+  x_.assign(count, {});
+}
+
+void CachingBank::bind(std::size_t n, std::size_t num_contents,
+                       std::size_t horizon, std::size_t capacity, double beta,
+                       std::vector<std::uint8_t> initial) {
+  CachingSubproblem& sub = p1_[n].sub;
+  sub.num_contents = num_contents;
+  sub.horizon = horizon;
+  // A caller may restrict P1 to a content list outside which every reward
+  // is zero and nothing is initially cached (ShardCore's window union):
+  // with beta > 0 the optimum never caches outside it. The flow pushes
+  // exactly `capacity` units, surplus ones through the zero-cost pool
+  // chain, so clamping capacity to the list only removes pool
+  // augmentations and leaves x unchanged.
+  sub.capacity = std::min(capacity, num_contents);
+  sub.beta = beta;
+  sub.initial = std::move(initial);
+  sub.rewards.assign(num_contents * horizon, 0.0);
+  if (num_contents > 0) p1_[n].flow.bind(sub);
+}
+
+linalg::Vec& CachingBank::clear_rewards(std::size_t n) {
+  linalg::Vec& rewards = p1_[n].sub.rewards;
+  std::fill(rewards.begin(), rewards.end(), 0.0);
+  return rewards;
+}
+
+void CachingBank::solve(std::size_t n) {
+  Entry& entry = p1_[n];
+  if (entry.sub.num_contents == 0) {
+    // Nothing demanded or cached anywhere in the window: P1 is empty.
+    x_[n].clear();
+    objectives_[n] = 0.0;
+    return;
+  }
+  objectives_[n] = entry.flow.solve_into(entry.sub, x_[n]);
 }
 
 CachingSolution solve_caching_simplex(const CachingSubproblem& problem) {

@@ -93,6 +93,50 @@ class CachingFlowWorkspace {
   bool bound_ = false;
 };
 
+/// Per-SBS P1 state of one window solve, shared by core::ShardCore and the
+/// overlap solver: each SBS's subproblem and flow workspace, bound once per
+/// window (only the rewards change between dual iterations), and the last
+/// solve's plan and objective. Each caller accumulates its own model's
+/// rewards between clear_rewards(n) and solve(n). Every call touches only
+/// SBS n, so callers run the SBSs in parallel.
+class CachingBank {
+ public:
+  /// Sizes the bank for `count` SBSs, dropping every previous binding.
+  void reset(std::size_t count);
+
+  /// Binds SBS n to its P1 over `num_contents` contents and `horizon`
+  /// slots, starting from `initial` (size num_contents, 0/1). Capacity is
+  /// clamped to the catalogue; an empty catalogue binds no network.
+  void bind(std::size_t n, std::size_t num_contents, std::size_t horizon,
+            std::size_t capacity, double beta,
+            std::vector<std::uint8_t> initial);
+
+  std::size_t num_contents(std::size_t n) const {
+    return p1_[n].sub.num_contents;
+  }
+
+  /// SBS n's rewards [t * K + k], zeroed for this iteration's sums.
+  linalg::Vec& clear_rewards(std::size_t n);
+
+  /// Solves SBS n under its current rewards into x()[n] and objectives()[n];
+  /// an empty catalogue gives an empty plan with objective 0.
+  void solve(std::size_t n);
+
+  const std::vector<double>& objectives() const { return objectives_; }
+  /// Per SBS: the P1 schedule [t * K + k].
+  const std::vector<std::vector<std::uint8_t>>& x() const { return x_; }
+
+ private:
+  struct Entry {
+    CachingSubproblem sub;
+    CachingFlowWorkspace flow;
+  };
+
+  std::vector<Entry> p1_;
+  std::vector<double> objectives_;
+  std::vector<std::vector<std::uint8_t>> x_;
+};
+
 /// Exact solver via the LP relaxation and the simplex method, as in the
 /// paper. Verifies the returned vertex is integral (Theorem 1) and throws
 /// SolverError otherwise.

@@ -330,7 +330,6 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
       .initial_cache = &problem.initial_cache,
       .neighbor_rewards = neighbor_rewards.empty() ? nullptr
                                                    : &neighbor_rewards};
-  const ShardOptions shard_options{};
 
   // ---- Algorithm 1 (dual_ascent.hpp). Every cell of the repaired buffer
   // rewrites exactly its active coordinates (the rest are structural
@@ -362,7 +361,7 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
     shard::Coordinator& fleet = *coordinator_;
     shard::IterationOutputs out;
     solved =
-        fleet.begin(inputs, shard_options, shards, mu_off, mu, bank_) &&
+        fleet.begin(inputs, shards, mu_off, mu, bank_) &&
         run_dual_ascent(
             params, deadline,
             [&](bool apply_step, double delta, model::Schedule& repaired)
@@ -384,7 +383,7 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   } else {
     // One full-range ShardCore in this process.
     ShardCore core;
-    core.begin(inputs, shard_options, bank_, std::move(sets));
+    core.begin(inputs, ShardOptions{}, bank_, std::move(sets));
     auto step = [&](bool apply_step, double delta) {
       if (apply_step) core.dual_update(delta, mu);
       return true;

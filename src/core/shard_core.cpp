@@ -90,14 +90,13 @@ void write_repaired_cell(const ActiveSets& sets, std::size_t t,
   }
 }
 
-void ShardCore::begin(const ShardInputs& in, const ShardOptions& opts,
+void ShardCore::begin(const ShardInputs& in, const ShardOptions& /*opts*/,
                       std::vector<CellState>& bank, ActiveSets sets) {
   MDO_REQUIRE(in.config != nullptr && in.initial_cache != nullptr,
               "shard core: config and initial cache must be set");
   MDO_REQUIRE((in.demand != nullptr) != (in.sparse_demand != nullptr),
               "shard core: exactly one demand representation must be set");
   inputs_ = in;
-  options_ = opts;
   config_ = in.config;
   if (in.demand != nullptr) {
     inputs_.sparse_demand = &model::sparse_trace(*in.demand, converted_);
@@ -132,33 +131,22 @@ void ShardCore::begin(const ShardInputs& in, const ShardOptions& opts,
   // ---- Per-SBS P1 state, reused across dual iterations: the subproblem's
   // shape, parameters and initial cache are fixed for the whole solve, only
   // the rewards (the mu sums) change — so the flow network is built once
-  // here and merely re-priced every iteration.
-  p1_.clear();
-  p1_.resize(num_sbs);
+  // here and merely re-priced every iteration. P1 is restricted to the
+  // window's content union: everything outside has zero reward in every
+  // slot and is not initially cached (CachingBank::bind says why x stays
+  // the same).
+  p1_.reset(num_sbs);
   util::parallel_for(0, num_sbs, [&](std::size_t n) {
-    CachingSubproblem& sub = p1_[n].sub;
-    // P1 is restricted to the window's content union: everything outside
-    // has zero reward in every slot and is not initially cached, so (with
-    // beta > 0) the optimum never caches it. The flow pushes exactly
-    // `capacity` units, surplus ones through the zero-cost pool chain, so
-    // clamping capacity to the restricted catalogue only removes pool
-    // augmentations and leaves x unchanged.
     const std::vector<std::size_t>& list = sets_.p1_list[n];
     const std::size_t kp = list.size();
-    sub.num_contents = kp;
-    sub.horizon = w;
-    sub.capacity = std::min(config.sbs[n].cache_capacity, kp);
-    sub.beta = config.sbs[n].replacement_beta;
-    sub.initial.assign(kp, 0);
+    std::vector<std::uint8_t> initial(kp, 0);
     for (std::size_t i = 0; i < kp; ++i) {
-      sub.initial[i] = inputs_.initial_cache->cached(n, list[i]) ? 1 : 0;
+      initial[i] = inputs_.initial_cache->cached(n, list[i]) ? 1 : 0;
     }
-    sub.rewards.assign(kp * w, 0.0);
-    if (kp > 0) p1_[n].flow.bind(sub);
+    p1_.bind(n, kp, w, config.sbs[n].cache_capacity,
+             config.sbs[n].replacement_beta, std::move(initial));
   });
 
-  x_.assign(num_sbs, {});
-  p1_objectives_.assign(num_sbs, 0.0);
   p2_objectives_.assign(w * num_sbs, 0.0);
 }
 
@@ -181,16 +169,9 @@ void ShardCore::iterate(const linalg::Vec& mu) {
   util::parallel_for(0, num_sbs + w * num_sbs, [&](std::size_t task) {
     if (task < num_sbs) {
       const std::size_t n = task;
-      CachingSubproblem& sub = p1_[n].sub;
-      if (sub.num_contents == 0) {
-        // Nothing demanded or cached anywhere in the window: P1 is empty.
-        x_[n].clear();
-        p1_objectives_[n] = 0.0;
-        return;
-      }
-      std::fill(sub.rewards.begin(), sub.rewards.end(), 0.0);
+      linalg::Vec& rewards = p1_.clear_rewards(n);
       const std::size_t classes = config.sbs[n].num_classes();
-      const std::size_t kp = sub.num_contents;
+      const std::size_t kp = p1_.num_contents(n);
       for (std::size_t t = 0; t < w; ++t) {
         // Contiguous reads straight out of the cell's compact block.
         const std::vector<std::size_t>& map = sets_.cell_p1[t * num_sbs + n];
@@ -198,7 +179,7 @@ void ShardCore::iterate(const linalg::Vec& mu) {
         const std::size_t a_count = map.size();
         for (std::size_t m = 0; m < classes; ++m) {
           for (std::size_t i = 0; i < a_count; ++i) {
-            sub.rewards[t * kp + map[i]] += block[m * a_count + i];
+            rewards[t * kp + map[i]] += block[m * a_count + i];
           }
         }
       }
@@ -208,14 +189,14 @@ void ShardCore::iterate(const linalg::Vec& mu) {
       if (inputs_.neighbor_rewards != nullptr) {
         const linalg::Vec& tilt = (*inputs_.neighbor_rewards)[n];
         if (!tilt.empty()) {
-          MDO_CHECK(tilt.size() == sub.rewards.size(),
+          MDO_CHECK(tilt.size() == rewards.size(),
                     "shard core: neighbor reward layout mismatch");
           for (std::size_t j = 0; j < tilt.size(); ++j) {
-            sub.rewards[j] += tilt[j];
+            rewards[j] += tilt[j];
           }
         }
       }
-      p1_objectives_[n] = p1_[n].flow.solve_into(sub, x_[n]);
+      p1_.solve(n);
       return;
     }
     const std::size_t cell = task - num_sbs;
@@ -223,8 +204,7 @@ void ShardCore::iterate(const linalg::Vec& mu) {
     // The compact block IS the bound workspace's coefficient layout
     // (class-major over active positions): a straight contiguous copy.
     cs.p2.set_linear(mu.data() + mu_off_[cell], mu.data() + mu_off_[cell + 1]);
-    p2_objectives_[cell] =
-        solve_load_balancing(cs.p2, options_.load_balancing).objective;
+    p2_objectives_[cell] = solve_load_balancing(cs.p2, {}).objective;
   });
 }
 
@@ -243,12 +223,12 @@ void ShardCore::repair(model::Schedule* schedule) {
     CellState& cs = bank[cell];
     const std::size_t classes = config.sbs[n].num_classes();
     const std::vector<std::size_t>& map = sets_.cell_p1[cell];
-    const std::size_t kp = p1_[n].sub.num_contents;
+    const std::size_t kp = p1_.num_contents(n);
     const std::size_t a_count = map.size();
     linalg::Vec& ub = cs.ub;
     ub.assign(classes * a_count, 0.0);
     for (std::size_t i = 0; i < a_count; ++i) {
-      if (x_[n][t * kp + map[i]] == 0) continue;
+      if (p1_.x()[n][t * kp + map[i]] == 0) continue;
       for (std::size_t m = 0; m < classes; ++m) ub[m * a_count + i] = 1.0;
     }
     // Unchanged-x fast path: the workspace still holds the solution for
@@ -256,10 +236,11 @@ void ShardCore::repair(model::Schedule* schedule) {
     // begin() invalidated any previous window's solution).
     if (!cs.repair.has_solution() || ub != cs.repair.upper()) {
       cs.repair.set_upper(ub);
-      solve_load_balancing(cs.repair, options_.load_balancing);
+      solve_load_balancing(cs.repair, {});
     }
     if (schedule != nullptr) {
-      write_repaired_cell(sets_, t, n, x_[n], cs.repair.y(), (*schedule)[t]);
+      write_repaired_cell(sets_, t, n, p1_.x()[n], cs.repair.y(),
+                          (*schedule)[t]);
     }
   });
 }

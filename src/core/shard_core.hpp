@@ -87,11 +87,9 @@ void write_repaired_cell(const ActiveSets& sets, std::size_t t,
                          std::size_t n, const std::vector<std::uint8_t>& x,
                          const linalg::Vec& y, model::SlotDecision& slot);
 
-/// The subset of PrimalDualOptions a shard needs (kept separate so workers
-/// deserialize exactly these and nothing solver-lifecycle-related).
-struct ShardOptions {
-  LoadBalancingOptions load_balancing{};
-};
+/// Empty: a shard solves P2 at the LoadBalancingOptions defaults. Kept
+/// only for the ShardCore::begin signature that perfbench calls.
+struct ShardOptions {};
 
 /// Non-owning window problem handed to a shard. In a worker subprocess the
 /// config/demand/cache are the deserialized slice; in-process they are the
@@ -151,31 +149,25 @@ class ShardCore {
 
   // Per-index outputs of the last iterate(); the driver reduces them
   // serially in global index order.
-  const std::vector<double>& p1_objectives() const { return p1_objectives_; }
+  const std::vector<double>& p1_objectives() const {
+    return p1_.objectives();
+  }
   const std::vector<double>& p2_objectives() const { return p2_objectives_; }
   /// Per SBS: the P1 schedule, [t * kp + i] over the restricted list.
-  const std::vector<std::vector<std::uint8_t>>& x() const { return x_; }
+  const std::vector<std::vector<std::uint8_t>>& x() const { return p1_.x(); }
   /// Compact block offsets (cells + 1 entries).
   const std::vector<std::size_t>& mu_offsets() const { return mu_off_; }
 
  private:
-  struct P1State {
-    CachingSubproblem sub;
-    CachingFlowWorkspace flow;
-  };
-
   const model::NetworkConfig* config_ = nullptr;
   ShardInputs inputs_;
-  ShardOptions options_;
   std::size_t horizon_ = 0;
   model::SparseDemandTrace converted_;  // a dense input's window
   std::vector<std::size_t> mu_off_;
   ActiveSets sets_;
   std::vector<CellState>* bank_ = nullptr;
-  std::vector<P1State> p1_;
-  std::vector<double> p1_objectives_;
+  CachingBank p1_;
   std::vector<double> p2_objectives_;
-  std::vector<std::vector<std::uint8_t>> x_;
 };
 
 }  // namespace mdo::core

@@ -26,6 +26,7 @@ void FhcPlanner::reset(const model::ProblemInstance& instance) {
   instance_ = &instance;
   trajectory_cache_ = instance.initial_cache;
   has_plan_ = false;
+  bank_time_.reset();
   plan_.clear();
   resync_cache_.reset();
   warm_mu_.clear();
@@ -46,23 +47,7 @@ void FhcPlanner::plan(std::ptrdiff_t tau,
   const auto& config = instance_->config;
   const std::size_t total_horizon = predictor.horizon();
 
-  // Starting state: this variant's own action at tau - 1, or the instance's
-  // initial cache when the previous slot predates its first plan. After a
-  // wrapper substituted the executed decision (resync), the committed
-  // trajectory never happened: plan from the executed cache instead.
-  model::CacheState start = trajectory_cache_;
-  if (resync_cache_) {
-    start = *resync_cache_;
-    resync_cache_.reset();
-  } else if (has_plan_) {
-    const std::ptrdiff_t prev_slot = tau - 1;
-    const std::ptrdiff_t index = prev_slot - plan_time_;
-    if (index >= 0 && index < static_cast<std::ptrdiff_t>(plan_.size())) {
-      start = plan_[static_cast<std::size_t>(index)].cache;
-    }
-  }
-
-  // Window demand: zero demand for pre-horizon slots (Lambda^t = 0 for
+  // Window demand: zero demand for pre-horizon plans (Lambda^t = 0 for
   // t <= 0), forecasts for the rest, clipped at the instance horizon.
   // A pre-horizon plan (tau < 0) predates every observation: querying the
   // predictor with the clamped slot-0 time would smuggle in information not
@@ -71,31 +56,40 @@ void FhcPlanner::plan(std::ptrdiff_t tau,
   // each plan — no per-plan window copy.
   core::HorizonProblem problem;
   problem.config = &config;
-  forecast_.clear();
-  problem.sparse_demand = &forecast_;
-  for (std::size_t i = 0; i < window_; ++i) {
-    const std::ptrdiff_t abs_slot = tau + static_cast<std::ptrdiff_t>(i);
-    if (abs_slot >= static_cast<std::ptrdiff_t>(total_horizon)) break;
-    if (abs_slot < 0 || tau < 0) {
+  if (tau >= 0) {
+    predictor.predict_window_sparse_into(static_cast<std::size_t>(tau),
+                                         window_, forecast_);
+  } else {
+    forecast_.clear();
+    const std::ptrdiff_t slots = std::min<std::ptrdiff_t>(
+        static_cast<std::ptrdiff_t>(window_),
+        static_cast<std::ptrdiff_t>(total_horizon) - tau);
+    for (std::ptrdiff_t i = 0; i < slots; ++i) {
       forecast_.push_back(model::make_zero_sparse_slot_demand(config));
-    } else {
-      forecast_.push_back(
-          predictor.predict_sparse(static_cast<std::size_t>(tau),
-                                   static_cast<std::size_t>(abs_slot)));
     }
   }
+  problem.sparse_demand = &forecast_;
   MDO_CHECK(problem.horizon() >= 1, "FHC: empty planning window");
-  problem.initial_cache = start;
+  // Starting state: this variant's own action at tau - 1 (the last cache
+  // of its previous block), or the instance's initial cache before its
+  // first plan. After a wrapper substituted the executed decision
+  // (resync), the committed trajectory never happened: plan from the
+  // executed cache instead.
+  problem.initial_cache =
+      resync_cache_ ? std::move(*resync_cache_) : trajectory_cache_;
+  resync_cache_.reset();
 
   const std::size_t horizon = problem.horizon();
-  // The actual plan-time delta: commit_ on the regular re-plan cadence, but
-  // 0 when a resync forces a replan within the same commitment block (the
+  // Rotate the warm starts by the slots elapsed since the bank's last
+  // rotation: commit_ on the regular re-plan cadence, more after skipped
+  // blocks, and 0 when a resync forces a replan within the same block (the
   // window has not moved, so neither should the warm starts).
   const std::size_t shift =
-      has_plan_ && tau >= plan_time_
-          ? static_cast<std::size_t>(tau - plan_time_)
+      bank_time_ && tau >= *bank_time_
+          ? static_cast<std::size_t>(tau - *bank_time_)
           : commit_;
   solver_.advance_window(shift);
+  bank_time_ = tau;
   // Multipliers are reused ONLY for a same-window replan (a resync at the
   // same tau over the same horizon): there they describe the identical
   // dual, and the solver continues the diminishing-step schedule where it
@@ -103,8 +97,8 @@ void FhcPlanner::plan(std::ptrdiff_t tau,
   // slower than the marginal re-initialization (the dual optimum moves
   // with the initial cache and the window tail; see DESIGN.md), so those
   // plans solve from the marginal init.
-  const bool same_window =
-      shift == 0 && !warm_mu_.empty() && warm_horizon_ == horizon;
+  const bool same_window = has_plan_ && plan_time_ == tau &&
+                           !warm_mu_.empty() && warm_horizon_ == horizon;
   const linalg::Vec* warm = same_window ? &warm_mu_ : nullptr;
   // The plan must cover this commitment block: a truncated backoff retry
   // may drop tail slots, but never below the block the planner commits.
@@ -126,16 +120,23 @@ void FhcPlanner::plan(std::ptrdiff_t tau,
   // A truncated recovery returns a shorter schedule; the warm bookkeeping
   // must describe the horizon the multipliers were actually solved for.
   warm_horizon_ = solution.schedule.size();
+  // Keep only the commitment block: no action past it is ever read.
   plan_ = std::move(solution.schedule);
+  if (plan_.size() > commit_) {
+    plan_.erase(plan_.begin() + static_cast<std::ptrdiff_t>(commit_),
+                plan_.end());
+  }
+  trajectory_cache_ = plan_.back().cache;
   plan_time_ = tau;
   has_plan_ = true;
-  trajectory_cache_ = start;
 }
 
-const model::SlotDecision& FhcPlanner::action(
-    std::size_t t, const workload::Predictor& predictor,
-    runtime::DeadlineToken* deadline, runtime::SupervisionLog* log) {
+model::SlotDecision FhcPlanner::action(std::size_t t,
+                                       const workload::Predictor& predictor,
+                                       runtime::DeadlineToken* deadline,
+                                       runtime::SupervisionLog* log) {
   MDO_REQUIRE(instance_ != nullptr, "FHC: reset() must be called first");
+  MDO_REQUIRE(t < predictor.horizon(), "FHC: slot beyond the horizon");
   // Most recent plan time tau <= t with tau ≡ offset (mod commit).
   const auto signed_t = static_cast<std::ptrdiff_t>(t);
   const auto r = static_cast<std::ptrdiff_t>(commit_);
@@ -149,13 +150,22 @@ const model::SlotDecision& FhcPlanner::action(
   const std::ptrdiff_t index = signed_t - plan_time_;
   MDO_CHECK(index >= 0 && index < static_cast<std::ptrdiff_t>(plan_.size()),
             "FHC: slot outside the current plan");
-  return plan_[static_cast<std::size_t>(index)];
+  const auto i = static_cast<std::size_t>(index);
+  if (i + 1 < plan_.size()) return plan_[i];
+  // The block ends here. Only a replan at the same tau reads the warm
+  // multipliers, so they go now, and the last action leaves by move.
+  warm_mu_ = linalg::Vec();
+  model::SlotDecision last = std::move(plan_.back());
+  plan_.pop_back();
+  return last;
 }
 
 void FhcPlanner::save_state(util::BinaryWriter& w) const {
   MDO_REQUIRE(instance_ != nullptr, "FHC: reset() must be called first");
   w.i64(static_cast<std::int64_t>(plan_time_));
   w.boolean(has_plan_);
+  w.boolean(bank_time_.has_value());
+  if (bank_time_) w.i64(static_cast<std::int64_t>(*bank_time_));
   runtime::write_schedule(w, plan_);
   runtime::write_cache(w, trajectory_cache_);
   w.boolean(resync_cache_.has_value());
@@ -170,6 +180,8 @@ void FhcPlanner::restore_state(util::BinaryReader& r) {
   const auto& config = instance_->config;
   plan_time_ = static_cast<std::ptrdiff_t>(r.i64());
   has_plan_ = r.boolean();
+  bank_time_.reset();
+  if (r.boolean()) bank_time_ = static_cast<std::ptrdiff_t>(r.i64());
   plan_ = runtime::read_schedule(r, config);
   trajectory_cache_ = runtime::read_cache(r, config);
   resync_cache_.reset();
@@ -227,7 +239,7 @@ model::SlotDecision ChcController::decide(const DecisionContext& ctx) {
   model::LoadAllocation averaged_y(config);
   const double inv_r = 1.0 / static_cast<double>(commit_);
   for (auto& planner : planners_) {
-    const model::SlotDecision& action =
+    const model::SlotDecision action =
         planner.action(ctx.slot, *ctx.predictor, ctx.deadline,
                        ctx.supervision);
     for (std::size_t n = 0; n < config.num_sbs(); ++n) {

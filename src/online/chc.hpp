@@ -24,7 +24,8 @@
 
 namespace mdo::online {
 
-/// One staggered FHC planner (commitment level r, window w).
+/// One staggered FHC planner (commitment level r, window w). RHC is the
+/// r = 1 planner (online/rhc.hpp).
 class FhcPlanner {
  public:
   /// `offset` = v in Psi_v; requires offset < commit <= window.
@@ -34,13 +35,15 @@ class FhcPlanner {
   void reset(const model::ProblemInstance& instance);
 
   /// The planner's action for slot t (plans lazily when t enters a new
-  /// commitment block). `deadline`/`log` (both optional) supervise the
-  /// plan's solve (see runtime/supervisor.hpp); with neither set the solve
-  /// is exactly the unsupervised one.
-  const model::SlotDecision& action(std::size_t t,
-                                    const workload::Predictor& predictor,
-                                    runtime::DeadlineToken* deadline = nullptr,
-                                    runtime::SupervisionLog* log = nullptr);
+  /// commitment block). Each slot's action is handed out once: the block's
+  /// last action leaves the plan by move, so between blocks the planner
+  /// holds no dense decision. `deadline`/`log` (both optional) supervise
+  /// the plan's solve (see runtime/supervisor.hpp); with neither set the
+  /// solve is exactly the unsupervised one.
+  model::SlotDecision action(std::size_t t,
+                             const workload::Predictor& predictor,
+                             runtime::DeadlineToken* deadline = nullptr,
+                             runtime::SupervisionLog* log = nullptr);
 
   /// Executed-state resync (see Controller::resync): a wrapper substituted
   /// the decision actually executed at `slot`, so the variant's committed
@@ -48,9 +51,10 @@ class FhcPlanner {
   /// of the internal trajectory, dropping any cached plan.
   void resync(std::size_t slot, const model::CacheState& executed);
 
-  /// Snapshot = plan bookkeeping (current plan, its time, the committed
-  /// trajectory, a pending resync), the same-window warm multipliers, and
-  /// the solver's warm-start bank (Checkpointable contract).
+  /// Snapshot = plan bookkeeping (plan time, the bank's rotation time, the
+  /// rest of the committed block, the trajectory, a pending resync), the
+  /// same-window warm multipliers, and the solver's warm-start bank
+  /// (Checkpointable contract).
   void save_state(util::BinaryWriter& w) const;
   void restore_state(util::BinaryReader& r);
 
@@ -63,17 +67,26 @@ class FhcPlanner {
   std::size_t commit_;
   core::PrimalDualOptions options_;
   /// Persistent across plans so the P2 workspace bank carries warm starts
-  /// between commitment blocks (advanced by the actual plan-time delta, so
-  /// a resync replan at the same tau keeps its warm starts unshifted).
+  /// between commitment blocks (advanced by the slots elapsed since its
+  /// last rotation, so a resync replan at the same tau keeps its warm
+  /// starts unshifted).
   core::PrimalDualSolver solver_;
   const model::ProblemInstance* instance_ = nullptr;
 
   std::ptrdiff_t plan_time_ = 0;
   bool has_plan_ = false;
-  model::Schedule plan_;                // indexed from plan_time_
-  model::CacheState trajectory_cache_;  // the variant's own x^{tau-1}
+  /// The plan time the solver's bank was last rotated to. Set before the
+  /// solve, so a solve that throws is not rotated a second time.
+  std::optional<std::ptrdiff_t> bank_time_;
+  /// The commitment block not yet handed out, indexed from plan_time_.
+  model::Schedule plan_;
+  /// Start of the next plan: the block's last cache (the instance's
+  /// initial cache before the first plan).
+  model::CacheState trajectory_cache_;
   /// Executed cache substituted by a wrapper; consumed by the next plan().
   std::optional<model::CacheState> resync_cache_;
+  /// The current block's multipliers, for a replan at the same tau;
+  /// released with the block's last action.
   linalg::Vec warm_mu_;
   std::size_t warm_horizon_ = 0;
   /// Forecast window the HorizonProblem references (refilled in place each
@@ -106,9 +119,7 @@ class ChcController final : public Controller {
   void save_state(util::BinaryWriter& w) const override;
   void restore_state(util::BinaryReader& r) override;
 
-  std::size_t window() const { return window_; }
   std::size_t commit() const { return commit_; }
-  double rho() const { return rho_; }
 
  private:
   std::size_t window_;

@@ -85,10 +85,11 @@ class Controller {
   virtual model::SlotDecision decide(const DecisionContext& ctx) = 0;
 
   /// Called by the simulator after the slot's decision has been repaired and
-  /// executed. Controllers that always plan from the executed state (RHC)
-  /// resynchronize here. Default: no-op. CHC/FHC planners keep their own
-  /// committed trajectories on clean slots (the paper's averaging design);
-  /// they resync only through resync() below.
+  /// executed. Default: no-op. The planner-based controllers (RHC, FHC,
+  /// CHC/AFHC) keep their own committed trajectories on clean slots (the
+  /// paper's averaging design; the repair never edits a cache, so RHC's
+  /// trajectory is the executed state there) and resync only through
+  /// resync() below.
   virtual void observe(std::size_t slot, const model::SlotDecision& executed) {
     (void)slot;
     (void)executed;
@@ -101,7 +102,7 @@ class Controller {
   /// derived from the phantom trajectory and replan from `executed`,
   /// otherwise the replacement cost h(X_t, X_{t-1}) of their next actions is
   /// charged against a cache state that never existed. The default forwards
-  /// to observe(), which is already an unconditional resync for RHC.
+  /// to observe().
   virtual void resync(std::size_t slot, const model::SlotDecision& executed) {
     observe(slot, executed);
   }

@@ -22,7 +22,7 @@ void FhcController::reset(const model::ProblemInstance& instance) {
 }
 
 model::SlotDecision FhcController::decide(const DecisionContext& ctx) {
-  MDO_REQUIRE(ctx.predictor != nullptr, "FHC needs a predictor");
+  MDO_REQUIRE(ctx.predictor != nullptr, name() + " needs a predictor");
   return planner_.action(ctx.slot, *ctx.predictor, ctx.deadline,
                          ctx.supervision);
 }

@@ -5,13 +5,14 @@
 // as its own Controller so the un-averaged policy can be benchmarked
 // directly — it shows why the averaging in AFHC/CHC helps: a single FHC
 // variant suffers at its commitment boundaries when forecasts are noisy.
+// RhcController (online/rhc.hpp) is this controller at r = 1.
 #pragma once
 
 #include "online/chc.hpp"
 
 namespace mdo::online {
 
-class FhcController final : public Controller {
+class FhcController : public Controller {
  public:
   /// Plans at slots ≡ offset (mod commit); offset < commit <= window.
   FhcController(std::size_t window, std::size_t commit,
@@ -33,8 +34,10 @@ class FhcController final : public Controller {
     planner_.restore_state(r);
   }
 
- private:
+ protected:
   std::size_t window_;
+
+ private:
   std::size_t commit_;
   std::size_t offset_;
   FhcPlanner planner_;

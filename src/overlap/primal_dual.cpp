@@ -33,50 +33,6 @@ void OverlapHorizonProblem::validate() const {
   }
 }
 
-void OverlapP1Core::begin(const OverlapHorizonProblem& problem,
-                          const OverlapPrimalDualOptions& options) {
-  problem_ = &problem;
-  options_ = options;
-  const auto& config = *problem.config;
-  const std::size_t count = config.num_sbs();
-  const std::size_t k_count = config.num_contents;
-  const std::size_t w = problem.horizon();
-  p1_.assign(count, P1State{});
-  objectives_.assign(count, 0.0);
-  x_.assign(count, {});
-  util::parallel_for(0, count, [&](std::size_t n) {
-    core::CachingSubproblem& sub = p1_[n].sub;
-    sub.num_contents = k_count;
-    sub.horizon = w;
-    sub.capacity = config.sbs[n].cache_capacity;
-    sub.beta = config.sbs[n].replacement_beta;
-    sub.initial = problem.initial[n];
-    sub.rewards.assign(k_count * w, 0.0);
-    p1_[n].flow.bind(sub);
-  });
-}
-
-void OverlapP1Core::iterate(const linalg::Vec& mu) {
-  const auto& config = *problem_->config;
-  const auto& layout = *problem_->layout;
-  const std::size_t k_count = config.num_contents;
-  const std::size_t per_slot = layout.y_size();
-  const std::size_t w = problem_->horizon();
-  util::parallel_for(0, p1_.size(), [&](std::size_t n) {
-    core::CachingSubproblem& sub = p1_[n].sub;
-    std::fill(sub.rewards.begin(), sub.rewards.end(), 0.0);
-    for (std::size_t t = 0; t < w; ++t) {
-      for (const std::size_t id : layout.links_of_sbs(n)) {
-        for (std::size_t k = 0; k < k_count; ++k) {
-          sub.rewards[t * k_count + k] +=
-              mu[t * per_slot + layout.index(id, k)];
-        }
-      }
-    }
-    objectives_[n] = p1_[n].flow.solve_into(sub, x_[n]);
-  });
-}
-
 OverlapPrimalDualSolver::OverlapPrimalDualSolver(
     OverlapPrimalDualOptions options)
     : options_(options) {
@@ -139,10 +95,16 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
   });
 
   // ---- Per-SBS P1 state, reused across dual iterations (shape and initial
-  // cache are fixed for the whole solve; only the rewards change), owned by
-  // the P1 core.
-  OverlapP1Core p1;
-  p1.begin(problem, options_);
+  // cache are fixed for the whole solve; only the rewards change). Overlap
+  // stays in-process: its P2 couples every SBS within a slot through the
+  // shared links, so it cannot be partitioned by SBS like ShardCore.
+  const std::size_t num_sbs = config.num_sbs();
+  core::CachingBank p1;
+  p1.reset(num_sbs);
+  util::parallel_for(0, num_sbs, [&](std::size_t n) {
+    p1.bind(n, k_count, w, config.sbs[n].cache_capacity,
+            config.sbs[n].replacement_beta, problem.initial[n]);
+  });
   const std::vector<std::vector<std::uint8_t>>& x = p1.x();  // [t*K + k]
 
   // ---- Subgradient ascent: g = y - x, the fused kernel over each slot's
@@ -162,8 +124,20 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
                      std::vector<OverlapDecision>& repaired) {
     step(apply_step, delta);
     // ---- P1 per SBS (unchanged caching structure; reuse the flow
-    // solver), reduced serially in SBS order below.
-    p1.iterate(mu);
+    // solver) under rewards nu = the sum of mu over the SBS's links,
+    // reduced serially in SBS order below.
+    util::parallel_for(0, num_sbs, [&](std::size_t n) {
+      linalg::Vec& rewards = p1.clear_rewards(n);
+      for (std::size_t t = 0; t < w; ++t) {
+        for (const std::size_t id : layout.links_of_sbs(n)) {
+          for (std::size_t k = 0; k < k_count; ++k) {
+            rewards[t * k_count + k] +=
+                mu[t * per_slot + layout.index(id, k)];
+          }
+        }
+      }
+      p1.solve(n);
+    });
 
     // ---- P2 per slot (coupled across SBSs, independent across slots).
     util::parallel_for(0, w, [&](std::size_t t) {
@@ -181,7 +155,7 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
       repaired[t].cache = empty_cache(config);
       linalg::Vec& ub = ss.ub;
       ub.assign(per_slot, 0.0);
-      for (std::size_t n = 0; n < config.num_sbs(); ++n) {
+      for (std::size_t n = 0; n < num_sbs; ++n) {
         for (std::size_t k = 0; k < k_count; ++k) {
           repaired[t].cache[n][k] = x[n][t * k_count + k];
         }

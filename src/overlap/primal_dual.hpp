@@ -11,7 +11,6 @@
 // status rules are the loop's, not this solver's.
 #pragma once
 
-#include "core/caching.hpp"
 #include "core/dual_ascent.hpp"
 #include "overlap/p2.hpp"
 #include "runtime/deadline.hpp"
@@ -49,45 +48,6 @@ struct OverlapHorizonSolution {
   solver::SolveStatus status = solver::SolveStatus::kConverged;
 
   double gap() const { return core::relative_gap(upper_bound, lower_bound); }
-};
-
-/// Core of the overlap P1 stage: owns every SBS's caching subproblem and
-/// flow workspace and runs one dual iteration's worth of P1 solves.
-/// Structured like core::ShardCore (DESIGN.md §11) so the per-SBS state has
-/// a single owner, but overlap stays in-process only: its P2 couples every
-/// SBS within a slot through the shared overlap links, so the slot-major
-/// stages cannot be partitioned by SBS the way the core solver's can.
-class OverlapP1Core {
- public:
-  /// Binds per-SBS P1 state for every SBS of `problem`. The problem must
-  /// outlive the core and stay unchanged until the next begin().
-  /// Parallelizes over the SBSs internally.
-  void begin(const OverlapHorizonProblem& problem,
-             const OverlapPrimalDualOptions& options);
-
-  /// One dual iteration of P1 over every SBS: rebuild rewards from
-  /// `mu` (full-length, slot-major), solve each SBS's min-cost flow, store
-  /// objectives and cache plans per SBS. Bit-identical at any
-  /// thread count (per-index output slots, no reductions).
-  void iterate(const linalg::Vec& mu);
-
-  std::size_t size() const { return p1_.size(); }
-  /// Per-SBS P1 objectives, indexed by SBS.
-  const std::vector<double>& objectives() const { return objectives_; }
-  /// Per-SBS cache plans [t * K + k], indexed by SBS.
-  const std::vector<std::vector<std::uint8_t>>& x() const { return x_; }
-
- private:
-  struct P1State {
-    core::CachingSubproblem sub;
-    core::CachingFlowWorkspace flow;
-  };
-
-  const OverlapHorizonProblem* problem_ = nullptr;
-  OverlapPrimalDualOptions options_;
-  std::vector<P1State> p1_;
-  std::vector<double> objectives_;
-  std::vector<std::vector<std::uint8_t>> x_;
 };
 
 class OverlapPrimalDualSolver {

@@ -30,7 +30,9 @@
 
 namespace mdo::runtime {
 
-inline constexpr std::uint32_t kCheckpointFormatVersion = 2;
+/// Version 3: RHC snapshots its FHC planner (plan time, bank rotation
+/// time, committed block, trajectory, resync cache, warm mu, solver state).
+inline constexpr std::uint32_t kCheckpointFormatVersion = 3;
 
 /// Frames `payload` (version + size + checksum) and atomically replaces
 /// `path` with it.

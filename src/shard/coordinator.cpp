@@ -136,8 +136,7 @@ void Coordinator::teardown() {
   offsets_.clear();
 }
 
-bool Coordinator::begin(const core::ShardInputs& in,
-                        const core::ShardOptions& opts, std::size_t shards,
+bool Coordinator::begin(const core::ShardInputs& in, std::size_t shards,
                         const std::vector<std::size_t>& mu_offsets,
                         const linalg::Vec& mu,
                         const std::vector<core::CellState>& bank) {
@@ -155,7 +154,7 @@ bool Coordinator::begin(const core::ShardInputs& in,
   const std::int64_t die_at = consume_kill_directive();
   for (std::size_t s = 0; s < shards; ++s) {
     util::BinaryWriter w;
-    encode_begin(w, in, opts, offsets_[s], offsets_[s + 1], mu_offsets, mu,
+    encode_begin(w, in, offsets_[s], offsets_[s + 1], mu_offsets, mu,
                  bank, num_sbs, s == 0 ? die_at : -1);
     if (!send_frame(workers_[s].fd, MessageType::kBegin, w.bytes())) {
       teardown();

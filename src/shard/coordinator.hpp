@@ -56,8 +56,8 @@ class Coordinator {
   /// full-range `mu_offsets` geometry. The referenced structures must
   /// outlive the session (they are the solver's solve-scope state). False
   /// on any worker failure; the fleet is then already torn down.
-  bool begin(const core::ShardInputs& in, const core::ShardOptions& opts,
-             std::size_t shards, const std::vector<std::size_t>& mu_offsets,
+  bool begin(const core::ShardInputs& in, std::size_t shards,
+             const std::vector<std::size_t>& mu_offsets,
              const linalg::Vec& mu, const std::vector<core::CellState>& bank);
 
   /// One dual iteration: workers apply the previous projected step (when

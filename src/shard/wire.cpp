@@ -14,7 +14,7 @@ namespace mdo::shard {
 
 namespace {
 
-constexpr char kMagic[8] = {'M', 'D', 'O', 'S', 'H', 'R', 'D', '3'};
+constexpr char kMagic[8] = {'M', 'D', 'O', 'S', 'H', 'R', 'D', '4'};
 constexpr std::size_t kHeaderSize = sizeof(kMagic) + 4 + 8 + 8;
 /// Sanity cap: no legitimate frame approaches this (kBegin carries sparse
 /// demand and compact mu, MBs even at N=1024/K=10^4 full support).
@@ -117,24 +117,6 @@ bool recv_frame(int fd, MessageType* type,
 
 namespace {
 
-void write_options(util::BinaryWriter& w, const core::ShardOptions& opts) {
-  w.boolean(opts.load_balancing.prefer_exact);
-  w.size(opts.load_balancing.first_order.max_iterations);
-  w.f64(opts.load_balancing.first_order.gradient_tolerance);
-  w.f64(opts.load_balancing.first_order.lipschitz);
-  w.boolean(opts.load_balancing.first_order.accelerate);
-}
-
-core::ShardOptions read_options(util::BinaryReader& r) {
-  core::ShardOptions opts;
-  opts.load_balancing.prefer_exact = r.boolean();
-  opts.load_balancing.first_order.max_iterations = r.size();
-  opts.load_balancing.first_order.gradient_tolerance = r.f64();
-  opts.load_balancing.first_order.lipschitz = r.f64();
-  opts.load_balancing.first_order.accelerate = r.boolean();
-  return opts;
-}
-
 void write_sbs_config(util::BinaryWriter& w, const model::SbsConfig& sbs) {
   w.size(sbs.cache_capacity);
   w.f64(sbs.bandwidth);
@@ -164,8 +146,7 @@ model::SbsConfig read_sbs_config(util::BinaryReader& r) {
 }  // namespace
 
 void encode_begin(util::BinaryWriter& w, const core::ShardInputs& in,
-                  const core::ShardOptions& opts, std::size_t sbs_begin,
-                  std::size_t sbs_end,
+                  std::size_t sbs_begin, std::size_t sbs_end,
                   const std::vector<std::size_t>& mu_offsets,
                   const linalg::Vec& mu,
                   const std::vector<core::CellState>& bank,
@@ -173,7 +154,6 @@ void encode_begin(util::BinaryWriter& w, const core::ShardInputs& in,
   MDO_REQUIRE(in.sparse_demand != nullptr,
               "shard wire: kBegin ships a sparse demand window");
   const std::size_t horizon = in.sparse_demand->horizon();
-  write_options(w, opts);
   w.size(in.config->num_contents);
   w.size(horizon);
   w.i64(die_at_iteration);
@@ -224,7 +204,6 @@ void encode_begin(util::BinaryWriter& w, const core::ShardInputs& in,
 
 BeginMessage decode_begin(util::BinaryReader& r) {
   BeginMessage msg;
-  msg.options = read_options(r);
   msg.num_contents = r.size();
   msg.horizon = r.size();
   msg.die_at_iteration = r.i64();

@@ -2,16 +2,16 @@
 //
 // Every message is one frame on a SOCK_STREAM socketpair:
 //
-//   magic "MDOSHRD3" (8) | type u32 | payload size u64 | FNV-1a64 u64 | payload
+//   magic "MDOSHRD4" (8) | type u32 | payload size u64 | FNV-1a64 u64 | payload
 //
 // — the same framing discipline as the "MDOCKPT1" checkpoint files
 // (runtime/checkpoint), rebuilt here on util::BinaryWriter/fnv1a64 because
 // mdo_core cannot link the runtime layer. The magic's last byte is the
-// protocol version ("...D3" since the solver has one path: kBegin carries
-// only sparse demand and compact mu blocks, and the shard options lost
-// their backend and reuse fields; "...D2" added omega_neigh and the
-// per-SBS neighbor-reward blocks; "...D1" before); a frame whose first
-// seven bytes match but whose version differs
+// protocol version ("...D4" since kBegin carries no shard options — a
+// shard solves P2 at the defaults; "...D3" made the solver one path:
+// kBegin carries only sparse demand and compact mu blocks; "...D2" added
+// omega_neigh and the per-SBS neighbor-reward blocks; "...D1" before); a
+// frame whose first seven bytes match but whose version differs
 // is rejected CLEANLY — recv_frame warns and returns false, surfacing as
 // SolveStatus::kWorkerFailure — rather than reading as checksum corruption.
 // Any other framing failure (bad magic, size, checksum) is
@@ -88,7 +88,6 @@ void reset_wire_stats();
 /// this struct — encode_begin() writes the slices straight from the
 /// driver's full-range structures.
 struct BeginMessage {
-  core::ShardOptions options;
   std::size_t num_contents = 0;
   std::size_t horizon = 0;
   std::vector<model::SbsConfig> sbs;  // the contiguous slice
@@ -113,8 +112,7 @@ struct BeginMessage {
 /// cell's block is written as a direct span — no gather. `bank` is the
 /// solver's full bank (cell = t * num_sbs_total + n).
 void encode_begin(util::BinaryWriter& w, const core::ShardInputs& in,
-                  const core::ShardOptions& opts, std::size_t sbs_begin,
-                  std::size_t sbs_end,
+                  std::size_t sbs_begin, std::size_t sbs_end,
                   const std::vector<std::size_t>& mu_offsets,
                   const linalg::Vec& mu,
                   const std::vector<core::CellState>& bank,

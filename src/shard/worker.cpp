@@ -22,7 +22,6 @@ namespace {
 
 /// One bound kBegin session; rebuilt per solve.
 struct WorkerSession {
-  core::ShardOptions options;
   model::NetworkConfig config;
   model::SparseDemandTrace demand;
   model::CacheState initial_cache;
@@ -39,7 +38,6 @@ struct WorkerSession {
 };
 
 void bind_session(WorkerSession& s, BeginMessage msg) {
-  s.options = msg.options;
   s.die_at_iteration = msg.die_at_iteration;
   s.iterates = 0;
 
@@ -96,7 +94,7 @@ void bind_session(WorkerSession& s, BeginMessage msg) {
     s.bank[cell].repair.restore_warm_state(blob);
   }
 
-  s.core.begin(inputs, s.options, s.bank, std::move(sets));
+  s.core.begin(inputs, core::ShardOptions{}, s.bank, std::move(sets));
   s.bound = true;
 }
 

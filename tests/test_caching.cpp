@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "core/caching.hpp"
 #include "util/error.hpp"
@@ -214,6 +216,76 @@ TEST_P(CachingFlowVsSimplexTest, Agree) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, CachingFlowVsSimplexTest,
                          ::testing::Range<std::uint64_t>(1, 16));
+
+/// ShardCore binds each SBS's P1 over the window's content list only (the
+/// union of demanded and cached contents), with capacity clamped to the
+/// list: outside it every reward is zero and nothing is initially cached.
+/// The restricted solve must match the full-catalogue flow exactly.
+class CachingBankRestrictionTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CachingBankRestrictionTest, MatchesFullCatalogueFlow) {
+  Rng rng(GetParam() * 17 + 3);
+  const std::size_t k = 4 + static_cast<std::size_t>(rng.uniform_int(0, 8));
+  const std::size_t w = 1 + static_cast<std::size_t>(rng.uniform_int(0, 3));
+  // Even seeds give the full catalogue's capacity, above the list size.
+  const std::size_t capacity =
+      GetParam() % 2 == 0
+          ? k
+          : static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(k)));
+  std::vector<std::size_t> list;
+  for (std::size_t c = 0; c < k; ++c) {
+    if (rng.bernoulli(0.5)) list.push_back(c);
+  }
+  auto full = make_problem(k, w, capacity, rng.uniform(0.1, 3.0));
+  std::size_t init_count = 0;
+  for (const std::size_t c : list) {
+    if (init_count < capacity && rng.bernoulli(0.4)) {
+      full.initial[c] = 1;
+      ++init_count;
+    }
+  }
+  // Strictly positive rewards on the list keep the optimum unique.
+  for (std::size_t t = 0; t < w; ++t) {
+    for (const std::size_t c : list) {
+      full.rewards[t * k + c] = rng.uniform(0.01, 5.0);
+    }
+  }
+
+  const std::size_t kp = list.size();
+  std::vector<std::uint8_t> initial(kp);
+  for (std::size_t i = 0; i < kp; ++i) initial[i] = full.initial[list[i]];
+  CachingBank bank;
+  bank.reset(1);
+  bank.bind(0, kp, w, capacity, full.beta, std::move(initial));
+  linalg::Vec& rewards = bank.clear_rewards(0);
+  for (std::size_t t = 0; t < w; ++t) {
+    for (std::size_t i = 0; i < kp; ++i) {
+      rewards[t * kp + i] = full.rewards[t * k + list[i]];
+    }
+  }
+  bank.solve(0);
+
+  const CachingSolution reference = solve_caching_flow(full);
+  EXPECT_EQ(bank.objectives()[0], reference.objective);
+  const std::vector<std::uint8_t>& x = bank.x()[0];
+  ASSERT_EQ(x.size(), kp * w);
+  for (std::size_t t = 0; t < w; ++t) {
+    std::size_t i = 0;
+    for (std::size_t c = 0; c < k; ++c) {
+      const bool listed = i < kp && list[i] == c;
+      const std::uint8_t expected = listed ? x[t * kp + i] : 0;
+      EXPECT_EQ(reference.x[t * k + c], expected)
+          << "slot " << t << ", content " << c
+          << (listed ? " (listed)" : " (unlisted)");
+      if (listed) ++i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomInstances, CachingBankRestrictionTest,
+                         ::testing::Range<std::uint64_t>(1, 31));
 
 }  // namespace
 }  // namespace mdo::core

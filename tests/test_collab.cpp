@@ -270,7 +270,7 @@ TEST(Collab, NeighborPriceZeroMatchesUnpricedSolve) {
   EXPECT_EQ(got.lower_bound, want.lower_bound);
 }
 
-// ---- MDOSHRD3 wire framing -------------------------------------------------
+// ---- MDOSHRD4 wire framing -------------------------------------------------
 
 std::vector<std::uint8_t> raw_frame(const std::vector<std::uint8_t>& payload) {
   int fds[2];
@@ -302,19 +302,20 @@ bool frame_accepted(const std::vector<std::uint8_t>& raw) {
   return ok;
 }
 
-TEST(Collab, WireMagicCarriesProtocolVersionThree) {
+TEST(Collab, WireMagicCarriesProtocolVersionFour) {
   const std::vector<std::uint8_t> clean = raw_frame({1, 2, 3});
   ASSERT_GE(clean.size(), 8u);
-  EXPECT_EQ(std::string(clean.begin(), clean.begin() + 8), "MDOSHRD3");
+  EXPECT_EQ(std::string(clean.begin(), clean.begin() + 8), "MDOSHRD4");
   EXPECT_TRUE(frame_accepted(clean));
 }
 
 TEST(Collab, WireRejectsOldProtocolVersionCleanly) {
-  // Well-formed frames from "MDOSHRD2" and "MDOSHRD1" peers: same 7-byte
-  // prefix, older version byte, checksum intact. Must be rejected as a
-  // version mismatch (clean false -> SolveStatus::kWorkerFailure), not read
-  // as payload corruption — and certainly not decoded.
-  for (const char version : {'2', '1'}) {
+  // Well-formed frames from "MDOSHRD3", "MDOSHRD2" and "MDOSHRD1" peers:
+  // same 7-byte prefix, older version byte, checksum intact. Must be
+  // rejected as a version mismatch (clean false ->
+  // SolveStatus::kWorkerFailure), not read as payload corruption — and
+  // certainly not decoded.
+  for (const char version : {'3', '2', '1'}) {
     std::vector<std::uint8_t> old = raw_frame({1, 2, 3});
     old[7] = static_cast<std::uint8_t>(version);
     EXPECT_FALSE(frame_accepted(old)) << "MDOSHRD" << version;

@@ -1,6 +1,7 @@
 // Tests for the online controllers (RHC / FHC / CHC / AFHC) and baselines.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -250,9 +251,24 @@ TEST(Chc, ProducesFeasibleDecisions) {
   }
 }
 
+/// Asserts two decisions agree bit for bit: the caches and every load.
+void expect_bitwise_equal(const model::SlotDecision& a,
+                          const model::SlotDecision& b, std::size_t slot) {
+  EXPECT_EQ(a.cache, b.cache) << "slot " << slot;
+  ASSERT_EQ(a.load.num_sbs(), b.load.num_sbs());
+  for (std::size_t n = 0; n < a.load.num_sbs(); ++n) {
+    const linalg::Vec& x = a.load.sbs_data(n);
+    const linalg::Vec& y = b.load.sbs_data(n);
+    ASSERT_EQ(x.size(), y.size());
+    EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size() * sizeof(double)), 0)
+        << "slot " << slot << ", SBS " << n;
+  }
+}
+
 TEST(Chc, CommitOneEqualsRhcTrajectoryShape) {
-  // CHC with r = 1 averages a single RHC-like planner; its caching decision
-  // is integral before rounding, so rounding is a no-op.
+  // RHC is the r = 1 planner, and CHC with r = 1 averages that single
+  // planner: its caching decision is integral before rounding, so
+  // averaging and rounding are the identity.
   const auto instance = small_instance();
   const workload::PerfectPredictor predictor(instance.demand);
   ChcController chc(3, 1);
@@ -260,8 +276,41 @@ TEST(Chc, CommitOneEqualsRhcTrajectoryShape) {
   const auto chc_decisions = roll_out(chc, instance, predictor);
   const auto rhc_decisions = roll_out(rhc, instance, predictor);
   for (std::size_t t = 0; t < instance.horizon(); ++t) {
-    EXPECT_EQ(chc_decisions[t].cache, rhc_decisions[t].cache) << "slot " << t;
+    expect_bitwise_equal(chc_decisions[t], rhc_decisions[t], t);
   }
+}
+
+TEST(Chc, CommitOneEqualsRhcBitwiseOnFistaPath) {
+  // hat-omega > 0 sends P2 down the FISTA path, and noisy forecasts move
+  // the window's demand every slot: CHC(r = 1), FHC(r = 1) and RHC still
+  // take the same decisions bit for bit.
+  workload::PaperScenario scenario;
+  scenario.seed = 11;
+  scenario.num_contents = 6;
+  scenario.classes_per_sbs = 3;
+  scenario.horizon = 8;
+  scenario.cache_capacity = 2;
+  scenario.bandwidth = 3.0;
+  scenario.beta = 0.05;
+  scenario.omega_sbs_factor = 0.3;
+  const auto instance = scenario.build();
+  ASSERT_GT(instance.config.sbs[0].classes[0].omega_sbs, 0.0);
+  const workload::NoisyPredictor predictor(instance.demand, 0.3, 5, 0.1);
+  ChcController chc(4, 1);
+  FhcController fhc(4, 1, 0);
+  RhcController rhc(4);
+  const auto chc_decisions = roll_out(chc, instance, predictor);
+  const auto fhc_decisions = roll_out(fhc, instance, predictor);
+  const auto rhc_decisions = roll_out(rhc, instance, predictor);
+  std::size_t cached = 0;
+  for (std::size_t t = 0; t < instance.horizon(); ++t) {
+    expect_bitwise_equal(chc_decisions[t], rhc_decisions[t], t);
+    expect_bitwise_equal(fhc_decisions[t], rhc_decisions[t], t);
+    for (std::size_t n = 0; n < instance.config.num_sbs(); ++n) {
+      cached += rhc_decisions[t].cache.count(n);
+    }
+  }
+  EXPECT_GT(cached, 0u) << "the instance should exercise caching";
 }
 
 TEST(FhcStandalone, ValidAndFeasible) {

@@ -516,11 +516,15 @@ TEST(CheckpointFile, RejectsWrongMagicAndVersion) {
     util::write_file_atomic(path, garbled);
     EXPECT_THROW(runtime::read_checkpoint_file(path), InvalidArgument);
   }
-  {
-    auto future = bytes;
-    future[8] = 0xFF;  // version field follows the 8-byte magic
-    util::write_file_atomic(path, future);
-    EXPECT_THROW(runtime::read_checkpoint_file(path), InvalidArgument);
+  // The version field (u32, little-endian) follows the 8-byte magic: a
+  // future version and the previous one (2, whose RHC snapshot layout
+  // predates the planner) are both rejected.
+  for (const std::uint8_t version : {std::uint8_t{0xFF}, std::uint8_t{2}}) {
+    auto other = bytes;
+    other[8] = version;
+    util::write_file_atomic(path, other);
+    EXPECT_THROW(runtime::read_checkpoint_file(path), InvalidArgument)
+        << "version " << int{version};
   }
   std::remove(path.c_str());
 }
