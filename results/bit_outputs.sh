@@ -41,6 +41,8 @@ run event_replay.txt "$ex/event_replay"
 run overlap_cell.txt "$ex/overlap_cell"
 run headline_t20.txt "$bench/bench_headline_table" --slots 20
 "$bench/bench_fig2_beta" --slots 20 --csv "$out/fig2_t20.csv" > /dev/null 2>&1
+# The eta sweep: the only output that moves with the predictor's noise.
+"$bench/bench_fig5_noise" --slots 20 --csv "$out/fig5_t20.csv" > /dev/null 2>&1
 "$bench/bench_collab" --slots 10 --json "$out/collab_t10.json" > /dev/null 2>&1
 # E8: RHC and FHC side by side; drop the trailing ms/slot column.
 "$bench/bench_competitive_ratio" 2>&1 |

@@ -45,8 +45,8 @@ bool overlay_receiver(const model::NetworkConfig& config,
   double residual = 0.0;  // R: omega_bs-weighted traffic still on the BS
   double neigh = 0.0;     // S: omega_neigh-weighted neighbor traffic
   for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-    for (const model::DemandEntry* it = demand.row_begin(m);
-         it != demand.row_end(m); ++it) {
+    const model::DemandEntry* const end = demand.row_end(m);
+    for (const model::DemandEntry* it = demand.row_begin(m); it != end; ++it) {
       const std::size_t k = it->content;
       const double rate = it->rate;
       if (rate <= 0.0) continue;

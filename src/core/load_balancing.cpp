@@ -85,8 +85,8 @@ void P2Workspace::bind_active(const model::SbsConfig& sbs,
   coeff_.lambda.assign(size, 0.0);
   for (std::size_t m = 0; m < classes; ++m) {
     std::size_t pos = 0;
-    for (const model::DemandEntry* it = demand.row_begin(m);
-         it != demand.row_end(m); ++it) {
+    const model::DemandEntry* const end = demand.row_end(m);
+    for (const model::DemandEntry* it = demand.row_begin(m); it != end; ++it) {
       while (pos < a_count && active_[pos] < it->content) ++pos;
       MDO_REQUIRE(pos < a_count && active_[pos] == it->content,
                   "P2 workspace: active set must cover the demand support");

@@ -22,8 +22,9 @@ bool demand_finite_nonnegative(const model::SparseDemandTrace& demand) {
     for (const auto& sbs_demand : demand.slot(t)) {
       if (!sbs_demand.finalized()) return false;
       for (std::size_t m = 0; m < sbs_demand.num_classes(); ++m) {
-        for (const model::DemandEntry* it = sbs_demand.row_begin(m);
-             it != sbs_demand.row_end(m); ++it) {
+        const model::DemandEntry* const end = sbs_demand.row_end(m);
+        for (const model::DemandEntry* it = sbs_demand.row_begin(m); it != end;
+             ++it) {
           if (!std::isfinite(it->rate) || it->rate < 0.0) return false;
         }
       }
@@ -200,8 +201,9 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
         double a = 0.0;
         for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
           double row = 0.0;
+          const model::DemandEntry* const end = cell_demand.row_end(m);
           for (const model::DemandEntry* it = cell_demand.row_begin(m);
-               it != cell_demand.row_end(m); ++it) {
+               it != end; ++it) {
             row += it->rate;
           }
           a += sbs.classes[m].omega_bs * row;
@@ -211,8 +213,9 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
         const std::size_t a_count = al.size();
         for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
           std::size_t pos = 0;
+          const model::DemandEntry* const end = cell_demand.row_end(m);
           for (const model::DemandEntry* it = cell_demand.row_begin(m);
-               it != cell_demand.row_end(m); ++it) {
+               it != end; ++it) {
             const double value = 2.0 * a * sbs.classes[m].omega_bs * it->rate;
             mean_marginal += value;
             if (warm_mu == nullptr) {
@@ -311,8 +314,9 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
         for (const std::size_t r : receivers[n]) {
           const auto& dem = demand.slot(t)[r];
           for (std::size_t m = 0; m < config.sbs[r].num_classes(); ++m) {
-            for (const model::DemandEntry* it = dem.row_begin(m);
-                 it != dem.row_end(m); ++it) {
+            const model::DemandEntry* const end = dem.row_end(m);
+            for (const model::DemandEntry* it = dem.row_begin(m); it != end;
+                 ++it) {
               scratch[it->content] += it->rate;
             }
           }

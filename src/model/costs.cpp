@@ -23,13 +23,13 @@ double bs_cost(const NetworkConfig& config, const SparseSlotDemand& slot,
       // the subtraction is a separate serial accumulation so the baseline
       // sequence is untouched on bank-free decisions.
       double class_rest = 0.0;
-      for (const DemandEntry* it = d.row_begin(m); it != d.row_end(m); ++it) {
+      const DemandEntry* const end = d.row_end(m);
+      for (const DemandEntry* it = d.row_begin(m); it != end; ++it) {
         class_rest += (1.0 - y[m * k_count + it->content]) * it->rate;
       }
       if (neighbor) {
         double class_neigh = 0.0;
-        for (const DemandEntry* it = d.row_begin(m); it != d.row_end(m);
-             ++it) {
+        for (const DemandEntry* it = d.row_begin(m); it != end; ++it) {
           class_neigh += z[m * k_count + it->content] * it->rate;
         }
         class_rest -= class_neigh;
@@ -57,7 +57,8 @@ double served_cost(const NetworkConfig& config, const SparseSlotDemand& slot,
     double weighted = 0.0;
     for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
       double class_served = 0.0;
-      for (const DemandEntry* it = d.row_begin(m); it != d.row_end(m); ++it) {
+      const DemandEntry* const end = d.row_end(m);
+      for (const DemandEntry* it = d.row_begin(m); it != end; ++it) {
         class_served += y[m * k_count + it->content] * it->rate;
       }
       weighted += weight(sbs.classes[m]) * class_served;

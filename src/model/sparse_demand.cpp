@@ -40,30 +40,25 @@ void SparseSbsDemand::finalize() {
   std::sort(support_.begin(), support_.end());
   support_.erase(std::unique(support_.begin(), support_.end()),
                  support_.end());
-  // Column totals accumulate per content in ascending class order, matching
-  // SbsDemand::content_total's loop exactly.
-  support_totals_.assign(support_.size(), 0.0);
-  for (std::size_t m = 0; m < num_classes_; ++m) {
-    for (const DemandEntry* it = row_begin(m); it != row_end(m); ++it) {
-      const auto pos = std::lower_bound(support_.begin(), support_.end(),
-                                        it->content) -
-                       support_.begin();
-      support_totals_[static_cast<std::size_t>(pos)] += it->rate;
-    }
-  }
+  accumulate_support_totals(nullptr);
   finalized_ = true;
 }
 
-const DemandEntry* SparseSbsDemand::row_begin(std::size_t m) const {
-  MDO_REQUIRE(m < num_classes_, "SparseSbsDemand: class out of range");
-  const std::size_t begin = m + 1 < row_ptr_.size() ? row_ptr_[m] : nnz();
-  return entries_.data() + begin;
-}
-
-const DemandEntry* SparseSbsDemand::row_end(std::size_t m) const {
-  MDO_REQUIRE(m < num_classes_, "SparseSbsDemand: class out of range");
-  const std::size_t end = m + 2 <= row_ptr_.size() ? row_ptr_[m + 1] : nnz();
-  return entries_.data() + end;
+void SparseSbsDemand::accumulate_support_totals(const double* factor) {
+  // Column totals accumulate per content in ascending class order, matching
+  // SbsDemand::content_total's loop exactly. Each row is sorted by content
+  // and its contents are a subset of the sorted support, so one forward
+  // walk per row finds every entry's support index.
+  support_totals_.assign(support_.size(), 0.0);
+  for (std::size_t m = 0; m < num_classes_; ++m) {
+    std::size_t s = 0;
+    DemandEntry* const end = entries_.data() + row_ptr_[m + 1];
+    for (DemandEntry* it = entries_.data() + row_ptr_[m]; it != end; ++it) {
+      while (support_[s] < it->content) ++s;
+      if (factor != nullptr) it->rate *= factor[s];
+      support_totals_[s] += it->rate;
+    }
+  }
 }
 
 double SparseSbsDemand::at(std::size_t m, std::size_t k) const {
@@ -95,22 +90,12 @@ const std::vector<std::size_t>& SparseSbsDemand::support() const {
   return support_;
 }
 
-void SparseSbsDemand::scale_by_content(const std::vector<double>& factor) {
+void SparseSbsDemand::scale_by_content(
+    const std::vector<double>& support_factor) {
   MDO_REQUIRE(finalized_, "SparseSbsDemand: scale before finalize");
-  MDO_REQUIRE(factor.size() == num_contents_,
+  MDO_REQUIRE(support_factor.size() == support_.size(),
               "SparseSbsDemand: factor size mismatch");
-  for (DemandEntry& entry : entries_) entry.rate *= factor[entry.content];
-  // Rebuild the column totals with the same ascending-class accumulation as
-  // finalize(), so they match the dense content_total over the scaled matrix.
-  support_totals_.assign(support_.size(), 0.0);
-  for (std::size_t m = 0; m < num_classes_; ++m) {
-    for (const DemandEntry* it = row_begin(m); it != row_end(m); ++it) {
-      const auto pos = std::lower_bound(support_.begin(), support_.end(),
-                                        it->content) -
-                       support_.begin();
-      support_totals_[static_cast<std::size_t>(pos)] += it->rate;
-    }
-  }
+  accumulate_support_totals(support_factor.data());
 }
 
 SparseSbsDemand SparseSbsDemand::from_dense(const SbsDemand& dense,
@@ -134,7 +119,8 @@ SparseSbsDemand SparseSbsDemand::from_dense(const SbsDemand& dense,
 SbsDemand SparseSbsDemand::to_dense() const {
   SbsDemand dense(num_classes_, num_contents_);
   for (std::size_t m = 0; m < num_classes_; ++m) {
-    for (const DemandEntry* it = row_begin(m); it != row_end(m); ++it) {
+    const DemandEntry* const end = row_end(m);
+    for (const DemandEntry* it = row_begin(m); it != end; ++it) {
       dense.at(m, it->content) = it->rate;
     }
   }
@@ -180,8 +166,8 @@ void SparseDemandTrace::validate(const NetworkConfig& config) const {
       MDO_REQUIRE(demand.num_contents() == config.num_contents,
                   "SparseDemandTrace: content count mismatch");
       for (std::size_t m = 0; m < demand.num_classes(); ++m) {
-        for (const DemandEntry* it = demand.row_begin(m);
-             it != demand.row_end(m); ++it) {
+        const DemandEntry* const end = demand.row_end(m);
+        for (const DemandEntry* it = demand.row_begin(m); it != end; ++it) {
           MDO_REQUIRE(std::isfinite(it->rate) && it->rate >= 0.0,
                       "SparseDemandTrace: rates must be finite and >= 0");
         }
@@ -278,8 +264,8 @@ double weighted_load(const linalg::Vec& bank, std::size_t classes,
   const std::size_t contents = demand.num_contents();
   double total = 0.0;
   for (std::size_t m = 0; m < classes; ++m) {
-    for (const DemandEntry* it = demand.row_begin(m); it != demand.row_end(m);
-         ++it) {
+    const DemandEntry* const end = demand.row_end(m);
+    for (const DemandEntry* it = demand.row_begin(m); it != end; ++it) {
       total += y[m * contents + it->content] * it->rate;
     }
   }

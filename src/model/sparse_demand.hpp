@@ -58,9 +58,19 @@ class SparseSbsDemand {
 
   bool finalized() const { return finalized_; }
 
-  /// Entries of class m as a [begin, end) pointer pair.
-  const DemandEntry* row_begin(std::size_t m) const;
-  const DemandEntry* row_end(std::size_t m) const;
+  /// Entries of class m as a [begin, end) pointer pair. Inline: the model
+  /// kernels call them once per row of every cell they visit.
+  const DemandEntry* row_begin(std::size_t m) const {
+    MDO_REQUIRE(m < num_classes_, "SparseSbsDemand: class out of range");
+    const std::size_t begin = m + 1 < row_ptr_.size() ? row_ptr_[m] : nnz();
+    return entries_.data() + begin;
+  }
+  const DemandEntry* row_end(std::size_t m) const {
+    MDO_REQUIRE(m < num_classes_, "SparseSbsDemand: class out of range");
+    const std::size_t end =
+        m + 2 <= row_ptr_.size() ? row_ptr_[m + 1] : nnz();
+    return entries_.data() + end;
+  }
 
   /// Stored rate at (m, k); 0.0 when the entry is absent.
   double at(std::size_t m, std::size_t k) const;
@@ -85,12 +95,13 @@ class SparseSbsDemand {
   /// Sorted distinct contents with at least one stored entry.
   const std::vector<std::size_t>& support() const;
 
-  /// Multiplies every stored rate by factor[content] and rebuilds the
-  /// cached totals (the noisy predictor's per-content perturbation). The
-  /// structure (rows, support) is unchanged; factor must have size
-  /// num_contents(). Each scaled rate is the same product the dense code
-  /// computes, so the result matches from_dense of the scaled dense matrix.
-  void scale_by_content(const std::vector<double>& factor);
+  /// Multiplies every stored rate of content support()[s] by
+  /// support_factor[s] and rebuilds the cached totals, in one pass (the
+  /// noisy predictor's per-content perturbation). The structure (rows,
+  /// support) is unchanged; support_factor must have size support().size().
+  /// Each scaled rate is the same product the dense code computes, so the
+  /// result matches from_dense of the scaled dense matrix.
+  void scale_by_content(const std::vector<double>& support_factor);
 
   /// Conversion from dense; entries with rate == 0 or 0 < rate < min_rate
   /// are dropped (become structural zeros). Negative and NaN rates are kept
@@ -103,6 +114,10 @@ class SparseSbsDemand {
                          const SparseSbsDemand&) = default;
 
  private:
+  /// Rebuilds support_totals_ over the closed rows, first scaling each rate
+  /// by factor[s] (s: its content's support index) when factor is given.
+  void accumulate_support_totals(const double* factor);
+
   std::size_t num_classes_ = 0;
   std::size_t num_contents_ = 0;
   std::vector<std::size_t> row_ptr_;     // row m spans [row_ptr_[m], [m+1])

@@ -18,7 +18,8 @@ namespace {
 bool demand_clean(const model::SparseSlotDemand& demand) {
   for (const model::SparseSbsDemand& sbs : demand) {
     for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      for (const auto* it = sbs.row_begin(m); it != sbs.row_end(m); ++it) {
+      const auto* const end = sbs.row_end(m);
+      for (const auto* it = sbs.row_begin(m); it != end; ++it) {
         if (!std::isfinite(it->rate) || it->rate < 0.0) return false;
       }
     }
@@ -34,7 +35,8 @@ model::SparseSlotDemand sanitize_demand(const model::SparseSlotDemand& demand) {
   for (const model::SparseSbsDemand& sbs : demand) {
     model::SparseSbsDemand clean(sbs.num_classes(), sbs.num_contents());
     for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      for (const auto* it = sbs.row_begin(m); it != sbs.row_end(m); ++it) {
+      const auto* const end = sbs.row_end(m);
+      for (const auto* it = sbs.row_begin(m); it != end; ++it) {
         if (std::isfinite(it->rate) && it->rate >= 0.0) {
           clean.append(m, it->content, it->rate);
         }

@@ -239,7 +239,8 @@ EventSlotMetrics EventSimulator::simulate_slot(
   for (std::size_t n = 0; n < config.num_sbs(); ++n) {
     const model::SparseSbsDemand& sbs = slot_demand[n];
     for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      for (const auto* it = sbs.row_begin(m); it != sbs.row_end(m); ++it) {
+      const auto* const end = sbs.row_end(m);
+      for (const auto* it = sbs.row_begin(m); it != end; ++it) {
         const double rate = it->rate;
         if (rate <= 0.0) continue;
         slot_rate_total += rate;

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/error.hpp"
+
 namespace mdo {
 
 /// splitmix64 step; used to expand a single 64-bit seed into a full state.
@@ -31,14 +33,32 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~static_cast<result_type>(0); }
 
-  /// Next raw 64-bit value.
-  result_type operator()();
+  /// Next raw 64-bit value. The step and the two uniforms below are
+  /// inline: the predictor steps two streams once per (SBS, content), and
+  /// an out-of-line call costs about twice the step itself.
+  result_type operator()() {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 high-quality mantissa bits -> double in [0, 1).
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi). Requires lo <= hi.
-  double uniform(double lo, double hi);
+  double uniform(double lo, double hi) {
+    MDO_REQUIRE(lo <= hi, "uniform(lo, hi) requires lo <= hi");
+    return lo + (hi - lo) * uniform();
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
@@ -98,6 +118,10 @@ class Rng {
   explicit Rng(const State& state);
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
 };
 

@@ -1,21 +1,25 @@
 // Demand prediction with bounded multiplicative noise (Sec. V-B).
 //
 // Online algorithms act on short-term forecasts: at decision time tau the
-// controller sees lambda_hat(t | tau) for t in [tau, tau + w). The paper's
-// perturbation model draws each predicted rate uniformly from
-// [(1 - eta) * lambda, (1 + eta) * lambda]. NoisyPredictor implements that,
-// deterministically keyed on (seed, tau, t, n, m, k) so that every
-// controller in a comparison sees exactly the same forecasts. An optional
-// lead-time growth factor makes far-ahead predictions noisier, matching the
-// paper's remark that "the prediction quality would be worse if predicted
-// further into the future".
+// controller sees lambda_hat(t | tau) for t in [tau, tau + w). The paper
+// perturbs each content's popularity within [(1 - eta), (1 + eta)]
+// (eq. 49). NoisyPredictor implements that with one factor per (SBS n,
+// content k), shared by every MU class of the SBS: the product of a bias
+// draw (a stream seeded from the seed alone, the forecaster's persistent
+// popularity error) and a jitter draw (a stream seeded from seed, tau and
+// t), clamped into the band. The factor of (n, k) is position n * K + k of
+// both streams, so every controller in a comparison sees exactly the same
+// forecasts; those stream positions are part of the forecast's bits, and a
+// change to them is a rebaseline. An optional lead-time growth factor makes
+// far-ahead predictions noisier, matching the paper's remark that "the
+// prediction quality would be worse if predicted further into the future".
 //
 // Both predictors can be backed by a dense OR a sparse truth trace and
-// serve both representations: predict_sparse() on a sparse-backed
-// predictor applies the SAME noise factors to the stored entries only
-// (the skipped dense terms are exact zeros scaled by a positive factor),
-// so for an untruncated trace the sparse forecast densifies to the dense
-// forecast bit for bit.
+// serve both representations: predict_sparse() steps the streams over all
+// N * K positions but converts and applies a factor only at each SBS's
+// stored support (the skipped dense terms are exact zeros scaled by a
+// positive factor), so for an untruncated trace the sparse forecast
+// densifies to the dense forecast bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -107,14 +111,6 @@ class NoisyPredictor final : public Predictor {
   double eta() const { return eta_; }
 
  private:
-  /// Per-content noise factors for every SBS of slot t as seen at tau; one
-  /// flat vector per SBS, drawn in SBS order from the shared bias/jitter
-  /// streams (identical draws whichever representation is served).
-  std::vector<std::vector<double>> noise_factors(std::size_t tau,
-                                                 std::size_t t,
-                                                 std::size_t num_sbs,
-                                                 std::size_t contents) const;
-
   const model::DemandTrace* truth_ = nullptr;
   const model::SparseDemandTrace* sparse_truth_ = nullptr;
   double eta_;

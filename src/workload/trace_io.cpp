@@ -134,8 +134,8 @@ void save_trace_csv(std::ostream& os, const model::SparseDemandTrace& trace) {
     for (std::size_t n = 0; n < slot.size(); ++n) {
       const auto& demand = slot[n];
       for (std::size_t m = 0; m < demand.num_classes(); ++m) {
-        for (const auto* it = demand.row_begin(m); it != demand.row_end(m);
-             ++it) {
+        const auto* const end = demand.row_end(m);
+        for (const auto* it = demand.row_begin(m); it != end; ++it) {
           os << t << ',' << n << ',' << m << ',' << it->content << ','
              << it->rate << '\n';
         }

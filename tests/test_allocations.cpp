@@ -4,7 +4,8 @@
 // iteration — must not touch the heap, on the exact parametric path (with
 // the bandwidth binding or slack) AND on the FISTA path. Neither must the
 // feasibility repair's pattern, a box upper bound alternating between two
-// cache masks.
+// cache masks. A byte ceiling on one sparse forecast keeps the noisy
+// predictor from building content-wide (K-wide) buffers again.
 //
 // The binary replaces the global allocation functions with a counting
 // forwarder to malloc/free, so it is its own executable: the counter would
@@ -21,12 +22,17 @@
 #include "linalg/vec.hpp"
 #include "model/sparse_demand.hpp"
 #include "util/rng.hpp"
+#include "workload/predictor.hpp"
+#include "workload/scenario.hpp"
+#include "workload/zipf.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 
 void* counted_alloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   void* ptr = std::malloc(size > 0 ? size : 1);
   if (ptr == nullptr) throw std::bad_alloc();
   return ptr;
@@ -34,6 +40,7 @@ void* counted_alloc(std::size_t size) {
 
 void* counted_alloc_aligned(std::size_t size, std::size_t alignment) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
   void* ptr = std::aligned_alloc(alignment, rounded > 0 ? rounded : alignment);
   if (ptr == nullptr) throw std::bad_alloc();
@@ -42,6 +49,12 @@ void* counted_alloc_aligned(std::size_t size, std::size_t alignment) {
 
 std::uint64_t allocation_count() {
   return g_allocations.load(std::memory_order_relaxed);
+}
+
+/// Bytes requested from the allocation functions so far (frees are not
+/// subtracted: this counts traffic, not residency).
+std::uint64_t allocated_bytes() {
+  return g_allocated_bytes.load(std::memory_order_relaxed);
 }
 }  // namespace
 
@@ -162,6 +175,47 @@ TEST(Allocations, ExactP2MaskToggleIsAllocationFree) {
 
 TEST(Allocations, FistaP2SteadyStateIsAllocationFree) {
   EXPECT_EQ(steady_p2_allocations(Regime::kFista, kSteadyRepeats), 0u);
+}
+
+/// The sparse_n64 perfbench shape scaled down to N = 8, K = 2000: two
+/// classes per SBS, the catalogue cut at the Zipf rate of rank 0.02 K.
+model::ProblemInstance truncated_sparse_instance() {
+  workload::PaperScenario scenario;
+  scenario.num_sbs = 8;
+  scenario.num_contents = 2000;
+  scenario.classes_per_sbs = 2;
+  scenario.horizon = 4;
+  const auto pmf = workload::zipf_mandelbrot_pmf(
+      scenario.num_contents, scenario.workload.zipf_alpha,
+      scenario.workload.zipf_q);
+  scenario.workload.min_rate = pmf[scenario.num_contents / 50];
+  return scenario.build_sparse();
+}
+
+// Ceiling measured at the commit that added this gate (parent 8369573),
+// g++ 12: one forecast of the instance above allocated 35,504 bytes in 36
+// allocations, nearly all of it the copied truth slot. The parent built an
+// N x K factor matrix per call and allocated 159,312 bytes; that matrix
+// alone is N * K * sizeof(double) = 128,000 bytes. Lower the ceiling when
+// a change lowers the measurement.
+constexpr std::uint64_t kSparseForecastByteCeiling = 40 * 1024;
+
+TEST(Allocations, SparseForecastAllocatesNoContentWideFactors) {
+  const model::ProblemInstance instance = truncated_sparse_instance();
+  const std::size_t num_sbs = instance.config.num_sbs();
+  const std::size_t contents = instance.config.num_contents;
+  std::size_t stored = 0;
+  for (const model::SparseSbsDemand& sbs : instance.sparse_demand.slot(2)) {
+    stored += sbs.nnz();
+  }
+  ASSERT_LT(stored, num_sbs * contents / 10) << "the truncation must bite";
+  const workload::NoisyPredictor predictor(instance.sparse_demand, 0.2, 7);
+  const std::uint64_t before = allocated_bytes();
+  const model::SparseSlotDemand forecast = predictor.predict_sparse(1, 2);
+  const std::uint64_t bytes = allocated_bytes() - before;
+  ASSERT_EQ(forecast.size(), num_sbs);
+  EXPECT_LE(bytes, kSparseForecastByteCeiling);
+  EXPECT_LT(kSparseForecastByteCeiling, num_sbs * contents * sizeof(double));
 }
 
 }  // namespace

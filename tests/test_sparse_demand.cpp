@@ -185,14 +185,29 @@ TEST(SparseDemand, ScaleByContentMatchesDenseScaling) {
     factor[k] = 0.5 + 0.13 * static_cast<double>(k);
   }
   for (std::size_t t = 0; t < dense.horizon(); ++t) {
-    model::SbsDemand scaled = dense.slot(t)[0];
+    // No demand for contents 1 and 4: the support skips them, so factors
+    // looked up by content id instead of support index would show.
+    model::SbsDemand truncated = dense.slot(t)[0];
+    for (std::size_t m = 0; m < truncated.num_classes(); ++m) {
+      truncated.at(m, 1) = 0.0;
+      truncated.at(m, 4) = 0.0;
+    }
+    model::SbsDemand scaled = truncated;
     for (std::size_t m = 0; m < scaled.num_classes(); ++m) {
       for (std::size_t k = 0; k < scaled.num_contents(); ++k) {
         scaled.at(m, k) *= factor[k];
       }
     }
-    auto sparse = model::SparseSbsDemand::from_dense(dense.slot(t)[0]);
-    sparse.scale_by_content(factor);
+    auto sparse = model::SparseSbsDemand::from_dense(truncated);
+    ASSERT_GT(sparse.support().size(), 0u);
+    ASSERT_LT(sparse.support().size(), config.num_contents);
+    // A content-indexed factor no longer fits.
+    EXPECT_THROW(sparse.scale_by_content(factor), InvalidArgument);
+    std::vector<double> support_factor;
+    for (const std::size_t k : sparse.support()) {
+      support_factor.push_back(factor[k]);
+    }
+    sparse.scale_by_content(support_factor);
     EXPECT_EQ(sparse, model::SparseSbsDemand::from_dense(scaled)) << "t=" << t;
     for (std::size_t k = 0; k < config.num_contents; ++k) {
       EXPECT_EQ(sparse.content_total(k), scaled.content_total(k));

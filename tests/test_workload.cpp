@@ -1,11 +1,15 @@
 // Unit tests for the workload generator, Zipf popularity, and predictors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <thread>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "workload/generator.hpp"
 #include "workload/predictor.hpp"
 #include "workload/scenario.hpp"
@@ -356,6 +360,146 @@ TEST(Predictor, LeadGrowthWidensNoise) {
     }
   }
   EXPECT_GT(max_relative_error, eta);
+}
+
+// Frozen reference for NoisyPredictor's bits: the N x K factor matrix the
+// predictor built per query before it stepped its streams without
+// converting the positions off the support, applied to the dense truth.
+// Kept verbatim so that any change to the stream positions, the band or
+// the clamp shows up as a bit difference.
+model::SlotDemand reference_noisy_forecast(const model::SlotDemand& truth,
+                                           double eta, std::uint64_t seed,
+                                           double lead_growth,
+                                           std::size_t tau, std::size_t t) {
+  model::SlotDemand out = truth;
+  if (eta == 0.0) return out;
+  const std::size_t num_sbs = out.size();
+  const std::size_t contents = out.empty() ? 0 : out.front().num_contents();
+  const double lead = static_cast<double>(t - tau);
+  const double eta_eff = std::min(0.95, eta * (1.0 + lead_growth * lead));
+  std::uint64_t bias_mix = seed;
+  (void)splitmix64(bias_mix);
+  Rng bias_rng(splitmix64(bias_mix));
+
+  std::uint64_t mix = seed;
+  (void)splitmix64(mix);
+  mix ^= 0x9e3779b97f4a7c15ULL * (tau + 1);
+  (void)splitmix64(mix);
+  mix ^= 0xc2b2ae3d27d4eb4fULL * (t + 1);
+  Rng jitter_rng(splitmix64(mix));
+
+  std::vector<std::vector<double>> factors(num_sbs);
+  for (auto& factor : factors) {
+    factor.resize(contents);
+    for (auto& f : factor) {
+      const double bias = bias_rng.uniform(1.0 - eta_eff, 1.0 + eta_eff);
+      const double jitter =
+          jitter_rng.uniform(1.0 - 0.5 * eta_eff, 1.0 + 0.5 * eta_eff);
+      f = std::clamp(bias * jitter, 1.0 - eta_eff, 1.0 + eta_eff);
+    }
+  }
+  for (std::size_t n = 0; n < num_sbs; ++n) {
+    auto& flat = out[n].data();
+    for (std::size_t j = 0; j < flat.size(); ++j) {
+      flat[j] *= factors[n][j % contents];
+    }
+  }
+  return out;
+}
+
+template <class Actual, class Expected>
+void expect_same_bits(const Actual& actual, const Expected& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual[i]),
+              std::bit_cast<std::uint64_t>(expected[i]))
+        << "at " << i << ": " << actual[i] << " vs " << expected[i];
+  }
+}
+
+/// Checks predict() and predict_sparse() of `predictor` bitwise against the
+/// frozen reference over every (tau, t) with tau <= t, including the
+/// sparse forecast's cached column totals.
+void expect_matches_reference(const NoisyPredictor& predictor,
+                              const model::DemandTrace& dense_truth,
+                              double eta, std::uint64_t seed,
+                              double lead_growth) {
+  for (std::size_t tau = 0; tau < dense_truth.horizon(); ++tau) {
+    for (std::size_t t = tau; t < dense_truth.horizon(); ++t) {
+      SCOPED_TRACE("tau=" + std::to_string(tau) + " t=" + std::to_string(t));
+      const model::SlotDemand expected = reference_noisy_forecast(
+          dense_truth.slot(t), eta, seed, lead_growth, tau, t);
+      const model::SlotDemand dense = predictor.predict(tau, t);
+      const model::SparseSlotDemand sparse = predictor.predict_sparse(tau, t);
+      ASSERT_EQ(dense.size(), expected.size());
+      ASSERT_EQ(sparse.size(), expected.size());
+      for (std::size_t n = 0; n < expected.size(); ++n) {
+        expect_same_bits(dense[n].data(), expected[n].data());
+        expect_same_bits(sparse[n].to_dense().data(), expected[n].data());
+        std::vector<double> totals, expected_totals;
+        sparse[n].content_totals_into(totals);
+        expected[n].content_totals_into(expected_totals);
+        expect_same_bits(totals, expected_totals);
+      }
+    }
+  }
+}
+
+model::NetworkConfig multi_sbs_config(std::size_t num_sbs,
+                                      std::size_t contents) {
+  model::NetworkConfig config = tiny_config();
+  config.num_contents = contents;
+  config.sbs.front().classes.push_back(model::MuClass{0.8, 0.0});
+  config.sbs.resize(num_sbs, config.sbs.front());
+  return config;
+}
+
+struct NoiseCase {
+  double eta;
+  double lead_growth;
+};
+
+// eta = 0 (exact), a plain band, and a lead growth that reaches the 0.95
+// cap within the horizon (0.3 * (1 + 1.0 * lead) > 0.95 from lead 3 on).
+constexpr NoiseCase kNoiseCases[] = {{0.0, 0.0}, {0.3, 0.0}, {0.3, 1.0}};
+
+TEST(Predictor, NoisyMatchesFrozenReferenceOnDenseTruth) {
+  const auto config = multi_sbs_config(3, 40);
+  WorkloadOptions options;
+  options.seed = 21;
+  const auto truth = generate_demand(config, 6, options);
+  for (const NoiseCase& c : kNoiseCases) {
+    SCOPED_TRACE("eta=" + std::to_string(c.eta) +
+                 " growth=" + std::to_string(c.lead_growth));
+    const NoisyPredictor predictor(truth, c.eta, 314, c.lead_growth);
+    expect_matches_reference(predictor, truth, c.eta, 314, c.lead_growth);
+  }
+}
+
+TEST(Predictor, NoisyMatchesFrozenReferenceOnTruncatedSparseTruth) {
+  const auto config = multi_sbs_config(3, 40);
+  WorkloadOptions options;
+  options.seed = 22;
+  options.min_rate = 0.05;
+  const auto truth = generate_sparse_demand(config, 6, options);
+  // The truncation must leave a strict subset of the contents stored, so
+  // the forecast skips stream positions off the support.
+  std::size_t stored = 0;
+  for (std::size_t t = 0; t < truth.horizon(); ++t) {
+    for (const model::SparseSbsDemand& sbs : truth.slot(t)) {
+      ASSERT_LT(sbs.support().size(), config.num_contents);
+      stored += sbs.support().size();
+    }
+  }
+  ASSERT_GT(stored, truth.horizon() * config.num_sbs());
+  const model::DemandTrace dense_truth = truth.to_dense();
+  for (const NoiseCase& c : kNoiseCases) {
+    SCOPED_TRACE("eta=" + std::to_string(c.eta) +
+                 " growth=" + std::to_string(c.lead_growth));
+    const NoisyPredictor predictor(truth, c.eta, 2718, c.lead_growth);
+    expect_matches_reference(predictor, dense_truth, c.eta, 2718,
+                             c.lead_growth);
+  }
 }
 
 TEST(Predictor, WindowClipsAtHorizon) {
