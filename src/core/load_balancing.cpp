@@ -44,23 +44,6 @@ void repair_order(std::vector<std::pair<double, std::size_t>>& order) {
 
 }  // namespace
 
-void P2Workspace::save_warm_state(util::BinaryWriter& w) const {
-  w.boolean(compact_);
-  w.size(classes_);
-  w.size(contents_);
-  w.size_vec(active_);
-  w.f64_vec(y_);
-}
-
-void P2Workspace::restore_warm_state(util::BinaryReader& r) {
-  compact_ = r.boolean();
-  classes_ = r.size();
-  contents_ = r.size();
-  active_ = r.size_vec();
-  y_ = r.f64_vec_as<linalg::Vec>();
-  has_solution_ = false;  // y_ is a warm start, not a bound solution
-}
-
 void P2Workspace::bind_active(const model::SbsConfig& sbs,
                               const model::SparseSbsDemand& demand,
                               const std::vector<std::size_t>& active) {
@@ -71,24 +54,16 @@ void P2Workspace::bind_active(const model::SbsConfig& sbs,
   const std::size_t a_count = active.size();
   const std::size_t size = classes * a_count;
 
-  // A changed active set would misalign the compact warm start; a matching
-  // one keeps it.
-  const bool same_space = compact_ && classes_ == classes &&
-                          contents_ == demand.num_contents() &&
-                          active_ == active;
-  if (!same_space) y_.clear();
-  compact_ = true;
-  classes_ = classes;
-  contents_ = demand.num_contents();
-  active_.assign(active.begin(), active.end());
+  // Every binding starts cold: warm starts live within one binding only.
+  y_.clear();
 
   coeff_.lambda.assign(size, 0.0);
   for (std::size_t m = 0; m < classes; ++m) {
     std::size_t pos = 0;
     const model::DemandEntry* const end = demand.row_end(m);
     for (const model::DemandEntry* it = demand.row_begin(m); it != end; ++it) {
-      while (pos < a_count && active_[pos] < it->content) ++pos;
-      MDO_REQUIRE(pos < a_count && active_[pos] == it->content,
+      while (pos < a_count && active[pos] < it->content) ++pos;
+      MDO_REQUIRE(pos < a_count && active[pos] == it->content,
                   "P2 workspace: active set must cover the demand support");
       coeff_.lambda[m * a_count + pos] = it->rate;
     }

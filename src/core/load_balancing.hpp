@@ -23,8 +23,8 @@
 // solver's coordinate classification and sort/group scratch — and exposes
 // cheap in-place refreshes for the parts that DO change: the linear term c
 // (the multipliers) and the box upper bound ub (the repair cache vector).
-// The previous solution stays in the workspace as the next solve's warm
-// start. The exact solver also keeps its last sorted threshold order: mu
+// Within one binding the previous solution stays in the workspace as the
+// next solve's warm start; every bind starts cold. The exact solver also keeps its last sorted threshold order: mu
 // moves one diminishing step between dual iterations, so the next call
 // repairs that order with an insertion pass (falling back to a full sort
 // past a fixed move budget) instead of sorting from scratch. The order is
@@ -50,7 +50,6 @@
 #include "model/sparse_demand.hpp"
 #include "solver/first_order.hpp"
 #include "solver/projection.hpp"
-#include "util/serialize.hpp"
 
 namespace mdo::core {
 
@@ -93,12 +92,10 @@ class P2Workspace {
   /// (Re)binds the workspace to an (SBS, demand) pair restricted to the
   /// given sorted content list (which must cover the demand support — pass
   /// model::active_contents): rebuilds lambda/u/v/a and the cached
-  /// Lipschitz norm, resets c to zero and ub to all-ones, and invalidates
-  /// any cached solution. Coefficient vectors are laid out compactly as
-  /// m * |active| + i with active[i] the content. The previous solution
-  /// vector is KEPT as the next solve's warm start (clear it with
-  /// clear_warm_start() for a cold start) when the active set (and shape)
-  /// matches the previous binding — a changed active set would misalign it.
+  /// Lipschitz norm, resets c to zero and ub to all-ones, and drops any
+  /// cached solution, so the first solve after a bind starts cold (y = 0)
+  /// and a solve never depends on an earlier binding. Coefficient vectors
+  /// are laid out compactly as m * |active| + i with active[i] the content.
   /// Never throws on non-finite rates; the poisoning is reported by the
   /// next solve's status instead.
   void bind_active(const model::SbsConfig& sbs,
@@ -117,9 +114,9 @@ class P2Workspace {
   const Coefficients& coefficients() const { return coeff_; }
   const linalg::Vec& upper() const { return coeff_.ub; }
 
-  /// The last solution (after a solve), doubling as the next warm start.
+  /// The last solution (after a solve), doubling as the next warm start
+  /// within the same binding; clear_warm_start() makes the next solve cold.
   const linalg::Vec& y() const { return y_; }
-  linalg::Vec& warm_start() { return y_; }
   void clear_warm_start() { y_.clear(); }
 
   /// True when the workspace holds the solution of the current
@@ -127,28 +124,12 @@ class P2Workspace {
   /// unchanged-ub fast path).
   bool has_solution() const { return has_solution_; }
 
-  /// Serializes exactly the state that survives across horizon solves and
-  /// can influence future results: the warm-start vector y and the compact
-  /// binding metadata (compact_/classes_/contents_/active_) that
-  /// bind_active() consults to decide whether the warm start is still
-  /// aligned. Everything else is rebuilt by the next bind — including the
-  /// exact solver's warm threshold order, which only speeds up the sort
-  /// and never changes its result, so it is not saved. Restoring this
-  /// state into a fresh workspace makes the next solve bit-identical to
-  /// one on the original workspace — the checkpoint/resume contract.
-  void save_warm_state(util::BinaryWriter& w) const;
-  void restore_warm_state(util::BinaryReader& r);
-
  private:
   friend LoadBalancingOutcome solve_load_balancing(
       P2Workspace& ws, const LoadBalancingOptions& options);
 
   const model::SbsConfig* sbs_ = nullptr;
   Coefficients coeff_;
-  bool compact_ = false;  // set by bind_active(); part of the warm state
-  std::size_t classes_ = 0;
-  std::size_t contents_ = 0;              // dense content count K
-  std::vector<std::size_t> active_;       // compact index -> dense content
   double quad_norm_ = 0.0;   // ||u||^2 + ||v||^2 (Lipschitz / 2)
   bool bind_finite_ = true;  // demand rates and bandwidth
   bool linear_finite_ = true;
@@ -160,7 +141,7 @@ class P2Workspace {
     return bind_finite_ && linear_finite_ && upper_finite_;
   }
 
-  linalg::Vec y_;  // solution / warm start
+  linalg::Vec y_;  // solution / warm start within one binding
 
   // FISTA machinery (refreshed per solve, allocation-free in steady state).
   solver::BoxKnapsackSet feasible_;

@@ -99,30 +99,8 @@ PrimalDualSolver::PrimalDualSolver(PrimalDualSolver&&) noexcept = default;
 PrimalDualSolver& PrimalDualSolver::operator=(PrimalDualSolver&&) noexcept =
     default;
 
-void PrimalDualSolver::advance_window(std::size_t shift) {
-  if (shift == 0 || bank_slots_ == 0) return;
-  // Ascending t only reads rows > t, which are still the old window's.
-  for (std::size_t t = 0; t < bank_slots_; ++t) {
-    const std::size_t src = std::min(t + shift, bank_slots_ - 1);
-    if (src == t) continue;
-    for (std::size_t n = 0; n < bank_sbs_; ++n) {
-      CellState& dst = bank_[t * bank_sbs_ + n];
-      const CellState& from = bank_[src * bank_sbs_ + n];
-      dst.p2.warm_start() = from.p2.y();
-      dst.repair.warm_start() = from.repair.y();
-    }
-  }
-}
-
 void PrimalDualSolver::save_state(util::BinaryWriter& w) const {
-  w.size(bank_slots_);
-  w.size(bank_sbs_);
   w.size(step_offset_);
-  w.size(bank_.size());
-  for (const CellState& cs : bank_) {
-    cs.p2.save_warm_state(w);
-    cs.repair.save_warm_state(w);
-  }
   // Compact-mu geometry of the last solve: a restored solver must keep
   // interpreting (and, after a resync, remapping) same-window warm mu
   // vectors exactly like the original would.
@@ -132,16 +110,7 @@ void PrimalDualSolver::save_state(util::BinaryWriter& w) const {
 }
 
 void PrimalDualSolver::restore_state(util::BinaryReader& r) {
-  bank_slots_ = r.size();
-  bank_sbs_ = r.size();
   step_offset_ = r.size();
-  bank_.assign(r.count(), CellState{});
-  for (CellState& cs : bank_) {
-    cs.p2.restore_warm_state(r);
-    cs.repair.restore_warm_state(r);
-  }
-  MDO_REQUIRE(bank_.size() == bank_slots_ * bank_sbs_,
-              "solver snapshot: bank shape mismatch");
   last_horizon_ = r.size();
   last_active_.assign(r.count(), {});
   for (auto& cell : last_active_) cell = r.size_vec();
@@ -274,20 +243,17 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
       mu = *warm_mu;
     }
   }
-  last_active_ = sets.active;
-  last_horizon_ = w;
+  // The geometry best.mu will describe, recorded only once the solve
+  // succeeds: a solve lost to a worker death must leave the previous one
+  // in place, or its retry would read the same warm mu against the wrong
+  // geometry.
+  std::vector<std::vector<std::size_t>> solved_active = sets.active;
   // Warm-started solves resume the step schedule where the previous window
   // stopped (see the solve() comment); cold solves restart at delta_0.
   const DualAscentParams params{
       options_.max_iterations, options_.epsilon,
       std::max(1e-9, 0.5 * mean_marginal),
       warm_mu != nullptr ? step_offset_ : 0};
-
-  // ---- The persistent warm-start bank (the zero-allocation hot path, also
-  // the state a sharded solve ships out and reclaims).
-  bank_.resize(w * num_sbs);
-  bank_slots_ = w;
-  bank_sbs_ = num_sbs;
 
   // ---- Optional neighbor-demand tilt of P1 (see the option comment):
   // constant per-(n, k, t) reward addends in the P1 layout, computed HERE,
@@ -357,15 +323,14 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   if (shards > 0) {
     // Worker subprocesses, each running a ShardCore over its SBS range; the
     // schedule is written here from their replies. A worker death aborts
-    // the solve without touching the warm state: the bank was only READ
-    // (at encode time) and is written back only by a successful finish(),
-    // and step_offset_ is left alone — so the supervisor's retry of the
-    // same solve is bit-identical to the solve that was lost.
+    // the solve before step_offset_ moves, and nothing else a solve reads
+    // outlives it — so the supervisor's retry of the same solve is
+    // bit-identical to the solve that was lost.
     if (!coordinator_) coordinator_ = std::make_unique<shard::Coordinator>();
     shard::Coordinator& fleet = *coordinator_;
     shard::IterationOutputs out;
     solved =
-        fleet.begin(inputs, shards, mu_off, mu, bank_) &&
+        fleet.begin(inputs, shards, mu_off, mu) &&
         run_dual_ascent(
             params, deadline,
             [&](bool apply_step, double delta, model::Schedule& repaired)
@@ -381,11 +346,11 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
               return bounds(out.p1_objectives, out.p2_objectives, repaired);
             },
             [&](bool apply_step, double delta) {
-              return fleet.finish(apply_step, delta, mu, bank_);
+              return fleet.finish(apply_step, delta, mu);
             },
             best);
   } else {
-    // One full-range ShardCore in this process.
+    // One full-range ShardCore in this process, on the workspace arena.
     ShardCore core;
     core.begin(inputs, ShardOptions{}, bank_, std::move(sets));
     auto step = [&](bool apply_step, double delta) {
@@ -409,6 +374,8 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   }
   best.mu = std::move(mu);
   step_offset_ = best.iterations;
+  last_active_ = std::move(solved_active);
+  last_horizon_ = w;
   MDO_CHECK(!best.schedule.empty(), "primal-dual produced no schedule");
   MDO_TRACE("primal-dual: UB=" << best.upper_bound
                                << " LB=" << best.lower_bound

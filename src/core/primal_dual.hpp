@@ -41,6 +41,7 @@
 #include "model/demand.hpp"
 #include "model/network.hpp"
 #include "model/sparse_demand.hpp"
+#include "util/serialize.hpp"
 
 namespace mdo::shard {
 class Coordinator;
@@ -97,8 +98,9 @@ struct PrimalDualOptions {
   /// shard::kShardsInProcess forces the in-process path regardless of the
   /// environment. Results are bitwise-identical at every shard count; a
   /// worker death surfaces as SolveStatus::kWorkerFailure with a safe
-  /// fallback schedule, and the next solve() respawns the fleet and — the
-  /// warm state lives driver-side — reproduces the lost result exactly.
+  /// fallback schedule, and the next solve() respawns the fleet and — a
+  /// solve depends only on its problem, the warm mu and the driver-side
+  /// step offset — reproduces the lost result exactly.
   std::size_t shard_count = 0;
 };
 
@@ -154,7 +156,10 @@ class PrimalDualSolver {
   /// and the tail slots carry end-of-window effects.
   ///
   /// Non-const: the solver keeps the per-(slot, SBS) P2 workspace bank
-  /// between calls (the zero-allocation hot path and the P2 warm starts).
+  /// between calls as an allocation arena only (the zero-allocation hot
+  /// path). Every solve re-binds it cold, so with `warm_mu` null the
+  /// result equals a fresh solver's bit for bit; P2 warm starts carry y
+  /// only from one dual iteration to the next within the solve.
   ///
   /// `deadline` (optional) bounds the solve: the token is polled once per
   /// dual iteration — after the first iteration completes, so a feasible
@@ -166,35 +171,34 @@ class PrimalDualSolver {
                         const linalg::Vec* warm_mu = nullptr,
                         runtime::DeadlineToken* deadline = nullptr);
 
-  /// Rotates the cached P2 warm starts when the window slides forward by
-  /// `shift` slots (slot t of the next window reuses slot t + shift of the
-  /// previous one; tail slots repeat the last, so a shift at or past the
-  /// horizon starts every slot from the last slot's warm start).
-  /// Controllers call this between windows.
-  void advance_window(std::size_t shift);
+  /// No-op: no solver state follows the window (solve() says why). Kept
+  /// only for the benchmark harness, which calls it between windows.
+  void advance_window(std::size_t /*shift*/) {}
 
   const PrimalDualOptions& options() const { return options_; }
 
-  /// Serializes the cross-solve warm state (the P2 workspace bank with its
-  /// binding metadata, plus the step-schedule offset). Restoring into a
-  /// solver constructed with the same options makes every subsequent
-  /// solve() bit-identical to one on the original — the checkpoint/resume
-  /// contract (see runtime/checkpoint.hpp). The bank lives driver-side even
-  /// when solves are sharded out (workers return it at end-of-solve), so
-  /// the snapshot is shard-count-independent.
+  /// Serializes the state a later solve reads: the step-schedule offset
+  /// and the last solve's compact-mu geometry, both consulted only by a
+  /// warm-mu solve. Restoring into a solver constructed with the same
+  /// options makes every subsequent solve() bit-identical to one on the
+  /// original — the checkpoint/resume contract (see
+  /// runtime/checkpoint.hpp). Both live driver-side, so the snapshot is
+  /// shard-count-independent.
   void save_state(util::BinaryWriter& w) const;
   void restore_state(util::BinaryReader& r);
 
  private:
   PrimalDualOptions options_;
-  std::vector<CellState> bank_;  // cell = t * num_sbs + n
-  std::size_t bank_slots_ = 0;
-  std::size_t bank_sbs_ = 0;
-  /// Geometry of the last solve (per-cell active lists + horizon): a
+  /// Workspace arena of the in-process solve (cell = t * num_sbs + n):
+  /// reused for its buffers, re-bound cold by every solve, never read
+  /// across solves and untouched by a sharded solve.
+  std::vector<CellState> bank_;
+  /// Geometry of the last completed solve (per-cell active lists +
+  /// horizon; a solve lost to a worker death leaves it alone): a
   /// same-window warm mu is interpreted against THIS geometry and remapped
   /// by content id onto the new solve's active sets when a resync changed
-  /// the start cache. Serialized with the warm state so a restored solver
-  /// keeps remapping correctly.
+  /// the start cache. Serialized by save_state so a restored solver keeps
+  /// remapping correctly.
   std::vector<std::vector<std::size_t>> last_active_;
   std::size_t last_horizon_ = 0;
   /// Where the previous solve's diminishing-step schedule stopped; a

@@ -117,7 +117,7 @@ void ShardCore::begin(const ShardInputs& in, const ShardOptions& /*opts*/,
   // ---- Per-(slot, SBS) P2 workspaces: coefficients are built once here,
   // the dual loop then only refreshes the mu-dependent linear term (and the
   // repair loop the box upper bound). The workspaces also hold the warm
-  // starts across dual iterations and across windows.
+  // starts from one dual iteration to the next; each bind starts cold.
   bank.resize(w * num_sbs);
   util::parallel_for(0, w * num_sbs, [&](std::size_t cell) {
     const std::size_t t = cell / num_sbs;

@@ -42,8 +42,9 @@
 
 namespace mdo::core {
 
-/// Per-(slot, SBS) solver state, persisted across solves as the warm-start
-/// bank (cell = t * num_sbs + n).
+/// Per-(slot, SBS) solver state (cell = t * num_sbs + n). A bank of these
+/// is kept across solves only as an allocation arena: begin() re-binds
+/// every cell cold, so no solve reads another's state.
 struct CellState {
   P2Workspace p2;      // dual-iteration P2 (linear term = mu)
   P2Workspace repair;  // feasibility repair (c = 0, ub = x)
@@ -113,12 +114,12 @@ struct ShardInputs {
 class ShardCore {
  public:
   /// Binds the shard to a window problem. `bank` (cell = t * num_sbs + n,
-  /// resized here) must outlive the shard's use; its workspaces keep their
-  /// warm starts — begin() re-binds them to the new window. `sets` must be
-  /// the structures build_active_sets returns for these inputs (moved in so
-  /// the in-process solver, which also needs them, builds them once). For a
-  /// dense `in.demand` the window is converted here and `sets` is ignored:
-  /// begin() builds them from the converted window.
+  /// resized here) must outlive the shard's use; begin() re-binds its
+  /// workspaces cold to the new window, keeping only their buffers. `sets`
+  /// must be the structures build_active_sets returns for these inputs
+  /// (moved in so the in-process solver, which also needs them, builds them
+  /// once). For a dense `in.demand` the window is converted here and `sets`
+  /// is ignored: begin() builds them from the converted window.
   void begin(const ShardInputs& in, const ShardOptions& opts,
              std::vector<CellState>& bank, ActiveSets sets);
 

@@ -26,12 +26,11 @@ void FhcPlanner::reset(const model::ProblemInstance& instance) {
   instance_ = &instance;
   trajectory_cache_ = instance.initial_cache;
   has_plan_ = false;
-  bank_time_.reset();
   plan_.clear();
   resync_cache_.reset();
   warm_mu_.clear();
   warm_horizon_ = 0;
-  // Drop the workspace bank: warm starts from another run must not leak.
+  // A fresh solver: another run's step offset must not leak.
   solver_ = core::PrimalDualSolver(options_);
 }
 
@@ -80,16 +79,6 @@ void FhcPlanner::plan(std::ptrdiff_t tau,
   resync_cache_.reset();
 
   const std::size_t horizon = problem.horizon();
-  // Rotate the warm starts by the slots elapsed since the bank's last
-  // rotation: commit_ on the regular re-plan cadence, more after skipped
-  // blocks, and 0 when a resync forces a replan within the same block (the
-  // window has not moved, so neither should the warm starts).
-  const std::size_t shift =
-      bank_time_ && tau >= *bank_time_
-          ? static_cast<std::size_t>(tau - *bank_time_)
-          : commit_;
-  solver_.advance_window(shift);
-  bank_time_ = tau;
   // Multipliers are reused ONLY for a same-window replan (a resync at the
   // same tau over the same horizon): there they describe the identical
   // dual, and the solver continues the diminishing-step schedule where it
@@ -164,8 +153,6 @@ void FhcPlanner::save_state(util::BinaryWriter& w) const {
   MDO_REQUIRE(instance_ != nullptr, "FHC: reset() must be called first");
   w.i64(static_cast<std::int64_t>(plan_time_));
   w.boolean(has_plan_);
-  w.boolean(bank_time_.has_value());
-  if (bank_time_) w.i64(static_cast<std::int64_t>(*bank_time_));
   runtime::write_schedule(w, plan_);
   runtime::write_cache(w, trajectory_cache_);
   w.boolean(resync_cache_.has_value());
@@ -180,8 +167,6 @@ void FhcPlanner::restore_state(util::BinaryReader& r) {
   const auto& config = instance_->config;
   plan_time_ = static_cast<std::ptrdiff_t>(r.i64());
   has_plan_ = r.boolean();
-  bank_time_.reset();
-  if (r.boolean()) bank_time_ = static_cast<std::ptrdiff_t>(r.i64());
   plan_ = runtime::read_schedule(r, config);
   trajectory_cache_ = runtime::read_cache(r, config);
   resync_cache_.reset();

@@ -51,10 +51,9 @@ class FhcPlanner {
   /// of the internal trajectory, dropping any cached plan.
   void resync(std::size_t slot, const model::CacheState& executed);
 
-  /// Snapshot = plan bookkeeping (plan time, the bank's rotation time, the
-  /// rest of the committed block, the trajectory, a pending resync), the
-  /// same-window warm multipliers, and the solver's warm-start bank
-  /// (Checkpointable contract).
+  /// Snapshot = plan bookkeeping (plan time, the rest of the committed
+  /// block, the trajectory, a pending resync), the same-window warm
+  /// multipliers, and the solver's warm-mu state (Checkpointable contract).
   void save_state(util::BinaryWriter& w) const;
   void restore_state(util::BinaryReader& r);
 
@@ -66,18 +65,14 @@ class FhcPlanner {
   std::size_t window_;
   std::size_t commit_;
   core::PrimalDualOptions options_;
-  /// Persistent across plans so the P2 workspace bank carries warm starts
-  /// between commitment blocks (advanced by the slots elapsed since its
-  /// last rotation, so a resync replan at the same tau keeps its warm
-  /// starts unshifted).
+  /// Persistent across plans: its workspace bank is reused as an
+  /// allocation arena, and its step offset and mu geometry serve a
+  /// same-window replan's warm mu.
   core::PrimalDualSolver solver_;
   const model::ProblemInstance* instance_ = nullptr;
 
   std::ptrdiff_t plan_time_ = 0;
   bool has_plan_ = false;
-  /// The plan time the solver's bank was last rotated to. Set before the
-  /// solve, so a solve that throws is not rotated a second time.
-  std::optional<std::ptrdiff_t> bank_time_;
   /// The commitment block not yet handed out, indexed from plan_time_.
   model::Schedule plan_;
   /// Start of the next plan: the block's last cache (the instance's

@@ -30,9 +30,10 @@
 
 namespace mdo::runtime {
 
-/// Version 3: RHC snapshots its FHC planner (plan time, bank rotation
-/// time, committed block, trajectory, resync cache, warm mu, solver state).
-inline constexpr std::uint32_t kCheckpointFormatVersion = 3;
+/// Version 4: the solver state holds only the step offset and the mu
+/// geometry (no P2 warm-start bank), and the FHC planner no bank rotation
+/// time. Version 3 snapshotted both.
+inline constexpr std::uint32_t kCheckpointFormatVersion = 4;
 
 /// Frames `payload` (version + size + checksum) and atomically replaces
 /// `path` with it.

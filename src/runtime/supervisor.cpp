@@ -98,10 +98,11 @@ core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
 
   if (primary.status == solver::SolveStatus::kWorkerFailure) {
     // A shard worker subprocess died. Unlike a poisoned window this failure
-    // is transient, and the solver's warm state was deliberately left
-    // untouched by the aborted solve — so the retry runs the SAME problem
-    // on the SAME solver (no tolerance relax, no truncation): it respawns
-    // the worker fleet and reproduces the lost solve bit-identically.
+    // is transient, and the aborted solve left the solver's step offset
+    // untouched (no other solver state reaches a later solve) — so the
+    // retry runs the SAME problem on the SAME solver (no tolerance relax,
+    // no truncation): it respawns the worker fleet and reproduces the lost
+    // solve bit-identically.
     std::size_t last_attempt = 0;
     for (std::size_t attempt = 1; attempt <= kMaxRetries; ++attempt) {
       last_attempt = attempt;
@@ -152,8 +153,8 @@ core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
     last_attempt = attempt;
 
     // Retries run on a throwaway solver so a degraded attempt never
-    // perturbs the persistent warm-start bank (which is checkpointed and
-    // must stay bit-identical to the clean trajectory).
+    // perturbs the persistent solver's warm-mu state (which is checkpointed
+    // and must stay bit-identical to the clean trajectory).
     core::PrimalDualOptions relaxed = solver.options();
     relaxed.epsilon *= std::pow(kToleranceRelax, static_cast<double>(attempt));
     core::PrimalDualSolver retry_solver(relaxed);

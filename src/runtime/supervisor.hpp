@@ -15,7 +15,7 @@
 //    `min_horizon`, the prefix the caller must still commit). Truncation is
 //    the mechanism that can actually recover — it excises poisoned tail
 //    slots while keeping the committed prefix intact. Retries run on a
-//    throwaway solver so the persistent solver's warm-start bank (which is
+//    throwaway solver so the persistent solver's warm-mu state (which is
 //    checkpointed) is never perturbed by a degraded attempt.
 //
 //  - If every retry fails — or the horizon can shrink no further — the

@@ -138,8 +138,7 @@ void Coordinator::teardown() {
 
 bool Coordinator::begin(const core::ShardInputs& in, std::size_t shards,
                         const std::vector<std::size_t>& mu_offsets,
-                        const linalg::Vec& mu,
-                        const std::vector<core::CellState>& bank) {
+                        const linalg::Vec& mu) {
   const std::size_t num_sbs = in.config->num_sbs();
   if (shards == 0 || shards > num_sbs) return false;
   if (!ensure_workers(shards)) return false;
@@ -155,7 +154,7 @@ bool Coordinator::begin(const core::ShardInputs& in, std::size_t shards,
   for (std::size_t s = 0; s < shards; ++s) {
     util::BinaryWriter w;
     encode_begin(w, in, offsets_[s], offsets_[s + 1], mu_offsets, mu,
-                 bank, num_sbs, s == 0 ? die_at : -1);
+                 num_sbs, s == 0 ? die_at : -1);
     if (!send_frame(workers_[s].fd, MessageType::kBegin, w.bytes())) {
       teardown();
       return false;
@@ -230,8 +229,7 @@ bool Coordinator::iterate(bool apply_prev, double delta,
   return true;
 }
 
-bool Coordinator::finish(bool apply_final, double delta, linalg::Vec& mu,
-                         std::vector<core::CellState>& bank) {
+bool Coordinator::finish(bool apply_final, double delta, linalg::Vec& mu) {
   if (workers_.empty() || in_ == nullptr) return false;
   util::BinaryWriter req;
   req.boolean(apply_final);
@@ -257,8 +255,7 @@ bool Coordinator::finish(bool apply_final, double delta, linalg::Vec& mu,
     try {
       util::BinaryReader r(payload);
       EndReply reply = decode_end_reply(r);
-      if (reply.mu_blocks.size() != horizon * count ||
-          reply.warm_state.size() != horizon * count) {
+      if (reply.mu_blocks.size() != horizon * count) {
         teardown();
         return false;
       }
@@ -275,10 +272,6 @@ bool Coordinator::finish(bool apply_final, double delta, linalg::Vec& mu,
         }
         std::copy(block.begin(), block.end(),
                   mu.begin() + static_cast<std::ptrdiff_t>(first));
-        util::BinaryReader blob(reply.warm_state[cell]);
-        core::CellState& cs = bank[t * num_sbs + n];
-        cs.p2.restore_warm_state(blob);
-        cs.repair.restore_warm_state(blob);
       }
     } catch (...) {
       teardown();

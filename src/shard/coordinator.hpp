@@ -6,9 +6,10 @@
 // per-iteration exchange: every floating-point REDUCTION stays on the
 // driver, in the exact global serial index order of the in-process solver,
 // so results are bitwise-equal at any shard count. Workers persist across
-// horizon solves (their warm caches ride along via the kBegin/kEnd blobs,
-// so respawns are also bit-identical); any send/recv failure tears the
-// whole fleet down and surfaces as a recoverable solver failure.
+// horizon solves, but a solve reads nothing a worker kept from an earlier
+// one (each kBegin binds cold), so a respawned worker needs only the next
+// kBegin to be bit-identical; any send/recv failure tears the whole fleet
+// down and surfaces as a recoverable solver failure.
 #pragma once
 
 #include <cstddef>
@@ -50,15 +51,15 @@ class Coordinator {
   Coordinator& operator=(const Coordinator&) = delete;
 
   /// Opens a solve session over `shards` workers (spawning or resizing the
-  /// fleet as needed) and ships each its slice of the problem, the initial
-  /// mu, and its warm-start blobs from `bank`. `in` carries the sparse
-  /// window; `mu` is the compact active-coordinate vector with the
-  /// full-range `mu_offsets` geometry. The referenced structures must
-  /// outlive the session (they are the solver's solve-scope state). False
-  /// on any worker failure; the fleet is then already torn down.
+  /// fleet as needed) and ships each its slice of the problem and the
+  /// initial mu. `in` carries the sparse window; `mu` is the compact
+  /// active-coordinate vector with the full-range `mu_offsets` geometry.
+  /// The referenced structures must outlive the session (they are the
+  /// solver's solve-scope state). False on any worker failure; the fleet
+  /// is then already torn down.
   bool begin(const core::ShardInputs& in, std::size_t shards,
              const std::vector<std::size_t>& mu_offsets,
-             const linalg::Vec& mu, const std::vector<core::CellState>& bank);
+             const linalg::Vec& mu);
 
   /// One dual iteration: workers apply the previous projected step (when
   /// `apply_prev` — delta_{l-1} computed driver-side) and solve P1/P2 +
@@ -66,11 +67,9 @@ class Coordinator {
   bool iterate(bool apply_prev, double delta, IterationOutputs* out);
 
   /// Closes the session: workers apply the final pending step (when
-  /// `apply_final`) and return their mu blocks and warm-start blobs, which
-  /// are scattered back into the driver's `mu` and `bank`. Workers stay
-  /// alive for the next solve.
-  bool finish(bool apply_final, double delta, linalg::Vec& mu,
-              std::vector<core::CellState>& bank);
+  /// `apply_final`) and return their mu blocks, which are scattered back
+  /// into the driver's `mu`. Workers stay alive for the next solve.
+  bool finish(bool apply_final, double delta, linalg::Vec& mu);
 
   /// Worker count of the current fleet (0 before the first begin()).
   std::size_t num_workers() const { return workers_.size(); }

@@ -14,7 +14,7 @@ namespace mdo::shard {
 
 namespace {
 
-constexpr char kMagic[8] = {'M', 'D', 'O', 'S', 'H', 'R', 'D', '4'};
+constexpr char kMagic[8] = {'M', 'D', 'O', 'S', 'H', 'R', 'D', '5'};
 constexpr std::size_t kHeaderSize = sizeof(kMagic) + 4 + 8 + 8;
 /// Sanity cap: no legitimate frame approaches this (kBegin carries sparse
 /// demand and compact mu, MBs even at N=1024/K=10^4 full support).
@@ -148,9 +148,8 @@ model::SbsConfig read_sbs_config(util::BinaryReader& r) {
 void encode_begin(util::BinaryWriter& w, const core::ShardInputs& in,
                   std::size_t sbs_begin, std::size_t sbs_end,
                   const std::vector<std::size_t>& mu_offsets,
-                  const linalg::Vec& mu,
-                  const std::vector<core::CellState>& bank,
-                  std::size_t num_sbs_total, std::int64_t die_at_iteration) {
+                  const linalg::Vec& mu, std::size_t num_sbs_total,
+                  std::int64_t die_at_iteration) {
   MDO_REQUIRE(in.sparse_demand != nullptr,
               "shard wire: kBegin ships a sparse demand window");
   const std::size_t horizon = in.sparse_demand->horizon();
@@ -190,16 +189,6 @@ void encode_begin(util::BinaryWriter& w, const core::ShardInputs& in,
       for (std::size_t j = first; j < last; ++j) w.f64(mu[j]);
     }
   }
-  // Warm-start blobs, nested so the worker restores them opaquely.
-  for (std::size_t t = 0; t < horizon; ++t) {
-    for (std::size_t n = sbs_begin; n < sbs_end; ++n) {
-      util::BinaryWriter cell;
-      const core::CellState& cs = bank[t * num_sbs_total + n];
-      cs.p2.save_warm_state(cell);
-      cs.repair.save_warm_state(cell);
-      w.u8_vec(cell.bytes());
-    }
-  }
 }
 
 BeginMessage decode_begin(util::BinaryReader& r) {
@@ -234,10 +223,6 @@ BeginMessage decode_begin(util::BinaryReader& r) {
   for (std::size_t cell = 0; cell < msg.horizon * num_sbs; ++cell) {
     msg.mu_blocks.push_back(r.f64_vec_as<linalg::Vec>());
   }
-  msg.warm_state.reserve(msg.horizon * num_sbs);
-  for (std::size_t cell = 0; cell < msg.horizon * num_sbs; ++cell) {
-    msg.warm_state.push_back(r.u8_vec());
-  }
   MDO_REQUIRE(r.exhausted(), "shard wire: kBegin payload has trailing bytes");
   return msg;
 }
@@ -267,16 +252,12 @@ IterateReply decode_iterate_reply(util::BinaryReader& r) {
 void encode_end_reply(util::BinaryWriter& w, const EndReply& reply) {
   w.size(reply.mu_blocks.size());
   for (const auto& block : reply.mu_blocks) w.f64_vec(block);
-  w.size(reply.warm_state.size());
-  for (const auto& blob : reply.warm_state) w.u8_vec(blob);
 }
 
 EndReply decode_end_reply(util::BinaryReader& r) {
   EndReply reply;
   reply.mu_blocks.resize(r.count());
   for (auto& block : reply.mu_blocks) block = r.f64_vec_as<linalg::Vec>();
-  reply.warm_state.resize(r.count());
-  for (auto& blob : reply.warm_state) blob = r.u8_vec();
   MDO_REQUIRE(r.exhausted(),
               "shard wire: kEndReply payload has trailing bytes");
   return reply;

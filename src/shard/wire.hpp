@@ -2,13 +2,15 @@
 //
 // Every message is one frame on a SOCK_STREAM socketpair:
 //
-//   magic "MDOSHRD4" (8) | type u32 | payload size u64 | FNV-1a64 u64 | payload
+//   magic "MDOSHRD5" (8) | type u32 | payload size u64 | FNV-1a64 u64 | payload
 //
 // — the same framing discipline as the "MDOCKPT1" checkpoint files
 // (runtime/checkpoint), rebuilt here on util::BinaryWriter/fnv1a64 because
 // mdo_core cannot link the runtime layer. The magic's last byte is the
-// protocol version ("...D4" since kBegin carries no shard options — a
-// shard solves P2 at the defaults; "...D3" made the solver one path:
+// protocol version ("...D5" since kBegin and kEndReply carry no warm-start
+// blobs — every solve binds its P2 workspaces cold; "...D4" dropped the
+// shard options — a shard solves P2 at the defaults; "...D3" made the
+// solver one path:
 // kBegin carries only sparse demand and compact mu blocks; "...D2" added
 // omega_neigh and the per-SBS neighbor-reward blocks; "...D1" before); a
 // frame whose first seven bytes match but whose version differs
@@ -23,12 +25,12 @@
 // Per-solve protocol (driver -> worker):
 //   kBegin        slice config + sparse demand window + initial cache
 //                 + neighbor-reward blocks + compact mu blocks
-//                 + warm-start blobs            -> kBeginAck
+//                                               -> kBeginAck
 //   kIterate      {apply_prev_dual_step, delta} -> kIterateReply
 //                 {per-SBS P1 objectives/x, per-cell P2 objectives,
 //                  per-cell repaired y}
 //   kEnd          {apply_final_dual_step, delta} -> kEndReply
-//                 {per-cell mu blocks, per-cell warm-start blobs}
+//                 {per-cell mu blocks}
 //   kShutdown     clean worker exit, no reply
 //
 // The dual update runs WORKER-side (each coordinate's projected step is
@@ -100,23 +102,20 @@ struct BeginMessage {
   /// Per local cell (t-major): initial mu at the cell's active coordinates,
   /// [m * a_count + i].
   std::vector<linalg::Vec> mu_blocks;
-  /// Per local cell: nested save_warm_state blob (p2 then repair).
-  std::vector<std::vector<std::uint8_t>> warm_state;
   /// Test hook: _exit before replying to this 0-based iterate index.
   std::int64_t die_at_iteration = -1;
 };
 
 /// Encodes the kBegin payload for SBS range [sbs_begin, sbs_end) of the
 /// solver's full problem; `in` carries the sparse window. `mu` is the
-/// compact vector with the full-range `mu_offsets` geometry, so each
-/// cell's block is written as a direct span — no gather. `bank` is the
-/// solver's full bank (cell = t * num_sbs_total + n).
+/// compact vector with the full-range `mu_offsets` geometry (cell =
+/// t * num_sbs_total + n), so each cell's block is written as a direct
+/// span — no gather.
 void encode_begin(util::BinaryWriter& w, const core::ShardInputs& in,
                   std::size_t sbs_begin, std::size_t sbs_end,
                   const std::vector<std::size_t>& mu_offsets,
-                  const linalg::Vec& mu,
-                  const std::vector<core::CellState>& bank,
-                  std::size_t num_sbs_total, std::int64_t die_at_iteration);
+                  const linalg::Vec& mu, std::size_t num_sbs_total,
+                  std::int64_t die_at_iteration);
 BeginMessage decode_begin(util::BinaryReader& r);
 
 struct IterateReply {
@@ -130,8 +129,7 @@ void encode_iterate_reply(util::BinaryWriter& w, const IterateReply& reply);
 IterateReply decode_iterate_reply(util::BinaryReader& r);
 
 struct EndReply {
-  std::vector<linalg::Vec> mu_blocks;              // per local cell
-  std::vector<std::vector<std::uint8_t>> warm_state;  // per local cell
+  std::vector<linalg::Vec> mu_blocks;  // per local cell
 };
 
 void encode_end_reply(util::BinaryWriter& w, const EndReply& reply);

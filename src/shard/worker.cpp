@@ -30,6 +30,8 @@ struct WorkerSession {
   /// Slice mu: the compact block concatenation (mu_block_offsets over
   /// `config`).
   linalg::Vec mu;
+  /// Workspace arena, kept across kBegins for its buffers; begin() binds
+  /// every cell cold.
   std::vector<core::CellState> bank;
   core::ShardCore core;
   std::int64_t die_at_iteration = -1;
@@ -84,16 +86,6 @@ void bind_session(WorkerSession& s, BeginMessage msg) {
               s.mu.begin() + static_cast<std::ptrdiff_t>(off[cell]));
   }
 
-  // Restore the warm-start bank BEFORE begin() binds it — the same order
-  // the in-process solver sees (bank carries the previous window's state,
-  // then bind re-targets it).
-  s.bank.assign(w * num_sbs, core::CellState{});
-  for (std::size_t cell = 0; cell < w * num_sbs; ++cell) {
-    util::BinaryReader blob(msg.warm_state[cell]);
-    s.bank[cell].p2.restore_warm_state(blob);
-    s.bank[cell].repair.restore_warm_state(blob);
-  }
-
   s.core.begin(inputs, core::ShardOptions{}, s.bank, std::move(sets));
   s.bound = true;
 }
@@ -118,16 +110,10 @@ EndReply run_end(const WorkerSession& s) {
   const std::vector<std::size_t>& off = s.core.mu_offsets();
   EndReply reply;
   reply.mu_blocks.reserve(s.bank.size());
-  reply.warm_state.reserve(s.bank.size());
   for (std::size_t cell = 0; cell < s.bank.size(); ++cell) {
     reply.mu_blocks.emplace_back(
         s.mu.begin() + static_cast<std::ptrdiff_t>(off[cell]),
         s.mu.begin() + static_cast<std::ptrdiff_t>(off[cell + 1]));
-
-    util::BinaryWriter blob;
-    s.bank[cell].p2.save_warm_state(blob);
-    s.bank[cell].repair.save_warm_state(blob);
-    reply.warm_state.push_back(blob.take());
   }
   return reply;
 }

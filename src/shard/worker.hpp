@@ -2,8 +2,9 @@
 //
 // A worker is forked by shard::Coordinator with one end of a socketpair and
 // loops on worker_main(): it materializes the kBegin slice (NetworkConfig
-// slice, demand window, initial cache, initial mu, warm-start blobs), runs a
-// core::ShardCore over it — the thread pool parallelizes inside the worker
+// slice, demand window, initial cache, initial mu), runs a core::ShardCore
+// over it on its own workspace bank, which it keeps across kBegins only
+// for the buffers — the thread pool parallelizes inside the worker
 // exactly as in-process — and answers kIterate/kEnd until the coordinator
 // closes the socket or sends kShutdown.
 //

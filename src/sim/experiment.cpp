@@ -15,21 +15,23 @@
 namespace mdo::sim {
 
 std::vector<SchemeOutcome> run_schemes(const ExperimentConfig& config) {
+  return run_schemes(config, config.scenario.build());
+}
+
+std::vector<SchemeOutcome> run_schemes(const ExperimentConfig& config,
+                                       const model::ProblemInstance& instance) {
   MDO_REQUIRE(config.eta >= 0.0 && config.eta < 1.0, "eta must be in [0, 1)");
   MDO_REQUIRE(config.window >= 1, "window must be >= 1");
   MDO_REQUIRE(config.commit >= 1 && config.commit <= config.window,
               "commit must be in [1, window]");
 
-  const model::ProblemInstance instance = config.use_sparse_demand
-                                              ? config.scenario.build_sparse()
-                                              : config.scenario.build();
   // Online algorithms see forecasts; offline/LRFU read the truth directly
   // from the instance / the per-slot context.
   std::unique_ptr<workload::Predictor> predictor;
   model::DemandTrace ema_dense;  // EMA is dense-backed; densify sparse truth
   switch (config.predictor) {
     case PredictorKind::kNoisy:
-      if (config.use_sparse_demand) {
+      if (instance.use_sparse_demand) {
         predictor = std::make_unique<workload::NoisyPredictor>(
             instance.sparse_demand, config.eta, config.predictor_seed);
       } else {
@@ -38,7 +40,7 @@ std::vector<SchemeOutcome> run_schemes(const ExperimentConfig& config) {
       }
       break;
     case PredictorKind::kEma:
-      if (config.use_sparse_demand) {
+      if (instance.use_sparse_demand) {
         ema_dense = instance.sparse_demand.to_dense();
         predictor = std::make_unique<workload::EmaPredictor>(ema_dense,
                                                              config.ema_alpha);

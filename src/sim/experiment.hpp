@@ -34,12 +34,6 @@ enum class PredictorKind {
 
 struct ExperimentConfig {
   workload::PaperScenario scenario;  // instance parameters
-  /// A/B switch: build the instance with the sparse demand representation
-  /// (PaperScenario::build_sparse) and drive the whole pipeline —
-  /// predictor, controllers, solver, simulator — through it. With
-  /// scenario.workload.min_rate == 0 the results are bit-identical to the
-  /// dense run; with truncation the solves scale with the demand support.
-  bool use_sparse_demand = false;
   PredictorKind predictor = PredictorKind::kNoisy;
   double eta = 0.1;                  // prediction perturbation (Sec. V-B)
   double ema_alpha = 0.3;            // smoothing for PredictorKind::kEma
@@ -104,9 +98,18 @@ struct SchemeOutcome {
   double total_cost() const { return cost.total(); }
 };
 
-/// Builds the instance, the noisy predictor, and runs every selected scheme.
+/// Builds the predictor over `instance` and runs every selected scheme.
 /// Offline and LRFU see the truth (the paper grants them accurate
-/// information); the online algorithms see NoisyPredictor(eta).
+/// information); the online algorithms see NoisyPredictor(eta). The whole
+/// pipeline — predictor, controllers, solver, simulator — runs on the
+/// instance's demand representation (instance.use_sparse_demand): a
+/// PaperScenario::build_sparse instance with scenario.workload.min_rate == 0
+/// gives the dense run's bits, and with truncation the solves scale with
+/// the demand support.
+std::vector<SchemeOutcome> run_schemes(const ExperimentConfig& config,
+                                       const model::ProblemInstance& instance);
+
+/// run_schemes on the dense instance config.scenario.build().
 std::vector<SchemeOutcome> run_schemes(const ExperimentConfig& config);
 
 /// Finds a scheme by (prefix of) name; throws InvalidArgument when absent.

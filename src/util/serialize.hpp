@@ -110,7 +110,7 @@ class BinaryReader {
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
 
   /// A scalar std::size_t VALUE (a dimension, an id, a counter). No bound
-  /// against the payload: a 66-byte warm-start blob legitimately stores
+  /// against the payload: a short payload may legitimately store
   /// num_contents = 10^4. Use count() for element counts that gate reads
   /// or allocations.
   std::size_t size() { return static_cast<std::size_t>(u64()); }

@@ -1,8 +1,8 @@
 // Tests for the compact active-coordinate mu layout (DESIGN.md §12) — the
 // solver's only mu layout: mu_block_offsets geometry, compact<->catalogue
 // scatter/gather round trips, solver- and controller-level bit-identity
-// across thread and shard counts, advance_window edge cases, and the
-// warm-state blob's count()-guarded serialization.
+// across thread and shard counts, and the solver snapshot's
+// count()-guarded serialization.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -267,59 +267,6 @@ TEST(CompactMu, ChcBitIdenticalAcrossThreadsShards) {
   }
 }
 
-TEST(CompactMu, AdvanceWindowEdgeCasesStayDeterministic) {
-  // Two solvers fed the identical call sequence — window solve, slide by 1,
-  // slide past the horizon, horizon shrink, horizon grow — must stay
-  // bitwise in lockstep throughout (the warm bank is deterministic state).
-  const auto full = sparse_instance(/*horizon=*/6);
-  const workload::PerfectPredictor predictor(full.sparse_demand);
-
-  core::PrimalDualOptions options;  // sparse demand -> compact mu
-  core::PrimalDualSolver a(options);
-  core::PrimalDualSolver b(options);
-
-  model::SparseDemandTrace window;
-  core::HorizonProblem problem;
-  problem.config = &full.config;
-  problem.sparse_demand = &window;
-  problem.initial_cache = full.initial_cache;
-
-  const auto solve_both = [&](std::size_t tau, std::size_t length) {
-    window = predictor.predict_window_sparse(tau, length);
-    const auto got_a = a.solve(problem);
-    const auto got_b = b.solve(problem);
-    EXPECT_EQ(got_a.upper_bound, got_b.upper_bound)
-        << "tau=" << tau << " length=" << length;
-    EXPECT_EQ(got_a.lower_bound, got_b.lower_bound);
-    ASSERT_EQ(got_a.mu.size(), got_b.mu.size());
-    for (std::size_t j = 0; j < got_a.mu.size(); ++j) {
-      EXPECT_EQ(got_a.mu[j], got_b.mu[j]);
-    }
-    EXPECT_TRUE(std::isfinite(got_a.upper_bound));
-  };
-
-  solve_both(0, 3);
-  a.advance_window(1);
-  b.advance_window(1);
-  solve_both(1, 3);
-  // Slide past the window horizon: every slot restarts from the last slot's
-  // warm start; must not throw and must stay deterministic.
-  a.advance_window(10);
-  b.advance_window(10);
-  solve_both(2, 3);
-  // Horizon shrink (end of trace) and grow again.
-  a.advance_window(1);
-  b.advance_window(1);
-  solve_both(4, 2);
-  a.advance_window(1);
-  b.advance_window(1);
-  solve_both(1, 4);
-  // Zero-slide replan of the same window (same-tau resync).
-  a.advance_window(0);
-  b.advance_window(0);
-  solve_both(1, 4);
-}
-
 // ---- warm-state serialization --------------------------------------------
 
 TEST(CompactMu, WarmStateRoundTripKeepsSolvesBitIdentical) {
@@ -335,7 +282,6 @@ TEST(CompactMu, WarmStateRoundTripKeepsSolvesBitIdentical) {
   problem.sparse_demand = &window;
   problem.initial_cache = full.initial_cache;
   original.solve(problem);
-  original.advance_window(1);
 
   util::BinaryWriter writer;
   original.save_state(writer);

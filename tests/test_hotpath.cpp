@@ -168,25 +168,5 @@ TEST(HotPath, SameWindowWarmStartMatchesColdOptimum) {
   EXPECT_LE(warm.iterations, cold.iterations);
 }
 
-// ---------------------------------------------- slide-past-horizon edges ----
-
-TEST(HotPath, AdvanceWindowPastHorizonIsSafe) {
-  const auto instance = paper_instance();
-  const WindowProblem owned(instance, 0, 3);
-  const auto& problem = owned.problem;
-
-  const core::PrimalDualOptions options;
-  core::PrimalDualSolver solver(options);
-  const auto first = solver.solve(problem);
-  solver.advance_window(problem.horizon() + 5);
-  const auto again = solver.solve(problem);
-
-  core::PrimalDualSolver fresh(options);
-  const auto reference = fresh.solve(problem);
-  EXPECT_EQ(again.upper_bound, reference.upper_bound);
-  EXPECT_EQ(again.lower_bound, reference.lower_bound);
-  EXPECT_EQ(first.upper_bound, reference.upper_bound);
-}
-
 }  // namespace
 }  // namespace mdo

@@ -12,7 +12,6 @@
 #include "model/sparse_demand.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
-#include "util/serialize.hpp"
 
 namespace mdo::core {
 namespace {
@@ -160,16 +159,38 @@ TEST(LoadBalancing, ZeroDemandDegenerates) {
 }
 
 TEST(LoadBalancing, WarmStartGivesSameAnswer) {
+  // omega_sbs > 0 takes the FISTA path, the one that reads the warm y.
   Fixture fx(3, 4, 2.0);
+  fx.sbs.classes.assign(3, model::MuClass{1.0, 0.3});
   Rng rng(5);
   for (auto& v : fx.demand.data()) v = rng.uniform(0.0, 2.0);
   P2Workspace cold, warm;
   fx.bind(cold);
-  fx.bind(warm);
-  warm.warm_start() = linalg::Vec(12, 0.7);
   const auto cold_out = solve_load_balancing(cold, {});
+
+  // The warm workspace first solves under another linear term, then starts
+  // the zero-term solve from that solution within the same binding.
+  linalg::Vec c(12);
+  for (auto& v : c) v = rng.uniform(0.0, 0.5);
+  fx.bind(warm, c);
+  solve_load_balancing(warm, {});
+  ASSERT_EQ(warm.y().size(), 12u);
+  const linalg::Vec zero(12, 0.0);
+  warm.set_linear(zero.data(), zero.data() + zero.size());
   const auto warm_out = solve_load_balancing(warm, {});
   EXPECT_NEAR(cold_out.objective, warm_out.objective, 1e-4);
+
+  // A new binding drops the warm start: the same solve is the cold one,
+  // bit for bit.
+  fx.bind(warm);
+  const auto rebound_out = solve_load_balancing(warm, {});
+  EXPECT_EQ(std::memcmp(&rebound_out.objective, &cold_out.objective,
+                        sizeof(double)),
+            0);
+  ASSERT_EQ(warm.y().size(), cold.y().size());
+  EXPECT_EQ(std::memcmp(warm.y().data(), cold.y().data(),
+                        sizeof(double) * cold.y().size()),
+            0);
 }
 
 TEST(LoadBalancing, ObjectiveEvaluatorConsistent) {
@@ -562,43 +583,6 @@ TEST(WarmOrder, UpperMaskToggleMatchesColdSort) {
     ws.set_upper(mask);
     expect_warm_equals_cold(ws, cell, c, mask);
   }
-}
-
-TEST(WarmOrder, CheckpointRoundTripSolvesLikeTheWarmWorkspace) {
-  // The order is not checkpointed: a restored workspace sorts cold on its
-  // first solve and must still match the warm original bit for bit.
-  const WarmOrderCell cell(1.0, 7);
-  Rng rng(29);
-  linalg::Vec c(cell.size);
-  for (auto& v : c) v = rng.uniform(0.0, 0.3);
-  P2Workspace warm;
-  warm.bind_active(cell.sbs, cell.demand, cell.active);
-  for (int s = 1; s <= 5; ++s) {
-    for (auto& v : c) v = std::max(0.0, v + rng.uniform(-0.02, 0.02) / s);
-    warm.set_linear(c.data(), c.data() + c.size());
-    solve_load_balancing(warm, {});
-  }
-
-  util::BinaryWriter writer;
-  warm.save_warm_state(writer);
-  P2Workspace restored;
-  util::BinaryReader reader(writer.bytes());
-  restored.restore_warm_state(reader);
-  restored.bind_active(cell.sbs, cell.demand, cell.active);
-
-  for (auto& v : c) v = std::max(0.0, v + rng.uniform(-0.02, 0.02) / 6);
-  warm.set_linear(c.data(), c.data() + c.size());
-  restored.set_linear(c.data(), c.data() + c.size());
-  const LoadBalancingOutcome warm_out = solve_load_balancing(warm, {});
-  const LoadBalancingOutcome restored_out =
-      solve_load_balancing(restored, {});
-  ASSERT_EQ(warm.y().size(), restored.y().size());
-  EXPECT_EQ(std::memcmp(warm.y().data(), restored.y().data(),
-                        sizeof(double) * warm.y().size()),
-            0);
-  EXPECT_EQ(std::memcmp(&warm_out.objective, &restored_out.objective,
-                        sizeof(double)),
-            0);
 }
 
 // ------------------------------------------------- optimal_load_for_cache ----

@@ -517,9 +517,11 @@ TEST(CheckpointFile, RejectsWrongMagicAndVersion) {
     EXPECT_THROW(runtime::read_checkpoint_file(path), InvalidArgument);
   }
   // The version field (u32, little-endian) follows the 8-byte magic: a
-  // future version and the previous one (2, whose RHC snapshot layout
-  // predates the planner) are both rejected.
-  for (const std::uint8_t version : {std::uint8_t{0xFF}, std::uint8_t{2}}) {
+  // future version and the older ones (3, whose solver state carries the
+  // P2 warm-start bank; 2, whose RHC snapshot layout predates the planner)
+  // are all rejected.
+  for (const std::uint8_t version :
+       {std::uint8_t{0xFF}, std::uint8_t{3}, std::uint8_t{2}}) {
     auto other = bytes;
     other[8] = version;
     util::write_file_atomic(path, other);

@@ -21,6 +21,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/primal_dual.hpp"
@@ -487,11 +488,13 @@ TEST(ShardSolve, DenseWindowMatchesItsSparseConversionBitwise) {
   util::ThreadPool::set_global_threads(1);
 }
 
-/// Regression: a truncated-catalogue warm-start blob is only tens of bytes
-/// yet stores num_contents as a scalar field. The reader used to bound
-/// every size() against the payload length, so any catalogue larger than
-/// the blob itself was rejected as corrupt, every sharded solve fell back
-/// to kWorkerFailure, and only small-K tests could pass.
+/// Regression: a truncated-catalogue warm-start blob (shipped until
+/// MDOSHRD5) was only tens of bytes yet stored num_contents as a scalar
+/// field. The reader used to bound every size() against the payload
+/// length, so any catalogue larger than the blob itself was rejected as
+/// corrupt, every sharded solve fell back to kWorkerFailure, and only
+/// small-K tests could pass. The shape stays as a guard: a catalogue far
+/// larger than the per-cell payloads.
 TEST(ShardSolve, CatalogueLargerThanWarmBlobBitwiseEqual) {
   MDO_SKIP_IF_TSAN();
   workload::PaperScenario scenario;
@@ -529,31 +532,56 @@ TEST(ShardSolve, EnvRoutingMatchesInProcess) {
   expect_bitwise_equal(solver.solve(problem), in_process);
 }
 
-/// Consecutive solves on ONE solver: the warm-start bank must round-trip
-/// through the kBegin/kEnd blobs so a sliding-window sequence stays
-/// bitwise-equal to the in-process sequence (not just a single solve).
-TEST(ShardSolve, WarmBankRoundTripsAcrossSolves) {
+/// A solve depends only on its problem (and the warm mu, null here), not
+/// on what the same solver solved before: one solver fed a sequence of
+/// windows — slide by 1, jump past the last horizon, shrink, grow — must
+/// give exactly a fresh solver's answer on every window. Each window plans
+/// from the previous plan's first cache, as RHC does, so the active sets
+/// move too. At omega_sbs_factor > 0 every P2 runs FISTA, which reads the
+/// warm y; at 0 the exact path ignores it.
+TEST(ShardSolve, SolvesDoNotDependOnSolverHistory) {
   MDO_SKIP_IF_TSAN();
-  const auto instance = shard_instance(/*sparse=*/true, 4, 6);
-  core::PrimalDualSolver in_process(solver_options(shard::kShardsInProcess));
-  core::PrimalDualSolver sharded(solver_options(2));
-  for (std::size_t start = 0; start + 3 <= instance.horizon(); ++start) {
-    model::SparseDemandTrace window;
-    for (std::size_t t = start; t < start + 3; ++t) {
-      window.push_back(instance.sparse_demand.slot(t));
+  for (const double omega_sbs_factor : {0.0, 0.3}) {
+    workload::PaperScenario scenario;
+    scenario.num_sbs = 4;
+    scenario.num_contents = 8;
+    scenario.classes_per_sbs = 3;
+    scenario.horizon = 8;
+    scenario.cache_capacity = 2;
+    scenario.bandwidth = 4.0;
+    scenario.beta = 2.0;
+    scenario.seed = 11;
+    scenario.omega_sbs_factor = omega_sbs_factor;
+    scenario.workload.min_rate = 0.05;
+    const auto instance = scenario.build_sparse();
+    for (const std::size_t shards :
+         {shard::kShardsInProcess, std::size_t{2}}) {
+      core::PrimalDualSolver reused(solver_options(shards));
+      model::CacheState start = instance.initial_cache;
+      const std::pair<std::size_t, std::size_t> windows[] = {
+          {0, 3}, {1, 3}, {5, 3}, {6, 2}, {2, 4}, {3, 4}};
+      for (const auto& [first, length] : windows) {
+        model::SparseDemandTrace window;
+        for (std::size_t t = first; t < first + length; ++t) {
+          window.push_back(instance.sparse_demand.slot(t));
+        }
+        core::HorizonProblem problem;
+        problem.config = &instance.config;
+        problem.sparse_demand = &window;
+        problem.initial_cache = start;
+        const auto got = reused.solve(problem);
+        const auto want =
+            core::PrimalDualSolver(solver_options(shards)).solve(problem);
+        SCOPED_TRACE("omega_sbs_factor " + std::to_string(omega_sbs_factor) +
+                     (shards == shard::kShardsInProcess ? " in process"
+                                                        : " 2 shards") +
+                     " window [" + std::to_string(first) + ", " +
+                     std::to_string(first + length) + ")");
+        ASSERT_NE(got.status, solver::SolveStatus::kWorkerFailure);
+        expect_bitwise_equal(got, want);
+        start = got.schedule.front().cache;
+      }
     }
-    core::HorizonProblem problem;
-    problem.config = &instance.config;
-    problem.sparse_demand = &window;
-    problem.initial_cache = instance.initial_cache;
-    if (start > 0) {
-      in_process.advance_window(1);
-      sharded.advance_window(1);
-    }
-    const auto a = in_process.solve(problem);
-    const auto b = sharded.solve(problem);
-    SCOPED_TRACE("window start " + std::to_string(start));
-    expect_bitwise_equal(b, a);
   }
 }
 
@@ -612,8 +640,56 @@ TEST(ShardSolve, WorkerDeathFallsBackAndRetriesBitIdentical) {
   }
 
   // The directive fired once; the same solver's next solve respawns the
-  // fleet against the untouched warm bank and lands the original result.
+  // fleet and lands the original result.
   const auto retried = solver.solve(problem);
+  expect_bitwise_equal(retried, reference);
+}
+
+/// A same-window replan from a moved start cache remaps its warm mu by the
+/// previous solve's active sets. A worker death in that replan must leave
+/// those sets in place, so the retry remaps exactly like the lost solve.
+TEST(ShardSolve, WorkerDeathInRemappedWarmReplanRetriesBitIdentical) {
+  MDO_SKIP_IF_TSAN();
+  workload::PaperScenario scenario;
+  scenario.num_sbs = 4;
+  scenario.num_contents = 40;
+  scenario.classes_per_sbs = 2;
+  scenario.horizon = 4;
+  scenario.cache_capacity = 2;
+  scenario.bandwidth = 4.0;
+  scenario.beta = 2.0;
+  scenario.seed = 11;
+  scenario.workload.min_rate = 0.05;
+  const auto instance = scenario.build_sparse();
+  const auto first = as_problem(instance);
+  core::PrimalDualSolver in_process(solver_options(shard::kShardsInProcess));
+  const auto planned = in_process.solve(first);
+  // Cache the catalogue's tail, which the truncated demand leaves out of
+  // the support, so the replan's active sets grow.
+  core::HorizonProblem replan = first;
+  replan.initial_cache = model::CacheState(instance.config);
+  const std::size_t k_count = instance.config.num_contents;
+  for (std::size_t n = 0; n < instance.config.num_sbs(); ++n) {
+    replan.initial_cache.set(n, k_count - 1, true);
+    replan.initial_cache.set(n, k_count - 2, true);
+  }
+  ASSERT_NE(core::build_active_sets(instance.config, instance.sparse_demand,
+                                    replan.initial_cache)
+                .active,
+            core::build_active_sets(instance.config, instance.sparse_demand,
+                                    first.initial_cache)
+                .active);
+  const auto reference = in_process.solve(replan, &planned.mu);
+
+  core::PrimalDualSolver solver(solver_options(2));
+  const auto warm = solver.solve(first);
+  expect_bitwise_equal(warm, planned);
+  ScopedEnv env("MDO_SHARD_KILL_AT");
+  env.set("0");
+  shard::rearm_kill_directive();
+  const auto failed = solver.solve(replan, &warm.mu);
+  EXPECT_EQ(failed.status, solver::SolveStatus::kWorkerFailure);
+  const auto retried = solver.solve(replan, &warm.mu);
   expect_bitwise_equal(retried, reference);
 }
 

@@ -401,10 +401,10 @@ TEST(SparseDemand, AllControllersBitIdenticalDenseVsSparse) {
   zipf.scenario.workload.min_rate = workload::zipf_mandelbrot_pmf(
       zipf.scenario.num_contents, zipf.scenario.workload.zipf_alpha,
       zipf.scenario.workload.zipf_q)[zipf.scenario.num_contents / 50];
-  for (sim::ExperimentConfig config : {small_experiment(), ring, zipf}) {
+  for (const sim::ExperimentConfig& config : {small_experiment(), ring, zipf}) {
     const auto dense_outcomes = sim::run_schemes(config);
-    config.use_sparse_demand = true;
-    const auto sparse_outcomes = sim::run_schemes(config);
+    const auto sparse_outcomes =
+        sim::run_schemes(config, config.scenario.build_sparse());
 
     ASSERT_EQ(dense_outcomes.size(), sparse_outcomes.size());
     double neigh = 0.0;
@@ -437,8 +437,8 @@ TEST(SparseDemand, EmaPredictorBitIdenticalDenseVsSparse) {
   config.schemes.afhc = false;
   config.schemes.lrfu = false;
   const auto dense_outcomes = sim::run_schemes(config);
-  config.use_sparse_demand = true;
-  const auto sparse_outcomes = sim::run_schemes(config);
+  const auto sparse_outcomes =
+      sim::run_schemes(config, config.scenario.build_sparse());
   ASSERT_EQ(dense_outcomes.size(), sparse_outcomes.size());
   for (std::size_t i = 0; i < dense_outcomes.size(); ++i) {
     EXPECT_EQ(sparse_outcomes[i].cost.total(), dense_outcomes[i].cost.total())
@@ -510,11 +510,11 @@ TEST(SparseDemand, TruncatedRunStaysFeasibleWithCachedZeroDemand) {
   // evictions.
   auto config = small_experiment();
   config.scenario.workload.min_rate = 0.05;
-  config.use_sparse_demand = true;
   config.schemes = sim::SchemeSelection{};
   config.schemes.offline = false;
   config.schemes.afhc = false;
-  const auto outcomes = sim::run_schemes(config);
+  const auto outcomes =
+      sim::run_schemes(config, config.scenario.build_sparse());
   for (const auto& outcome : outcomes) {
     EXPECT_TRUE(std::isfinite(outcome.cost.total())) << outcome.name;
     EXPECT_GE(outcome.cost.total(), 0.0) << outcome.name;
