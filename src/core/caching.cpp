@@ -56,18 +56,28 @@ void CachingFlowWorkspace::bind(const CachingSubproblem& problem) {
   num_contents_ = k_count;
   horizon_ = w;
   capacity_ = static_cast<std::int64_t>(problem.capacity);
+  const std::size_t initially_cached = static_cast<std::size_t>(
+      std::count(problem.initial.begin(), problem.initial.end(), 1));
 
   // Time-expanded network. C units of "cache slot" flow from the source to
   // the sink; a unit passing through the (k, t) chain means content k is
   // cached during slot t.
   //
-  // Nodes: source, sink, pool[0..w] (pool[t] = free at the beginning of
-  // slot t; pool[w] feeds the sink), in(k, t) / out(k, t).
-  network_ = solver::MinCostFlow(0);
+  // Nodes: source, sink, pool(0..w) (pool(t) = free at the beginning of
+  // slot t; pool(w) feeds the sink), in(k, t) / out(k, t), then one carrier
+  // per initially cached content. The network is rebuilt into the same
+  // buffers, sized once for this shape.
+  const std::size_t cells = k_count * w;
+  const std::int64_t free_slots =
+      capacity_ - static_cast<std::int64_t>(initially_cached);
+  network_.clear();
+  network_.reserve(2 + (w + 1) + 2 * cells + initially_cached,
+                   cells + (w + 1) + 2 * cells + k_count * (w - 1) +
+                       3 * initially_cached + (free_slots > 0 ? 1 : 0));
   source_ = network_.add_node();
   sink_ = network_.add_node();
-  std::vector<std::size_t> pool(w + 1);
-  for (auto& node : pool) node = network_.add_node();
+  auto pool = [](std::size_t t) { return 2 + t; };
+  for (std::size_t t = 0; t <= w; ++t) network_.add_node();
 
   auto in_node = [&](std::size_t k, std::size_t t) {
     return 2 + (w + 1) + 2 * (t * k_count + k);
@@ -75,32 +85,30 @@ void CachingFlowWorkspace::bind(const CachingSubproblem& problem) {
   auto out_node = [&](std::size_t k, std::size_t t) {
     return in_node(k, t) + 1;
   };
-  for (std::size_t t = 0; t < w; ++t) {
-    for (std::size_t k = 0; k < k_count; ++k) {
-      network_.add_node();  // in(k, t)
-      network_.add_node();  // out(k, t)
-    }
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    network_.add_node();  // in(k, t)
+    network_.add_node();  // out(k, t)
   }
 
-  // Occupancy arcs: one unit through (k, t) collects reward nu[k, t].
-  occupancy_arc_.resize(k_count * w);
+  // Occupancy arcs: one unit through (k, t) collects reward nu[k, t]. They
+  // come first, so cell t * K + k is arc id t * K + k.
   for (std::size_t t = 0; t < w; ++t) {
     for (std::size_t k = 0; k < k_count; ++k) {
-      occupancy_arc_[t * k_count + k] = network_.add_arc(
-          in_node(k, t), out_node(k, t), 1, -problem.reward(t, k));
+      network_.add_arc(in_node(k, t), out_node(k, t), 1,
+                       -problem.reward(t, k));
     }
   }
   // Pool chain and terminal arcs.
   for (std::size_t t = 0; t < w; ++t) {
-    network_.add_arc(pool[t], pool[t + 1], capacity_, 0.0);
+    network_.add_arc(pool(t), pool(t + 1), capacity_, 0.0);
   }
-  network_.add_arc(pool[w], sink_, capacity_, 0.0);
+  network_.add_arc(pool(w), sink_, capacity_, 0.0);
   for (std::size_t t = 0; t < w; ++t) {
     for (std::size_t k = 0; k < k_count; ++k) {
       // Insert content k at slot t: pay the replacement cost beta.
-      network_.add_arc(pool[t], in_node(k, t), 1, problem.beta);
+      network_.add_arc(pool(t), in_node(k, t), 1, problem.beta);
       // Evict after slot t.
-      network_.add_arc(out_node(k, t), pool[t + 1], 1, 0.0);
+      network_.add_arc(out_node(k, t), pool(t + 1), 1, 0.0);
       // Stay cached into slot t + 1 for free.
       if (t + 1 < w) {
         network_.add_arc(out_node(k, t), in_node(k, t + 1), 1, 0.0);
@@ -109,16 +117,14 @@ void CachingFlowWorkspace::bind(const CachingSubproblem& problem) {
   }
   // Source: initially cached contents may continue for free or be evicted;
   // the remaining capacity starts in the pool.
-  std::int64_t free_slots = capacity_;
   for (std::size_t k = 0; k < k_count; ++k) {
     if (problem.initial[k] == 0) continue;
     const std::size_t carrier = network_.add_node();
     network_.add_arc(source_, carrier, 1, 0.0);
     network_.add_arc(carrier, in_node(k, 0), 1, 0.0);  // keep without charge
-    network_.add_arc(carrier, pool[0], 1, 0.0);        // evict immediately
-    --free_slots;
+    network_.add_arc(carrier, pool(0), 1, 0.0);        // evict immediately
   }
-  if (free_slots > 0) network_.add_arc(source_, pool[0], free_slots, 0.0);
+  if (free_slots > 0) network_.add_arc(source_, pool(0), free_slots, 0.0);
   bound_ = true;
 }
 
@@ -129,21 +135,22 @@ double CachingFlowWorkspace::solve_into(const CachingSubproblem& problem,
                   problem.horizon == horizon_ &&
                   problem.rewards.size() == num_contents_ * horizon_,
               "P1 flow workspace: problem shape changed since bind()");
+  const std::size_t cells = num_contents_ * horizon_;
   network_.reset_flow();
-  for (std::size_t i = 0; i < occupancy_arc_.size(); ++i) {
+  for (std::size_t i = 0; i < cells; ++i) {
     const double reward = problem.rewards[i];
     MDO_REQUIRE(std::isfinite(reward) && reward >= 0.0,
                 "P1: rewards must be finite and non-negative");
-    network_.set_arc_cost(occupancy_arc_[i], -reward);
+    network_.set_arc_cost(i, -reward);
   }
 
   const auto result = network_.solve(source_, sink_, capacity_);
   MDO_CHECK(result.flow == capacity_,
             "P1 flow: could not route all cache slots (network bug)");
 
-  x.assign(num_contents_ * horizon_, 0);
-  for (std::size_t i = 0; i < occupancy_arc_.size(); ++i) {
-    x[i] = network_.flow_on(occupancy_arc_[i]) > 0 ? 1 : 0;
+  x.assign(cells, 0);
+  for (std::size_t i = 0; i < cells; ++i) {
+    x[i] = network_.flow_on(i) > 0 ? 1 : 0;
   }
   const double objective = caching_objective(problem, x);
   // The flow cost must agree with the schedule's objective.

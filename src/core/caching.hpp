@@ -61,7 +61,8 @@ CachingSolution solve_caching_flow(const CachingSubproblem& problem);
 /// Reusable min-cost-flow workspace for P1. The time-expanded network's
 /// topology depends only on (K, W, capacity, beta, initial); the dual
 /// iterations of Algorithm 1 only change the rewards. bind() builds the
-/// network once per window; solve_into() then re-prices the occupancy arcs
+/// network once per window, into the buffers of any previous binding;
+/// solve_into() then re-prices the occupancy arcs
 /// in place, resets the flow and re-augments — bit-identical to
 /// solve_caching_flow (same arcs in the same order, same successive
 /// shortest paths) without rebuilding O(K * W) nodes and arcs every
@@ -83,8 +84,7 @@ class CachingFlowWorkspace {
                     std::vector<std::uint8_t>& x);
 
  private:
-  solver::MinCostFlow network_{0};
-  std::vector<std::size_t> occupancy_arc_;  // arc id of cell (k, t)
+  solver::MinCostFlow network_{0};  // occupancy arc of cell i has id i
   std::size_t source_ = 0;
   std::size_t sink_ = 0;
   std::size_t num_contents_ = 0;

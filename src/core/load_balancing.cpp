@@ -408,7 +408,7 @@ model::LoadAllocation optimal_load_for_cache(const model::NetworkConfig& config,
   for (std::size_t n = 0; n < config.num_sbs(); ++n) {
     const std::size_t classes = config.sbs[n].num_classes();
     const std::vector<std::size_t> active =
-        model::active_contents(slot[n], cache, n);
+        model::active_contents(slot[n], cache.cached_contents(n));
     // A throwaway workspace per SBS: every solve starts cold.
     P2Workspace ws;
     ws.bind_active(config.sbs[n], slot[n], active);

@@ -14,13 +14,18 @@ ActiveSets build_active_sets(const model::NetworkConfig& config,
                              const model::CacheState& initial_cache) {
   const std::size_t w = demand.horizon();
   const std::size_t num_sbs = config.num_sbs();
+  // One bitmap pass per SBS; every cell then merges its support with that
+  // list instead of scanning the catalogue.
+  std::vector<std::vector<std::size_t>> cached(num_sbs);
+  util::parallel_for(0, num_sbs, [&](std::size_t n) {
+    cached[n] = initial_cache.cached_contents(n);
+  });
   ActiveSets sets;
   sets.active.resize(w * num_sbs);
   util::parallel_for(0, w * num_sbs, [&](std::size_t cell) {
     const std::size_t t = cell / num_sbs;
     const std::size_t n = cell % num_sbs;
-    sets.active[cell] =
-        model::active_contents(demand.slot(t)[n], initial_cache, n);
+    sets.active[cell] = model::active_contents(demand.slot(t)[n], cached[n]);
   });
   sets.p1_list.resize(num_sbs);
   sets.cell_p1.resize(w * num_sbs);
@@ -139,10 +144,10 @@ void ShardCore::begin(const ShardInputs& in, const ShardOptions& /*opts*/,
   util::parallel_for(0, num_sbs, [&](std::size_t n) {
     const std::vector<std::size_t>& list = sets_.p1_list[n];
     const std::size_t kp = list.size();
+    const std::vector<std::uint8_t>& bitmap =
+        inputs_.initial_cache->sbs_bitmap(n);
     std::vector<std::uint8_t> initial(kp, 0);
-    for (std::size_t i = 0; i < kp; ++i) {
-      initial[i] = inputs_.initial_cache->cached(n, list[i]) ? 1 : 0;
-    }
+    for (std::size_t i = 0; i < kp; ++i) initial[i] = bitmap[list[i]];
     p1_.bind(n, kp, w, config.sbs[n].cache_capacity,
              config.sbs[n].replacement_beta, std::move(initial));
   });

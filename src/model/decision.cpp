@@ -20,10 +20,14 @@ void CacheState::set(std::size_t n, std::size_t k, bool value) {
   x_[n][k] = value ? 1 : 0;
 }
 
+// The scans below read the bitmaps through hoisted pointers so the
+// compiler can vectorize them; they are integer sums, so the order of
+// accumulation cannot change a result.
 std::size_t CacheState::count(std::size_t n) const {
   MDO_REQUIRE(n < x_.size(), "SBS index out of range");
+  const std::uint8_t* bits = x_[n].data();
   std::size_t total = 0;
-  for (const auto v : x_[n]) total += v;
+  for (std::size_t k = 0; k < num_contents_; ++k) total += bits[k];
   return total;
 }
 
@@ -32,11 +36,23 @@ std::size_t CacheState::insertions_from(const CacheState& prev,
   MDO_REQUIRE(n < x_.size() && n < prev.x_.size(), "SBS index out of range");
   MDO_REQUIRE(num_contents_ == prev.num_contents_,
               "cache states have different catalogue sizes");
+  const std::uint8_t* now = x_[n].data();
+  const std::uint8_t* before = prev.x_[n].data();
   std::size_t inserted = 0;
   for (std::size_t k = 0; k < num_contents_; ++k) {
-    if (x_[n][k] != 0 && prev.x_[n][k] == 0) ++inserted;
+    inserted += static_cast<std::size_t>((now[k] != 0) & (before[k] == 0));
   }
   return inserted;
+}
+
+std::vector<std::size_t> CacheState::cached_contents(std::size_t n) const {
+  std::vector<std::size_t> list;
+  list.reserve(count(n));  // checks n; one allocation, none when empty
+  const std::uint8_t* bits = x_[n].data();
+  for (std::size_t k = 0; k < num_contents_; ++k) {
+    if (bits[k] != 0) list.push_back(k);
+  }
+  return list;
 }
 
 const std::vector<std::uint8_t>& CacheState::sbs_bitmap(std::size_t n) const {

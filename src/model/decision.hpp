@@ -39,6 +39,11 @@ class CacheState {
   /// sum_k (x - x_prev)^+, the quantity priced by eq. (7).
   std::size_t insertions_from(const CacheState& prev, std::size_t n) const;
 
+  /// The contents cached at SBS n, ascending, listed in one pass over the
+  /// bitmap (after count() sizes the list). Computed on each call; the
+  /// bitmap stays the only representation.
+  std::vector<std::size_t> cached_contents(std::size_t n) const;
+
   /// Raw per-SBS bitmap (0/1 bytes).
   const std::vector<std::uint8_t>& sbs_bitmap(std::size_t n) const;
 

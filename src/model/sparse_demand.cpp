@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "util/error.hpp"
 
@@ -212,18 +213,13 @@ SparseSlotDemand make_zero_sparse_slot_demand(const NetworkConfig& config) {
   return slot;
 }
 
-std::vector<std::size_t> active_contents(const SparseSbsDemand& demand,
-                                         const CacheState& cache,
-                                         std::size_t n) {
+std::vector<std::size_t> active_contents(
+    const SparseSbsDemand& demand, const std::vector<std::size_t>& cached) {
   const std::vector<std::size_t>& sup = demand.support();
   std::vector<std::size_t> active;
-  active.reserve(sup.size() + cache.count(n));
-  std::size_t si = 0;
-  for (std::size_t k = 0; k < demand.num_contents(); ++k) {
-    const bool in_support = si < sup.size() && sup[si] == k;
-    if (in_support) ++si;
-    if (in_support || cache.cached(n, k)) active.push_back(k);
-  }
+  active.reserve(sup.size() + cached.size());
+  std::set_union(sup.begin(), sup.end(), cached.begin(), cached.end(),
+                 std::back_inserter(active));
   return active;
 }
 

@@ -167,12 +167,12 @@ class SparseDemandTrace {
 SparseSlotDemand make_zero_sparse_slot_demand(const NetworkConfig& config);
 
 /// Active-set of one (slot, SBS) cell: sorted union of support(lambda) and
-/// the contents cached at SBS n. P2's decision y[m,k] is structurally zero
+/// `cached`, the SBS's cached contents in ascending order
+/// (CacheState::cached_contents). P2's decision y[m,k] is structurally zero
 /// off this set (no demand => nothing to serve; not cached => coupling (3)
 /// forces y = 0), so the solvers restrict their variable space to it.
-std::vector<std::size_t> active_contents(const SparseSbsDemand& demand,
-                                         const CacheState& cache,
-                                         std::size_t n);
+std::vector<std::size_t> active_contents(
+    const SparseSbsDemand& demand, const std::vector<std::size_t>& cached);
 
 class SbsDemandView;
 class SlotDemandView;

@@ -164,10 +164,7 @@ model::SlotDecision RobustController::decide_guarded(
       if (decision.cache.count(n) > capacity) {
         evicted = true;
         const linalg::Vec scores = content_scores((*observed)[n]);
-        std::vector<std::size_t> cached;
-        for (std::size_t k = 0; k < effective.num_contents; ++k) {
-          if (decision.cache.cached(n, k)) cached.push_back(k);
-        }
+        std::vector<std::size_t> cached = decision.cache.cached_contents(n);
         std::stable_sort(cached.begin(), cached.end(),
                          [&scores](std::size_t a, std::size_t b) {
                            return scores[a] > scores[b];

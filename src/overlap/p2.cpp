@@ -215,6 +215,7 @@ void OverlapP2Workspace::bind(const OverlapConfig& config,
 
   c_.assign(size, 0.0);
   ub_.assign(size, 1.0);
+  y_.clear();
   has_solution_ = false;
 }
 

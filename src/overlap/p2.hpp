@@ -11,9 +11,10 @@
 // objective is minimized with FISTA on top.
 //
 // Hot-path memory model: mirrors core::P2Workspace. OverlapP2Workspace
-// keeps the coefficient vectors, the Dykstra/FISTA scratch, and the warm
-// start alive across dual iterations (and across solves); only the linear
-// term c and the box upper bound are refreshed in place.
+// keeps the coefficient vectors and the Dykstra/FISTA scratch alive across
+// dual iterations and solves, and the warm start across the dual iterations
+// of one binding; only the linear term c and the box upper bound are
+// refreshed in place.
 #pragma once
 
 #include "overlap/model.hpp"
@@ -93,8 +94,8 @@ class OverlapP2Workspace {
  public:
   /// (Re)binds to a (config, layout, demand) triple: rebuilds u/a/v and the
   /// cached Lipschitz constant, resets c to zero and ub to all-ones, and
-  /// invalidates any cached solution. The previous solution vector is KEPT
-  /// as the next solve's warm start.
+  /// drops any cached solution, so the first solve after a bind starts
+  /// cold (y = 0). Within one binding each solve warm-starts from the last.
   void bind(const OverlapConfig& config, const OverlapLayout& layout,
             const ClassDemand& demand);
   bool bound() const { return config_ != nullptr; }

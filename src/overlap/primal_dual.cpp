@@ -86,7 +86,8 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
 
   // ---- Per-slot P2 workspaces: coefficients built once here, the dual
   // loop then only refreshes the linear term (and the repair loop the box
-  // upper bound); the warm starts live inside and carry across solves.
+  // upper bound). Each bind starts cold; the warm starts then carry from
+  // one dual iteration to the next within this solve.
   bank_.resize(w);
   util::parallel_for(0, w, [&](std::size_t t) {
     SlotState& ss = bank_[t];

@@ -54,8 +54,9 @@ class OverlapPrimalDualSolver {
  public:
   explicit OverlapPrimalDualSolver(OverlapPrimalDualOptions options = {});
 
-  /// Non-const: the solver keeps the per-slot P2 workspace bank, and with
-  /// it the P2 warm starts, between calls (the zero-allocation hot path).
+  /// Non-const: the solver keeps the per-slot P2 workspace bank between
+  /// calls as an allocation arena. Every call binds it cold, so a solve
+  /// does not depend on the solves before it.
   ///
   /// `deadline` is polled once per dual iteration after the first one
   /// completes; on expiry the best feasible incumbent is returned with

@@ -11,6 +11,13 @@
 // DAGs, which trivially satisfies this; successive-shortest-path invariants
 // keep the residual graph cycle-free in cost). Each augmentation runs SPFA,
 // which handles the real-valued, possibly negative arc costs exactly.
+//
+// Storage is flat (DESIGN.md §8): one array of residual arcs, forward and
+// reverse interleaved, and a CSR adjacency that solve() rebuilds after the
+// topology changed. Each node lists its arcs in arc-id order, which is the
+// order they were added in, and SPFA relaxes them in that order: that order
+// is the tie-break contract between equal-cost shortest paths, so it fixes
+// which optimal flow comes out.
 #pragma once
 
 #include <cstdint>
@@ -26,10 +33,18 @@ class MinCostFlow {
   /// Adds one more node; returns its index.
   std::size_t add_node();
 
-  /// Adds a directed arc; returns an arc id usable with flow_on().
-  /// Capacity must be non-negative.
+  /// Adds a directed arc; returns an arc id usable with flow_on(). Ids are
+  /// consecutive from 0 in the order arcs are added. Capacity must be
+  /// non-negative.
   std::size_t add_arc(std::size_t from, std::size_t to, std::int64_t capacity,
                       double cost);
+
+  /// Reserves room for `nodes` nodes and `arcs` arcs, so a build of that
+  /// size allocates once per buffer.
+  void reserve(std::size_t nodes, std::size_t arcs);
+
+  /// Removes every node and arc, keeping the buffers for the next build.
+  void clear();
 
   struct Result {
     std::int64_t flow = 0;  // units actually sent (<= requested)
@@ -49,8 +64,8 @@ class MinCostFlow {
   /// Flow currently routed on the arc with the given id.
   std::int64_t flow_on(std::size_t arc_id) const;
 
-  std::size_t num_nodes() const { return graph_.size(); }
-  std::size_t num_arcs() const { return arcs_.size() / 2; }
+  std::size_t num_nodes() const { return num_nodes_; }
+  std::size_t num_arcs() const { return original_capacity_.size(); }
 
   /// Resets all flows to zero (keeps the network).
   void reset_flow();
@@ -63,18 +78,28 @@ class MinCostFlow {
   void set_arc_cost(std::size_t arc_id, double cost);
 
  private:
+  /// Residual arc. Arc id a is stored at 2a (forward) and its reverse at
+  /// 2a + 1, so the reverse of index i is i ^ 1 and the tail of i is the
+  /// head of i ^ 1.
   struct Arc {
     std::size_t to;
     std::int64_t capacity;  // residual capacity
     double cost;
-    std::size_t reverse;  // index of the reverse arc in arcs_
   };
 
+  /// Counting sort of the arc indices by tail node, in index order.
+  void build_adjacency();
   bool shortest_path(std::size_t source);
 
-  std::vector<Arc> arcs_;                     // forward/backward interleaved
-  std::vector<std::vector<std::size_t>> graph_;  // node -> arc indices
+  std::size_t num_nodes_ = 0;
+  std::vector<Arc> arcs_;                        // forward/backward interleaved
   std::vector<std::int64_t> original_capacity_;  // per public arc id
+
+  // CSR adjacency: node v's arc indices are adjacent_[first_arc_[v] ..
+  // first_arc_[v + 1]). Rebuilt by solve() when adjacency_stale_.
+  std::vector<std::size_t> first_arc_;
+  std::vector<std::size_t> adjacent_;
+  bool adjacency_stale_ = true;
 
   // SPFA scratch, reused across augmentations and solve() calls so the
   // inner loop stays allocation-free once the buffers reach network size.

@@ -5,7 +5,9 @@
 // the bandwidth binding or slack) AND on the FISTA path. Neither must the
 // feasibility repair's pattern, a box upper bound alternating between two
 // cache masks. A byte ceiling on one sparse forecast keeps the noisy
-// predictor from building content-wide (K-wide) buffers again.
+// predictor from building content-wide (K-wide) buffers again, and an
+// allocation ceiling on one sparse window solve keeps the P1 flow networks
+// flat.
 //
 // The binary replaces the global allocation functions with a counting
 // forwarder to malloc/free, so it is its own executable: the counter would
@@ -19,9 +21,12 @@
 #include <vector>
 
 #include "core/load_balancing.hpp"
+#include "core/primal_dual.hpp"
 #include "linalg/vec.hpp"
 #include "model/sparse_demand.hpp"
+#include "shard/coordinator.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/predictor.hpp"
 #include "workload/scenario.hpp"
 #include "workload/zipf.hpp"
@@ -216,6 +221,61 @@ TEST(Allocations, SparseForecastAllocatesNoContentWideFactors) {
   ASSERT_EQ(forecast.size(), num_sbs);
   EXPECT_LE(bytes, kSparseForecastByteCeiling);
   EXPECT_LT(kSparseForecastByteCeiling, num_sbs * contents * sizeof(double));
+}
+
+// The window solve of Algorithm 1 on the truncated sparse shape above (the
+// perf test_budgets shape, in process, 1 thread): RHC windows of w = 4,
+// each planned from the previous plan's first cache. Every solve rebuilds
+// its per-window state (active sets, P2 bindings, P1 flow networks), so it
+// allocates; the count per steady solve is deterministic.
+std::uint64_t sparse_window_solve_allocations(std::size_t solves) {
+  constexpr std::size_t kWindow = 4;
+  workload::PaperScenario scenario;
+  scenario.num_sbs = 8;
+  scenario.num_contents = 2000;
+  scenario.classes_per_sbs = 2;
+  scenario.horizon = kWindow + solves;
+  scenario.seed = 7;
+  scenario.workload.min_rate = workload::zipf_mandelbrot_pmf(
+      scenario.num_contents, scenario.workload.zipf_alpha,
+      scenario.workload.zipf_q)[scenario.num_contents / 50];
+  const model::ProblemInstance instance = scenario.build_sparse();
+  const workload::PerfectPredictor predictor(instance.sparse_demand);
+  std::vector<model::SparseDemandTrace> windows;
+  for (std::size_t tau = 0; tau <= solves; ++tau) {
+    windows.push_back(predictor.predict_window_sparse(tau, kWindow));
+  }
+
+  util::ThreadPool::set_global_threads(1);
+  core::PrimalDualOptions options;
+  options.shard_count = shard::kShardsInProcess;
+  core::PrimalDualSolver solver(options);
+  core::HorizonProblem problem;
+  problem.config = &instance.config;
+  problem.initial_cache = instance.initial_cache;
+  std::uint64_t steady = 0;
+  for (std::size_t tau = 0; tau <= solves; ++tau) {
+    problem.sparse_demand = &windows[tau];
+    const std::uint64_t before = allocation_count();
+    core::HorizonSolution solution = solver.solve(problem);
+    // The first solve also sizes the solver's banks: not steady.
+    if (tau > 0) steady += allocation_count() - before;
+    problem.initial_cache = solution.schedule.front().cache;
+  }
+  util::ThreadPool::set_global_threads(0);
+  return steady / solves;
+}
+
+// Ceiling measured at the commit that added it (parent 0e6e952), g++ 12:
+// 473 allocations per steady solve. The parent, whose flow networks kept
+// one std::vector of arc indices per node, made 24,178. Lower the ceiling
+// when a change lowers the measurement.
+constexpr std::uint64_t kSparseWindowSolveAllocationCeiling = 473;
+
+TEST(Allocations, SparseWindowSolveAllocationCeiling) {
+  const std::uint64_t per_solve = sparse_window_solve_allocations(4);
+  RecordProperty("allocations_per_solve", static_cast<int>(per_solve));
+  EXPECT_LE(per_solve, kSparseWindowSolveAllocationCeiling);
 }
 
 }  // namespace

@@ -287,5 +287,48 @@ TEST_P(CachingBankRestrictionTest, MatchesFullCatalogueFlow) {
 INSTANTIATE_TEST_SUITE_P(RandomInstances, CachingBankRestrictionTest,
                          ::testing::Range<std::uint64_t>(1, 31));
 
+/// One workspace rebound to shapes that grow, shrink and change their
+/// initial cache must solve like a fresh workspace per shape: bind()
+/// rebuilds the network into the previous binding's buffers and nothing of
+/// the old network survives.
+TEST(CachingFlowWorkspaceRebind, MatchesFreshWorkspacePerShape) {
+  struct Shape {
+    std::size_t k, w, capacity;
+    std::vector<std::size_t> cached;
+  };
+  const Shape shapes[] = {
+      {3, 2, 1, {}},        {9, 5, 3, {0, 4, 8}}, {2, 1, 2, {1}},
+      {9, 5, 3, {2, 3}},    {6, 3, 0, {}},        {12, 6, 12, {}},
+      {12, 6, 4, {5, 6, 7, 11}}, {1, 1, 1, {0}}, {4, 4, 2, {}},
+  };
+  Rng rng(23);
+  CachingFlowWorkspace reused;
+  std::vector<std::uint8_t> got;
+  std::vector<std::uint8_t> want;
+  for (std::size_t s = 0; s < std::size(shapes); ++s) {
+    const Shape& shape = shapes[s];
+    auto p = make_problem(shape.k, shape.w, shape.capacity,
+                          static_cast<double>(rng.uniform_int(0, 2)));
+    for (const std::size_t c : shape.cached) p.initial[c] = 1;
+    for (auto& r : p.rewards) r = static_cast<double>(rng.uniform_int(0, 3));
+    reused.bind(p);
+    CachingFlowWorkspace fresh;
+    fresh.bind(p);
+    // Two pricings per binding: the bound rewards, then new ones.
+    for (int round = 0; round < 2; ++round) {
+      if (round == 1) {
+        for (auto& r : p.rewards) {
+          r = static_cast<double>(rng.uniform_int(0, 3));
+        }
+      }
+      const double got_objective = reused.solve_into(p, got);
+      const double want_objective = fresh.solve_into(p, want);
+      EXPECT_EQ(got, want) << "shape " << s << ", round " << round;
+      EXPECT_EQ(got_objective, want_objective)
+          << "shape " << s << ", round " << round;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mdo::core

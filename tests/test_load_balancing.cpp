@@ -44,7 +44,7 @@ struct Fixture {
     model::CacheState cache(config);
     for (const std::size_t k : cached) cache.set(0, k, true);
     return model::active_contents(model::SparseSbsDemand::from_dense(demand),
-                                  cache, 0);
+                                  cache.cached_contents(0));
   }
 
   /// Binds `ws` over `contents`; the coefficient layout is then

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "overlap/primal_dual.hpp"
 #include "util/error.hpp"
@@ -290,6 +293,41 @@ TEST(OverlapPrimalDual, DeterministicAcrossRuns) {
   const auto a = OverlapPrimalDualSolver().solve(problem);
   const auto b = OverlapPrimalDualSolver().solve(problem);
   EXPECT_DOUBLE_EQ(a.upper_bound, b.upper_bound);
+}
+
+/// A reused solver must give the same bits as a fresh one on every
+/// window, whatever it solved before: each solve binds its P2 bank cold,
+/// so slot t of one window never warm-starts from slot t of the last.
+TEST(OverlapPrimalDual, SolvesDoNotDependOnSolverHistory) {
+  const auto config = small_config(4);
+  const OverlapLayout layout(config);
+  const auto trace = horizon_problem(config, layout, 13, 8);
+  OverlapPrimalDualSolver reused;
+  OverlapCache start = trace.initial;
+  const std::pair<std::size_t, std::size_t> windows[] = {
+      {0, 3}, {1, 3}, {5, 3}, {6, 2}, {2, 4}, {3, 4}};
+  for (const auto& [first, length] : windows) {
+    OverlapHorizonProblem problem;
+    problem.config = &config;
+    problem.layout = &layout;
+    problem.demand.assign(trace.demand.begin() + first,
+                          trace.demand.begin() + first + length);
+    problem.initial = start;
+    const auto got = reused.solve(problem);
+    const auto want = OverlapPrimalDualSolver().solve(problem);
+    SCOPED_TRACE("window [" + std::to_string(first) + ", " +
+                 std::to_string(first + length) + ")");
+    EXPECT_EQ(got.upper_bound, want.upper_bound);
+    EXPECT_EQ(got.lower_bound, want.lower_bound);
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.mu, want.mu);
+    ASSERT_EQ(got.schedule.size(), want.schedule.size());
+    for (std::size_t t = 0; t < got.schedule.size(); ++t) {
+      EXPECT_EQ(got.schedule[t].cache, want.schedule[t].cache) << "slot " << t;
+      EXPECT_EQ(got.schedule[t].y, want.schedule[t].y) << "slot " << t;
+    }
+    start = got.schedule.front().cache;
+  }
 }
 
 /// Brute force: enumerate all feasible cache sequences (tiny instance),

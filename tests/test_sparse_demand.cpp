@@ -9,6 +9,8 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "model/costs.hpp"
 #include "model/feasibility.hpp"
@@ -19,6 +21,7 @@
 #include "sim/fault_injector.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "workload/generator.hpp"
 #include "workload/predictor.hpp"
 #include "workload/scenario.hpp"
@@ -166,13 +169,84 @@ TEST(SparseDemand, ActiveContentsUnionsSupportAndCache) {
   model::CacheState cache(config);
   cache.set(0, 4, true);  // overlaps the support
   cache.set(0, 5, true);  // cached-only content
-  const auto active = model::active_contents(sparse, cache, 0);
+  const auto active =
+      model::active_contents(sparse, cache.cached_contents(0));
   EXPECT_EQ(active, (std::vector<std::size_t>{1, 4, 5}));
 
   // Cached-only active set: no demand at all, the cache alone drives it.
   const auto empty = model::SparseSbsDemand::from_dense(model::SbsDemand(2, 6));
-  const auto cached_only = model::active_contents(empty, cache, 0);
+  const auto cached_only =
+      model::active_contents(empty, cache.cached_contents(0));
   EXPECT_EQ(cached_only, (std::vector<std::size_t>{4, 5}));
+}
+
+/// CacheState's catalogue scans and model::active_contents against a naive
+/// per-content scan, on random bitmaps and supports, at catalogue sizes on
+/// both sides of the vector widths the scans may be compiled to.
+class CatalogueScanTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(CatalogueScanTest, MatchesNaivePerContentScan) {
+  const std::size_t k_count = GetParam();
+  const auto config = tiny_config(2, k_count, 2);
+  Rng rng(k_count * 3 + 1);
+  for (int trial = 0; trial <= 8; ++trial) {
+    const double density = trial / 8.0;
+    model::CacheState now(config);
+    model::CacheState before(config);
+    model::SbsDemand dense(2, k_count);
+    for (std::size_t k = 0; k < k_count; ++k) {
+      for (std::size_t n = 0; n < 2; ++n) {
+        now.set(n, k, rng.bernoulli(density));
+        before.set(n, k, rng.bernoulli(0.5));
+      }
+      if (rng.bernoulli(1.0 - density)) dense.at(k % 2, k) = 1.0;
+    }
+    const auto demand = model::SparseSbsDemand::from_dense(dense);
+    for (std::size_t n = 0; n < 2; ++n) {
+      std::size_t count = 0;
+      std::size_t inserted = 0;
+      std::vector<std::size_t> cached;
+      std::vector<std::size_t> active;
+      for (std::size_t k = 0; k < k_count; ++k) {
+        const bool in_support = dense.at(0, k) != 0.0 || dense.at(1, k) != 0.0;
+        count += now.cached(n, k) ? 1 : 0;
+        inserted += now.cached(n, k) && !before.cached(n, k) ? 1 : 0;
+        if (now.cached(n, k)) cached.push_back(k);
+        if (in_support || now.cached(n, k)) active.push_back(k);
+      }
+      SCOPED_TRACE("density " + std::to_string(density) + ", SBS " +
+                   std::to_string(n));
+      EXPECT_EQ(now.count(n), count);
+      EXPECT_EQ(now.insertions_from(before, n), inserted);
+      EXPECT_EQ(now.cached_contents(n), cached);
+      EXPECT_EQ(model::active_contents(demand, now.cached_contents(n)),
+                active);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CatalogueSizes, CatalogueScanTest,
+                         ::testing::Values(1, 15, 16, 17, 33, 2000));
+
+TEST(SparseDemand, ActiveContentsEdgeCases) {
+  model::SbsDemand dense(1, 8);
+  const auto none = model::SparseSbsDemand::from_dense(dense);
+  // Empty support with a cache: the cache alone is the active set.
+  EXPECT_EQ(model::active_contents(none, {2, 7}),
+            (std::vector<std::size_t>{2, 7}));
+  EXPECT_TRUE(model::active_contents(none, {}).empty());
+  dense.at(0, 1) = 0.5;
+  dense.at(0, 3) = 0.25;
+  const auto sparse = model::SparseSbsDemand::from_dense(dense);
+  // A cached content past the last support entry, and one between.
+  EXPECT_EQ(model::active_contents(sparse, {2, 7}),
+            (std::vector<std::size_t>{1, 2, 3, 7}));
+  // Support equal to the cached set: each content once.
+  EXPECT_EQ(model::active_contents(sparse, {1, 3}),
+            (std::vector<std::size_t>{1, 3}));
+  // No cache: the support alone.
+  EXPECT_EQ(model::active_contents(sparse, {}),
+            (std::vector<std::size_t>{1, 3}));
 }
 
 TEST(SparseDemand, ScaleByContentMatchesDenseScaling) {
