@@ -5,9 +5,13 @@
 // solver over a short horizon and compares it against (a) caching nothing
 // and (b) a greedy top-C heuristic with the same optimal load balancing,
 // demonstrating the value of jointly planning cache contents across
-// overlapping neighbors.
+// overlapping neighbors. It then slides the window by one slot and plans it
+// on the same solver from the first plan's slot-0 cache, as a receding
+// horizon would, so the output also shows what a reused solver carries
+// from one solve to the next.
 //
 //   ./overlap_cell [--slots N] [--contents K] [--seed S]
+#include <iomanip>
 #include <iostream>
 
 #include "overlap/primal_dual.hpp"
@@ -116,7 +120,8 @@ int main(int argc, char** argv) {
     // (c) the joint overlap primal-dual plan.
     OverlapPrimalDualOptions options;
     options.max_iterations = 30;
-    const auto solution = OverlapPrimalDualSolver(options).solve(problem);
+    OverlapPrimalDualSolver solver(options);
+    const auto solution = solver.solve(problem);
 
     TextTable table({"scheme", "total cost", "vs no-cache"});
     table.add_row({"no caching", TextTable::fmt(no_cache_cost),
@@ -131,18 +136,52 @@ int main(int argc, char** argv) {
               << 100.0 * solution.gap() << "%)\n";
 
     // Show the planned caches of the middle SBS over time.
+    const auto print_plan = [&](const std::vector<OverlapDecision>& schedule,
+                                std::size_t first_slot) {
+      for (std::size_t t = 0; t < schedule.size(); ++t) {
+        std::cout << "  t=" << first_slot + t << ": {";
+        bool first = true;
+        for (std::size_t k = 0; k < contents; ++k) {
+          if (schedule[t].cache[1][k]) {
+            std::cout << (first ? "" : ", ") << k;
+            first = false;
+          }
+        }
+        std::cout << "}\n";
+      }
+    };
     std::cout << "\nSBS 1 (center, both overlap zones) cache plan:\n";
-    for (std::size_t t = 0; t < slots; ++t) {
-      std::cout << "  t=" << t << ": {";
-      bool first = true;
-      for (std::size_t k = 0; k < contents; ++k) {
-        if (solution.schedule[t].cache[1][k]) {
-          std::cout << (first ? "" : ", ") << k;
-          first = false;
+    print_plan(solution.schedule, 0);
+
+    // (d) the window slid by one slot, on the same solver: slots 1..T of
+    // the demand above plus one new slot, from the first plan's t=0 cache.
+    OverlapHorizonProblem slid;
+    slid.config = &config;
+    slid.layout = &layout;
+    slid.demand.assign(problem.demand.begin() + 1, problem.demand.end());
+    {
+      ClassDemand demand(config.num_classes(), contents);
+      for (std::size_t m = 0; m < config.num_classes(); ++m) {
+        const double density = rng.uniform(1.0, 4.0);
+        for (std::size_t k = 0; k < contents; ++k) {
+          demand.at(m, k) = density * pmf[k] * rng.uniform(0.8, 1.2);
         }
       }
-      std::cout << "}\n";
+      slid.demand.push_back(std::move(demand));
     }
+    slid.initial = solution.schedule.front().cache;
+    const auto next = solver.solve(slid);
+    // Full precision and the final multipliers' sum, so state a reused
+    // solver carried over from the first solve would show.
+    double mu_sum = 0.0;
+    for (const double value : next.mu) mu_sum += value;
+    std::cout << std::setprecision(17) << "\nslid window (t=1.." << slots
+              << ", same solver, from the t=0 plan's cache): cost "
+              << next.upper_bound << ", lower bound " << next.lower_bound
+              << ", " << next.iterations << " iterations, sum of mu "
+              << mu_sum << "\n";
+    std::cout << "SBS 1 cache plan:\n";
+    print_plan(next.schedule, 1);
     return 0;
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";

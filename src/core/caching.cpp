@@ -191,13 +191,40 @@ void CachingBank::bind(std::size_t n, std::size_t num_contents,
   sub.beta = beta;
   sub.initial = std::move(initial);
   sub.rewards.assign(num_contents * horizon, 0.0);
-  if (num_contents > 0) p1_[n].flow.bind(sub);
+  if (num_contents > 0) sub.validate();
+  p1_[n].any_initial =
+      std::find(sub.initial.begin(), sub.initial.end(), 1) != sub.initial.end();
+  p1_[n].built = false;
 }
 
 linalg::Vec& CachingBank::clear_rewards(std::size_t n) {
   linalg::Vec& rewards = p1_[n].sub.rewards;
   std::fill(rewards.begin(), rewards.end(), 0.0);
   return rewards;
+}
+
+bool CachingBank::idle_certified(const Entry& entry) {
+  if (entry.any_initial) return false;
+  // A unit through content k's chain over slots [a, b] costs
+  // beta - sum_{t in [a, b]} r(t, k). `rest` is that sum over the whole
+  // window, subtracted in slot order as SPFA walks the chain; rounding is
+  // monotone and rewards are >= 0, so every interval's computed value is
+  // >= rest. With rest > 0 everywhere no pool distance can move (SPFA
+  // relaxes only below dist - 1e-12), and the flow's single augmentation
+  // routes all C units through the pool chain: x = 0, objective 0.0.
+  const CachingSubproblem& sub = entry.sub;
+  const std::size_t k_count = sub.num_contents;
+  for (std::size_t k = 0; k < k_count; ++k) {
+    double rest = sub.beta;
+    for (std::size_t t = 0; t < sub.horizon; ++t) {
+      const double reward = sub.rewards[t * k_count + k];
+      MDO_REQUIRE(std::isfinite(reward) && reward >= 0.0,
+                  "P1: rewards must be finite and non-negative");
+      rest -= reward;
+    }
+    if (!(rest > 0.0)) return false;
+  }
+  return true;
 }
 
 void CachingBank::solve(std::size_t n) {
@@ -207,6 +234,15 @@ void CachingBank::solve(std::size_t n) {
     x_[n].clear();
     objectives_[n] = 0.0;
     return;
+  }
+  if (idle_certified(entry)) {
+    x_[n].assign(entry.sub.num_contents * entry.sub.horizon, 0);
+    objectives_[n] = 0.0;
+    return;
+  }
+  if (!entry.built) {
+    entry.flow.bind(entry.sub);
+    entry.built = true;
   }
   objectives_[n] = entry.flow.solve_into(entry.sub, x_[n]);
 }

@@ -99,14 +99,20 @@ class CachingFlowWorkspace {
 /// solve's plan and objective. Each caller accumulates its own model's
 /// rewards between clear_rewards(n) and solve(n). Every call touches only
 /// SBS n, so callers run the SBSs in parallel.
+///
+/// Idle certificate (DESIGN.md §8): when nothing is initially cached and
+/// every content's reward over the whole window stays below beta, x = 0 is
+/// the unique optimum, with objective 0.0 — bit for bit what the flow
+/// returns. solve(n) tests that first and builds SBS n's network only on
+/// the first solve the test fails.
 class CachingBank {
  public:
   /// Sizes the bank for `count` SBSs, dropping every previous binding.
   void reset(std::size_t count);
 
   /// Binds SBS n to its P1 over `num_contents` contents and `horizon`
-  /// slots, starting from `initial` (size num_contents, 0/1). Capacity is
-  /// clamped to the catalogue; an empty catalogue binds no network.
+  /// slots, starting from `initial` (size num_contents, 0/1), and validates
+  /// it. Capacity is clamped to the catalogue. No network is built here.
   void bind(std::size_t n, std::size_t num_contents, std::size_t horizon,
             std::size_t capacity, double beta,
             std::vector<std::uint8_t> initial);
@@ -119,18 +125,28 @@ class CachingBank {
   linalg::Vec& clear_rewards(std::size_t n);
 
   /// Solves SBS n under its current rewards into x()[n] and objectives()[n];
-  /// an empty catalogue gives an empty plan with objective 0.
+  /// an empty catalogue gives an empty plan with objective 0. Throws
+  /// InvalidArgument on a non-finite or negative reward.
   void solve(std::size_t n);
 
   const std::vector<double>& objectives() const { return objectives_; }
   /// Per SBS: the P1 schedule [t * K + k].
   const std::vector<std::vector<std::uint8_t>>& x() const { return x_; }
 
+  /// True once a solve of SBS n's current binding built its flow network,
+  /// i.e. some solve failed the idle certificate.
+  bool network_built(std::size_t n) const { return p1_[n].built; }
+
  private:
   struct Entry {
     CachingSubproblem sub;
     CachingFlowWorkspace flow;
+    bool any_initial = false;  // some content is initially cached
+    bool built = false;        // flow is bound to this binding
   };
+
+  /// The idle certificate of SBS n under its current rewards.
+  static bool idle_certified(const Entry& entry);
 
   std::vector<Entry> p1_;
   std::vector<double> objectives_;

@@ -303,15 +303,15 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
 
   // ---- Algorithm 1 (dual_ascent.hpp). Every cell of the repaired buffer
   // rewrites exactly its active coordinates (the rest are structural
-  // zeros), so it is reused across iterations without re-zeroing.
+  // zeros), so it is reused across iterations without re-zeroing. The UB
+  // is the buffer's model::schedule_cost, reduced serially from per-cell
+  // partials computed alongside each cell's write.
   auto bounds = [&](const std::vector<double>& p1_objectives,
                     const std::vector<double>& p2_objectives,
-                    const model::Schedule& repaired) {
+                    const std::vector<CellCost>& cell_costs) {
     return DualIterate{
         serial_sum(p1_objectives) + serial_sum(p2_objectives),
-        model::schedule_cost(config, model::DemandTraceView(demand), repaired,
-                             problem.initial_cache)
-            .total()};
+        repaired_schedule_cost(config, cell_costs)};
   };
   auto size_buffer = [&](model::Schedule& repaired) {
     if (repaired.size() != w) repaired = empty_schedule(config, w);
@@ -329,6 +329,7 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
     if (!coordinator_) coordinator_ = std::make_unique<shard::Coordinator>();
     shard::Coordinator& fleet = *coordinator_;
     shard::IterationOutputs out;
+    std::vector<CellCost> cell_costs(w * num_sbs);
     solved =
         fleet.begin(inputs, shards, mu_off, mu) &&
         run_dual_ascent(
@@ -342,8 +343,11 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
                 const std::size_t n = cell % num_sbs;
                 write_repaired_cell(sets, t, n, out.x[n], out.repair_y[cell],
                                     repaired[t]);
+                cell_costs[cell] = repaired_cell_cost(
+                    config, demand, problem.initial_cache, sets, t, n,
+                    out.x[n], out.repair_y[cell]);
               });
-              return bounds(out.p1_objectives, out.p2_objectives, repaired);
+              return bounds(out.p1_objectives, out.p2_objectives, cell_costs);
             },
             [&](bool apply_step, double delta) {
               return fleet.finish(apply_step, delta, mu);
@@ -365,7 +369,8 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
           size_buffer(repaired);
           core.repair(&repaired);
           return std::optional<DualIterate>(
-              bounds(core.p1_objectives(), core.p2_objectives(), repaired));
+              bounds(core.p1_objectives(), core.p2_objectives(),
+                     core.cell_costs()));
         },
         step, best);
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 
+#include "model/costs.hpp"
 #include "util/error.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -95,6 +96,93 @@ void write_repaired_cell(const ActiveSets& sets, std::size_t t,
   }
 }
 
+CellCost repaired_cell_cost(const model::NetworkConfig& config,
+                            const model::SparseDemandTrace& demand,
+                            const model::CacheState& initial_cache,
+                            const ActiveSets& sets, std::size_t t,
+                            std::size_t n,
+                            const std::vector<std::uint8_t>& x,
+                            const linalg::Vec& y) {
+  const std::size_t num_sbs = sets.p1_list.size();
+  const std::size_t cell = t * num_sbs + n;
+  const std::vector<std::size_t>& al = sets.active[cell];
+  const std::size_t a_count = al.size();
+  const auto& sbs = config.sbs[n];
+  const std::size_t classes = sbs.num_classes();
+  MDO_CHECK(y.size() == classes * a_count,
+            "repaired cell: load size disagrees with the active set");
+  CellCost out;
+
+  // f and g as model::schedule_cost sums them: per class over the stored
+  // entries in row order, every one of which is on the active set.
+  const model::SparseSbsDemand& d = demand.slot(t)[n];
+  double bs = 0.0;
+  double served = 0.0;
+  for (std::size_t m = 0; m < classes; ++m) {
+    const double* ym = y.data() + m * a_count;
+    double class_rest = 0.0;
+    double class_served = 0.0;
+    std::size_t pos = 0;
+    const model::DemandEntry* const end = d.row_end(m);
+    for (const model::DemandEntry* it = d.row_begin(m); it != end; ++it) {
+      while (pos < a_count && al[pos] < it->content) ++pos;
+      MDO_CHECK(pos < a_count && al[pos] == it->content,
+                "repaired cell: demanded content missing from active set");
+      class_rest += (1.0 - ym[pos]) * it->rate;
+      class_served += ym[pos] * it->rate;
+    }
+    bs += sbs.classes[m].omega_bs * class_rest;
+    served += sbs.classes[m].omega_sbs * class_served;
+  }
+  out.bs = bs * bs;
+  out.sbs = served * served;
+
+  // h: contents cached at t whose bit at t - 1 is clear. Off its active
+  // set a slot caches nothing, whatever the P1 plan says there.
+  const std::size_t kp = sets.p1_list[n].size();
+  const std::vector<std::size_t>& map = sets.cell_p1[cell];
+  const std::uint8_t* bits = x.data() + t * kp;
+  if (t == 0) {
+    const std::vector<std::uint8_t>& initial = initial_cache.sbs_bitmap(n);
+    for (std::size_t i = 0; i < a_count; ++i) {
+      if (bits[map[i]] != 0 && initial[al[i]] == 0) ++out.insertions;
+    }
+    return out;
+  }
+  const std::vector<std::size_t>& prev_al = sets.active[cell - num_sbs];
+  const std::vector<std::size_t>& prev_map = sets.cell_p1[cell - num_sbs];
+  const std::uint8_t* prev_bits = bits - kp;
+  std::size_t j = 0;
+  for (std::size_t i = 0; i < a_count; ++i) {
+    if (bits[map[i]] == 0) continue;
+    while (j < prev_al.size() && prev_al[j] < al[i]) ++j;
+    const bool before = j < prev_al.size() && prev_al[j] == al[i] &&
+                        prev_bits[prev_map[j]] != 0;
+    if (!before) ++out.insertions;
+  }
+  return out;
+}
+
+double repaired_schedule_cost(const model::NetworkConfig& config,
+                              const std::vector<CellCost>& cells) {
+  const std::size_t num_sbs = config.num_sbs();
+  MDO_CHECK(num_sbs > 0 && cells.size() % num_sbs == 0,
+            "repaired cost: partials do not cover whole slots");
+  model::CostBreakdown total;
+  for (std::size_t cell = 0; cell < cells.size(); cell += num_sbs) {
+    model::CostBreakdown slot;
+    for (std::size_t n = 0; n < num_sbs; ++n) {
+      const CellCost& part = cells[cell + n];
+      slot.bs += part.bs;
+      slot.sbs += part.sbs;
+      slot.replacement += config.sbs[n].replacement_beta *
+                          static_cast<double>(part.insertions);
+    }
+    total += slot;
+  }
+  return total.total();
+}
+
 void ShardCore::begin(const ShardInputs& in, const ShardOptions& /*opts*/,
                       std::vector<CellState>& bank, ActiveSets sets) {
   MDO_REQUIRE(in.config != nullptr && in.initial_cache != nullptr,
@@ -135,8 +223,9 @@ void ShardCore::begin(const ShardInputs& in, const ShardOptions& /*opts*/,
 
   // ---- Per-SBS P1 state, reused across dual iterations: the subproblem's
   // shape, parameters and initial cache are fixed for the whole solve, only
-  // the rewards (the mu sums) change — so the flow network is built once
-  // here and merely re-priced every iteration. P1 is restricted to the
+  // the rewards (the mu sums) change — so a flow network is built at most
+  // once, by the first solve the idle certificate does not settle, and
+  // merely re-priced after that. P1 is restricted to the
   // window's content union: everything outside has zero reward in every
   // slot and is not initially cached (CachingBank::bind says why x stays
   // the same).
@@ -153,6 +242,7 @@ void ShardCore::begin(const ShardInputs& in, const ShardOptions& /*opts*/,
   });
 
   p2_objectives_.assign(w * num_sbs, 0.0);
+  cell_costs_.assign(w * num_sbs, CellCost{});
 }
 
 void ShardCore::iterate(const linalg::Vec& mu) {
@@ -246,6 +336,10 @@ void ShardCore::repair(model::Schedule* schedule) {
     if (schedule != nullptr) {
       write_repaired_cell(sets_, t, n, p1_.x()[n], cs.repair.y(),
                           (*schedule)[t]);
+      cell_costs_[cell] =
+          repaired_cell_cost(config, *inputs_.sparse_demand,
+                             *inputs_.initial_cache, sets_, t, n,
+                             p1_.x()[n], cs.repair.y());
     }
   });
 }

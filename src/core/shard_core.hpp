@@ -19,13 +19,14 @@
 // The in-process solver runs ONE full-range ShardCore; the process-level
 // coordinator (src/shard/) runs one ShardCore per worker subprocess over a
 // slice config; core::run_dual_ascent drives both. write_repaired_cell
-// writes the repaired schedule, from repair() in process and from the
-// workers' replies when sharded. The thread pool still parallelizes
-// inside a shard, and every floating-point accumulation that determines
-// the result (P1/P2 sums, costs, bounds) stays OUTSIDE this class, in the
-// solver that runs the shards, in canonical serial index order — that is
-// the determinism argument for both thread- and shard-count invariance
-// (DESIGN.md §11).
+// writes the repaired schedule and repaired_cell_cost its cost partials,
+// from repair() in process and from the workers' replies when sharded.
+// The thread pool still parallelizes inside a shard, and every
+// floating-point accumulation across cells that determines the result
+// (P1/P2 sums, the repaired cost, bounds) stays OUTSIDE this class, in the
+// solver that runs the shards, in canonical serial index order: a cell
+// computes only its own partials — that is the determinism argument for
+// both thread- and shard-count invariance (DESIGN.md §11).
 #pragma once
 
 #include <cstddef>
@@ -88,6 +89,36 @@ void write_repaired_cell(const ActiveSets& sets, std::size_t t,
                          std::size_t n, const std::vector<std::uint8_t>& x,
                          const linalg::Vec& y, model::SlotDecision& slot);
 
+/// One repaired cell's share of model::schedule_cost: f_t's term
+/// (sum_m omega_bs * sum_k (1 - y) * lambda)^2, g_t's term
+/// (sum_m omega_sbs * sum_k y * lambda)^2, and the number of contents the
+/// cell inserts (cached at t and not at t - 1). The repaired schedule never
+/// carries a neighbor bank, so the cell has no \tilde{f}_t term.
+struct CellCost {
+  double bs = 0.0;
+  double sbs = 0.0;
+  std::size_t insertions = 0;
+};
+
+/// The cost partials of the cell write_repaired_cell writes from the same
+/// `x` and `y`, computed on the active set with the arithmetic of
+/// model::schedule_cost. The written schedule caches content k at slot t
+/// only where k is in active[cell], so the previous slot's bit also needs
+/// k in active[cell - num_sbs]; slot 0 compares with `initial_cache`.
+CellCost repaired_cell_cost(const model::NetworkConfig& config,
+                            const model::SparseDemandTrace& demand,
+                            const model::CacheState& initial_cache,
+                            const ActiveSets& sets, std::size_t t,
+                            std::size_t n,
+                            const std::vector<std::uint8_t>& x,
+                            const linalg::Vec& y);
+
+/// model::schedule_cost(...).total() of the repaired schedule, reduced from
+/// its cells' partials ([t * num_sbs + n]) in the order schedule_cost nests
+/// them: per slot the SBS sums, then the slots, then the components.
+double repaired_schedule_cost(const model::NetworkConfig& config,
+                              const std::vector<CellCost>& cells);
+
 /// Empty: a shard solves P2 at the LoadBalancingOptions defaults. Kept
 /// only for the ShardCore::begin signature that perfbench calls.
 struct ShardOptions {};
@@ -134,9 +165,10 @@ class ShardCore {
   /// Feasibility repair for the current x: P2 with c = 0 and ub = x per
   /// cell. When `schedule` is non-null (the in-process solve), every cell
   /// is written into it with write_repaired_cell (slots sized for this
-  /// shard's config); a worker passes null and ships x and the repaired y
-  /// instead, and the coordinating solver writes the schedule from the
-  /// reply with the same function. The repaired y stays in
+  /// shard's config) and its cost partials into cell_costs(); a worker
+  /// passes null and ships x and the repaired y instead, and the
+  /// coordinating solver writes the schedule and the partials from the
+  /// reply with the same functions. The repaired y stays in
   /// bank[cell].repair either way.
   void repair(model::Schedule* schedule);
 
@@ -154,6 +186,8 @@ class ShardCore {
     return p1_.objectives();
   }
   const std::vector<double>& p2_objectives() const { return p2_objectives_; }
+  /// Per cell: the partials of the last repair(schedule) (CellCost).
+  const std::vector<CellCost>& cell_costs() const { return cell_costs_; }
   /// Per SBS: the P1 schedule, [t * kp + i] over the restricted list.
   const std::vector<std::vector<std::uint8_t>>& x() const { return p1_.x(); }
   /// Compact block offsets (cells + 1 entries).
@@ -169,6 +203,7 @@ class ShardCore {
   std::vector<CellState>* bank_ = nullptr;
   CachingBank p1_;
   std::vector<double> p2_objectives_;
+  std::vector<CellCost> cell_costs_;
 };
 
 }  // namespace mdo::core

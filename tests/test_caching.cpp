@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -328,6 +329,95 @@ TEST(CachingFlowWorkspaceRebind, MatchesFreshWorkspacePerShape) {
           << "shape " << s << ", round " << round;
     }
   }
+}
+
+// ---- the idle certificate -------------------------------------------------
+
+/// Binds a one-SBS bank to `p` and solves it under p's rewards.
+CachingBank solve_in_bank(const CachingSubproblem& p) {
+  CachingBank bank;
+  bank.reset(1);
+  bank.bind(0, p.num_contents, p.horizon, p.capacity, p.beta, p.initial);
+  linalg::Vec& rewards = bank.clear_rewards(0);
+  rewards = p.rewards;
+  bank.solve(0);
+  return bank;
+}
+
+/// The bank's plan and objective must equal the flow's bit for bit.
+void expect_matches_flow(const CachingBank& bank, const CachingSubproblem& p) {
+  const CachingSolution flow = solve_caching_flow(p);
+  EXPECT_EQ(bank.x()[0], flow.x);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(bank.objectives()[0]),
+            std::bit_cast<std::uint64_t>(flow.objective));
+}
+
+// Nothing initially cached and every content's window reward below beta:
+// x = 0 with objective exactly 0.0, and no network is built.
+TEST(CachingIdleCertificate, CertifiedPlanIsIdleAndMatchesFlow) {
+  Rng rng(41);
+  auto p = make_problem(7, 4, 3, 5.0);
+  for (auto& r : p.rewards) r = rng.uniform(0.0, 1.2);  // sums < 4.8 < beta
+  const CachingBank bank = solve_in_bank(p);
+  EXPECT_FALSE(bank.network_built(0));
+  EXPECT_EQ(bank.x()[0], std::vector<std::uint8_t>(7 * 4, 0));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(bank.objectives()[0]),
+            std::bit_cast<std::uint64_t>(0.0));
+  expect_matches_flow(bank, p);
+}
+
+// Integer rewards summing to exactly beta: rest = 0 is not > 0, so the
+// solve falls through to the flow.
+TEST(CachingIdleCertificate, ExactTieFallsThroughToFlow) {
+  auto p = make_problem(3, 3, 1, 6.0);
+  p.rewards = {1.0, 0.0, 2.0,   //
+               2.0, 1.0, 1.0,   //
+               3.0, 2.0, 0.0};  // content 0 sums to 6 = beta
+  const CachingBank bank = solve_in_bank(p);
+  EXPECT_TRUE(bank.network_built(0));
+  expect_matches_flow(bank, p);
+}
+
+// One initially cached content with rewards below beta: keeping it is
+// free, so the optimum is not x = 0 and the certificate must not apply.
+TEST(CachingIdleCertificate, InitiallyCachedContentFallsThrough) {
+  auto p = make_problem(4, 3, 2, 5.0);
+  p.initial[2] = 1;
+  for (auto& r : p.rewards) r = 0.5;
+  const CachingBank bank = solve_in_bank(p);
+  EXPECT_TRUE(bank.network_built(0));
+  expect_matches_flow(bank, p);
+  EXPECT_LT(bank.objectives()[0], 0.0);
+  EXPECT_EQ(bank.x()[0][0 * 4 + 2], 1);
+}
+
+// ShardCore adds the constant neighbor-demand tilt after the mu sums; a
+// tilt that lifts one content's window reward past beta must reach the
+// flow, which caches that content.
+TEST(CachingIdleCertificate, NeighborTiltPastBetaFallsThrough) {
+  auto p = make_problem(5, 3, 2, 4.0);
+  for (auto& r : p.rewards) r = 1.0;  // every content sums to 3 < beta
+  EXPECT_FALSE(solve_in_bank(p).network_built(0));
+  for (std::size_t t = 0; t < 3; ++t) p.rewards[t * 5 + 3] += 0.5;
+  const CachingBank bank = solve_in_bank(p);
+  EXPECT_TRUE(bank.network_built(0));
+  expect_matches_flow(bank, p);
+  for (std::size_t t = 0; t < 3; ++t) EXPECT_EQ(bank.x()[0][t * 5 + 3], 1);
+}
+
+TEST(CachingIdleCertificate, InvalidRewardsStillThrow) {
+  auto p = make_problem(3, 2, 1, 5.0);
+  CachingBank bank;
+  bank.reset(1);
+  bank.bind(0, 3, 2, 1, 5.0, p.initial);
+  // A NaN the certificate reads, and a negative reward behind a content
+  // that already fails it (the flow's own check must catch that one).
+  bank.clear_rewards(0)[0] = std::nan("");
+  EXPECT_THROW(bank.solve(0), InvalidArgument);
+  linalg::Vec& rewards = bank.clear_rewards(0);
+  rewards[0] = 9.0;
+  rewards[1 * 3 + 2] = -1.0;
+  EXPECT_THROW(bank.solve(0), InvalidArgument);
 }
 
 }  // namespace

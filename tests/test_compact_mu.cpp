@@ -5,19 +5,23 @@
 // count()-guarded serialization.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/primal_dual.hpp"
 #include "core/shard_core.hpp"
+#include "model/costs.hpp"
 #include "online/chc.hpp"
 #include "online/rhc.hpp"
 #include "shard/coordinator.hpp"
 #include "sim/simulator.hpp"
 #include "tsan_skip.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/serialize.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/predictor.hpp"
@@ -150,42 +154,81 @@ TEST(CompactMu, CompactDenseRoundTripIsLossless) {
 
 // ---- solver-level bit-identity -------------------------------------------
 
+// The default instance, and one where P1 caches (low beta, a warm initial
+// cache) so the UB's replacement term counts insertions: UB, LB, iteration
+// count and every schedule cell must be bitwise equal at every thread and
+// shard count, and the UB must equal model::schedule_cost of the schedule.
 TEST(CompactMu, SolverBitIdenticalAcrossThreadsAndShards) {
   MDO_SKIP_IF_TSAN();
-  const auto instance = sparse_instance();
-  const auto problem = window_problem(instance);
-  const auto sets = core::build_active_sets(
-      instance.config, instance.sparse_demand, instance.initial_cache);
-  const auto offsets = core::mu_block_offsets(
-      instance.config, instance.sparse_demand.horizon(), sets);
+  auto caching = sparse_instance(/*horizon=*/5);
+  for (auto& sbs : caching.config.sbs) sbs.replacement_beta = 0.05;
+  caching.initial_cache.set(0, 0, true);
+  caching.initial_cache.set(1, 5, true);
+  const model::ProblemInstance instances[] = {sparse_instance(), caching};
+  for (const model::ProblemInstance& instance : instances) {
+    const auto problem = window_problem(instance);
+    const auto sets = core::build_active_sets(
+        instance.config, instance.sparse_demand, instance.initial_cache);
+    const auto offsets = core::mu_block_offsets(
+        instance.config, instance.sparse_demand.horizon(), sets);
 
-  core::PrimalDualOptions reference_options;
-  reference_options.shard_count = shard::kShardsInProcess;
-  core::PrimalDualSolver reference(reference_options);
-  const auto want = reference.solve(problem);
-  // Sparse solves always keep mu on the compact layout.
-  EXPECT_EQ(want.mu.size(), offsets.back());
-  EXPECT_LT(want.mu.size(),
-            catalogue_coordinates(instance.config,
-                                  instance.sparse_demand.horizon()));
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const std::size_t shards :
-         {shard::kShardsInProcess, std::size_t{2}}) {
-      util::ThreadPool::set_global_threads(threads);
-      core::PrimalDualOptions options;
-      options.shard_count = shards;
-      core::PrimalDualSolver solver(options);
-      const auto got = solver.solve(problem);
-      EXPECT_EQ(got.upper_bound, want.upper_bound)
-          << "threads=" << threads << " shards=" << shards;
-      EXPECT_EQ(got.lower_bound, want.lower_bound)
-          << "threads=" << threads << " shards=" << shards;
-      EXPECT_EQ(got.iterations, want.iterations);
-      EXPECT_EQ(got.mu.size(), offsets.back());
+    core::PrimalDualOptions reference_options;
+    reference_options.shard_count = shard::kShardsInProcess;
+    core::PrimalDualSolver reference(reference_options);
+    const auto want = reference.solve(problem);
+    // Sparse solves always keep mu on the compact layout.
+    EXPECT_EQ(want.mu.size(), offsets.back());
+    EXPECT_LT(want.mu.size(),
+              catalogue_coordinates(instance.config,
+                                    instance.sparse_demand.horizon()));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(want.upper_bound),
+              std::bit_cast<std::uint64_t>(
+                  model::schedule_cost(instance.config,
+                                       model::DemandTraceView(
+                                           instance.sparse_demand),
+                                       want.schedule, instance.initial_cache)
+                      .total()));
+    if (&instance == &instances[1]) {
+      std::size_t inserted = 0;
+      const model::CacheState* previous = &instance.initial_cache;
+      for (const model::SlotDecision& slot : want.schedule) {
+        inserted += model::replacement_count(slot.cache, *previous);
+        previous = &slot.cache;
+      }
+      EXPECT_GT(inserted, 0u) << "P1 must insert for the UB's h term";
     }
+
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      for (const std::size_t shards :
+           {shard::kShardsInProcess, std::size_t{2}}) {
+        util::ThreadPool::set_global_threads(threads);
+        core::PrimalDualOptions options;
+        options.shard_count = shards;
+        core::PrimalDualSolver solver(options);
+        const auto got = solver.solve(problem);
+        const std::string where = "threads=" + std::to_string(threads) +
+                                  " shards=" + std::to_string(shards);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.upper_bound),
+                  std::bit_cast<std::uint64_t>(want.upper_bound))
+            << where;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.lower_bound),
+                  std::bit_cast<std::uint64_t>(want.lower_bound))
+            << where;
+        EXPECT_EQ(got.iterations, want.iterations) << where;
+        EXPECT_EQ(got.mu.size(), offsets.back()) << where;
+        ASSERT_EQ(got.schedule.size(), want.schedule.size()) << where;
+        for (std::size_t t = 0; t < want.schedule.size(); ++t) {
+          EXPECT_EQ(got.schedule[t].cache, want.schedule[t].cache) << where;
+          for (std::size_t n = 0; n < instance.config.num_sbs(); ++n) {
+            EXPECT_EQ(got.schedule[t].load.sbs_data(n),
+                      want.schedule[t].load.sbs_data(n))
+                << where << " t=" << t << " n=" << n;
+          }
+        }
+      }
+    }
+    util::ThreadPool::set_global_threads(1);
   }
-  util::ThreadPool::set_global_threads(1);
 }
 
 TEST(CompactMu, DenseDemandSolvesUseCompactLayout) {
@@ -264,6 +307,110 @@ TEST(CompactMu, ChcBitIdenticalAcrossThreadsShards) {
                 want)
           << "threads=" << threads << " shards=" << shards;
     }
+  }
+}
+
+// ---- the upper bound from per-cell partials -------------------------------
+
+/// A random window with M classes per SBS, per-SBS beta, a random initial
+/// cache and some empty cells.
+struct RandomWindow {
+  model::NetworkConfig config;
+  model::CacheState initial;
+  model::SparseDemandTrace demand;
+};
+
+RandomWindow random_window(Rng& rng, std::size_t classes) {
+  RandomWindow out;
+  const auto pick = [&](std::int64_t lo, std::int64_t hi) {
+    return static_cast<std::size_t>(rng.uniform_int(lo, hi));
+  };
+  const std::size_t num_sbs = pick(1, 4);
+  const std::size_t k_count = pick(6, 16);
+  const std::size_t w = pick(1, 5);
+  out.config.num_contents = k_count;
+  for (std::size_t n = 0; n < num_sbs; ++n) {
+    model::SbsConfig sbs;
+    sbs.cache_capacity = pick(1, 4);
+    sbs.bandwidth = 5.0;
+    sbs.replacement_beta = rng.uniform(0.5, 9.0);
+    for (std::size_t m = 0; m < classes; ++m) {
+      sbs.classes.push_back({.omega_bs = rng.uniform(0.5, 2.0),
+                             .omega_sbs = rng.uniform(0.0, 0.1)});
+    }
+    out.config.sbs.push_back(std::move(sbs));
+  }
+  out.initial = model::CacheState(out.config);
+  for (std::size_t n = 0; n < num_sbs; ++n) {
+    for (std::size_t k = 0; k < k_count; ++k) {
+      if (out.initial.count(n) < out.config.sbs[n].cache_capacity &&
+          rng.bernoulli(0.2)) {
+        out.initial.set(n, k, true);
+      }
+    }
+  }
+  for (std::size_t t = 0; t < w; ++t) {
+    model::SparseSlotDemand slot;
+    for (std::size_t n = 0; n < num_sbs; ++n) {
+      model::SparseSbsDemand cell(classes, k_count);
+      const bool empty = rng.bernoulli(0.2);
+      for (std::size_t m = 0; m < classes && !empty; ++m) {
+        for (std::size_t k = 0; k < k_count; ++k) {
+          if (rng.bernoulli(0.4)) cell.append(m, k, rng.uniform(0.0, 3.0));
+        }
+      }
+      cell.finalize();
+      slot.push_back(std::move(cell));
+    }
+    out.demand.push_back(std::move(slot));
+  }
+  return out;
+}
+
+// Random P1 plans over each SBS's window union (so some contents stay
+// "cached" through slots where they are off the active set, which the
+// written schedule does not cache) and random repaired loads: the reduced
+// partials must equal model::schedule_cost of the schedule that
+// write_repaired_cell writes from the same plan and loads, bit for bit.
+TEST(CellCost, ReducedPartialsMatchScheduleCostBitwise) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed);
+    const std::size_t classes = seed % 2 == 0 ? 1 : 3;
+    const RandomWindow win = random_window(rng, classes);
+    const std::size_t num_sbs = win.config.num_sbs();
+    const std::size_t w = win.demand.horizon();
+    const core::ActiveSets sets =
+        core::build_active_sets(win.config, win.demand, win.initial);
+    std::vector<std::vector<std::uint8_t>> x(num_sbs);
+    for (std::size_t n = 0; n < num_sbs; ++n) {
+      x[n].resize(w * sets.p1_list[n].size());
+      for (auto& bit : x[n]) bit = rng.bernoulli(0.5) ? 1 : 0;
+    }
+    model::Schedule schedule(w);
+    for (model::SlotDecision& slot : schedule) {
+      slot.cache = model::CacheState(win.config);
+      slot.load = model::LoadAllocation(win.config);
+    }
+    std::vector<core::CellCost> cells(w * num_sbs);
+    for (std::size_t t = 0; t < w; ++t) {
+      for (std::size_t n = 0; n < num_sbs; ++n) {
+        const std::size_t cell = t * num_sbs + n;
+        linalg::Vec y(classes * sets.active[cell].size());
+        for (double& v : y) v = rng.uniform(0.0, 1.0);
+        core::write_repaired_cell(sets, t, n, x[n], y, schedule[t]);
+        cells[cell] = core::repaired_cell_cost(win.config, win.demand,
+                                               win.initial, sets, t, n,
+                                               x[n], y);
+      }
+    }
+    const double want =
+        model::schedule_cost(win.config, model::DemandTraceView(win.demand),
+                             schedule, win.initial)
+            .total();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                  core::repaired_schedule_cost(win.config, cells)),
+              std::bit_cast<std::uint64_t>(want))
+        << "seed " << seed;
   }
 }
 
