@@ -4,7 +4,7 @@
 // the dual value as a lower bound, repairs the P1 cache plan into a
 // feasible schedule whose cost is an upper bound, stops once the relative
 // gap is within epsilon, and otherwise takes the projected step (15)-(17)
-// of size step_scale / (1 + offset + l): the diminishing schedule (16),
+// of size step_scale / (1 + l): the diminishing schedule (16),
 // square-summable but not summable, as Algorithm 1's convergence argument
 // requires.
 //
@@ -51,9 +51,6 @@ struct DualAscentParams {
   std::size_t max_iterations = 1;
   double epsilon = 0.0;
   double step_scale = 1.0;
-  /// First index of the step schedule: a warm-started solve resumes where
-  /// the previous one stopped.
-  std::size_t step_offset = 0;
 };
 
 /// Runs Algorithm 1 and fills the bounds, iteration count, incumbent
@@ -96,8 +93,7 @@ bool run_dual_ascent(const DualAscentParams& params,
     if (relative_gap(best.upper_bound, best.lower_bound) <= params.epsilon) {
       break;
     }
-    delta = params.step_scale *
-            (1.0 / (1.0 + static_cast<double>(params.step_offset + iteration)));
+    delta = params.step_scale * (1.0 / (1.0 + static_cast<double>(iteration)));
     pending = true;
   }
   if (!finish(pending, delta)) return false;

@@ -24,10 +24,11 @@
 // cheap in-place refreshes for the parts that DO change: the linear term c
 // (the multipliers) and the box upper bound ub (the repair cache vector).
 // Within one binding the previous solution stays in the workspace as the
-// next solve's warm start; every bind starts cold. The exact solver also keeps its last sorted threshold order: mu
-// moves one diminishing step between dual iterations, so the next call
-// repairs that order with an insertion pass (falling back to a full sort
-// past a fixed move budget) instead of sorting from scratch. The order is
+// next solve's warm start; every bind starts cold. The exact solver also
+// keeps its last sorted threshold order: mu moves one diminishing step
+// between dual iterations, so the next call repairs that order with an
+// insertion pass (falling back to a full sort past a fixed move budget)
+// instead of sorting from scratch. The order is
 // only a hint — the (threshold, j) pairs are totally ordered, so the
 // repaired order equals a cold sort element for element. A workspace-based
 // solve heap-allocates nothing once its buffers reach the instance size.

@@ -36,9 +36,7 @@ bool demand_finite_nonnegative(const model::SparseDemandTrace& demand) {
 /// Safe fallback for solves that cannot (kNonFiniteInput) or did not
 /// (kWorkerFailure) run to completion: keep the current cache, serve
 /// everything from the BS, report vacuous bounds. The multipliers stay
-/// EMPTY: the fallback carries no dual information, and an empty vector
-/// safely disables same-window warm starts downstream (controllers gate on
-/// !warm_mu.empty()).
+/// empty: the fallback carries no dual information.
 HorizonSolution fallback_solution(const HorizonProblem& problem,
                                   solver::SolveStatus status) {
   HorizonSolution degraded;
@@ -99,25 +97,7 @@ PrimalDualSolver::PrimalDualSolver(PrimalDualSolver&&) noexcept = default;
 PrimalDualSolver& PrimalDualSolver::operator=(PrimalDualSolver&&) noexcept =
     default;
 
-void PrimalDualSolver::save_state(util::BinaryWriter& w) const {
-  w.size(step_offset_);
-  // Compact-mu geometry of the last solve: a restored solver must keep
-  // interpreting (and, after a resync, remapping) same-window warm mu
-  // vectors exactly like the original would.
-  w.size(last_horizon_);
-  w.size(last_active_.size());
-  for (const auto& cell : last_active_) w.size_vec(cell);
-}
-
-void PrimalDualSolver::restore_state(util::BinaryReader& r) {
-  step_offset_ = r.size();
-  last_horizon_ = r.size();
-  last_active_.assign(r.count(), {});
-  for (auto& cell : last_active_) cell = r.size_vec();
-}
-
 HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
-                                        const linalg::Vec* warm_mu,
                                         runtime::DeadlineToken* deadline) {
   MDO_REQUIRE(problem.config != nullptr, "horizon problem: config must be set");
   MDO_REQUIRE((problem.demand != nullptr) != (problem.sparse_demand != nullptr),
@@ -151,109 +131,21 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
   ActiveSets sets = build_active_sets(config, demand, problem.initial_cache);
   const std::vector<std::size_t> mu_off = mu_block_offsets(config, w, sets);
 
-  // ---- Marginal BS cost scale: used for both the step size and
-  // the marginal initialization of mu. For SBS n at slot t the gradient of
-  // f at y = 0 is 2 * a * u_j, with a the omega-weighted total demand. Only
-  // stored entries are visited: the skipped terms are exact zeros (they
-  // cannot move the nonnegative accumulator), while `entries` counts every
-  // (class, content) coordinate. Each write lands at the entry's active-set
-  // position (rows and active lists are both content-sorted, so one forward
-  // pointer finds it).
-  linalg::Vec mu(mu_off.back(), 0.0);
-  double mean_marginal = 0.0;
-  {
-    std::size_t entries = 0;
-    for (std::size_t t = 0; t < w; ++t) {
-      for (std::size_t n = 0; n < num_sbs; ++n) {
-        const auto& sbs = config.sbs[n];
-        const auto& cell_demand = demand.slot(t)[n];
-        double a = 0.0;
-        for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-          double row = 0.0;
-          const model::DemandEntry* const end = cell_demand.row_end(m);
-          for (const model::DemandEntry* it = cell_demand.row_begin(m);
-               it != end; ++it) {
-            row += it->rate;
-          }
-          a += sbs.classes[m].omega_bs * row;
-        }
-        const std::vector<std::size_t>& al = sets.active[t * num_sbs + n];
-        double* block = mu.data() + mu_off[t * num_sbs + n];
-        const std::size_t a_count = al.size();
-        for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-          std::size_t pos = 0;
-          const model::DemandEntry* const end = cell_demand.row_end(m);
-          for (const model::DemandEntry* it = cell_demand.row_begin(m);
-               it != end; ++it) {
-            const double value = 2.0 * a * sbs.classes[m].omega_bs * it->rate;
-            mean_marginal += value;
-            if (warm_mu == nullptr) {
-              while (pos < a_count && al[pos] < it->content) ++pos;
-              MDO_CHECK(pos < a_count && al[pos] == it->content,
-                        "compact mu: support content missing from active "
-                        "set");
-              block[m * a_count + pos] = value;
-            }
-          }
-        }
-        entries += sbs.num_classes() * k_count;
-      }
-    }
-    mean_marginal /= std::max<std::size_t>(entries, 1);
+  // ---- Every solve starts from the marginal initialization (marginal_mu),
+  // and the step size is half the mean marginal BS cost over every (class,
+  // content) coordinate of the window. A sharded solve reads `mu` only as
+  // the buffer kEnd's replies fill: each worker computes its slice's
+  // initial values itself.
+  linalg::Vec mu;
+  std::size_t entries = 0;
+  for (const model::SbsConfig& sbs : config.sbs) {
+    entries += w * sbs.num_classes() * k_count;
   }
-  if (warm_mu != nullptr) {
-    if (last_horizon_ == w && last_active_ != sets.active) {
-      // A resync changed the start cache, so the active sets — and with
-      // them the compact geometry — moved since the solve that produced
-      // this warm mu. Remap by content id: intersection coordinates keep
-      // their multiplier, newly active ones start at 0 (the value the
-      // ascent invariant gives every coordinate off the old active set),
-      // dropped ones vanish.
-      MDO_REQUIRE(last_active_.size() == w * num_sbs,
-                  "compact warm mu: geometry shape mismatch");
-      std::size_t old_off = 0;
-      for (std::size_t cell = 0; cell < w * num_sbs; ++cell) {
-        const std::size_t n = cell % num_sbs;
-        const std::size_t classes = config.sbs[n].num_classes();
-        const std::vector<std::size_t>& old_list = last_active_[cell];
-        const std::vector<std::size_t>& new_list = sets.active[cell];
-        const std::size_t oa = old_list.size();
-        const std::size_t na = new_list.size();
-        const double* src = warm_mu->data() + old_off;
-        double* dst = mu.data() + mu_off[cell];
-        std::size_t i = 0;
-        for (std::size_t j = 0; j < na; ++j) {
-          while (i < oa && old_list[i] < new_list[j]) ++i;
-          if (i < oa && old_list[i] == new_list[j]) {
-            for (std::size_t m = 0; m < classes; ++m) {
-              dst[m * na + j] = src[m * oa + i];
-            }
-          }
-        }
-        old_off += classes * oa;
-      }
-      MDO_REQUIRE(warm_mu->size() == old_off,
-                  "compact warm mu: size disagrees with recorded geometry");
-    } else {
-      // Unchanged geometry (the common same-window replan), or no recorded
-      // geometry for this horizon — reachable only through misuse, since
-      // controllers hand back a mu this solver produced and the geometry
-      // travels with the checkpointed warm state: exact-size copy.
-      MDO_REQUIRE(warm_mu->size() == mu.size(), "warm mu size mismatch");
-      mu = *warm_mu;
-    }
-  }
-  // The geometry best.mu will describe, recorded only once the solve
-  // succeeds: a solve lost to a worker death must leave the previous one
-  // in place, or its retry would read the same warm mu against the wrong
-  // geometry.
-  std::vector<std::vector<std::size_t>> solved_active = sets.active;
-  // Warm-started solves resume the step schedule where the previous window
-  // stopped (see the solve() comment); cold solves restart at delta_0.
-  const DualAscentParams params{
-      options_.max_iterations, options_.epsilon,
-      std::max(1e-9, 0.5 * mean_marginal),
-      warm_mu != nullptr ? step_offset_ : 0};
+  const double mean_marginal =
+      marginal_mu(config, demand, sets, mu_off, mu) /
+      static_cast<double>(std::max<std::size_t>(entries, 1));
+  const DualAscentParams params{options_.max_iterations, options_.epsilon,
+                                std::max(1e-9, 0.5 * mean_marginal)};
 
   // ---- Optional neighbor-demand tilt of P1 (see the option comment):
   // constant per-(n, k, t) reward addends in the P1 layout, computed HERE,
@@ -322,16 +214,15 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
       shard::resolved_shard_count(options_.shard_count, num_sbs);
   if (shards > 0) {
     // Worker subprocesses, each running a ShardCore over its SBS range; the
-    // schedule is written here from their replies. A worker death aborts
-    // the solve before step_offset_ moves, and nothing else a solve reads
-    // outlives it — so the supervisor's retry of the same solve is
-    // bit-identical to the solve that was lost.
+    // schedule is written here from their replies. Nothing a solve reads
+    // outlives it, so the supervisor's retry of a solve lost to a worker
+    // death is bit-identical to the solve that was lost.
     if (!coordinator_) coordinator_ = std::make_unique<shard::Coordinator>();
     shard::Coordinator& fleet = *coordinator_;
     shard::IterationOutputs out;
     std::vector<CellCost> cell_costs(w * num_sbs);
     solved =
-        fleet.begin(inputs, shards, mu_off, mu) &&
+        fleet.begin(inputs, shards, mu_off) &&
         run_dual_ascent(
             params, deadline,
             [&](bool apply_step, double delta, model::Schedule& repaired)
@@ -378,9 +269,6 @@ HorizonSolution PrimalDualSolver::solve(const HorizonProblem& problem,
     return fallback_solution(problem, solver::SolveStatus::kWorkerFailure);
   }
   best.mu = std::move(mu);
-  step_offset_ = best.iterations;
-  last_active_ = std::move(solved_active);
-  last_horizon_ = w;
   MDO_CHECK(!best.schedule.empty(), "primal-dual produced no schedule");
   MDO_TRACE("primal-dual: UB=" << best.upper_bound
                                << " LB=" << best.lower_bound

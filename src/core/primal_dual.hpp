@@ -41,7 +41,6 @@
 #include "model/demand.hpp"
 #include "model/network.hpp"
 #include "model/sparse_demand.hpp"
-#include "util/serialize.hpp"
 
 namespace mdo::shard {
 class Coordinator;
@@ -99,8 +98,8 @@ struct PrimalDualOptions {
   /// environment. Results are bitwise-identical at every shard count; a
   /// worker death surfaces as SolveStatus::kWorkerFailure with a safe
   /// fallback schedule, and the next solve() respawns the fleet and — a
-  /// solve depends only on its problem, the warm mu and the driver-side
-  /// step offset — reproduces the lost result exactly.
+  /// solve depends only on its problem — reproduces the lost result
+  /// exactly.
   std::size_t shard_count = 0;
 };
 
@@ -109,17 +108,18 @@ struct HorizonSolution {
   double upper_bound = 0.0;   // objective (9) of `schedule`
   double lower_bound = 0.0;   // best dual value (valid lower bound)
   std::size_t iterations = 0; // dual iterations performed
-  /// Final multipliers (for warm starts) on the compact active-coordinate
-  /// layout (core::mu_block_offsets geometry). Empty in a fallback
-  /// (kNonFiniteInput/kWorkerFailure), which safely disables same-window
-  /// warm starts downstream.
+  /// Final multipliers, after the last dual step, on the compact
+  /// active-coordinate layout (core::mu_block_offsets geometry). No solve
+  /// reads them: they are an output for inspection, and perfbench's replay
+  /// of a solve's dual iterations (perfbench/layers.cpp) runs at them.
+  /// Empty in a fallback (kNonFiniteInput/kWorkerFailure).
   linalg::Vec mu;
   /// How the solve terminated. kNonFiniteInput means the demand window held
   /// NaN/Inf/negative rates: the schedule is then the safe fallback (carry
   /// the initial cache, serve everything from the BS) and the bounds are
   /// meaningless (UB = +inf, LB = -inf). kWorkerFailure means a shard
-  /// worker subprocess died mid-solve: same safe fallback, and the solver's
-  /// warm state is untouched so a retry reproduces the lost solve exactly.
+  /// worker subprocess died mid-solve: same safe fallback, and a retry
+  /// reproduces the lost solve exactly.
   /// kIterationLimit still delivers the best feasible repaired schedule
   /// found within the budget.
   solver::SolveStatus status = solver::SolveStatus::kConverged;
@@ -141,25 +141,17 @@ class PrimalDualSolver {
   /// throws: it is reported through the result status with a safe fallback
   /// schedule (see HorizonSolution::status).
   ///
-  /// `warm_mu` (a previous solve's HorizonSolution::mu) seeds the
-  /// multipliers of a SAME-window replan — an online controller resyncing
-  /// at an unchanged tau. When a resync moved the start cache, and with it
-  /// the active sets, the warm vector is remapped by content id. A
-  /// mu-warm-started solve CONTINUES the diminishing-step schedule (16)
-  /// where the previous solve stopped instead of restarting at delta_0: a
-  /// full-size first step would throw mu far from the near-optimal warm
-  /// point and the decayed tail of the schedule could not pull it back
-  /// within the iteration budget. Multipliers are deliberately NOT shifted
-  /// across slid windows: measured head-to-head (see DESIGN.md), every
-  /// shifted-mu policy converges slower than the marginal
-  /// re-initialization, because the window's initial cache moves every slot
-  /// and the tail slots carry end-of-window effects.
+  /// A solve reads only its window: mu starts at the marginal BS-cost
+  /// gradient and the step schedule (16) at delta_0, every time. No
+  /// multipliers carry over from an earlier solve, neither shifted across
+  /// slid windows nor kept for a replan of the same window: DESIGN.md §8
+  /// records both measurements.
   ///
   /// Non-const: the solver keeps the per-(slot, SBS) P2 workspace bank
   /// between calls as an allocation arena only (the zero-allocation hot
-  /// path). Every solve re-binds it cold, so with `warm_mu` null the
-  /// result equals a fresh solver's bit for bit; P2 warm starts carry y
-  /// only from one dual iteration to the next within the solve.
+  /// path). Every solve re-binds it cold, so the result equals a fresh
+  /// solver's bit for bit; P2 warm starts carry y only from one dual
+  /// iteration to the next within the solve.
   ///
   /// `deadline` (optional) bounds the solve: the token is polled once per
   /// dual iteration — after the first iteration completes, so a feasible
@@ -168,7 +160,6 @@ class PrimalDualSolver {
   /// or unlimited token leaves the solve bitwise-identical to the
   /// pre-deadline behavior.
   HorizonSolution solve(const HorizonProblem& problem,
-                        const linalg::Vec* warm_mu = nullptr,
                         runtime::DeadlineToken* deadline = nullptr);
 
   /// No-op: no solver state follows the window (solve() says why). Kept
@@ -177,33 +168,12 @@ class PrimalDualSolver {
 
   const PrimalDualOptions& options() const { return options_; }
 
-  /// Serializes the state a later solve reads: the step-schedule offset
-  /// and the last solve's compact-mu geometry, both consulted only by a
-  /// warm-mu solve. Restoring into a solver constructed with the same
-  /// options makes every subsequent solve() bit-identical to one on the
-  /// original — the checkpoint/resume contract (see
-  /// runtime/checkpoint.hpp). Both live driver-side, so the snapshot is
-  /// shard-count-independent.
-  void save_state(util::BinaryWriter& w) const;
-  void restore_state(util::BinaryReader& r);
-
  private:
   PrimalDualOptions options_;
   /// Workspace arena of the in-process solve (cell = t * num_sbs + n):
   /// reused for its buffers, re-bound cold by every solve, never read
   /// across solves and untouched by a sharded solve.
   std::vector<CellState> bank_;
-  /// Geometry of the last completed solve (per-cell active lists +
-  /// horizon; a solve lost to a worker death leaves it alone): a
-  /// same-window warm mu is interpreted against THIS geometry and remapped
-  /// by content id onto the new solve's active sets when a resync changed
-  /// the start cache. Serialized by save_state so a restored solver keeps
-  /// remapping correctly.
-  std::vector<std::vector<std::size_t>> last_active_;
-  std::size_t last_horizon_ = 0;
-  /// Where the previous solve's diminishing-step schedule stopped; a
-  /// mu-warm-started solve resumes from here (see solve()).
-  std::size_t step_offset_ = 0;
   /// Worker fleet for sharded solves; spawned on first use, torn down on
   /// any worker failure (and respawned by the next sharded solve).
   std::unique_ptr<shard::Coordinator> coordinator_;

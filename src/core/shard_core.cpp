@@ -73,6 +73,50 @@ std::vector<std::size_t> mu_block_offsets(const model::NetworkConfig& config,
   return offsets;
 }
 
+double marginal_mu(const model::NetworkConfig& config,
+                   const model::SparseDemandTrace& demand,
+                   const ActiveSets& sets,
+                   const std::vector<std::size_t>& offsets, linalg::Vec& mu) {
+  const std::size_t num_sbs = config.num_sbs();
+  mu.assign(offsets.back(), 0.0);
+  double sum = 0.0;
+  for (std::size_t cell = 0; cell < demand.horizon() * num_sbs; ++cell) {
+    const std::size_t n = cell % num_sbs;
+    const model::SbsConfig& sbs = config.sbs[n];
+    const model::SparseSbsDemand& cell_demand = demand.slot(cell / num_sbs)[n];
+    double a = 0.0;
+    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
+      double row = 0.0;
+      const model::DemandEntry* const end = cell_demand.row_end(m);
+      for (const model::DemandEntry* it = cell_demand.row_begin(m); it != end;
+           ++it) {
+        row += it->rate;
+      }
+      a += sbs.classes[m].omega_bs * row;
+    }
+    // Rows and active lists are both content-sorted, so one forward
+    // pointer per row finds each entry's active position.
+    const std::vector<std::size_t>& al = sets.active[cell];
+    const std::size_t a_count = al.size();
+    double* block = mu.data() + offsets[cell];
+    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
+      const double omega_bs = sbs.classes[m].omega_bs;
+      std::size_t pos = 0;
+      const model::DemandEntry* const end = cell_demand.row_end(m);
+      for (const model::DemandEntry* it = cell_demand.row_begin(m); it != end;
+           ++it) {
+        while (pos < a_count && al[pos] < it->content) ++pos;
+        MDO_CHECK(pos < a_count && al[pos] == it->content,
+                  "compact mu: support content missing from active set");
+        const double value = 2.0 * a * omega_bs * it->rate;
+        sum += value;
+        block[m * a_count + pos] = value;
+      }
+    }
+  }
+  return sum;
+}
+
 void write_repaired_cell(const ActiveSets& sets, std::size_t t,
                          std::size_t n, const std::vector<std::uint8_t>& x,
                          const linalg::Vec& y, model::SlotDecision& slot) {

@@ -80,6 +80,19 @@ std::vector<std::size_t> mu_block_offsets(const model::NetworkConfig& config,
                                           std::size_t horizon,
                                           const ActiveSets& sets);
 
+/// Fills `mu` (resized to the `offsets` layout) with the initial
+/// multipliers of every solve: the marginal BS cost 2 * a * omega_bs[m] *
+/// lambda at each support entry of cell (t, n), where a = sum_m
+/// omega_bs[m] * (class m's total rate) is the cell's own, and 0 at the
+/// rest of the active set. Every value depends on its cell alone, so the
+/// in-process solver and each shard worker (over its slice) compute the
+/// same bits independently. Returns the values' sum, accumulated in (t, n,
+/// m, entry) order, from which the solver derives its step scale.
+double marginal_mu(const model::NetworkConfig& config,
+                   const model::SparseDemandTrace& demand,
+                   const ActiveSets& sets,
+                   const std::vector<std::size_t>& offsets, linalg::Vec& mu);
+
 /// Writes the repaired cell (t, n) into `slot`: each active content's cache
 /// bit from the SBS's P1 plan `x` ([t * kp + i] over p1_list[n]) and its
 /// loads from the compact repaired `y`. Off-active entries are structural

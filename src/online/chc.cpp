@@ -28,10 +28,6 @@ void FhcPlanner::reset(const model::ProblemInstance& instance) {
   has_plan_ = false;
   plan_.clear();
   resync_cache_.reset();
-  warm_mu_.clear();
-  warm_horizon_ = 0;
-  // A fresh solver: another run's step offset must not leak.
-  solver_ = core::PrimalDualSolver(options_);
 }
 
 void FhcPlanner::resync(std::size_t slot, const model::CacheState& executed) {
@@ -78,17 +74,6 @@ void FhcPlanner::plan(std::ptrdiff_t tau,
       resync_cache_ ? std::move(*resync_cache_) : trajectory_cache_;
   resync_cache_.reset();
 
-  const std::size_t horizon = problem.horizon();
-  // Multipliers are reused ONLY for a same-window replan (a resync at the
-  // same tau over the same horizon): there they describe the identical
-  // dual, and the solver continues the diminishing-step schedule where it
-  // stopped. For a slid window a shifted-mu start was measured to converge
-  // slower than the marginal re-initialization (the dual optimum moves
-  // with the initial cache and the window tail; see DESIGN.md), so those
-  // plans solve from the marginal init.
-  const bool same_window = has_plan_ && plan_time_ == tau &&
-                           !warm_mu_.empty() && warm_horizon_ == horizon;
-  const linalg::Vec* warm = same_window ? &warm_mu_ : nullptr;
   // The plan must cover this commitment block: a truncated backoff retry
   // may drop tail slots, but never below the block the planner commits.
   const std::size_t min_horizon = static_cast<std::size_t>(
@@ -96,19 +81,13 @@ void FhcPlanner::plan(std::ptrdiff_t tau,
           1, std::min<std::ptrdiff_t>(
                  static_cast<std::ptrdiff_t>(commit_),
                  static_cast<std::ptrdiff_t>(total_horizon) - tau)));
-  // With no deadline and no log this is exactly solver_.solve(problem,
-  // warm) — the clean path stays bit-identical to the unsupervised planner.
-  auto solution = runtime::supervised_solve(solver_, problem, warm,
-                                            deadline, log,
-                                            static_cast<std::size_t>(
-                                                std::max<std::ptrdiff_t>(tau,
-                                                                         0)),
-                                            min_horizon);
+  // With no deadline and no log this is exactly solver_.solve(problem) —
+  // the clean path stays bit-identical to the unsupervised planner.
+  auto solution = runtime::supervised_solve(
+      solver_, problem, deadline, log,
+      static_cast<std::size_t>(std::max<std::ptrdiff_t>(tau, 0)),
+      min_horizon);
 
-  warm_mu_ = std::move(solution.mu);
-  // A truncated recovery returns a shorter schedule; the warm bookkeeping
-  // must describe the horizon the multipliers were actually solved for.
-  warm_horizon_ = solution.schedule.size();
   // Keep only the commitment block: no action past it is ever read.
   plan_ = std::move(solution.schedule);
   if (plan_.size() > commit_) {
@@ -141,9 +120,7 @@ model::SlotDecision FhcPlanner::action(std::size_t t,
             "FHC: slot outside the current plan");
   const auto i = static_cast<std::size_t>(index);
   if (i + 1 < plan_.size()) return plan_[i];
-  // The block ends here. Only a replan at the same tau reads the warm
-  // multipliers, so they go now, and the last action leaves by move.
-  warm_mu_ = linalg::Vec();
+  // The block ends here: its last action leaves by move.
   model::SlotDecision last = std::move(plan_.back());
   plan_.pop_back();
   return last;
@@ -157,9 +134,6 @@ void FhcPlanner::save_state(util::BinaryWriter& w) const {
   runtime::write_cache(w, trajectory_cache_);
   w.boolean(resync_cache_.has_value());
   if (resync_cache_.has_value()) runtime::write_cache(w, *resync_cache_);
-  w.f64_vec(warm_mu_);
-  w.size(warm_horizon_);
-  solver_.save_state(w);
 }
 
 void FhcPlanner::restore_state(util::BinaryReader& r) {
@@ -171,9 +145,6 @@ void FhcPlanner::restore_state(util::BinaryReader& r) {
   trajectory_cache_ = runtime::read_cache(r, config);
   resync_cache_.reset();
   if (r.boolean()) resync_cache_ = runtime::read_cache(r, config);
-  warm_mu_ = r.f64_vec_as<linalg::Vec>();
-  warm_horizon_ = r.size();
-  solver_.restore_state(r);
 }
 
 ChcController::ChcController(std::size_t window, std::size_t commit,

@@ -48,12 +48,15 @@ class FhcPlanner {
   /// Executed-state resync (see Controller::resync): a wrapper substituted
   /// the decision actually executed at `slot`, so the variant's committed
   /// trajectory is void. The next action() replans from `executed` instead
-  /// of the internal trajectory, dropping any cached plan.
+  /// of the internal trajectory, dropping any cached plan — also in the
+  /// middle of a block, where it solves the block's window again from the
+  /// executed cache, cold like every solve.
   void resync(std::size_t slot, const model::CacheState& executed);
 
   /// Snapshot = plan bookkeeping (plan time, the rest of the committed
-  /// block, the trajectory, a pending resync), the same-window warm
-  /// multipliers, and the solver's warm-mu state (Checkpointable contract).
+  /// block, the trajectory, a pending resync): all a later plan reads (the
+  /// Controller checkpoint contract). The solver holds no state between
+  /// solves.
   void save_state(util::BinaryWriter& w) const;
   void restore_state(util::BinaryReader& r);
 
@@ -65,9 +68,8 @@ class FhcPlanner {
   std::size_t window_;
   std::size_t commit_;
   core::PrimalDualOptions options_;
-  /// Persistent across plans: its workspace bank is reused as an
-  /// allocation arena, and its step offset and mu geometry serve a
-  /// same-window replan's warm mu.
+  /// Persistent across plans only so its workspace bank is reused as an
+  /// allocation arena (and a sharded solver keeps its worker fleet).
   core::PrimalDualSolver solver_;
   const model::ProblemInstance* instance_ = nullptr;
 
@@ -80,10 +82,6 @@ class FhcPlanner {
   model::CacheState trajectory_cache_;
   /// Executed cache substituted by a wrapper; consumed by the next plan().
   std::optional<model::CacheState> resync_cache_;
-  /// The current block's multipliers, for a replan at the same tau;
-  /// released with the block's last action.
-  linalg::Vec warm_mu_;
-  std::size_t warm_horizon_ = 0;
   /// Forecast window the HorizonProblem references (refilled in place each
   /// plan()).
   model::SparseDemandTrace forecast_;

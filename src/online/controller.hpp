@@ -108,10 +108,9 @@ class Controller {
   }
 
   /// Checkpoint support (see runtime/checkpoint.hpp). A controller that
-  /// returns true here implements save_state()/restore_state() with the
-  /// Checkpointable contract: restoring a snapshot into a freshly reset()
-  /// controller makes every subsequent decide() bit-identical to the
-  /// original's. The checkpointing simulator rejects unsupported
+  /// returns true here implements save_state()/restore_state() under this
+  /// contract: restoring a snapshot into a freshly reset() controller makes
+  /// every subsequent decide() bit-identical to the original's. The checkpointing simulator rejects unsupported
   /// controllers upfront rather than writing snapshots that cannot resume.
   virtual bool supports_checkpoint() const { return false; }
   virtual void save_state(util::BinaryWriter& w) const {

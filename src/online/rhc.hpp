@@ -9,12 +9,12 @@
 // RHC is the r = 1 end of the CHC family (Chen et al., SIGMETRICS 2016):
 // one FHC planner that re-plans every slot and commits one action, so it
 // runs FhcController(w, 1, 0) and differs only in its name. The window
-// subproblem is solved with Algorithm 1, from scratch every slot: the P2
-// warm starts live within one solve, and the multipliers are re-initialized
-// at the marginal BS gradient — measured head-to-head, a shifted-mu
-// hand-off between windows converges *slower* than the marginal re-init
-// (the window's initial cache moves each slot and the tail slots carry
-// end-of-window effects, so the dual optimum genuinely shifts), and a
+// subproblem is solved with Algorithm 1, from scratch every slot, like
+// every solve: the P2 warm starts live within one solve, and the
+// multipliers start at the marginal BS gradient — measured head-to-head, a
+// shifted-mu hand-off between windows converges *slower* than the marginal
+// re-init (the window's initial cache moves each slot and the tail slots
+// carry end-of-window effects, so the dual optimum genuinely shifts), and a
 // cross-window P2 warm start made runs slower, not faster (see DESIGN.md).
 #pragma once
 

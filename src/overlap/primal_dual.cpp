@@ -41,8 +41,7 @@ OverlapPrimalDualSolver::OverlapPrimalDualSolver(
 }
 
 OverlapHorizonSolution OverlapPrimalDualSolver::solve(
-    const OverlapHorizonProblem& problem, const linalg::Vec* warm_mu,
-    runtime::DeadlineToken* deadline) {
+    const OverlapHorizonProblem& problem, runtime::DeadlineToken* deadline) {
   problem.validate();
   const auto& config = *problem.config;
   const auto& layout = *problem.layout;
@@ -50,7 +49,7 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
   const std::size_t per_slot = layout.y_size();
   const std::size_t k_count = config.num_contents;
 
-  // Marginal BS gradient at y = 0 for initialization / step scaling.
+  // Marginal BS gradient at y = 0: the initial mu and the step scale.
   linalg::Vec mu(per_slot * w, 0.0);
   double mean_marginal = 0.0;
   for (std::size_t t = 0; t < w; ++t) {
@@ -68,21 +67,14 @@ OverlapHorizonSolution OverlapPrimalDualSolver::solve(
         const double marginal =
             2.0 * a * config.classes[m].omega_bs * demand.at(m, k);
         mean_marginal += marginal;
-        if (warm_mu == nullptr) {
-          mu[t * per_slot + layout.index(id, k)] = marginal;
-        }
+        mu[t * per_slot + layout.index(id, k)] = marginal;
       }
     }
   }
   mean_marginal /= std::max<std::size_t>(per_slot * w, 1);
-  if (warm_mu != nullptr) {
-    MDO_REQUIRE(warm_mu->size() == mu.size(), "overlap: warm mu size");
-    mu = *warm_mu;
-  }
-  const core::DualAscentParams params{
-      options_.max_iterations, options_.epsilon,
-      std::max(1e-9, 0.5 * mean_marginal),
-      /*step_offset=*/0};
+  const core::DualAscentParams params{options_.max_iterations,
+                                      options_.epsilon,
+                                      std::max(1e-9, 0.5 * mean_marginal)};
 
   // ---- Per-slot P2 workspaces: coefficients built once here, the dual
   // loop then only refreshes the linear term (and the repair loop the box

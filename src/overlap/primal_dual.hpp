@@ -62,7 +62,6 @@ class OverlapPrimalDualSolver {
   /// completes; on expiry the best feasible incumbent is returned with
   /// status kDeadlineExpired (see core::PrimalDualSolver::solve).
   OverlapHorizonSolution solve(const OverlapHorizonProblem& problem,
-                               const linalg::Vec* warm_mu = nullptr,
                                runtime::DeadlineToken* deadline = nullptr);
 
  private:

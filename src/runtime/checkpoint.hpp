@@ -30,10 +30,12 @@
 
 namespace mdo::runtime {
 
-/// Version 4: the solver state holds only the step offset and the mu
-/// geometry (no P2 warm-start bank), and the FHC planner no bank rotation
-/// time. Version 3 snapshotted both.
-inline constexpr std::uint32_t kCheckpointFormatVersion = 4;
+/// Version 5: an FHC planner snapshots only its plan bookkeeping — no
+/// same-window warm mu and no solver section, because a solve reads only
+/// its window. Version 4 held the warm mu, the step offset and the mu
+/// geometry; version 3 also the P2 warm-start bank and the planner's bank
+/// rotation time.
+inline constexpr std::uint32_t kCheckpointFormatVersion = 5;
 
 /// Frames `payload` (version + size + checksum) and atomically replaces
 /// `path` with it.

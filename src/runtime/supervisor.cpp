@@ -65,11 +65,10 @@ void SupervisionLog::clear() {
 
 core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
                                        const core::HorizonProblem& problem,
-                                       const linalg::Vec* warm_mu,
                                        DeadlineToken* deadline,
                                        SupervisionLog* log, std::size_t slot,
                                        std::size_t min_horizon) {
-  core::HorizonSolution primary = solver.solve(problem, warm_mu, deadline);
+  core::HorizonSolution primary = solver.solve(problem, deadline);
 
   auto record = [&](SupervisionEventKind kind, std::size_t attempt,
                     std::size_t horizon, const core::HorizonSolution& sol) {
@@ -98,15 +97,14 @@ core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
 
   if (primary.status == solver::SolveStatus::kWorkerFailure) {
     // A shard worker subprocess died. Unlike a poisoned window this failure
-    // is transient, and the aborted solve left the solver's step offset
-    // untouched (no other solver state reaches a later solve) — so the
-    // retry runs the SAME problem on the SAME solver (no tolerance relax,
-    // no truncation): it respawns the worker fleet and reproduces the lost
+    // is transient, and a solve reads only its window — so the retry runs
+    // the SAME problem on the SAME solver (no tolerance relax, no
+    // truncation): it respawns the worker fleet and reproduces the lost
     // solve bit-identically.
     std::size_t last_attempt = 0;
     for (std::size_t attempt = 1; attempt <= kMaxRetries; ++attempt) {
       last_attempt = attempt;
-      core::HorizonSolution retry = solver.solve(problem, warm_mu, deadline);
+      core::HorizonSolution retry = solver.solve(problem, deadline);
       record(SupervisionEventKind::kRetry, attempt, problem.horizon(), retry);
       if (usable(retry)) {
         record(SupervisionEventKind::kRecovered, attempt, problem.horizon(),
@@ -152,9 +150,8 @@ core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
     prev_horizon = horizon;
     last_attempt = attempt;
 
-    // Retries run on a throwaway solver so a degraded attempt never
-    // perturbs the persistent solver's warm-mu state (which is checkpointed
-    // and must stay bit-identical to the clean trajectory).
+    // The relaxed epsilon is a solver option, so each retry runs on a
+    // throwaway solver built with it.
     core::PrimalDualOptions relaxed = solver.options();
     relaxed.epsilon *= std::pow(kToleranceRelax, static_cast<double>(attempt));
     core::PrimalDualSolver retry_solver(relaxed);
@@ -165,7 +162,7 @@ core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
         horizon == full_horizon ? problem : truncated.problem;
 
     core::HorizonSolution retry =
-        retry_solver.solve(attempt_problem, nullptr, deadline);
+        retry_solver.solve(attempt_problem, deadline);
     record(SupervisionEventKind::kRetry, attempt, horizon, retry);
     if (usable(retry)) {
       record(SupervisionEventKind::kRecovered, attempt, horizon, retry);

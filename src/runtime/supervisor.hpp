@@ -14,9 +14,13 @@
 //    epsilon * 10^i on the planning horizon halved i times (clamped to
 //    `min_horizon`, the prefix the caller must still commit). Truncation is
 //    the mechanism that can actually recover — it excises poisoned tail
-//    slots while keeping the committed prefix intact. Retries run on a
-//    throwaway solver so the persistent solver's warm-mu state (which is
-//    checkpointed) is never perturbed by a degraded attempt.
+//    slots while keeping the committed prefix intact. Each retry runs on a
+//    throwaway solver, because the relaxed epsilon is a solver option.
+//
+//  - A shard worker death (SolveStatus::kWorkerFailure) is retried up to
+//    twice on the SAME solver and problem, unrelaxed: the solver respawns
+//    its worker fleet, and since a solve reads only its window the retry
+//    reproduces the lost solve bit for bit.
 //
 //  - If every retry fails — or the horizon can shrink no further — the
 //    kExhausted event names the last attempt that ran, the attempt-0
@@ -88,7 +92,6 @@ struct SupervisionLog {
 /// prefix the caller commits: 1 for RHC, the commitment block for FHC).
 core::HorizonSolution supervised_solve(core::PrimalDualSolver& solver,
                                        const core::HorizonProblem& problem,
-                                       const linalg::Vec* warm_mu,
                                        DeadlineToken* deadline,
                                        SupervisionLog* log, std::size_t slot,
                                        std::size_t min_horizon);

@@ -137,8 +137,7 @@ void Coordinator::teardown() {
 }
 
 bool Coordinator::begin(const core::ShardInputs& in, std::size_t shards,
-                        const std::vector<std::size_t>& mu_offsets,
-                        const linalg::Vec& mu) {
+                        const std::vector<std::size_t>& mu_offsets) {
   const std::size_t num_sbs = in.config->num_sbs();
   if (shards == 0 || shards > num_sbs) return false;
   if (!ensure_workers(shards)) return false;
@@ -153,8 +152,7 @@ bool Coordinator::begin(const core::ShardInputs& in, std::size_t shards,
   const std::int64_t die_at = consume_kill_directive();
   for (std::size_t s = 0; s < shards; ++s) {
     util::BinaryWriter w;
-    encode_begin(w, in, offsets_[s], offsets_[s + 1], mu_offsets, mu,
-                 num_sbs, s == 0 ? die_at : -1);
+    encode_begin(w, in, offsets_[s], offsets_[s + 1], s == 0 ? die_at : -1);
     if (!send_frame(workers_[s].fd, MessageType::kBegin, w.bytes())) {
       teardown();
       return false;

@@ -51,15 +51,14 @@ class Coordinator {
   Coordinator& operator=(const Coordinator&) = delete;
 
   /// Opens a solve session over `shards` workers (spawning or resizing the
-  /// fleet as needed) and ships each its slice of the problem and the
-  /// initial mu. `in` carries the sparse window; `mu` is the compact
-  /// active-coordinate vector with the full-range `mu_offsets` geometry.
-  /// The referenced structures must outlive the session (they are the
-  /// solver's solve-scope state). False on any worker failure; the fleet
-  /// is then already torn down.
+  /// fleet as needed) and ships each its slice of the problem; each worker
+  /// derives its slice's initial mu (core::marginal_mu). `in` carries the
+  /// sparse window; `mu_offsets` is the full-range compact geometry that
+  /// finish() scatters the final mu blocks by. The referenced structures
+  /// must outlive the session (they are the solver's solve-scope state).
+  /// False on any worker failure; the fleet is then already torn down.
   bool begin(const core::ShardInputs& in, std::size_t shards,
-             const std::vector<std::size_t>& mu_offsets,
-             const linalg::Vec& mu);
+             const std::vector<std::size_t>& mu_offsets);
 
   /// One dual iteration: workers apply the previous projected step (when
   /// `apply_prev` — delta_{l-1} computed driver-side) and solve P1/P2 +

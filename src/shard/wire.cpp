@@ -14,10 +14,10 @@ namespace mdo::shard {
 
 namespace {
 
-constexpr char kMagic[8] = {'M', 'D', 'O', 'S', 'H', 'R', 'D', '5'};
+constexpr char kMagic[8] = {'M', 'D', 'O', 'S', 'H', 'R', 'D', '6'};
 constexpr std::size_t kHeaderSize = sizeof(kMagic) + 4 + 8 + 8;
 /// Sanity cap: no legitimate frame approaches this (kBegin carries sparse
-/// demand and compact mu, MBs even at N=1024/K=10^4 full support).
+/// demand, kEndReply compact mu, MBs even at N=1024/K=10^4 full support).
 constexpr std::uint64_t kMaxPayload = 1ULL << 36;
 
 bool send_all(int fd, const std::uint8_t* data, std::size_t size) {
@@ -147,8 +147,6 @@ model::SbsConfig read_sbs_config(util::BinaryReader& r) {
 
 void encode_begin(util::BinaryWriter& w, const core::ShardInputs& in,
                   std::size_t sbs_begin, std::size_t sbs_end,
-                  const std::vector<std::size_t>& mu_offsets,
-                  const linalg::Vec& mu, std::size_t num_sbs_total,
                   std::int64_t die_at_iteration) {
   MDO_REQUIRE(in.sparse_demand != nullptr,
               "shard wire: kBegin ships a sparse demand window");
@@ -176,17 +174,6 @@ void encode_begin(util::BinaryWriter& w, const core::ShardInputs& in,
       w.f64_vec((*in.neighbor_rewards)[n]);
     } else {
       w.f64_vec(linalg::Vec{});
-    }
-  }
-  // mu blocks: the cell's compact active-coordinate span (the stored and
-  // wire layouts coincide, so no gather happens).
-  for (std::size_t t = 0; t < horizon; ++t) {
-    for (std::size_t n = sbs_begin; n < sbs_end; ++n) {
-      const std::size_t cell = t * num_sbs_total + n;
-      const std::size_t first = mu_offsets[cell];
-      const std::size_t last = mu_offsets[cell + 1];
-      w.size(last - first);
-      for (std::size_t j = first; j < last; ++j) w.f64(mu[j]);
     }
   }
 }
@@ -218,10 +205,6 @@ BeginMessage decode_begin(util::BinaryReader& r) {
   msg.neighbor_rewards.reserve(num_sbs);
   for (std::size_t n = 0; n < num_sbs; ++n) {
     msg.neighbor_rewards.push_back(r.f64_vec_as<linalg::Vec>());
-  }
-  msg.mu_blocks.reserve(msg.horizon * num_sbs);
-  for (std::size_t cell = 0; cell < msg.horizon * num_sbs; ++cell) {
-    msg.mu_blocks.push_back(r.f64_vec_as<linalg::Vec>());
   }
   MDO_REQUIRE(r.exhausted(), "shard wire: kBegin payload has trailing bytes");
   return msg;

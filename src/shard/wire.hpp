@@ -2,19 +2,23 @@
 //
 // Every message is one frame on a SOCK_STREAM socketpair:
 //
-//   magic "MDOSHRD5" (8) | type u32 | payload size u64 | FNV-1a64 u64 | payload
+//   magic "MDOSHRD6" (8) | type u32 | payload size u64 | FNV-1a64 u64 | payload
 //
 // — the same framing discipline as the "MDOCKPT1" checkpoint files
 // (runtime/checkpoint), rebuilt here on util::BinaryWriter/fnv1a64 because
 // mdo_core cannot link the runtime layer. The magic's last byte is the
-// protocol version ("...D5" since kBegin and kEndReply carry no warm-start
-// blobs — every solve binds its P2 workspaces cold; "...D4" dropped the
-// shard options — a shard solves P2 at the defaults; "...D3" made the
-// solver one path:
-// kBegin carries only sparse demand and compact mu blocks; "...D2" added
-// omega_neigh and the per-SBS neighbor-reward blocks; "...D1" before); a
-// frame whose first seven bytes match but whose version differs
-// is rejected CLEANLY — recv_frame warns and returns false, surfacing as
+// protocol version:
+//   "...D6"  kBegin carries no mu: every solve starts from the marginal
+//            initialization, which each worker derives for its slice;
+//   "...D5"  kBegin and kEndReply carry no warm-start blobs (every solve
+//            binds its P2 workspaces cold);
+//   "...D4"  no shard options (a shard solves P2 at the defaults);
+//   "...D3"  one solver path: kBegin carries only sparse demand and
+//            compact mu blocks;
+//   "...D2"  omega_neigh and the per-SBS neighbor-reward blocks;
+//   "...D1"  the first protocol.
+// A frame whose first seven bytes match but whose version differs is
+// rejected CLEANLY — recv_frame warns and returns false, surfacing as
 // SolveStatus::kWorkerFailure — rather than reading as checksum corruption.
 // Any other framing failure (bad magic, size, checksum) is
 // indistinguishable from a dead peer: recv_frame returns false and the
@@ -24,8 +28,7 @@
 //
 // Per-solve protocol (driver -> worker):
 //   kBegin        slice config + sparse demand window + initial cache
-//                 + neighbor-reward blocks + compact mu blocks
-//                                               -> kBeginAck
+//                 + neighbor-reward blocks      -> kBeginAck
 //   kIterate      {apply_prev_dual_step, delta} -> kIterateReply
 //                 {per-SBS P1 objectives/x, per-cell P2 objectives,
 //                  per-cell repaired y}
@@ -33,11 +36,12 @@
 //                 {per-cell mu blocks}
 //   kShutdown     clean worker exit, no reply
 //
-// The dual update runs WORKER-side (each coordinate's projected step is
-// independent, so slice-local updates produce bit-identical values), which
-// keeps mu and the P2 y vectors off the per-iteration wire entirely: an
-// iterate round-trip ships 17 bytes down and only objectives + x bits +
-// compact repaired loads up.
+// The initial mu (core::marginal_mu) and the dual update run WORKER-side:
+// each initial value depends on its cell alone and each coordinate's
+// projected step is independent, so slice-local values are bit-identical
+// to the full-range ones. mu therefore crosses the wire once per solve, up,
+// in kEndReply, and the P2 y vectors never: an iterate round-trip ships 17
+// bytes down and only objectives + x bits + compact repaired loads up.
 #pragma once
 
 #include <cstdint>
@@ -99,22 +103,14 @@ struct BeginMessage {
   /// Per local SBS: P1 neighbor-reward addends in the P1 rewards layout
   /// (ShardInputs::neighbor_rewards); empty = no tilt for that SBS.
   std::vector<linalg::Vec> neighbor_rewards;
-  /// Per local cell (t-major): initial mu at the cell's active coordinates,
-  /// [m * a_count + i].
-  std::vector<linalg::Vec> mu_blocks;
   /// Test hook: _exit before replying to this 0-based iterate index.
   std::int64_t die_at_iteration = -1;
 };
 
 /// Encodes the kBegin payload for SBS range [sbs_begin, sbs_end) of the
-/// solver's full problem; `in` carries the sparse window. `mu` is the
-/// compact vector with the full-range `mu_offsets` geometry (cell =
-/// t * num_sbs_total + n), so each cell's block is written as a direct
-/// span — no gather.
+/// solver's full problem; `in` carries the sparse window.
 void encode_begin(util::BinaryWriter& w, const core::ShardInputs& in,
                   std::size_t sbs_begin, std::size_t sbs_end,
-                  const std::vector<std::size_t>& mu_offsets,
-                  const linalg::Vec& mu, std::size_t num_sbs_total,
                   std::int64_t die_at_iteration);
 BeginMessage decode_begin(util::BinaryReader& r);
 

@@ -28,7 +28,7 @@ struct WorkerSession {
   /// Per local SBS: P1 neighbor-reward addends (empty = no tilt).
   std::vector<linalg::Vec> neighbor_rewards;
   /// Slice mu: the compact block concatenation (mu_block_offsets over
-  /// `config`).
+  /// `config`), starting at the slice's marginal initialization.
   linalg::Vec mu;
   /// Workspace arena, kept across kBegins for its buffers; begin() binds
   /// every cell cold.
@@ -67,24 +67,14 @@ void bind_session(WorkerSession& s, BeginMessage msg) {
   s.neighbor_rewards = std::move(msg.neighbor_rewards);
   inputs.neighbor_rewards = &s.neighbor_rewards;
 
-  // Active sets first: mu scatter and the kEnd gather are defined on them.
-  // They are the same deterministic function of (demand, cache) the driver
-  // evaluated when it gathered the blocks.
+  // Active sets first: the slice's mu and the kEnd blocks are laid out on
+  // them. They are the same deterministic function of (demand, cache) the
+  // driver evaluates, and every initial value depends on its cell alone,
+  // so the slice's marginal mu equals the driver's at these cells.
   core::ActiveSets sets =
       core::build_active_sets(s.config, s.demand, s.initial_cache);
-
-  // The wire blocks ARE the compact storage: validate sizes against the
-  // locally rebuilt geometry and concatenate — no O(K) zero-fill.
-  const std::vector<std::size_t> off =
-      core::mu_block_offsets(s.config, w, sets);
-  s.mu.resize(off.back());
-  for (std::size_t cell = 0; cell < w * num_sbs; ++cell) {
-    const linalg::Vec& block = msg.mu_blocks[cell];
-    MDO_REQUIRE(block.size() == off[cell + 1] - off[cell],
-                "shard worker: mu block size mismatch");
-    std::copy(block.begin(), block.end(),
-              s.mu.begin() + static_cast<std::ptrdiff_t>(off[cell]));
-  }
+  core::marginal_mu(s.config, s.demand, sets,
+                    core::mu_block_offsets(s.config, w, sets), s.mu);
 
   s.core.begin(inputs, core::ShardOptions{}, s.bank, std::move(sets));
   s.bound = true;

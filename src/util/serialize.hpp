@@ -187,17 +187,4 @@ class BinaryReader {
   std::size_t pos_ = 0;
 };
 
-/// Implemented by components whose cross-slot state must survive a process
-/// restart (controllers, planners, solvers). The contract: after
-/// `b.restore_state(r)` where `r` reads bytes produced by
-/// `a.save_state(w)`, `b` must behave bit-identically to `a` on every
-/// subsequent call — including warm-start and scratch state that only
-/// affects results indirectly.
-class Checkpointable {
- public:
-  virtual ~Checkpointable() = default;
-  virtual void save_state(BinaryWriter& w) const = 0;
-  virtual void restore_state(BinaryReader& r) = 0;
-};
-
 }  // namespace mdo::util

@@ -9,8 +9,10 @@
 #include <cstdint>
 
 #include "core/primal_dual.hpp"
+#include "shard/coordinator.hpp"
 #include "shard/wire.hpp"
 #include "tsan_skip.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/predictor.hpp"
 #include "workload/scenario.hpp"
 #include "workload/zipf.hpp"
@@ -64,14 +66,68 @@ TEST(Budgets, ShardWireBytesPerSolve) {
   const std::uint64_t end_reply =
       wire_bytes(shard::MessageType::kEndReply) / kSolves;
 
-  // Measured with the MDOSHRD5 protocol, whose kBegin and kEndReply carry
-  // no P2 warm-start blobs. MDOSHRD4, which did, sent 231360 and 185864.
-  constexpr std::uint64_t kBeginCeiling = 122960;
+  // Measured with the MDOSHRD6 protocol, whose kBegin carries no mu (each
+  // worker derives its slice's marginal initialization). MDOSHRD5 sent
+  // 122960 and 46116; MDOSHRD4, whose kBegin and kEndReply also carried P2
+  // warm-start blobs, 231360 and 185864.
+  constexpr std::uint64_t kBeginCeiling = 76916;
   constexpr std::uint64_t kEndReplyCeiling = 46116;
   EXPECT_LE(begin, kBeginCeiling);
   EXPECT_LE(end_reply, kEndReplyCeiling);
   RecordProperty("begin_bytes_per_solve", static_cast<int>(begin));
   RecordProperty("end_reply_bytes_per_solve", static_cast<int>(end_reply));
+}
+
+// The ShardWireBytesPerSolve shape (N = 8, K = 2000 truncated at Zipf rank
+// 40, w = 4) over 12 RHC windows, solved in process on a 4-thread pool,
+// each window planned from the previous plan's first cache. The count must
+// also equal the 1-thread count: the pool never changes a solve's bits.
+std::size_t sparse_shape_dual_iterations(std::size_t threads) {
+  constexpr std::size_t kWindow = 4;
+  constexpr std::size_t kSolves = 12;
+  workload::PaperScenario scenario;
+  scenario.num_sbs = 8;
+  scenario.num_contents = 2000;
+  scenario.classes_per_sbs = 2;
+  scenario.horizon = kWindow + kSolves - 1;
+  scenario.seed = 7;
+  scenario.workload.min_rate = workload::zipf_mandelbrot_pmf(
+      scenario.num_contents, scenario.workload.zipf_alpha,
+      scenario.workload.zipf_q)[scenario.num_contents / 50];
+  const auto instance = scenario.build_sparse();
+  const workload::PerfectPredictor predictor(instance.sparse_demand);
+
+  util::ThreadPool::set_global_threads(threads);
+  core::PrimalDualOptions options;
+  options.shard_count = shard::kShardsInProcess;
+  core::PrimalDualSolver solver(options);
+  model::SparseDemandTrace window;
+  core::HorizonProblem problem;
+  problem.config = &instance.config;
+  problem.sparse_demand = &window;
+  problem.initial_cache = instance.initial_cache;
+  std::size_t iterations = 0;
+  for (std::size_t tau = 0; tau < kSolves; ++tau) {
+    window = predictor.predict_window_sparse(tau, kWindow);
+    const core::HorizonSolution solution = solver.solve(problem);
+    EXPECT_NE(solution.status, solver::SolveStatus::kNonFiniteInput)
+        << "tau " << tau;
+    iterations += solution.iterations;
+    problem.initial_cache = solution.schedule.front().cache;
+  }
+  util::ThreadPool::set_global_threads(1);
+  return iterations;
+}
+
+TEST(Budgets, SparseShapeDualIterationsPerSolve) {
+  const std::size_t iterations = sparse_shape_dual_iterations(4);
+  EXPECT_EQ(iterations, sparse_shape_dual_iterations(1));
+
+  // Measured at parent 2e5d1ad and unchanged since: 12 dual iterations,
+  // one per solve (the first iteration already meets the epsilon gap).
+  constexpr std::size_t kIterationCeiling = 12;
+  EXPECT_LE(iterations, kIterationCeiling);
+  RecordProperty("dual_iterations", static_cast<int>(iterations));
 }
 
 // perfbench's paper_ring shape at T = 12: 6 SBSs on a cooperative ring,

@@ -1,8 +1,8 @@
 // Tests for the compact active-coordinate mu layout (DESIGN.md §12) — the
 // solver's only mu layout: mu_block_offsets geometry, compact<->catalogue
 // scatter/gather round trips, solver- and controller-level bit-identity
-// across thread and shard counts, and the solver snapshot's
-// count()-guarded serialization.
+// across thread and shard counts, the upper bound from per-cell partials,
+// and the count()-guarded reader that decodes mu blocks.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -414,67 +414,7 @@ TEST(CellCost, ReducedPartialsMatchScheduleCostBitwise) {
   }
 }
 
-// ---- warm-state serialization --------------------------------------------
-
-TEST(CompactMu, WarmStateRoundTripKeepsSolvesBitIdentical) {
-  const auto full = sparse_instance(/*horizon=*/6);
-  const workload::PerfectPredictor predictor(full.sparse_demand);
-
-  core::PrimalDualOptions options;  // sparse demand -> compact mu
-  core::PrimalDualSolver original(options);
-
-  model::SparseDemandTrace window = predictor.predict_window_sparse(0, 3);
-  core::HorizonProblem problem;
-  problem.config = &full.config;
-  problem.sparse_demand = &window;
-  problem.initial_cache = full.initial_cache;
-  original.solve(problem);
-
-  util::BinaryWriter writer;
-  original.save_state(writer);
-  const std::vector<std::uint8_t> blob = writer.bytes();
-
-  core::PrimalDualSolver restored(options);
-  util::BinaryReader reader(blob);
-  restored.restore_state(reader);
-
-  window = predictor.predict_window_sparse(1, 3);
-  const auto want = original.solve(problem);
-  const auto got = restored.solve(problem);
-  EXPECT_EQ(got.upper_bound, want.upper_bound);
-  EXPECT_EQ(got.lower_bound, want.lower_bound);
-  ASSERT_EQ(got.mu.size(), want.mu.size());
-  for (std::size_t j = 0; j < got.mu.size(); ++j) {
-    EXPECT_EQ(got.mu[j], want.mu[j]);
-  }
-}
-
-TEST(CompactMu, TruncatedWarmBlobThrowsInsteadOfMisreading) {
-  const auto full = sparse_instance(/*horizon=*/6);
-  const workload::PerfectPredictor predictor(full.sparse_demand);
-
-  core::PrimalDualOptions options;
-  core::PrimalDualSolver solver(options);
-  model::SparseDemandTrace window = predictor.predict_window_sparse(0, 3);
-  core::HorizonProblem problem;
-  problem.config = &full.config;
-  problem.sparse_demand = &window;
-  problem.initial_cache = full.initial_cache;
-  solver.solve(problem);
-
-  util::BinaryWriter writer;
-  solver.save_state(writer);
-  const std::vector<std::uint8_t> blob = writer.bytes();
-  ASSERT_GT(blob.size(), 8u);
-
-  for (const std::size_t keep :
-       {std::size_t{0}, std::size_t{4}, blob.size() / 2, blob.size() - 1}) {
-    core::PrimalDualSolver victim(options);
-    util::BinaryReader reader(blob.data(), keep);
-    EXPECT_THROW(victim.restore_state(reader), InvalidArgument)
-        << "keep=" << keep;
-  }
-}
+// ---- count()-guarded decoding ---------------------------------------------
 
 TEST(CompactMu, CountGuardedReaderRejectsAbsurdVectorCounts) {
   // A corrupted count field must throw before any allocation is attempted:

@@ -217,14 +217,13 @@ struct StubSolution {
 };
 
 TEST(Subgradient, StepScheduleMatchesEq16) {
-  // delta_l = step_scale / (1 + offset + l), eq. (16): iteration l + 1
-  // applies delta_l before it solves, and finish() gets the step left
-  // pending when the iteration cap ends the loop.
+  // delta_l = step_scale / (1 + l), eq. (16): iteration l + 1 applies
+  // delta_l before it solves, and finish() gets the step left pending when
+  // the iteration cap ends the loop.
   core::DualAscentParams params;
   params.max_iterations = 4;
   params.epsilon = 1e-3;  // never reached: the stub's gap stays at 1/2
   params.step_scale = 0.75;
-  params.step_offset = 3;
   std::vector<std::pair<bool, double>> steps;
   const auto iterate = [&](bool apply_step, double delta,
                            std::vector<int>& repaired) {
@@ -240,8 +239,7 @@ TEST(Subgradient, StepScheduleMatchesEq16) {
   ASSERT_TRUE(core::run_dual_ascent(params, nullptr, iterate, finish, best));
 
   const auto delta = [&](std::size_t l) {
-    return params.step_scale *
-           (1.0 / (1.0 + static_cast<double>(params.step_offset + l)));
+    return params.step_scale * (1.0 / (1.0 + static_cast<double>(l)));
   };
   ASSERT_EQ(steps.size(), 5u);
   EXPECT_FALSE(steps[0].first);
@@ -252,7 +250,8 @@ TEST(Subgradient, StepScheduleMatchesEq16) {
     EXPECT_EQ(std::memcmp(&steps[l + 1].second, &expected, sizeof(double)), 0)
         << l;
   }
-  EXPECT_EQ(steps[1].second, 0.1875);  // 0.75 / 4, exact in binary
+  EXPECT_EQ(steps[1].second, 0.75);    // delta_0 = step_scale
+  EXPECT_EQ(steps[4].second, 0.1875);  // 0.75 / 4, exact in binary
   EXPECT_EQ(best.iterations, 4u);
   EXPECT_EQ(best.upper_bound, 2.0);
   EXPECT_EQ(best.lower_bound, 1.0);

@@ -1,11 +1,10 @@
 // Hot-path regression tests (see DESIGN.md "hot-path memory model"): P1
-// flow-network re-pricing, warm-state resets, same-window warm starts, and
-// the slide-past-horizon edge of the cross-window warm-start rotation. The
-// whole suite re-runs under MDO_THREADS=4 (tests/CMakeLists), so every
-// exact-equality assertion here also guards thread determinism.
+// flow-network re-pricing, and a controller reset that leaves nothing of
+// the previous run behind. The whole suite re-runs under MDO_THREADS=4
+// (tests/CMakeLists), so every exact-equality assertion here also guards
+// thread determinism.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -22,35 +21,18 @@
 namespace mdo {
 namespace {
 
-model::ProblemInstance paper_instance(std::uint64_t seed = 3,
-                                      std::size_t horizon = 6) {
+model::ProblemInstance paper_instance(std::uint64_t seed) {
   workload::PaperScenario scenario;
   scenario.seed = seed;
   scenario.num_sbs = 2;
   scenario.num_contents = 6;
   scenario.classes_per_sbs = 3;
-  scenario.horizon = horizon;
+  scenario.horizon = 6;
   scenario.cache_capacity = 2;
   scenario.bandwidth = 3.0;
   scenario.beta = 2.0;
   return scenario.build();
 }
-
-/// Owns the window trace the problem references (the problem only views
-/// demand, so the sliced copy must live somewhere).
-struct WindowProblem {
-  model::DemandTrace demand;
-  core::HorizonProblem problem;
-  WindowProblem(const model::ProblemInstance& instance, std::size_t start,
-                std::size_t length) {
-    for (std::size_t t = start; t < start + length; ++t) {
-      demand.push_back(instance.demand.slot(t));
-    }
-    problem.config = &instance.config;
-    problem.demand = &demand;
-    problem.initial_cache = instance.initial_cache;
-  }
-};
 
 double rhc_total_cost(const model::ProblemInstance& instance,
                       const core::PrimalDualOptions& options,
@@ -145,27 +127,6 @@ TEST(HotPath, ResetDropsWarmState) {
   const double first = rhc_total_cost(instance, options, 3);
   const double second = rhc_total_cost(instance, options, 3);
   EXPECT_EQ(first, second);
-}
-
-// ------------------------------------------------- same-window warm start ----
-
-TEST(HotPath, SameWindowWarmStartMatchesColdOptimum) {
-  const auto instance = paper_instance(11, 8);
-  const WindowProblem owned(instance, 0, 4);
-  const auto& problem = owned.problem;
-
-  core::PrimalDualOptions options;
-  options.max_iterations = 40;
-  core::PrimalDualSolver solver(options);
-  const auto cold = solver.solve(problem);
-  ASSERT_EQ(cold.status, solver::SolveStatus::kConverged);
-
-  // Re-solving the identical window from its own final multipliers (the
-  // FHC resync case) must reach the same optimum at least as fast.
-  const auto warm = solver.solve(problem, &cold.mu);
-  EXPECT_NEAR(warm.upper_bound, cold.upper_bound,
-              options.epsilon * (1.0 + std::abs(cold.upper_bound)));
-  EXPECT_LE(warm.iterations, cold.iterations);
 }
 
 }  // namespace

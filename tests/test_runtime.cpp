@@ -121,7 +121,7 @@ TEST(AnytimeSolve, DeadlineExpiryReturnsFeasibleIncumbent) {
   const auto problem = as_problem(instance);
   core::PrimalDualSolver solver(tight_options());
   auto token = runtime::DeadlineToken::after_checks(0);
-  const auto solution = solver.solve(problem, nullptr, &token);
+  const auto solution = solver.solve(problem, &token);
   EXPECT_EQ(solution.status, solver::SolveStatus::kDeadlineExpired);
   EXPECT_EQ(solution.iterations, 1u);  // one full iteration before expiry
   EXPECT_TRUE(std::isfinite(solution.upper_bound));
@@ -139,7 +139,7 @@ TEST(AnytimeSolve, ChecksBudgetBoundsIterations) {
   for (const std::uint64_t checks : {0ULL, 1ULL, 3ULL}) {
     core::PrimalDualSolver solver(tight_options());
     auto token = runtime::DeadlineToken::after_checks(checks);
-    const auto solution = solver.solve(problem, nullptr, &token);
+    const auto solution = solver.solve(problem, &token);
     EXPECT_EQ(solution.status, solver::SolveStatus::kDeadlineExpired);
     EXPECT_EQ(solution.iterations, checks + 1);
   }
@@ -152,7 +152,7 @@ TEST(AnytimeSolve, IncumbentNoBetterThanFullSolve) {
   const auto complete = full.solve(problem);
   core::PrimalDualSolver limited(tight_options());
   auto token = runtime::DeadlineToken::after_checks(0);
-  const auto truncated = limited.solve(problem, nullptr, &token);
+  const auto truncated = limited.solve(problem, &token);
   // The incumbent is the best-so-far: more iterations can only improve it.
   EXPECT_GE(truncated.upper_bound, complete.upper_bound - 1e-12);
 }
@@ -164,7 +164,7 @@ TEST(AnytimeSolve, NullAndUnlimitedTokensAreBitIdentical) {
   const auto baseline = plain.solve(problem);
   core::PrimalDualSolver tokened(tight_options());
   runtime::DeadlineToken unlimited;
-  const auto with_token = tokened.solve(problem, nullptr, &unlimited);
+  const auto with_token = tokened.solve(problem, &unlimited);
   EXPECT_EQ(baseline.status, with_token.status);
   EXPECT_EQ(baseline.iterations, with_token.iterations);
   EXPECT_EQ(baseline.upper_bound, with_token.upper_bound);
@@ -227,7 +227,7 @@ TEST(AnytimeSolve, OverlapSolverHonorsDeadline) {
   const OverlapWindow window;
   overlap::OverlapPrimalDualSolver solver(overlap_tight_options(12));
   auto token = runtime::DeadlineToken::after_checks(1);
-  const auto solution = solver.solve(window.problem, nullptr, &token);
+  const auto solution = solver.solve(window.problem, &token);
   EXPECT_EQ(solution.status, solver::SolveStatus::kDeadlineExpired);
   EXPECT_EQ(solution.iterations, 2u);
   EXPECT_TRUE(std::isfinite(solution.upper_bound));
@@ -246,7 +246,7 @@ TEST(AnytimeSolve, OverlapDeadlineExitMatchesIterationCapBitwise) {
   auto token = runtime::DeadlineToken::after_checks(kIterations - 1);
   const auto stopped = overlap::OverlapPrimalDualSolver(
                            overlap_tight_options(100))
-                           .solve(window.problem, nullptr, &token);
+                           .solve(window.problem, &token);
   ASSERT_EQ(stopped.status, solver::SolveStatus::kDeadlineExpired);
   EXPECT_EQ(stopped.iterations, capped.iterations);
   EXPECT_EQ(bits(stopped.upper_bound), bits(capped.upper_bound));
@@ -273,9 +273,8 @@ TEST(Supervisor, CleanSolveEmitsNoEvents) {
   const auto problem = as_problem(instance);
   core::PrimalDualSolver supervised(tight_options());
   runtime::SupervisionLog log;
-  const auto a = runtime::supervised_solve(supervised, problem, nullptr,
-                                           nullptr, &log, /*slot=*/0,
-                                           /*min_horizon=*/1);
+  const auto a = runtime::supervised_solve(supervised, problem, nullptr, &log,
+                                           /*slot=*/0, /*min_horizon=*/1);
   EXPECT_TRUE(log.events.empty());
   core::PrimalDualSolver plain(tight_options());
   const auto b = plain.solve(problem);
@@ -290,7 +289,7 @@ TEST(Supervisor, DeadlineExpiryIsLoggedNotRetried) {
   runtime::SupervisionLog log;
   auto token = runtime::DeadlineToken::after_checks(0);
   const auto solution = runtime::supervised_solve(
-      solver, problem, nullptr, &token, &log, /*slot=*/4,
+      solver, problem, &token, &log, /*slot=*/4,
       /*min_horizon=*/1);
   EXPECT_EQ(solution.status, solver::SolveStatus::kDeadlineExpired);
   ASSERT_EQ(log.events.size(), 1u);
@@ -324,7 +323,7 @@ TEST(Supervisor, TruncatedRetryRecoversFromPoisonedTail) {
   core::PrimalDualSolver solver(tight_options());
   runtime::SupervisionLog log;
   const auto solution = runtime::supervised_solve(
-      solver, problem, nullptr, nullptr, &log, /*slot=*/0,
+      solver, problem, nullptr, &log, /*slot=*/0,
       /*min_horizon=*/1);
   // Horizon 4, halved to 2 on attempt 1: the NaN tail slot is gone.
   EXPECT_NE(solution.status, solver::SolveStatus::kNonFiniteInput);
@@ -351,7 +350,7 @@ TEST(Supervisor, ExhaustionReturnsSafeFallback) {
   core::PrimalDualSolver solver(tight_options());
   runtime::SupervisionLog log;
   const auto solution = runtime::supervised_solve(
-      solver, problem, nullptr, nullptr, &log, /*slot=*/0,
+      solver, problem, nullptr, &log, /*slot=*/0,
       /*min_horizon=*/1);
   EXPECT_EQ(solution.status, solver::SolveStatus::kNonFiniteInput);
   EXPECT_EQ(solution.schedule.size(), instance.horizon());
@@ -380,7 +379,7 @@ TEST(Supervisor, ExhaustionReportsLastAttemptRun) {
   core::PrimalDualSolver solver(tight_options());
   runtime::SupervisionLog log;
   const auto solution = runtime::supervised_solve(
-      solver, problem, nullptr, nullptr, &log, /*slot=*/0,
+      solver, problem, nullptr, &log, /*slot=*/0,
       /*min_horizon=*/2);
   // Horizon 4 halves to the floor 2 on attempt 1; attempt 2 would solve
   // the same 2-slot prefix again, so the ladder stops after one retry.
@@ -399,7 +398,7 @@ TEST(Supervisor, MinHorizonFloorsTruncation) {
   core::PrimalDualSolver solver(tight_options());
   runtime::SupervisionLog log;
   const auto solution = runtime::supervised_solve(
-      solver, problem, nullptr, nullptr, &log, /*slot=*/0,
+      solver, problem, nullptr, &log, /*slot=*/0,
       /*min_horizon=*/3);
   // Horizon 4 halves to 2 < floor 3, so the retry solves exactly 3 slots —
   // which excises the poisoned slot 3 and recovers.
@@ -418,7 +417,7 @@ TEST(Supervisor, NullLogDisablesRetries) {
   const auto& problem = owned.problem;
   core::PrimalDualSolver supervised(tight_options());
   const auto a = runtime::supervised_solve(supervised, problem, nullptr,
-                                           nullptr, nullptr, /*slot=*/0,
+                                           nullptr, /*slot=*/0,
                                            /*min_horizon=*/1);
   // Without a log the call is exactly one plain solve: same fallback.
   core::PrimalDualSolver plain(tight_options());
@@ -517,11 +516,12 @@ TEST(CheckpointFile, RejectsWrongMagicAndVersion) {
     EXPECT_THROW(runtime::read_checkpoint_file(path), InvalidArgument);
   }
   // The version field (u32, little-endian) follows the 8-byte magic: a
-  // future version and the older ones (3, whose solver state carries the
+  // future version and the older ones (4, whose FHC planner carries a
+  // warm mu and a solver section; 3, whose solver state also carries the
   // P2 warm-start bank; 2, whose RHC snapshot layout predates the planner)
   // are all rejected.
-  for (const std::uint8_t version :
-       {std::uint8_t{0xFF}, std::uint8_t{3}, std::uint8_t{2}}) {
+  for (const std::uint8_t version : {std::uint8_t{0xFF}, std::uint8_t{4},
+                                     std::uint8_t{3}, std::uint8_t{2}}) {
     auto other = bytes;
     other[8] = version;
     util::write_file_atomic(path, other);

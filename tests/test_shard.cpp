@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -361,7 +362,7 @@ core::HorizonSolution deadline_stopped(const core::HorizonProblem& problem,
                                        std::size_t iterations) {
   auto token = runtime::DeadlineToken::after_checks(iterations - 1);
   return core::PrimalDualSolver(exit_options(shard_count, 100))
-      .solve(problem, nullptr, &token);
+      .solve(problem, &token);
 }
 
 TEST(ShardSolve, DeadlineExitMatchesIterationCapBitwise) {
@@ -532,13 +533,16 @@ TEST(ShardSolve, EnvRoutingMatchesInProcess) {
   expect_bitwise_equal(solver.solve(problem), in_process);
 }
 
-/// A solve depends only on its problem (and the warm mu, null here), not
-/// on what the same solver solved before: one solver fed a sequence of
-/// windows — slide by 1, jump past the last horizon, shrink, grow — must
-/// give exactly a fresh solver's answer on every window. Each window plans
-/// from the previous plan's first cache, as RHC does, so the active sets
-/// move too. At omega_sbs_factor > 0 every P2 runs FISTA, which reads the
-/// warm y; at 0 the exact path ignores it.
+/// A solve depends only on its problem, not on what the same solver solved
+/// before: one solver fed a sequence of windows — slide by 1, jump past the
+/// last horizon, shrink, grow — must give exactly a fresh solver's answer
+/// on every window. Each window plans from the previous plan's first
+/// cache, as RHC does, so the active sets move too. Last comes a replan of
+/// the same window from a moved start cache, as an FHC planner's resync in
+/// the middle of a block makes: the start caches contents that some slot's
+/// demand leaves out, so active sets gain coordinates and the compact mu
+/// geometry moves. At omega_sbs_factor > 0 every P2 runs FISTA, which reads
+/// the warm y; at 0 the exact path ignores it.
 TEST(ShardSolve, SolvesDoNotDependOnSolverHistory) {
   MDO_SKIP_IF_TSAN();
   for (const double omega_sbs_factor : {0.0, 0.3}) {
@@ -556,31 +560,55 @@ TEST(ShardSolve, SolvesDoNotDependOnSolverHistory) {
     const auto instance = scenario.build_sparse();
     for (const std::size_t shards :
          {shard::kShardsInProcess, std::size_t{2}}) {
+      SCOPED_TRACE("omega_sbs_factor " + std::to_string(omega_sbs_factor) +
+                   (shards == shard::kShardsInProcess ? " in process"
+                                                      : " 2 shards"));
       core::PrimalDualSolver reused(solver_options(shards));
-      model::CacheState start = instance.initial_cache;
-      const std::pair<std::size_t, std::size_t> windows[] = {
-          {0, 3}, {1, 3}, {5, 3}, {6, 2}, {2, 4}, {3, 4}};
-      for (const auto& [first, length] : windows) {
-        model::SparseDemandTrace window;
-        for (std::size_t t = first; t < first + length; ++t) {
-          window.push_back(instance.sparse_demand.slot(t));
-        }
-        core::HorizonProblem problem;
-        problem.config = &instance.config;
-        problem.sparse_demand = &window;
-        problem.initial_cache = start;
+      model::SparseDemandTrace window;
+      core::HorizonProblem problem;
+      problem.config = &instance.config;
+      problem.sparse_demand = &window;
+      problem.initial_cache = instance.initial_cache;
+      auto expect_fresh = [&](const std::string& what) {
+        SCOPED_TRACE(what);
         const auto got = reused.solve(problem);
         const auto want =
             core::PrimalDualSolver(solver_options(shards)).solve(problem);
-        SCOPED_TRACE("omega_sbs_factor " + std::to_string(omega_sbs_factor) +
-                     (shards == shard::kShardsInProcess ? " in process"
-                                                        : " 2 shards") +
-                     " window [" + std::to_string(first) + ", " +
-                     std::to_string(first + length) + ")");
-        ASSERT_NE(got.status, solver::SolveStatus::kWorkerFailure);
+        EXPECT_NE(got.status, solver::SolveStatus::kWorkerFailure);
         expect_bitwise_equal(got, want);
-        start = got.schedule.front().cache;
+        return got.schedule.front().cache;
+      };
+      const std::pair<std::size_t, std::size_t> windows[] = {
+          {0, 3}, {1, 3}, {5, 3}, {6, 2}, {2, 4}, {3, 4}};
+      for (const auto& [first, length] : windows) {
+        window = instance.sparse_demand.window(first, length);
+        problem.initial_cache =
+            expect_fresh("window [" + std::to_string(first) + ", " +
+                         std::to_string(first + length) + ")");
       }
+
+      const auto planned_sets = core::build_active_sets(
+          instance.config, window, problem.initial_cache);
+      model::CacheState moved(instance.config);
+      for (std::size_t n = 0; n < instance.config.num_sbs(); ++n) {
+        for (std::size_t k = 0; k < instance.config.num_contents; ++k) {
+          bool everywhere = true;
+          for (std::size_t t = 0; t < window.horizon(); ++t) {
+            const std::vector<std::size_t>& support =
+                window.slot(t)[n].support();
+            everywhere = everywhere &&
+                         std::binary_search(support.begin(), support.end(), k);
+          }
+          if (!everywhere &&
+              moved.count(n) < instance.config.sbs[n].cache_capacity) {
+            moved.set(n, k, true);
+          }
+        }
+      }
+      problem.initial_cache = moved;
+      ASSERT_NE(core::build_active_sets(instance.config, window, moved).active,
+                planned_sets.active);
+      expect_fresh("replan of window [3, 7) from a moved cache");
     }
   }
 }
@@ -645,9 +673,10 @@ TEST(ShardSolve, WorkerDeathFallsBackAndRetriesBitIdentical) {
   expect_bitwise_equal(retried, reference);
 }
 
-/// A same-window replan from a moved start cache remaps its warm mu by the
-/// previous solve's active sets. A worker death in that replan must leave
-/// those sets in place, so the retry remaps exactly like the lost solve.
+/// A replan of the same window from a moved start cache, whose active sets
+/// (and with them the compact mu geometry) differ from the first plan's. A
+/// worker death in it must leave nothing behind: the retry equals the
+/// in-process replan bit for bit.
 TEST(ShardSolve, WorkerDeathInRemappedWarmReplanRetriesBitIdentical) {
   MDO_SKIP_IF_TSAN();
   workload::PaperScenario scenario;
@@ -679,17 +708,16 @@ TEST(ShardSolve, WorkerDeathInRemappedWarmReplanRetriesBitIdentical) {
             core::build_active_sets(instance.config, instance.sparse_demand,
                                     first.initial_cache)
                 .active);
-  const auto reference = in_process.solve(replan, &planned.mu);
+  const auto reference = in_process.solve(replan);
 
   core::PrimalDualSolver solver(solver_options(2));
-  const auto warm = solver.solve(first);
-  expect_bitwise_equal(warm, planned);
+  expect_bitwise_equal(solver.solve(first), planned);
   ScopedEnv env("MDO_SHARD_KILL_AT");
   env.set("0");
   shard::rearm_kill_directive();
-  const auto failed = solver.solve(replan, &warm.mu);
+  const auto failed = solver.solve(replan);
   EXPECT_EQ(failed.status, solver::SolveStatus::kWorkerFailure);
-  const auto retried = solver.solve(replan, &warm.mu);
+  const auto retried = solver.solve(replan);
   expect_bitwise_equal(retried, reference);
 }
 
@@ -707,7 +735,7 @@ TEST(ShardSupervision, SupervisedSolveRecoversFromWorkerDeath) {
   core::PrimalDualSolver solver(solver_options(2));
   runtime::SupervisionLog log;
   const auto solution = runtime::supervised_solve(
-      solver, problem, nullptr, nullptr, &log, /*slot=*/3,
+      solver, problem, nullptr, &log, /*slot=*/3,
       /*min_horizon=*/1);
   expect_bitwise_equal(solution, reference);
 
