@@ -1,11 +1,12 @@
 // E6 — solver micro-benchmarks (google-benchmark).
 //
 // Measures the building blocks: P1 via min-cost flow vs the paper's simplex
-// route, the P2 solve (the exact KKT solver, FISTA and plain projected
-// gradient, each a bind plus a cold solve through core::P2Workspace), the
-// box-knapsack projection, and one full primal-dual window solve. These back
-// the engineering claims in DESIGN.md (flow >> simplex inside the dual loop;
-// FISTA >> PGD).
+// route, the P2 solve (the exact KKT solver through core::P2Workspace, and
+// FISTA and plain projected gradient through solver::minimize_projected on
+// the same coefficients, each a bind plus a cold solve), the box-knapsack
+// projection, and one full primal-dual window solve. These back the
+// engineering claims in DESIGN.md (flow >> simplex inside the dual loop;
+// exact P2 >> FISTA >> PGD).
 #include <benchmark/benchmark.h>
 
 #include <numeric>
@@ -15,6 +16,7 @@
 #include "core/load_balancing.hpp"
 #include "core/primal_dual.hpp"
 #include "model/sparse_demand.hpp"
+#include "solver/first_order.hpp"
 #include "solver/projection.hpp"
 #include "util/rng.hpp"
 #include "workload/scenario.hpp"
@@ -61,18 +63,27 @@ void BM_CachingSimplex(benchmark::State& state) {
 }
 BENCHMARK(BM_CachingSimplex)->Args({10, 5})->Args({20, 5})->Args({30, 10});
 
+/// One P2 cell of classes x contents coordinates (the row's first two
+/// arguments). Its bandwidth binds (half the classes' unit traffic) unless
+/// the fourth argument is nonzero, and every class has omega_sbs = the
+/// third argument / 100.
 struct P2Fixture {
   model::SbsConfig sbs;
   model::SparseSbsDemand demand;
   std::vector<std::size_t> contents;
 
-  P2Fixture(std::size_t classes, std::size_t k_count) : contents(k_count) {
+  explicit P2Fixture(const benchmark::State& state)
+      : contents(static_cast<std::size_t>(state.range(1))) {
+    const auto classes = static_cast<std::size_t>(state.range(0));
+    const std::size_t k_count = contents.size();
+    const double omega_sbs = static_cast<double>(state.range(2)) / 100.0;
     sbs.cache_capacity = k_count;
-    sbs.bandwidth = static_cast<double>(classes) / 2.0;
+    sbs.bandwidth =
+        state.range(3) != 0 ? 1e6 : static_cast<double>(classes) / 2.0;
     sbs.replacement_beta = 1.0;
     Rng rng(5);
     sbs.classes.resize(classes);
-    for (auto& mu : sbs.classes) mu = {rng.uniform(0.0, 1.0), 0.0};
+    for (auto& mu : sbs.classes) mu = {rng.uniform(0.0, 1.0), omega_sbs};
     model::SbsDemand dense(classes, k_count);
     for (auto& v : dense.data()) v = rng.uniform(0.0, 2.0 / k_count);
     demand = model::SparseSbsDemand::from_dense(dense);
@@ -80,38 +91,84 @@ struct P2Fixture {
   }
 };
 
-/// Times one bind plus one cold solve per iteration, as every fresh
+/// Rows: {classes, contents, omega_sbs in percent, slack bandwidth}.
+void p2_args(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"classes", "contents", "omega_sbs_pct", "slack"});
+  b->Args({30, 30, 0, 0})->Args({10, 10, 0, 0})->Args({60, 30, 0, 0});
+  b->Args({30, 30, 5, 0})->Args({30, 30, 5, 1});
+}
+
+/// Times one bind plus one cold exact solve per iteration, as every fresh
 /// (slot, SBS) cell of a window costs.
-void run_p2(benchmark::State& state, const core::LoadBalancingOptions& options) {
-  const P2Fixture fx(static_cast<std::size_t>(state.range(0)),
-                     static_cast<std::size_t>(state.range(1)));
+void BM_LoadBalancingExact(benchmark::State& state) {
+  const P2Fixture fx(state);
   for (auto _ : state) {
     core::P2Workspace ws;
     ws.bind_active(fx.sbs, fx.demand, fx.contents);
-    benchmark::DoNotOptimize(core::solve_load_balancing(ws, options));
+    benchmark::DoNotOptimize(core::solve_load_balancing(ws));
     benchmark::DoNotOptimize(ws.y().data());
     benchmark::ClobberMemory();
   }
 }
+BENCHMARK(BM_LoadBalancingExact)->Apply(p2_args);
 
-/// The default options: the exact KKT solver (every omega_sbs is zero).
-void BM_LoadBalancingExact(benchmark::State& state) { run_p2(state, {}); }
-BENCHMARK(BM_LoadBalancingExact)->Args({30, 30})->Args({10, 10})->Args({60, 30});
+/// Times one bind plus one cold solver::minimize_projected run from y = 0
+/// over box ∩ bandwidth, at 150 iterations and gradient tolerance 2e-5.
+void run_first_order(benchmark::State& state, bool accelerate) {
+  const P2Fixture fx(state);
+  for (auto _ : state) {
+    core::P2Workspace ws;
+    ws.bind_active(fx.sbs, fx.demand, fx.contents);
+    const core::Coefficients& coeff = ws.coefficients();
+    const std::size_t size = coeff.lambda.size();
+    solver::BoxKnapsackSet set;
+    set.lo.assign(size, 0.0);
+    set.hi = coeff.ub;
+    set.weights = coeff.lambda;
+    set.budget = fx.sbs.bandwidth;
+    set.validate();
+    const solver::ValueGradientFn objective = [&](const linalg::Vec& y,
+                                                  linalg::Vec& grad) {
+      const auto [u_dot_y, v_dot_y] = linalg::dot_pair(coeff.u, coeff.v, y);
+      const double bs_term = coeff.a - u_dot_y;
+      double linear_term = 0.0;
+      for (std::size_t j = 0; j < size; ++j) {
+        grad[j] = -2.0 * bs_term * coeff.u[j] + 2.0 * v_dot_y * coeff.v[j] +
+                  coeff.c[j];
+        linear_term += coeff.c[j] * y[j];
+      }
+      return bs_term * bs_term + v_dot_y * v_dot_y + linear_term;
+    };
+    const solver::ProjectionIntoFn project = [&](const linalg::Vec& in,
+                                                 linalg::Vec& out) {
+      solver::project_box_knapsack_into(in, set, out);
+    };
+    solver::FirstOrderWorkspace fo;
+    fo.x.assign(size, 0.0);
+    const double lipschitz =
+        2.0 * (linalg::dot(coeff.u, coeff.u) + linalg::dot(coeff.v, coeff.v));
+    benchmark::DoNotOptimize(solver::minimize_projected(
+        objective, project, fo,
+        {.max_iterations = 150,
+         .gradient_tolerance = 2e-5,
+         .lipschitz = lipschitz,
+         .accelerate = accelerate}));
+    benchmark::DoNotOptimize(fo.x.data());
+    benchmark::ClobberMemory();
+  }
+}
 
 void BM_LoadBalancingFista(benchmark::State& state) {
-  core::LoadBalancingOptions options;
-  options.prefer_exact = false;
-  run_p2(state, options);
+  run_first_order(state, true);
 }
-BENCHMARK(BM_LoadBalancingFista)->Args({30, 30})->Args({10, 10})->Args({60, 30});
+BENCHMARK(BM_LoadBalancingFista)->Apply(p2_args);
 
 void BM_LoadBalancingPgd(benchmark::State& state) {
-  core::LoadBalancingOptions options;
-  options.prefer_exact = false;
-  options.first_order.accelerate = false;
-  run_p2(state, options);
+  run_first_order(state, false);
 }
-BENCHMARK(BM_LoadBalancingPgd)->Args({30, 30});
+BENCHMARK(BM_LoadBalancingPgd)
+    ->ArgNames({"classes", "contents", "omega_sbs_pct", "slack"})
+    ->Args({30, 30, 0, 0});
 
 void BM_BoxKnapsackProjection(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -44,6 +44,10 @@ run headline_t20.txt "$bench/bench_headline_table" --slots 20
 # The eta sweep: the only output that moves with the predictor's noise.
 "$bench/bench_fig5_noise" --slots 20 --csv "$out/fig5_t20.csv" > /dev/null 2>&1
 "$bench/bench_collab" --slots 10 --json "$out/collab_t10.json" > /dev/null 2>&1
+# E4 at one binding bandwidth: the only output whose P2 solves bind the
+# bandwidth row (the theta step's blend).
+"$bench/bench_fig4_bandwidth" --slots 10 --bandwidths 2 \
+  --csv "$out/fig4_t10_b2.csv" > /dev/null 2>&1
 # E8: RHC and FHC side by side; drop the trailing ms/slot column.
 "$bench/bench_competitive_ratio" 2>&1 |
   awk '$1 ~ /^[0-9]+$/ && NF == 6 { $6 = "" } { print }' \

@@ -71,8 +71,7 @@ PerSbsResult solve_single_sbs(const model::NetworkConfig& config,
         }
       }
       ws.set_upper(ub);
-      ws.clear_warm_start();  // every cache set solves from a cold start
-      opcost[t][s] = solve_load_balancing(ws, options.load_balancing).objective;
+      opcost[t][s] = solve_load_balancing(ws).objective;
       best_y[t][s] = ws.y();
     }
   }

@@ -24,11 +24,6 @@ struct ExactDpOptions {
   /// Hard limit on the number of cache-set states per SBS (throws
   /// InvalidArgument when exceeded) to prevent accidental blow-ups.
   std::size_t max_states = 20000;
-  LoadBalancingOptions load_balancing{
-      .first_order = {.max_iterations = 4000,
-                      .gradient_tolerance = 1e-9,
-                      .lipschitz = 1.0,
-                      .accelerate = true}};
 };
 
 struct ExactDpResult {
@@ -36,7 +31,8 @@ struct ExactDpResult {
   double objective = 0.0;
 };
 
-/// Solves the joint problem exactly (up to the inner P2 tolerance).
+/// Solves the joint problem exactly: each cache set's P2 is the exact KKT
+/// solve, so the DP's value is the optimum of (9).
 ExactDpResult solve_joint_exact(const HorizonProblem& problem,
                                 const ExactDpOptions& options = {});
 

@@ -54,7 +54,6 @@ void P2Workspace::bind_active(const model::SbsConfig& sbs,
   const std::size_t a_count = active.size();
   const std::size_t size = classes * a_count;
 
-  // Every binding starts cold: warm starts live within one binding only.
   y_.clear();
 
   coeff_.lambda.assign(size, 0.0);
@@ -72,11 +71,11 @@ void P2Workspace::bind_active(const model::SbsConfig& sbs,
   coeff_.u.resize(size);
   coeff_.v.resize(size);
   coeff_.a = 0.0;
-  exact_applicable_ = true;
+  sbs_weighted_ = false;
   for (std::size_t m = 0; m < classes; ++m) {
     const double omega = sbs.classes[m].omega_bs;
     const double omega_sbs = sbs.classes[m].omega_sbs;
-    if (omega_sbs != 0.0) exact_applicable_ = false;
+    if (omega_sbs != 0.0) sbs_weighted_ = true;
     for (std::size_t i = 0; i < a_count; ++i) {
       const std::size_t j = m * a_count + i;
       coeff_.u[j] = omega * coeff_.lambda[j];
@@ -84,8 +83,6 @@ void P2Workspace::bind_active(const model::SbsConfig& sbs,
       coeff_.a += coeff_.u[j];
     }
   }
-  quad_norm_ =
-      linalg::dot(coeff_.u, coeff_.u) + linalg::dot(coeff_.v, coeff_.v);
   bind_finite_ = std::isfinite(sbs.bandwidth) && all_finite(coeff_.lambda);
   coeff_.c.assign(size, 0.0);
   linear_finite_ = true;
@@ -125,91 +122,19 @@ void P2Workspace::set_upper(const linalg::Vec& upper) {
   has_solution_ = false;
 }
 
-void P2Workspace::refresh_feasible_set() {
-  const std::size_t size = coeff_.lambda.size();
-  feasible_.lo.assign(size, 0.0);
-  feasible_.hi = coeff_.ub;
-  feasible_.weights = coeff_.lambda;
-  feasible_.budget = sbs_->bandwidth;
-  // Validated once per solve here; the per-iteration projections then use
-  // the unchecked project_box_knapsack_into.
-  feasible_.validate();
-}
-
-void P2Workspace::solve_fista(const LoadBalancingOptions& options,
-                              LoadBalancingOutcome& out) {
-  const std::size_t size = coeff_.lambda.size();
-
-  double lipschitz = 2.0 * quad_norm_;
-  if (lipschitz <= 1e-14) {
-    bool c_nonneg = true;
-    for (const double cj : coeff_.c) c_nonneg = c_nonneg && cj >= 0.0;
-    if (c_nonneg) {
-      // Degenerate instance: no weighted demand and c >= 0, so the
-      // objective reduces to c . y and y = 0 is optimal.
-      y_.assign(size, 0.0);
-      out.objective = coeff_.a * coeff_.a;  // == objective at y = 0
-      out.iterations = 0;
-      out.converged = true;
-      out.status = solver::SolveStatus::kConverged;
-      has_solution_ = true;
-      return;
-    }
-    lipschitz = 1.0;  // linear objective: any positive step works with PGD
-  }
-
-  refresh_feasible_set();
-
-  // [this] captures fit std::function's small-buffer storage: no allocation.
-  const solver::ValueGradientFn objective = [this](const linalg::Vec& y,
-                                                   linalg::Vec& grad) {
-    const auto [u_dot_y, v_dot_y] = linalg::dot_pair(coeff_.u, coeff_.v, y);
-    const double bs_term = coeff_.a - u_dot_y;
-    const double sbs_term = v_dot_y;
-    for (std::size_t j = 0; j < y.size(); ++j) {
-      grad[j] = -2.0 * bs_term * coeff_.u[j] + 2.0 * sbs_term * coeff_.v[j] +
-                coeff_.c[j];
-    }
-    const double bs_sq = bs_term * bs_term;
-    const double sbs_sq = sbs_term * sbs_term;
-    double linear_term = 0.0;
-    for (std::size_t j = 0; j < y.size(); ++j) {
-      linear_term += coeff_.c[j] * y[j];
-    }
-    return bs_sq + sbs_sq + linear_term;
-  };
-  const solver::ProjectionIntoFn project = [this](const linalg::Vec& in,
-                                                  linalg::Vec& out_vec) {
-    solver::project_box_knapsack_into(in, feasible_, out_vec);
-  };
-
-  if (y_.size() != size) y_.assign(size, 0.0);
-  first_order_.x = y_;  // warm start (copy-assign reuses capacity)
-
-  solver::FirstOrderOptions fo = options.first_order;
-  fo.lipschitz = lipschitz;
-  const solver::FirstOrderSummary summary =
-      solver::minimize_projected(objective, project, first_order_, fo);
-
-  y_.swap(first_order_.x);
-  out.objective = summary.objective_value;
-  out.iterations = summary.iterations;
-  out.converged = summary.converged;
-  out.status = summary.status;
-  has_solution_ = true;
-}
-
-/// Solves the fixed-theta stationarity system of the exact solver into
-/// exact_y_, with the consistent scalar s = u . y. See the header comment
-/// for the math. Allocation-free once the scratch buffers reach the instance size.
-void P2Workspace::stationary_point(double theta) {
+/// Solves the fixed-theta stationarity system of (a - u.y)^2 + linear.y
+/// into exact_y_, with the consistent scalar s = u . y. See the header
+/// comment for the math. Allocation-free once the scratch buffers reach the
+/// instance size.
+void P2Workspace::stationary_point(const linalg::Vec& linear, double theta) {
   const std::size_t size = coeff_.u.size();
+  ++stationary_points_;
   exact_y_.assign(size, 0.0);
 
   // Coordinates with u_j = 0 do not move s: they activate exactly when
   // their linear coefficient (c_j + theta lambda_j) is negative.
   for (const std::size_t j : zero_u_) {
-    const double price = coeff_.c[j] + theta * coeff_.lambda[j];
+    const double price = linear[j] + theta * coeff_.lambda[j];
     if (price < 0.0) exact_y_[j] = coeff_.ub[j];
   }
   // Eligible coordinates (u_j > 0, ub_j > 0) activate when phi = 2(a - s)
@@ -217,7 +142,7 @@ void P2Workspace::stationary_point(double theta) {
   // call after a binding collects and sorts them; later calls recompute the
   // thresholds in the last call's order and repair it.
   const auto threshold_of = [&](std::size_t j) {
-    const double price = coeff_.c[j] + theta * coeff_.lambda[j];
+    const double price = linear[j] + theta * coeff_.lambda[j];
     return price / coeff_.u[j];
   };
   if (order_warm_) {
@@ -312,63 +237,108 @@ double load_of(const Coefficients& coeff, const linalg::Vec& y) {
   return load;
 }
 
-}  // namespace
-
-void P2Workspace::solve_exact(LoadBalancingOutcome& out) {
-  const double budget = sbs_->bandwidth;
-  out.converged = true;
-  out.status = solver::SolveStatus::kConverged;
-
-  // theta = 0: bandwidth slack case.
-  stationary_point(0.0);
-  if (load_of(coeff_, exact_y_) <= budget + 1e-12) {
-    y_.swap(exact_y_);
-    out.iterations = 1;
-  } else {
-    // Bisect the bandwidth multiplier; the load is non-increasing in theta.
-    double lo = 0.0;
-    double hi = 1.0;
-    stationary_point(hi);
-    while (load_of(coeff_, exact_y_) > budget) {
-      hi *= 2.0;
-      MDO_CHECK(hi < 1e30, "exact P2: failed to bracket the multiplier");
-      stationary_point(hi);
-    }
-    std::size_t iterations = 1;
-    while (hi - lo > 1e-13 * (1.0 + hi)) {
-      const double mid = 0.5 * (lo + hi);
-      stationary_point(mid);
-      if (load_of(coeff_, exact_y_) > budget) lo = mid;
-      else hi = mid;
-      ++iterations;
-    }
-    stationary_point(hi);  // feasible side
-    y_.swap(exact_y_);
-    out.iterations = iterations;
-
-    // At a binding bandwidth row the active set can jump discretely at
-    // theta*, leaving unused budget; a short FISTA polish from this
-    // (excellent) warm start recovers the fractional boundary point.
-    LoadBalancingOptions polish;
-    polish.prefer_exact = false;
-    polish.first_order.max_iterations = 200;
-    polish.first_order.gradient_tolerance = 1e-7;
-    LoadBalancingOutcome refined;
-    if (inputs_finite()) {
-      solve_fista(polish, refined);
-    } else {
-      y_.assign(coeff_.lambda.size(), 0.0);
-    }
-    out.iterations += refined.iterations;
+/// Writes y = y_hi + alpha (y_lo - y_hi) into `out`, clamped to the box
+/// against rounding.
+void blend(const linalg::Vec& y_lo, const linalg::Vec& y_hi, double alpha,
+           const linalg::Vec& ub, linalg::Vec& out) {
+  out.resize(y_lo.size());
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    out[j] = std::clamp(y_hi[j] + alpha * (y_lo[j] - y_hi[j]), 0.0, ub[j]);
   }
-
-  const double bs_term = coeff_.a - linalg::dot(coeff_.u, y_);
-  out.objective = bs_term * bs_term + linalg::dot(coeff_.c, y_);
-  has_solution_ = true;
 }
 
-LoadBalancingOutcome solve_load_balancing(P2Workspace& ws,
-                                          const LoadBalancingOptions& options) {
+}  // namespace
+
+void P2Workspace::solve_bandwidth(const linalg::Vec& linear) {
+  const double budget = sbs_->bandwidth;
+  // theta = 0: bandwidth slack case.
+  stationary_point(linear, 0.0);
+  double lo_load = load_of(coeff_, exact_y_);
+  if (lo_load <= budget + 1e-12) return;
+
+  // Bisect the bandwidth multiplier; the load is non-increasing in theta.
+  // Each end point keeps its solution for the final blend.
+  double lo = 0.0;
+  double hi = 1.0;
+  theta_lo_y_.swap(exact_y_);
+  stationary_point(linear, hi);
+  double hi_load = load_of(coeff_, exact_y_);
+  while (hi_load > budget) {
+    lo = hi;
+    lo_load = hi_load;
+    theta_lo_y_.swap(exact_y_);
+    hi *= 2.0;
+    MDO_CHECK(hi < 1e30, "exact P2: failed to bracket the multiplier");
+    stationary_point(linear, hi);
+    hi_load = load_of(coeff_, exact_y_);
+  }
+  theta_hi_y_.swap(exact_y_);
+  while (hi - lo > 1e-13 * (1.0 + hi)) {
+    const double mid = 0.5 * (lo + hi);
+    stationary_point(linear, mid);
+    const double load = load_of(coeff_, exact_y_);
+    if (load > budget) {
+      lo = mid;
+      lo_load = load;
+      theta_lo_y_.swap(exact_y_);
+    } else {
+      hi = mid;
+      hi_load = load;
+      theta_hi_y_.swap(exact_y_);
+    }
+  }
+  // The load jumps across [lo, hi] when coordinates enter at theta*: the
+  // blend with lambda . y = B is a minimizer of the Lagrangian at theta*
+  // on which the row is tight (see the header comment).
+  blend(theta_lo_y_, theta_hi_y_, (budget - hi_load) / (lo_load - hi_load),
+        coeff_.ub, exact_y_);
+}
+
+void P2Workspace::solve_sbs_weighted() {
+  // h(r) = v . y*(r) for P2_r, whose linear term is c + 2 r v; r = 0 is P2_0
+  // on c itself.
+  const auto h = [this](double r) {
+    for (std::size_t j = 0; j < shifted_c_.size(); ++j) {
+      shifted_c_[j] = coeff_.c[j] + 2.0 * r * coeff_.v[j];
+    }
+    solve_bandwidth(shifted_c_);
+    return linalg::dot(coeff_.v, exact_y_);
+  };
+  shifted_c_.resize(coeff_.c.size());
+  solve_bandwidth(coeff_.c);
+  // v >= 0 and y >= 0, so h(0) >= 0; h(0) = 0 makes r = 0 the fixed point.
+  const double h0 = linalg::dot(coeff_.v, exact_y_);
+  if (h0 <= 0.0) return;
+
+  // r - h(r) is increasing, negative at 0 and non-negative at h(0).
+  double lo = 0.0;
+  double h_lo = h0;
+  r_lo_y_.swap(exact_y_);
+  double hi = h0;
+  double h_hi = h(hi);
+  r_hi_y_.swap(exact_y_);
+  while (hi - lo > 1e-13 * (1.0 + h0)) {
+    const double mid = 0.5 * (lo + hi);
+    const double value = h(mid);
+    if (value > mid) {
+      lo = mid;
+      h_lo = value;
+      r_lo_y_.swap(exact_y_);
+    } else {
+      hi = mid;
+      h_hi = value;
+      r_hi_y_.swap(exact_y_);
+    }
+  }
+  // Blend so that v . y equals the same blend of the end points' r:
+  // alpha (h_lo - lo) = (1 - alpha) (hi - h_hi), with h_lo - lo > 0.
+  const double above = h_lo - lo;
+  const double below = hi - h_hi;
+  const double alpha = below / (above + below);
+  blend(r_lo_y_, r_hi_y_, alpha, coeff_.ub, exact_y_);
+}
+
+LoadBalancingOutcome solve_load_balancing(P2Workspace& ws) {
   MDO_REQUIRE(ws.bound(), "P2 workspace: bind() before solve");
   LoadBalancingOutcome out;
   if (!ws.inputs_finite()) {
@@ -376,15 +346,24 @@ LoadBalancingOutcome solve_load_balancing(P2Workspace& ws,
     // feasible for every box-knapsack instance) and report via the status.
     ws.y_.assign(ws.coeff_.lambda.size(), 0.0);
     out.status = solver::SolveStatus::kNonFiniteInput;
-    out.converged = false;
     ws.has_solution_ = true;
     return out;
   }
-  if (options.prefer_exact && ws.exact_applicable_) {
-    ws.solve_exact(out);
+  ws.stationary_points_ = 0;
+  if (ws.sbs_weighted_) {
+    ws.solve_sbs_weighted();
   } else {
-    ws.solve_fista(options, out);
+    ws.solve_bandwidth(ws.coeff_.c);
   }
+  ws.y_.swap(ws.exact_y_);
+  out.iterations = ws.stationary_points_;
+
+  const Coefficients& coeff = ws.coeff_;
+  const double bs_term = coeff.a - linalg::dot(coeff.u, ws.y_);
+  const double sbs_term = ws.sbs_weighted_ ? linalg::dot(coeff.v, ws.y_) : 0.0;
+  out.objective =
+      bs_term * bs_term + sbs_term * sbs_term + linalg::dot(coeff.c, ws.y_);
+  ws.has_solution_ = true;
   return out;
 }
 
@@ -409,7 +388,7 @@ model::LoadAllocation optimal_load_for_cache(const model::NetworkConfig& config,
     const std::size_t classes = config.sbs[n].num_classes();
     const std::vector<std::size_t> active =
         model::active_contents(slot[n], cache.cached_contents(n));
-    // A throwaway workspace per SBS: every solve starts cold.
+    // A throwaway workspace per SBS.
     P2Workspace ws;
     ws.bind_active(config.sbs[n], slot[n], active);
     linalg::Vec ub(classes * active.size(), 0.0);
@@ -418,7 +397,7 @@ model::LoadAllocation optimal_load_for_cache(const model::NetworkConfig& config,
       for (std::size_t m = 0; m < classes; ++m) ub[m * active.size() + i] = 1.0;
     }
     ws.set_upper(ub);
-    solve_load_balancing(ws, {});
+    solve_load_balancing(ws);
     // Off-active loads are structural zeros of P2: scatter the compact y.
     const std::size_t a_count = active.size();
     linalg::Vec& row = load.sbs_data(n);

@@ -150,8 +150,8 @@ class PrimalDualSolver {
   /// Non-const: the solver keeps the per-(slot, SBS) P2 workspace bank
   /// between calls as an allocation arena only (the zero-allocation hot
   /// path). Every solve re-binds it cold, so the result equals a fresh
-  /// solver's bit for bit; P2 warm starts carry y only from one dual
-  /// iteration to the next within the solve.
+  /// solver's bit for bit; within the solve a P2 workspace carries only
+  /// its threshold-order hint from one dual iteration to the next.
   ///
   /// `deadline` (optional) bounds the solve: the token is polled once per
   /// dual iteration — after the first iteration completes, so a feasible

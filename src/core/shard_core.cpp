@@ -253,8 +253,7 @@ void ShardCore::begin(const ShardInputs& in, const ShardOptions& /*opts*/,
 
   // ---- Per-(slot, SBS) P2 workspaces: coefficients are built once here,
   // the dual loop then only refreshes the mu-dependent linear term (and the
-  // repair loop the box upper bound). The workspaces also hold the warm
-  // starts from one dual iteration to the next; each bind starts cold.
+  // repair loop the box upper bound). Each bind starts cold.
   bank.resize(w * num_sbs);
   util::parallel_for(0, w * num_sbs, [&](std::size_t cell) {
     const std::size_t t = cell / num_sbs;
@@ -343,7 +342,7 @@ void ShardCore::iterate(const linalg::Vec& mu) {
     // The compact block IS the bound workspace's coefficient layout
     // (class-major over active positions): a straight contiguous copy.
     cs.p2.set_linear(mu.data() + mu_off_[cell], mu.data() + mu_off_[cell + 1]);
-    p2_objectives_[cell] = solve_load_balancing(cs.p2, {}).objective;
+    p2_objectives_[cell] = solve_load_balancing(cs.p2).objective;
   });
 }
 
@@ -375,7 +374,7 @@ void ShardCore::repair(model::Schedule* schedule) {
     // begin() invalidated any previous window's solution).
     if (!cs.repair.has_solution() || ub != cs.repair.upper()) {
       cs.repair.set_upper(ub);
-      solve_load_balancing(cs.repair, {});
+      solve_load_balancing(cs.repair);
     }
     if (schedule != nullptr) {
       write_repaired_cell(sets_, t, n, p1_.x()[n], cs.repair.y(),

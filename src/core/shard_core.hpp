@@ -132,8 +132,8 @@ CellCost repaired_cell_cost(const model::NetworkConfig& config,
 double repaired_schedule_cost(const model::NetworkConfig& config,
                               const std::vector<CellCost>& cells);
 
-/// Empty: a shard solves P2 at the LoadBalancingOptions defaults. Kept
-/// only for the ShardCore::begin signature that perfbench calls.
+/// Empty: P2 has no options. Kept only for the ShardCore::begin signature
+/// that perfbench calls.
 struct ShardOptions {};
 
 /// Non-owning window problem handed to a shard. In a worker subprocess the

@@ -108,9 +108,9 @@ class OverlapP2Workspace {
 
   const linalg::Vec& upper() const { return ub_; }
 
-  /// The last solution (after a solve), doubling as the next warm start.
+  /// The last solution (after a solve), doubling as the next warm start
+  /// within the same binding.
   const linalg::Vec& y() const { return y_; }
-  void clear_warm_start() { y_.clear(); }
 
   /// True when the workspace holds the solution of the current
   /// (bind, c, ub) state (the repair loop's unchanged-ub fast path).

@@ -1,8 +1,9 @@
 // Steady-state allocation gate for P2 (see DESIGN.md "hot-path memory
 // model"): once a core::P2Workspace is bound and warmed up, re-solving it
 // with a refreshed linear term — exactly what the dual loop does per
-// iteration — must not touch the heap, on the exact parametric path (with
-// the bandwidth binding or slack) AND on the FISTA path. Neither must the
+// iteration — must not touch the heap, with every omega_sbs zero and with
+// the r step (omega_sbs > 0), each with the bandwidth binding or slack.
+// Neither must the
 // feasibility repair's pattern, a box upper bound alternating between two
 // cache masks. A byte ceiling on one sparse forecast keeps the noisy
 // predictor from building content-wide (K-wide) buffers again, and an
@@ -93,7 +94,8 @@ enum class Regime {
   kExactBinding,  // the exact solver bisects the bandwidth multiplier
   kExactSlack,    // the exact solver stops at theta = 0
   kMaskToggle,    // exact; set_upper alternates two masks, c = 0
-  kFista,         // a nonzero omega_sbs sends the solve down FISTA
+  kSbsWeightedBinding,  // omega_sbs > 0: the r step over binding solves
+  kSbsWeightedSlack,    // omega_sbs > 0: the r step over slack solves
 };
 
 /// Binds one workspace on a 30x30 cell, solves twice to warm it up, then
@@ -101,19 +103,21 @@ enum class Regime {
 /// per-iteration pattern; the repair's mask toggle for kMaskToggle) and
 /// returns the heap allocations of those re-solves.
 std::uint64_t steady_p2_allocations(Regime regime, std::size_t repeats) {
-  const bool fista_path = regime == Regime::kFista;
+  const bool sbs_weighted = regime == Regime::kSbsWeightedBinding ||
+                            regime == Regime::kSbsWeightedSlack;
   const std::size_t classes = 30, contents = 30;
   model::SbsConfig sbs;
   sbs.cache_capacity = contents;
-  sbs.bandwidth = regime == Regime::kExactSlack
-                      ? 1e6
-                      : static_cast<double>(classes) / 2.0;
+  sbs.bandwidth =
+      regime == Regime::kExactSlack || regime == Regime::kSbsWeightedSlack
+          ? 1e6
+          : static_cast<double>(classes) / 2.0;
   sbs.replacement_beta = 1.0;
   model::SbsDemand dense(classes, contents);
   Rng rng(5);
   sbs.classes.resize(classes);
   for (auto& mu : sbs.classes) {
-    mu = {rng.uniform(0.0, 1.0), fista_path ? 0.05 : 0.0};
+    mu = {rng.uniform(0.0, 1.0), sbs_weighted ? 0.05 : 0.0};
   }
   for (auto& v : dense.data()) v = rng.uniform(0.0, 2.0 / contents);
   const model::SparseSbsDemand demand =
@@ -125,7 +129,6 @@ std::uint64_t steady_p2_allocations(Regime regime, std::size_t repeats) {
   linalg::Vec c = base;
 
   core::P2Workspace ws;
-  const core::LoadBalancingOptions options;
   ws.bind_active(sbs, demand, active);
   if (regime == Regime::kMaskToggle) {
     linalg::Vec masks[2] = {linalg::Vec(classes * contents),
@@ -133,17 +136,17 @@ std::uint64_t steady_p2_allocations(Regime regime, std::size_t repeats) {
     for (auto& mask : masks) {
       for (auto& b : mask) b = rng.bernoulli(0.3) ? 0.0 : 1.0;
       ws.set_upper(mask);  // warm-up: both masks once
-      core::solve_load_balancing(ws, options);
+      core::solve_load_balancing(ws);
     }
     const std::uint64_t before_steady = allocation_count();
     for (std::size_t r = 0; r < repeats; ++r) {
       ws.set_upper(masks[r % 2]);
-      core::solve_load_balancing(ws, options);
+      core::solve_load_balancing(ws);
     }
     return allocation_count() - before_steady;
   }
   ws.set_linear(c.data(), c.data() + c.size());
-  core::solve_load_balancing(ws, options);
+  core::solve_load_balancing(ws);
   // Second warm-up with the steady loop's perturbation pattern: the exact
   // parametric path sizes a tie-grouping scratch by the number of distinct
   // breakpoints, which the perturbed c can raise once.
@@ -151,7 +154,7 @@ std::uint64_t steady_p2_allocations(Regime regime, std::size_t repeats) {
     c[j] = base[j] * (1.0 + 0.01 * static_cast<double>(j % 7));
   }
   ws.set_linear(c.data(), c.data() + c.size());
-  core::solve_load_balancing(ws, options);
+  core::solve_load_balancing(ws);
 
   const std::uint64_t before_steady = allocation_count();
   for (std::size_t r = 0; r < repeats; ++r) {
@@ -159,7 +162,7 @@ std::uint64_t steady_p2_allocations(Regime regime, std::size_t repeats) {
       c[j] = base[j] * (1.0 + 0.01 * static_cast<double>((r + j) % 7));
     }
     ws.set_linear(c.data(), c.data() + c.size());
-    core::solve_load_balancing(ws, options);
+    core::solve_load_balancing(ws);
   }
   return allocation_count() - before_steady;
 }
@@ -178,8 +181,11 @@ TEST(Allocations, ExactP2MaskToggleIsAllocationFree) {
   EXPECT_EQ(steady_p2_allocations(Regime::kMaskToggle, kSteadyRepeats), 0u);
 }
 
-TEST(Allocations, FistaP2SteadyStateIsAllocationFree) {
-  EXPECT_EQ(steady_p2_allocations(Regime::kFista, kSteadyRepeats), 0u);
+TEST(Allocations, SbsWeightedP2SteadyStateIsAllocationFree) {
+  EXPECT_EQ(
+      steady_p2_allocations(Regime::kSbsWeightedBinding, kSteadyRepeats), 0u);
+  EXPECT_EQ(steady_p2_allocations(Regime::kSbsWeightedSlack, kSteadyRepeats),
+            0u);
 }
 
 /// The sparse_n64 perfbench shape scaled down to N = 8, K = 2000: two

@@ -7,11 +7,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
+#include <vector>
 
+#include "core/load_balancing.hpp"
 #include "core/primal_dual.hpp"
 #include "shard/coordinator.hpp"
 #include "shard/wire.hpp"
 #include "tsan_skip.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/predictor.hpp"
 #include "workload/scenario.hpp"
@@ -172,6 +176,36 @@ TEST(Budgets, PaperRingDualIterationsPerSolve) {
   constexpr std::size_t kIterationCeiling = 189;
   EXPECT_LE(iterations, kIterationCeiling);
   RecordProperty("dual_iterations", static_cast<int>(iterations));
+}
+
+// E6's 900-coordinate P2 cell (bench_solvers' P2Fixture at 30 classes x
+// 30 contents) with omega_sbs = 0.05 on every class and the bandwidth row
+// binding: the r step's bisection nests the theta step's, so this is the
+// solve with the most stationary points per call.
+TEST(Budgets, SbsWeightedBindingP2StationaryPoints) {
+  constexpr std::size_t kClasses = 30;
+  constexpr std::size_t kContents = 30;
+  model::SbsConfig sbs;
+  sbs.cache_capacity = kContents;
+  sbs.bandwidth = static_cast<double>(kClasses) / 2.0;
+  sbs.replacement_beta = 1.0;
+  Rng rng(5);
+  sbs.classes.resize(kClasses);
+  for (auto& mu : sbs.classes) mu = {rng.uniform(0.0, 1.0), 0.05};
+  model::SbsDemand dense(kClasses, kContents);
+  for (auto& v : dense.data()) v = rng.uniform(0.0, 2.0 / kContents);
+  std::vector<std::size_t> contents(kContents);
+  std::iota(contents.begin(), contents.end(), std::size_t{0});
+  core::P2Workspace ws;
+  ws.bind_active(sbs, model::SparseSbsDemand::from_dense(dense), contents);
+  const core::LoadBalancingOutcome outcome = core::solve_load_balancing(ws);
+  ASSERT_EQ(outcome.status, solver::SolveStatus::kConverged);
+
+  // Measured at the commit that made the r step the only P2 path for
+  // omega_sbs > 0 (parent 220035f): 2112 stationary points.
+  constexpr std::size_t kStationaryPointCeiling = 2112;
+  EXPECT_LE(outcome.iterations, kStationaryPointCeiling);
+  RecordProperty("stationary_points", static_cast<int>(outcome.iterations));
 }
 
 }  // namespace

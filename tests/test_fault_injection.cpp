@@ -436,7 +436,7 @@ TEST(SolveStatus, LoadBalancingRejectsNonFiniteDemand) {
                                  model::SparseSbsDemand::from_dense(demand),
                                  all));
   core::LoadBalancingOutcome outcome;
-  EXPECT_NO_THROW(outcome = core::solve_load_balancing(ws, {}));
+  EXPECT_NO_THROW(outcome = core::solve_load_balancing(ws));
   EXPECT_EQ(outcome.status, solver::SolveStatus::kNonFiniteInput);
   EXPECT_EQ(ws.y().size(), demand.data().size());
   for (const double y : ws.y()) EXPECT_EQ(y, 0.0);  // safe fallback

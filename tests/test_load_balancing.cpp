@@ -10,6 +10,8 @@
 #include "core/load_balancing.hpp"
 #include "model/decision.hpp"
 #include "model/sparse_demand.hpp"
+#include "solver/first_order.hpp"
+#include "solver/projection.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -74,7 +76,7 @@ TEST(LoadBalancing, ServesEverythingWhenBandwidthAmple) {
   fx.demand.at(0, 0) = 3.0;
   P2Workspace ws;
   fx.bind(ws);
-  const auto out = solve_load_balancing(ws, {});
+  const auto out = solve_load_balancing(ws);
   EXPECT_NEAR(ws.y()[0], 1.0, 1e-4);
   EXPECT_NEAR(out.objective, 0.0, 1e-4);
 }
@@ -84,7 +86,7 @@ TEST(LoadBalancing, BandwidthCapBinds) {
   fx.demand.at(0, 0) = 3.0;
   P2Workspace ws;
   fx.bind(ws);
-  const auto out = solve_load_balancing(ws, {});
+  const auto out = solve_load_balancing(ws);
   // lambda y <= 1 -> y <= 1/3; the BS term decreases in y so y* = 1/3.
   EXPECT_NEAR(ws.y()[0], 1.0 / 3.0, 1e-4);
   EXPECT_NEAR(out.objective, (3.0 - 1.0) * (3.0 - 1.0), 1e-3);
@@ -96,7 +98,7 @@ TEST(LoadBalancing, UpperBoundFromCachingRespected) {
   fx.demand.at(0, 1) = 2.0;
   P2Workspace ws;
   fx.bind(ws, {}, {1.0, 0.0});  // content 1 not cached
-  solve_load_balancing(ws, {});
+  solve_load_balancing(ws);
   EXPECT_NEAR(ws.y()[0], 1.0, 1e-4);
   EXPECT_NEAR(ws.y()[1], 0.0, 1e-8);
 }
@@ -109,7 +111,7 @@ TEST(LoadBalancing, PrioritizesHighOmegaClassesUnderScarcity) {
   fx.demand.at(1, 0) = 2.0;
   P2Workspace ws;
   fx.bind(ws);
-  solve_load_balancing(ws, {});
+  solve_load_balancing(ws);
   // Only 2 units of bandwidth for 4 units of demand: serve the expensive
   // class first.
   EXPECT_GT(ws.y()[0], 0.95);
@@ -123,7 +125,7 @@ TEST(LoadBalancing, LinearTermDiscouragesService) {
   // dominates everywhere and y* = 0.
   P2Workspace ws;
   fx.bind(ws, {3.0});
-  solve_load_balancing(ws, {});
+  solve_load_balancing(ws);
   EXPECT_NEAR(ws.y()[0], 0.0, 1e-4);
 }
 
@@ -133,7 +135,7 @@ TEST(LoadBalancing, LinearTermPartialInterior) {
   // Stationarity: -2(1 - y) + c = 0 -> y = 1 - c/2 = 0.4 for c = 1.2.
   P2Workspace ws;
   fx.bind(ws, {1.2});
-  solve_load_balancing(ws, {});
+  solve_load_balancing(ws);
   EXPECT_NEAR(ws.y()[0], 0.4, 1e-3);
 }
 
@@ -143,7 +145,7 @@ TEST(LoadBalancing, SbsCostTermPullsDown) {
   fx.demand.at(0, 0) = 1.0;
   P2Workspace ws;
   fx.bind(ws);
-  solve_load_balancing(ws, {});
+  solve_load_balancing(ws);
   // min (1-y)^2 + y^2 -> y = 0.5.
   EXPECT_NEAR(ws.y()[0], 0.5, 1e-3);
 }
@@ -152,39 +154,36 @@ TEST(LoadBalancing, ZeroDemandDegenerates) {
   Fixture fx(2, 2, 1.0);
   P2Workspace ws;
   fx.bind(ws);
-  const auto out = solve_load_balancing(ws, {});
-  EXPECT_TRUE(out.converged);
+  const auto out = solve_load_balancing(ws);
+  EXPECT_EQ(out.status, solver::SolveStatus::kConverged);
   for (const double y : ws.y()) EXPECT_DOUBLE_EQ(y, 0.0);
   EXPECT_DOUBLE_EQ(out.objective, 0.0);
 }
 
 TEST(LoadBalancing, WarmStartGivesSameAnswer) {
-  // omega_sbs > 0 takes the FISTA path, the one that reads the warm y.
+  // A solve reads no earlier solution: a workspace that already solved
+  // under another linear term gives the cold answer bit for bit, on the
+  // r step (omega_sbs > 0) with a binding bandwidth row.
   Fixture fx(3, 4, 2.0);
   fx.sbs.classes.assign(3, model::MuClass{1.0, 0.3});
   Rng rng(5);
   for (auto& v : fx.demand.data()) v = rng.uniform(0.0, 2.0);
   P2Workspace cold, warm;
   fx.bind(cold);
-  const auto cold_out = solve_load_balancing(cold, {});
+  const auto cold_out = solve_load_balancing(cold);
 
   // The warm workspace first solves under another linear term, then starts
   // the zero-term solve from that solution within the same binding.
   linalg::Vec c(12);
   for (auto& v : c) v = rng.uniform(0.0, 0.5);
   fx.bind(warm, c);
-  solve_load_balancing(warm, {});
+  solve_load_balancing(warm);
   ASSERT_EQ(warm.y().size(), 12u);
   const linalg::Vec zero(12, 0.0);
   warm.set_linear(zero.data(), zero.data() + zero.size());
-  const auto warm_out = solve_load_balancing(warm, {});
-  EXPECT_NEAR(cold_out.objective, warm_out.objective, 1e-4);
-
-  // A new binding drops the warm start: the same solve is the cold one,
-  // bit for bit.
-  fx.bind(warm);
-  const auto rebound_out = solve_load_balancing(warm, {});
-  EXPECT_EQ(std::memcmp(&rebound_out.objective, &cold_out.objective,
+  const auto warm_out = solve_load_balancing(warm);
+  EXPECT_GT(warm_out.iterations, 1u);  // the bisections ran
+  EXPECT_EQ(std::memcmp(&warm_out.objective, &cold_out.objective,
                         sizeof(double)),
             0);
   ASSERT_EQ(warm.y().size(), cold.y().size());
@@ -210,7 +209,7 @@ TEST(LoadBalancing, ObjectiveEvaluatorConsistent) {
 TEST(LoadBalancing, ValidatesInputs) {
   Fixture fx(1, 2, 1.0);
   P2Workspace ws;
-  EXPECT_THROW(solve_load_balancing(ws, {}), InvalidArgument);  // unbound
+  EXPECT_THROW(solve_load_balancing(ws), InvalidArgument);  // unbound
   fx.bind(ws);
   EXPECT_THROW(ws.set_upper({0.5}), InvalidArgument);  // wrong size
   EXPECT_THROW(ws.set_upper({1.5, 0.0}), InvalidArgument);  // outside [0, 1]
@@ -257,7 +256,7 @@ struct RandomCell {
   }
 };
 
-/// Property: the FISTA solution beats random feasible samples.
+/// Property: the solution beats random feasible samples.
 class LoadBalancingRandomTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -283,10 +282,7 @@ TEST_P(LoadBalancingRandomTest, BeatsRandomFeasiblePoints) {
     ws.set_linear(linear.data(), linear.data() + size);
     ws.set_upper(upper);
 
-    LoadBalancingOptions tight;
-    tight.first_order.max_iterations = 3000;
-    tight.first_order.gradient_tolerance = 1e-9;
-    const auto out = solve_load_balancing(ws, tight);
+    const auto out = solve_load_balancing(ws);
     const linalg::Vec& y = ws.y();
     const Coefficients& coeff = ws.coefficients();
 
@@ -320,37 +316,16 @@ INSTANTIATE_TEST_SUITE_P(RandomInstances, LoadBalancingRandomTest,
 // ------------------------------------------------------------ exact KKT ----
 
 TEST(ExactLoadBalancing, ApplicabilityDetection) {
-  // The default options take the exact solver exactly when every
-  // omega_sbs is zero; otherwise they run FISTA, bit for bit.
+  // Every omega_sbs zero and ample bandwidth: the solve is the single
+  // theta = 0 stationary point.
   Fixture fx(2, 2, 100.0);
   fx.demand.at(0, 0) = 1.0;
   fx.demand.at(0, 1) = 0.5;
   fx.demand.at(1, 0) = 2.0;
   fx.demand.at(1, 1) = 0.25;
-  LoadBalancingOptions fista;
-  fista.prefer_exact = false;
-  {
-    P2Workspace by_default, by_fista;
-    fx.bind(by_default);
-    fx.bind(by_fista);
-    // Ample bandwidth: the exact solve is the single theta = 0 point.
-    EXPECT_EQ(solve_load_balancing(by_default, {}).iterations, 1u);
-    EXPECT_GT(solve_load_balancing(by_fista, fista).iterations, 1u);
-  }
-  fx.sbs.classes[1].omega_sbs = 0.1;
-  P2Workspace by_default, by_fista;
-  fx.bind(by_default);
-  fx.bind(by_fista);
-  const auto default_out = solve_load_balancing(by_default, {});
-  const auto fista_out = solve_load_balancing(by_fista, fista);
-  EXPECT_EQ(default_out.iterations, fista_out.iterations);
-  ASSERT_EQ(by_default.y().size(), by_fista.y().size());
-  EXPECT_EQ(std::memcmp(by_default.y().data(), by_fista.y().data(),
-                        sizeof(double) * by_fista.y().size()),
-            0);
-  EXPECT_EQ(std::memcmp(&default_out.objective, &fista_out.objective,
-                        sizeof(double)),
-            0);
+  P2Workspace ws;
+  fx.bind(ws);
+  EXPECT_EQ(solve_load_balancing(ws).iterations, 1u);
 }
 
 TEST(ExactLoadBalancing, MatchesClosedFormInterior) {
@@ -358,7 +333,7 @@ TEST(ExactLoadBalancing, MatchesClosedFormInterior) {
   fx.demand.at(0, 0) = 1.0;
   P2Workspace ws;
   fx.bind(ws, {1.2});  // stationarity: y = 1 - c/2 = 0.4
-  solve_load_balancing(ws, {});
+  solve_load_balancing(ws);
   EXPECT_NEAR(ws.y()[0], 0.4, 1e-9);
 }
 
@@ -367,7 +342,7 @@ TEST(ExactLoadBalancing, BandwidthBindingMatchesKkt) {
   fx.demand.at(0, 0) = 3.0;
   P2Workspace ws;
   fx.bind(ws);
-  solve_load_balancing(ws, {});
+  solve_load_balancing(ws);
   EXPECT_NEAR(ws.y()[0], 1.0 / 3.0, 1e-6);
 }
 
@@ -379,15 +354,55 @@ TEST(ExactLoadBalancing, ZeroUCoordinatesFollowLinearSign) {
   fx.demand.at(1, 0) = 1.0;
   P2Workspace ws;
   fx.bind(ws, {0.0, -0.5});  // negative coefficient: push to the upper bound
-  solve_load_balancing(ws, {});
+  solve_load_balancing(ws);
   EXPECT_NEAR(ws.y()[1], 1.0, 1e-9);
   fx.bind(ws, {0.0, 0.5});
-  solve_load_balancing(ws, {});
+  solve_load_balancing(ws);
   EXPECT_NEAR(ws.y()[1], 0.0, 1e-9);
 }
 
-/// Property: exact and (tightly converged) FISTA agree in objective value
-/// on random v = 0 instances, and exact is feasible.
+/// The reference for a bound P2: tightly converged FISTA
+/// (solver::minimize_projected) over box ∩ bandwidth, projected by
+/// solver::project_box_knapsack_into, on the workspace's own coefficients.
+/// The projection ends on the feasible side, so the value is that of a
+/// feasible point: an upper bound on the optimum.
+double reference_objective(const Coefficients& coeff, double budget) {
+  const std::size_t size = coeff.lambda.size();
+  solver::BoxKnapsackSet set;
+  set.lo.assign(size, 0.0);
+  set.hi = coeff.ub;
+  set.weights = coeff.lambda;
+  set.budget = budget;
+  set.validate();
+  const solver::ValueGradientFn objective = [&](const linalg::Vec& y,
+                                                linalg::Vec& grad) {
+    const double bs_term = coeff.a - linalg::dot(coeff.u, y);
+    const double sbs_term = linalg::dot(coeff.v, y);
+    for (std::size_t j = 0; j < size; ++j) {
+      grad[j] = -2.0 * bs_term * coeff.u[j] + 2.0 * sbs_term * coeff.v[j] +
+                coeff.c[j];
+    }
+    return load_balancing_objective(coeff, y);
+  };
+  const solver::ProjectionIntoFn project = [&](const linalg::Vec& in,
+                                               linalg::Vec& out) {
+    solver::project_box_knapsack_into(in, set, out, 1e-15);
+  };
+  const double lipschitz =
+      2.0 * (linalg::dot(coeff.u, coeff.u) + linalg::dot(coeff.v, coeff.v));
+  solver::FirstOrderWorkspace fista;
+  fista.x.assign(size, 0.0);
+  solver::minimize_projected(objective, project, fista,
+                             {.max_iterations = 20000,
+                              .gradient_tolerance = 1e-14,
+                              .lipschitz = std::max(lipschitz, 1e-6),
+                              .accelerate = true});
+  return load_balancing_objective(coeff, fista.x);
+}
+
+/// Property: on random instances — omega_sbs > 0 on most classes, one
+/// class with omega = 0 but omega_sbs > 0, the bandwidth row binding on odd
+/// seeds — the exact solution is feasible and no worse than the reference.
 class ExactVsFistaTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ExactVsFistaTest, ObjectivesAgree) {
@@ -398,43 +413,45 @@ TEST_P(ExactVsFistaTest, ObjectivesAgree) {
         1 + static_cast<std::size_t>(rng.uniform_int(0, 3));
     const std::size_t contents =
         1 + static_cast<std::size_t>(rng.uniform_int(0, 3));
-    RandomCell cell(classes, contents, rng.uniform(0.2, 4.0), compact);
-    for (auto& mu : cell.fx.sbs.classes) mu.omega_bs = rng.uniform(0.0, 1.0);
-    cell.fill_demand(
-        [&] { return rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 2.0); });
-    P2Workspace ws, fista_ws;
+    RandomCell cell(classes, contents, 0.0, compact);
+    for (auto& mu : cell.fx.sbs.classes) {
+      mu.omega_bs = rng.uniform(0.0, 1.0);
+      mu.omega_sbs = rng.bernoulli(0.8) ? rng.uniform(0.0, 0.5) : 0.0;
+    }
+    if (classes > 1) cell.fx.sbs.classes.back() = {0.0, rng.uniform(0.1, 0.5)};
+    double total_rate = 0.0;
+    cell.fill_demand([&] {
+      const double rate = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 2.0);
+      total_rate += rate;
+      return rate;
+    });
+    cell.fx.sbs.bandwidth = GetParam() % 2 == 1
+                                ? rng.uniform(0.1, 0.4) * total_rate
+                                : rng.uniform(1.0, 2.0) * total_rate + 0.1;
+    P2Workspace ws;
     const std::size_t size = cell.bind(ws);
-    cell.bind(fista_ws);
     linalg::Vec linear(size), upper(size);
     for (auto& c : linear) c = rng.uniform(-0.3, 1.0);
     for (auto& u : upper) u = rng.bernoulli(0.25) ? 0.0 : 1.0;
     ws.set_linear(linear.data(), linear.data() + size);
     ws.set_upper(upper);
-    const auto exact = solve_load_balancing(ws, {});
+    const auto exact = solve_load_balancing(ws);
     const linalg::Vec& y = ws.y();
     const Coefficients& coeff = ws.coefficients();
+    const double budget = cell.fx.sbs.bandwidth;
 
-    fista_ws.set_linear(linear.data(), linear.data() + size);
-    fista_ws.set_upper(upper);
-    LoadBalancingOptions tight;
-    tight.prefer_exact = false;
-    tight.first_order.max_iterations = 8000;
-    tight.first_order.gradient_tolerance = 1e-10;
-    const auto fista = solve_load_balancing(fista_ws, tight);
-
-    // Feasibility of the exact solution.
     double load = 0.0;
     for (std::size_t j = 0; j < size; ++j) {
-      EXPECT_GE(y[j], -1e-9);
-      EXPECT_LE(y[j], upper[j] + 1e-9);
+      EXPECT_GE(y[j], 0.0);
+      EXPECT_LE(y[j], upper[j]);
       load += coeff.lambda[j] * y[j];
     }
-    EXPECT_LE(load, cell.fx.sbs.bandwidth + 1e-6);
+    EXPECT_LE(load, budget + 1e-12 * (1.0 + budget));
 
-    EXPECT_NEAR(exact.objective, fista.objective,
-                1e-4 * (1.0 + std::abs(fista.objective)));
-    // Objective evaluations agree with the reported values.
-    EXPECT_NEAR(load_balancing_objective(coeff, y), exact.objective, 1e-9);
+    const double reference = reference_objective(coeff, budget);
+    EXPECT_LE(exact.objective, reference + 1e-9 * (1.0 + std::abs(reference)));
+    EXPECT_NEAR(load_balancing_objective(coeff, y), exact.objective,
+                1e-12 * (1.0 + std::abs(exact.objective)));
   }
 }
 
@@ -478,13 +495,13 @@ std::size_t expect_warm_equals_cold(P2Workspace& warm,
                                     const WarmOrderCell& cell,
                                     const linalg::Vec& c,
                                     const linalg::Vec& ub) {
-  const LoadBalancingOutcome warm_out = solve_load_balancing(warm, {});
+  const LoadBalancingOutcome warm_out = solve_load_balancing(warm);
 
   P2Workspace cold;
   cold.bind_active(cell.sbs, cell.demand, cell.active);
   cold.set_linear(c.data(), c.data() + c.size());
   cold.set_upper(ub);
-  const LoadBalancingOutcome cold_out = solve_load_balancing(cold, {});
+  const LoadBalancingOutcome cold_out = solve_load_balancing(cold);
 
   EXPECT_EQ(warm.y().size(), cold.y().size());
   if (warm.y().size() == cold.y().size()) {

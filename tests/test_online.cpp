@@ -280,8 +280,8 @@ TEST(Chc, CommitOneEqualsRhcTrajectoryShape) {
   }
 }
 
-TEST(Chc, CommitOneEqualsRhcBitwiseOnFistaPath) {
-  // hat-omega > 0 sends P2 down the FISTA path, and noisy forecasts move
+TEST(Chc, CommitOneEqualsRhcBitwiseOnSbsWeightedPath) {
+  // hat-omega > 0 sends P2 through the r step, and noisy forecasts move
   // the window's demand every slot: CHC(r = 1), FHC(r = 1) and RHC still
   // take the same decisions bit for bit.
   workload::PaperScenario scenario;

@@ -373,8 +373,8 @@ double brute_force_optimum(const OverlapConfig& config,
   OverlapP2Workspace ws;
   linalg::Vec upper;
   for (std::size_t t = 0; t < slots; ++t) {
-    ws.bind(config, layout, problem.demand[t]);
     for (std::size_t s = 0; s < combos.size(); ++s) {
+      ws.bind(config, layout, problem.demand[t]);  // every set solves cold
       upper.assign(layout.y_size(), 0.0);
       for (std::size_t id = 0; id < layout.num_links(); ++id) {
         const auto [m, n] = layout.link(id);
@@ -384,7 +384,6 @@ double brute_force_optimum(const OverlapConfig& config,
         }
       }
       ws.set_upper(upper);
-      ws.clear_warm_start();
       opcost[t][s] = solve_overlap_load_balancing(ws, tight).objective;
     }
   }

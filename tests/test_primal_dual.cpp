@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/exact_dp.hpp"
 #include "core/primal_dual.hpp"
@@ -19,7 +20,8 @@ model::ProblemInstance small_instance(std::uint64_t seed,
                                       std::size_t contents = 5,
                                       std::size_t classes = 3,
                                       std::size_t horizon = 4,
-                                      double beta = 2.0) {
+                                      double beta = 2.0,
+                                      double omega_sbs_factor = 0.0) {
   workload::PaperScenario scenario;
   scenario.seed = seed;
   scenario.num_contents = contents;
@@ -28,6 +30,7 @@ model::ProblemInstance small_instance(std::uint64_t seed,
   scenario.cache_capacity = 2;
   scenario.bandwidth = 3.0;
   scenario.beta = beta;
+  scenario.omega_sbs_factor = omega_sbs_factor;
   scenario.workload.rank_swaps_per_slot = 1;
   return scenario.build();
 }
@@ -115,20 +118,25 @@ class PrimalDualVsExactTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PrimalDualVsExactTest, CloseToExactOptimum) {
-  const auto instance = small_instance(GetParam());
-  const auto problem = as_problem(instance);
+  for (const double omega_sbs_factor : {0.0, 0.3}) {
+    SCOPED_TRACE("omega_sbs_factor " + std::to_string(omega_sbs_factor));
+    const auto instance =
+        small_instance(GetParam(), 5, 3, 4, 2.0, omega_sbs_factor);
+    const auto problem = as_problem(instance);
 
-  PrimalDualOptions options;
-  options.max_iterations = 60;
-  const auto pd = PrimalDualSolver(options).solve(problem);
-  const auto exact = solve_joint_exact(problem);
+    PrimalDualOptions options;
+    options.max_iterations = 60;
+    const auto pd = PrimalDualSolver(options).solve(problem);
+    const auto exact = solve_joint_exact(problem);
 
-  // Exact DP is the ground truth: PD is an upper bound on it, its dual is
-  // a lower bound (small tolerances absorb the inner FISTA accuracy).
-  EXPECT_GE(pd.upper_bound, exact.objective - 1e-4);
-  EXPECT_LE(pd.lower_bound, exact.objective + 1e-4);
-  EXPECT_LE(pd.upper_bound, exact.objective * 1.05 + 1e-6)
-      << "primal-dual more than 5% above the exact optimum";
+    // Exact DP is the ground truth: PD is an upper bound on it and its dual
+    // a lower bound. Both solve P2 exactly, so only rounding separates them.
+    const double tolerance = 1e-9 * std::abs(exact.objective);
+    EXPECT_GE(pd.upper_bound, exact.objective - tolerance);
+    EXPECT_LE(pd.lower_bound, exact.objective + tolerance);
+    EXPECT_LE(pd.upper_bound, exact.objective * 1.05 + 1e-6)
+        << "primal-dual more than 5% above the exact optimum";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, PrimalDualVsExactTest,

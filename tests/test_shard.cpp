@@ -541,8 +541,9 @@ TEST(ShardSolve, EnvRoutingMatchesInProcess) {
 /// the same window from a moved start cache, as an FHC planner's resync in
 /// the middle of a block makes: the start caches contents that some slot's
 /// demand leaves out, so active sets gain coordinates and the compact mu
-/// geometry moves. At omega_sbs_factor > 0 every P2 runs FISTA, which reads
-/// the warm y; at 0 the exact path ignores it.
+/// geometry moves. At omega_sbs_factor > 0 every P2 runs the r step, whose
+/// nested bisections walk the warm threshold order far more than the
+/// omega_sbs = 0 solve does.
 TEST(ShardSolve, SolvesDoNotDependOnSolverHistory) {
   MDO_SKIP_IF_TSAN();
   for (const double omega_sbs_factor : {0.0, 0.3}) {
