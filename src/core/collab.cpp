@@ -18,12 +18,22 @@ namespace {
 constexpr double kAcceptanceMargin = 1e-9;
 
 /// One offloadable coordinate of receiver n: class m, content k, demand
-/// rate lambda > 0, routed through designated source `src`.
+/// rate lambda > 0, its current loads y and y_neigh, routed through
+/// designated source `src`.
 struct Candidate {
   std::size_t m = 0;
   std::size_t k = 0;
   double rate = 0.0;
+  double y = 0.0;
+  double z = 0.0;
   std::size_t src = 0;
+};
+
+/// A neighbor load the overlay assigns: y_neigh[m, k] = value.
+struct Assignment {
+  std::size_t m = 0;
+  std::size_t k = 0;
+  double value = 0.0;
 };
 
 /// Runs the overlay for one receiver SBS. Reads every SBS's cache
@@ -45,21 +55,20 @@ bool overlay_receiver(const model::NetworkConfig& config,
   double residual = 0.0;  // R: omega_bs-weighted traffic still on the BS
   double neigh = 0.0;     // S: omega_neigh-weighted neighbor traffic
   for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-    const model::DemandEntry* const end = demand.row_end(m);
-    for (const model::DemandEntry* it = demand.row_begin(m); it != end; ++it) {
-      const std::size_t k = it->content;
-      const double rate = it->rate;
-      if (rate <= 0.0) continue;
-      const double y = load.at(n, m, k);
-      const double z = load.neighbor_at(n, m, k);
-      residual += sbs.classes[m].omega_bs * (1.0 - y - z) * rate;
-      neigh += sbs.classes[m].omega_neigh * z * rate;
-      const std::size_t src =
-          model::neighbor_source(config, decision.cache, n, k);
-      if (src == config.num_sbs()) continue;
-      if (1.0 - y - z <= 0.0) continue;
-      candidates.push_back({m, k, rate, src});
-    }
+    model::join_class(
+        demand, m, load.row(n), [&](const model::DemandEntry& entry, double y) {
+          const std::size_t k = entry.content;
+          const double rate = entry.rate;
+          if (rate <= 0.0) return;
+          const double z = load.neighbor_at(n, m, k);
+          residual += sbs.classes[m].omega_bs * (1.0 - y - z) * rate;
+          neigh += sbs.classes[m].omega_neigh * z * rate;
+          const std::size_t src =
+              model::neighbor_source(config, decision.cache, n, k);
+          if (src == config.num_sbs()) return;
+          if (1.0 - y - z <= 0.0) return;
+          candidates.push_back({m, k, rate, y, z, src});
+        });
   }
   if (candidates.empty()) return false;
 
@@ -78,7 +87,7 @@ bool overlay_receiver(const model::NetworkConfig& config,
   solver::FirstOrderWorkspace ws;
   solver::BoxKnapsackSet set;
   linalg::Vec u, w;
-  bool assigned = false;
+  std::vector<Assignment> assigned;
 
   // Gauss-Seidel over the link groups: each group sees the residual and
   // neighbor traffic left by the groups before it.
@@ -101,7 +110,7 @@ bool overlay_receiver(const model::NetworkConfig& config,
       u[i] = sbs.classes[c.m].omega_bs * c.rate;
       w[i] = sbs.classes[c.m].omega_neigh * c.rate;
       set.weights[i] = c.rate;
-      set.hi[i] = 1.0 - load.at(n, c.m, c.k) - load.neighbor_at(n, c.m, c.k);
+      set.hi[i] = 1.0 - c.y - c.z;
       lipschitz += 2.0 * (u[i] * u[i] + w[i] * w[i]);
     }
     if (lipschitz <= 0.0) continue;
@@ -157,13 +166,30 @@ bool overlay_receiver(const model::NetworkConfig& config,
     for (std::size_t i = 0; i < dim; ++i) {
       if (ws.x[i] <= 0.0) continue;
       const Candidate& c = candidates[group[i]];
-      load.neighbor_at(n, c.m, c.k) += ws.x[i];
-      assigned = true;
+      assigned.push_back({c.m, c.k, c.z + ws.x[i]});
     }
     residual = r_cur - du;
     neigh = s_cur + dw;
   }
-  return assigned;
+  if (assigned.empty()) return false;
+
+  // Each coordinate belongs to one group, so the assignments are distinct:
+  // widen the neighbor row by their contents once, then write them.
+  std::vector<std::size_t> contents;
+  contents.reserve(assigned.size());
+  for (const Assignment& a : assigned) contents.push_back(a.k);
+  std::sort(contents.begin(), contents.end());
+  contents.erase(std::unique(contents.begin(), contents.end()),
+                 contents.end());
+  model::LoadRow& neighbor = load.neighbor_row(n);
+  neighbor.widen(contents);
+  const std::span<const std::size_t> list = neighbor.contents();
+  for (const Assignment& a : assigned) {
+    const auto it = std::lower_bound(list.begin(), list.end(), a.k);
+    neighbor.class_values(a.m)[static_cast<std::size_t>(it - list.begin())] =
+        a.value;
+  }
+  return true;
 }
 
 }  // namespace

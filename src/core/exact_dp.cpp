@@ -138,6 +138,10 @@ ExactDpResult solve_joint_exact(const HorizonProblem& problem,
     result.schedule[t].load = model::LoadAllocation(config);
   }
 
+  // The DP's loads are dense over the (tiny) catalogue; each row keeps
+  // the columns that are not +0.0.
+  std::vector<std::size_t> all_contents(config.num_contents);
+  std::iota(all_contents.begin(), all_contents.end(), 0);
   for (std::size_t n = 0; n < config.num_sbs(); ++n) {
     std::uint32_t initial_set = 0;
     for (std::size_t k = 0; k < config.num_contents; ++k) {
@@ -153,7 +157,8 @@ ExactDpResult solve_joint_exact(const HorizonProblem& problem,
         result.schedule[t].cache.set(
             n, k, ((sbs_result.chosen[t] >> k) & 1u) != 0);
       }
-      result.schedule[t].load.sbs_data(n) = sbs_result.load[t];
+      result.schedule[t].load.row(n).assign_nonzero(all_contents,
+                                                      sbs_result.load[t]);
     }
   }
   return result;

@@ -383,7 +383,7 @@ model::LoadAllocation optimal_load_for_cache(const model::NetworkConfig& config,
   const model::SparseSlotDemand& slot = model::sparse_slot(demand, storage);
   MDO_REQUIRE(slot.size() == config.num_sbs(),
               "optimal_load_for_cache: demand shape mismatch");
-  model::LoadAllocation load(config);  // zero-initialized
+  model::LoadAllocation load(config);
   for (std::size_t n = 0; n < config.num_sbs(); ++n) {
     const std::size_t classes = config.sbs[n].num_classes();
     const std::vector<std::size_t> active =
@@ -398,14 +398,10 @@ model::LoadAllocation optimal_load_for_cache(const model::NetworkConfig& config,
     }
     ws.set_upper(ub);
     solve_load_balancing(ws);
-    // Off-active loads are structural zeros of P2: scatter the compact y.
-    const std::size_t a_count = active.size();
-    linalg::Vec& row = load.sbs_data(n);
-    for (std::size_t m = 0; m < classes; ++m) {
-      for (std::size_t i = 0; i < a_count; ++i) {
-        row[m * config.num_contents + active[i]] = ws.y()[m * a_count + i];
-      }
-    }
+    // Off-active loads are structural zeros of P2, and so is y wherever
+    // ub = x = 0: the row keeps the columns of the compact y that are not
+    // +0.0.
+    load.row(n).assign_nonzero(active, ws.y());
   }
   return load;
 }

@@ -57,21 +57,26 @@ model::CacheState round_cache(const model::NetworkConfig& config,
 void mask_load_by_cache(const model::NetworkConfig& config,
                         const model::CacheState& cache,
                         model::LoadAllocation& load) {
+  // Only stored entries can be nonzero, so only they are masked.
   for (std::size_t n = 0; n < config.num_sbs(); ++n) {
-    for (std::size_t m = 0; m < config.sbs[n].num_classes(); ++m) {
-      for (std::size_t k = 0; k < config.num_contents; ++k) {
-        if (!cache.cached(n, k)) load.at(n, m, k) = 0.0;
+    model::LoadRow& row = load.row(n);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      if (cache.cached(n, row.contents()[i])) continue;
+      for (std::size_t m = 0; m < row.num_classes(); ++m) {
+        row.class_values(m)[i] = 0.0;
       }
     }
   }
   if (!load.has_neighbor()) return;
   for (std::size_t n = 0; n < config.num_sbs(); ++n) {
-    for (std::size_t k = 0; k < config.num_contents; ++k) {
-      if (model::neighbor_source(config, cache, n, k) != config.num_sbs()) {
+    model::LoadRow& row = load.neighbor_row(n);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      if (model::neighbor_source(config, cache, n, row.contents()[i]) !=
+          config.num_sbs()) {
         continue;  // a positive-bandwidth peer still caches k
       }
-      for (std::size_t m = 0; m < config.sbs[n].num_classes(); ++m) {
-        load.neighbor_at(n, m, k) = 0.0;
+      for (std::size_t m = 0; m < row.num_classes(); ++m) {
+        row.class_values(m)[i] = 0.0;
       }
     }
   }

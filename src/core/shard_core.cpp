@@ -128,16 +128,9 @@ void write_repaired_cell(const ActiveSets& sets, std::size_t t,
   for (std::size_t i = 0; i < a_count; ++i) {
     slot.cache.set(n, al[i], bits[map[i]] != 0);
   }
-  linalg::Vec& load = slot.load.sbs_data(n);
-  const std::size_t k_count = slot.load.num_contents();
-  const std::size_t classes = slot.load.num_classes(n);
-  MDO_CHECK(y.size() == classes * a_count,
+  MDO_CHECK(y.size() == slot.load.num_classes(n) * a_count,
             "repaired cell: load size disagrees with the active set");
-  for (std::size_t m = 0; m < classes; ++m) {
-    for (std::size_t i = 0; i < a_count; ++i) {
-      load[m * k_count + al[i]] = y[m * a_count + i];
-    }
-  }
+  slot.load.row(n).assign_nonzero(al, y);
 }
 
 CellCost repaired_cell_cost(const model::NetworkConfig& config,
@@ -354,7 +347,8 @@ void ShardCore::repair(model::Schedule* schedule) {
 
   // ---- Feasibility repair -> upper bound. P2 with c = 0 and ub = x.
   // Cells are independent per (slot, SBS): every cell touches only SBS n
-  // of slot t (CacheState and LoadAllocation store one vector per SBS).
+  // of slot t (CacheState stores one bitmap per SBS, LoadAllocation one
+  // LoadRow, each with storage of its own).
   util::parallel_for(0, w * num_sbs, [&](std::size_t cell) {
     const std::size_t t = cell / num_sbs;
     const std::size_t n = cell % num_sbs;

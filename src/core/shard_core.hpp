@@ -94,9 +94,12 @@ double marginal_mu(const model::NetworkConfig& config,
                    const std::vector<std::size_t>& offsets, linalg::Vec& mu);
 
 /// Writes the repaired cell (t, n) into `slot`: each active content's cache
-/// bit from the SBS's P1 plan `x` ([t * kp + i] over p1_list[n]) and its
-/// loads from the compact repaired `y`. Off-active entries are structural
-/// zeros and stay untouched, so a reused zero-initialised slot needs no
+/// bit from the SBS's P1 plan `x` ([t * kp + i] over p1_list[n]), and SBS
+/// n's load row as a copy of the compact repaired `y` (the same
+/// class-major layout over the active set), keeping the columns that are
+/// not +0.0 (LoadRow::assign_nonzero): with ub = x those are at most the
+/// cached ones. Off-active cache bits are structural zeros and stay
+/// untouched, so a reused slot built by LoadAllocation(config) needs no
 /// clearing.
 void write_repaired_cell(const ActiveSets& sets, std::size_t t,
                          std::size_t n, const std::vector<std::uint8_t>& x,

@@ -9,29 +9,26 @@ namespace {
 double bs_cost(const NetworkConfig& config, const SparseSlotDemand& slot,
                const LoadAllocation& load) {
   MDO_REQUIRE(slot.size() == config.num_sbs(), "demand shape mismatch");
-  const std::size_t k_count = config.num_contents;
   const bool neighbor = load.has_neighbor();
   double total = 0.0;
   for (std::size_t n = 0; n < config.num_sbs(); ++n) {
     const auto& sbs = config.sbs[n];
     const SparseSbsDemand& d = slot[n];
-    const double* y = load.sbs_data(n).data();
-    const double* z = neighbor ? load.neighbor_data(n).data() : nullptr;
     double weighted = 0.0;
     for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
       // Residual 1 - y_local (- y_neigh when the neighbor bank exists):
       // the subtraction is a separate serial accumulation so the baseline
       // sequence is untouched on bank-free decisions.
       double class_rest = 0.0;
-      const DemandEntry* const end = d.row_end(m);
-      for (const DemandEntry* it = d.row_begin(m); it != end; ++it) {
-        class_rest += (1.0 - y[m * k_count + it->content]) * it->rate;
-      }
+      join_class(d, m, load.row(n), [&](const DemandEntry& entry, double y) {
+        class_rest += (1.0 - y) * entry.rate;
+      });
       if (neighbor) {
         double class_neigh = 0.0;
-        for (const DemandEntry* it = d.row_begin(m); it != end; ++it) {
-          class_neigh += z[m * k_count + it->content] * it->rate;
-        }
+        join_class(d, m, load.neighbor_row(n),
+                   [&](const DemandEntry& entry, double z) {
+                     class_neigh += z * entry.rate;
+                   });
         class_rest -= class_neigh;
       }
       weighted += sbs.classes[m].omega_bs * class_rest;
@@ -48,19 +45,17 @@ template <typename BankFn, typename WeightFn>
 double served_cost(const NetworkConfig& config, const SparseSlotDemand& slot,
                    BankFn&& bank, WeightFn&& weight) {
   MDO_REQUIRE(slot.size() == config.num_sbs(), "demand shape mismatch");
-  const std::size_t k_count = config.num_contents;
   double total = 0.0;
   for (std::size_t n = 0; n < config.num_sbs(); ++n) {
     const auto& sbs = config.sbs[n];
     const SparseSbsDemand& d = slot[n];
-    const double* y = bank(n);
+    const LoadRow& row = bank(n);
     double weighted = 0.0;
     for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
       double class_served = 0.0;
-      const DemandEntry* const end = d.row_end(m);
-      for (const DemandEntry* it = d.row_begin(m); it != end; ++it) {
-        class_served += y[m * k_count + it->content] * it->rate;
-      }
+      join_class(d, m, row, [&](const DemandEntry& entry, double y) {
+        class_served += y * entry.rate;
+      });
       weighted += weight(sbs.classes[m]) * class_served;
     }
     total += weighted * weighted;
@@ -71,7 +66,8 @@ double served_cost(const NetworkConfig& config, const SparseSlotDemand& slot,
 double sbs_cost(const NetworkConfig& config, const SparseSlotDemand& slot,
                 const LoadAllocation& load) {
   return served_cost(
-      config, slot, [&](std::size_t n) { return load.sbs_data(n).data(); },
+      config, slot,
+      [&](std::size_t n) -> const LoadRow& { return load.row(n); },
       [](const MuClass& mu) { return mu.omega_sbs; });
 }
 
@@ -80,7 +76,7 @@ double neighbor_cost(const NetworkConfig& config, const SparseSlotDemand& slot,
   if (!load.has_neighbor()) return 0.0;
   return served_cost(
       config, slot,
-      [&](std::size_t n) { return load.neighbor_data(n).data(); },
+      [&](std::size_t n) -> const LoadRow& { return load.neighbor_row(n); },
       [](const MuClass& mu) { return mu.omega_neigh; });
 }
 

@@ -28,7 +28,9 @@ std::size_t link_index(const std::vector<NeighborLink>& row,
   return row.size();
 }
 
-/// Neighbor-tier violations for receiver SBS n with demand `demand`.
+/// Neighbor-tier violations for receiver SBS n with demand `demand`. Walks
+/// the union of the local and neighbor lists per class, the only contents
+/// where y or y_neigh can be nonzero.
 void check_neighbor_tier(const NetworkConfig& config,
                          const SlotDecision& decision, std::size_t n,
                          double tol, const SparseSbsDemand& demand,
@@ -37,10 +39,22 @@ void check_neighbor_tier(const NetworkConfig& config,
   const std::vector<NeighborLink>* row =
       config.topology.links.empty() ? nullptr : &config.topology.links[n];
   std::vector<double> link_load(row != nullptr ? row->size() : 0, 0.0);
+  const LoadRow& local = decision.load.row(n);
+  const LoadRow& neigh = decision.load.neighbor_row(n);
+  const std::size_t* const local_k = local.contents().data();
+  const std::size_t* const neigh_k = neigh.contents().data();
   for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-    for (std::size_t k = 0; k < config.num_contents; ++k) {
-      const double z = decision.load.neighbor_at(n, m, k);
-      const double y = decision.load.at(n, m, k);
+    const double* const local_y = local.class_values(m);
+    const double* const neigh_z = neigh.class_values(m);
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < local.size() || j < neigh.size()) {
+      const std::size_t k =
+          j == neigh.size() || (i < local.size() && local_k[i] < neigh_k[j])
+              ? local_k[i]
+              : neigh_k[j];
+      const double y = i < local.size() && local_k[i] == k ? local_y[i++] : 0.0;
+      const double z = j < neigh.size() && neigh_k[j] == k ? neigh_z[j++] : 0.0;
       if (z < -tol || z > 1.0 + tol) {
         std::ostringstream os;
         os << "SBS " << n << " class " << m << " content " << k
@@ -81,16 +95,21 @@ void check_neighbor_tier(const NetworkConfig& config,
 
 /// Neighbor-tier repair for receiver SBS n: clamp, zero unavailable
 /// coordinates, trim y_local + y_neigh to 1, then scale each link down to
-/// its cap.
+/// its cap. Only stored neighbor entries can be nonzero, so only they are
+/// visited.
 void repair_neighbor_tier(const NetworkConfig& config, SlotDecision& decision,
                           std::size_t n, const SparseSbsDemand& demand) {
   const auto& sbs = config.sbs[n];
   const std::vector<NeighborLink>* row =
       config.topology.links.empty() ? nullptr : &config.topology.links[n];
   std::vector<double> link_load(row != nullptr ? row->size() : 0, 0.0);
+  LoadRow& neigh = decision.load.neighbor_row(n);
+  const std::size_t* const contents = neigh.contents().data();
   for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-    for (std::size_t k = 0; k < config.num_contents; ++k) {
-      double& z = decision.load.neighbor_at(n, m, k);
+    double* const z_row = neigh.class_values(m);
+    for (std::size_t i = 0; i < neigh.size(); ++i) {
+      const std::size_t k = contents[i];
+      double& z = z_row[i];
       z = std::clamp(z, 0.0, 1.0);
       if (z == 0.0) continue;
       const std::size_t src = neighbor_source(config, decision.cache, n, k);
@@ -114,10 +133,12 @@ void repair_neighbor_tier(const NetworkConfig& config, SlotDecision& decision,
   }
   if (!any_overloaded) return;
   for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-    for (std::size_t k = 0; k < config.num_contents; ++k) {
-      double& z = decision.load.neighbor_at(n, m, k);
+    double* const z_row = neigh.class_values(m);
+    for (std::size_t i = 0; i < neigh.size(); ++i) {
+      double& z = z_row[i];
       if (z == 0.0) continue;
-      const std::size_t src = neighbor_source(config, decision.cache, n, k);
+      const std::size_t src =
+          neighbor_source(config, decision.cache, n, contents[i]);
       if (src == config.num_sbs()) continue;
       z *= scale[link_index(*row, src)];
     }
@@ -130,6 +151,8 @@ std::vector<Violation> check_feasibility(const NetworkConfig& config,
                                          SlotDemandView demand,
                                          const SlotDecision& decision,
                                          double tol) {
+  // Off the stored lists y = 0, which violates nothing at tol >= 0.
+  MDO_REQUIRE(tol >= 0.0, "check_feasibility: tolerance must be >= 0");
   SparseSlotDemand storage;
   const SparseSlotDemand& slot = sparse_slot(demand, storage);
   MDO_REQUIRE(slot.size() == config.num_sbs(), "demand shape mismatch");
@@ -154,10 +177,16 @@ std::vector<Violation> check_feasibility(const NetworkConfig& config,
          << sbs.bandwidth;
       report(os.str());
     }
-    // (3) y <= x and (11) bounds
+    // (3) y <= x and (11) bounds, over the stored entries in (class,
+    // content) order
+    const LoadRow& row = decision.load.row(n);
+    MDO_REQUIRE(row.num_classes() == sbs.num_classes(),
+                "load shape mismatch");
     for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      for (std::size_t k = 0; k < config.num_contents; ++k) {
-        const double y = decision.load.at(n, m, k);
+      const double* const values = row.class_values(m);
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        const std::size_t k = row.contents()[i];
+        const double y = values[i];
         if (y < -tol || y > 1.0 + tol) {
           std::ostringstream os;
           os << "SBS " << n << " class " << m << " content " << k << ": y="
@@ -193,17 +222,21 @@ void enforce_feasibility(const NetworkConfig& config, SlotDemandView demand,
     const auto& sbs = config.sbs[n];
     MDO_REQUIRE(decision.cache.count(n) <= sbs.cache_capacity,
                 "cache capacity violated; controllers must respect (1)");
-    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
-      for (std::size_t k = 0; k < config.num_contents; ++k) {
-        double& y = decision.load.at(n, m, k);
-        y = std::clamp(y, 0.0, 1.0);
-        if (!decision.cache.cached(n, k)) y = 0.0;
+    // Clamp and mask the stored entries; off the list y is already 0.
+    LoadRow& row = decision.load.row(n);
+    const std::uint8_t* const bits = decision.cache.sbs_bitmap(n).data();
+    for (std::size_t m = 0; m < row.num_classes(); ++m) {
+      double* const values = row.class_values(m);
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        values[i] = bits[row.contents()[i]] != 0
+                        ? std::clamp(values[i], 0.0, 1.0)
+                        : 0.0;
       }
     }
     const double load = sbs_load(decision.load, n, slot[n]);
     if (load > sbs.bandwidth && load > 0.0) {
       const double scale = sbs.bandwidth / load;
-      for (double& y : decision.load.sbs_data(n)) y *= scale;
+      for (double& y : row.values()) y *= scale;
     }
     if (decision.load.has_neighbor()) {
       repair_neighbor_tier(config, decision, n, slot[n]);

@@ -42,7 +42,9 @@ std::size_t neighbor_source(const NetworkConfig& config,
 /// y_neigh in [0, 1], y_local + y_neigh <= 1, availability (y_neigh > 0
 /// needs a positive-bandwidth neighbor caching the content) and the
 /// per-link bandwidth budgets under designated-source routing.
-/// Returns all violations (empty means feasible within `tol`).
+/// Returns all violations (empty means feasible within `tol`). `tol` must
+/// be >= 0 (InvalidArgument otherwise): only stored load entries are
+/// checked, and the implicit zeros off the lists violate nothing then.
 std::vector<Violation> check_feasibility(const NetworkConfig& config,
                                          SlotDemandView demand,
                                          const SlotDecision& decision,

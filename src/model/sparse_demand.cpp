@@ -245,25 +245,21 @@ const SparseDemandTrace& sparse_trace(DemandTraceView trace,
 
 namespace {
 
-/// sum_{m,k} bank[m * K + k] * lambda[m, k] over the stored entries of the
+/// sum_{m,k} row[m, k] * lambda[m, k] over the stored entries of the
 /// SBS's demand (a dense view is converted first).
-double weighted_load(const linalg::Vec& bank, std::size_t classes,
-                     SbsDemandView view) {
+double weighted_load(const LoadRow& row, SbsDemandView view) {
   MDO_REQUIRE(view.valid(), "load: empty demand view");
   SparseSbsDemand storage;
   if (!view.is_sparse()) storage = SparseSbsDemand::from_dense(*view.dense());
   const SparseSbsDemand& demand = view.is_sparse() ? *view.sparse() : storage;
-  MDO_REQUIRE(demand.num_classes() == classes &&
-                  demand.num_classes() * demand.num_contents() == bank.size(),
+  MDO_REQUIRE(demand.num_classes() == row.num_classes() &&
+                  demand.num_contents() == row.num_contents(),
               "demand shape mismatch");
-  const double* y = bank.data();
-  const std::size_t contents = demand.num_contents();
   double total = 0.0;
-  for (std::size_t m = 0; m < classes; ++m) {
-    const DemandEntry* const end = demand.row_end(m);
-    for (const DemandEntry* it = demand.row_begin(m); it != end; ++it) {
-      total += y[m * contents + it->content] * it->rate;
-    }
+  for (std::size_t m = 0; m < row.num_classes(); ++m) {
+    join_class(demand, m, row, [&](const DemandEntry& entry, double y) {
+      total += y * entry.rate;
+    });
   }
   return total;
 }
@@ -272,13 +268,13 @@ double weighted_load(const linalg::Vec& bank, std::size_t classes,
 
 double sbs_load(const LoadAllocation& load, std::size_t n,
                 SbsDemandView demand) {
-  return weighted_load(load.sbs_data(n), load.num_classes(n), demand);
+  return weighted_load(load.row(n), demand);
 }
 
 double neighbor_load(const LoadAllocation& load, std::size_t n,
                      SbsDemandView demand) {
   if (!load.has_neighbor()) return 0.0;
-  return weighted_load(load.neighbor_data(n), load.num_classes(n), demand);
+  return weighted_load(load.neighbor_row(n), demand);
 }
 
 std::size_t SlotDemandView::num_sbs() const {

@@ -191,6 +191,27 @@ const SparseSlotDemand& sparse_slot(SlotDemandView demand,
 const SparseDemandTrace& sparse_trace(DemandTraceView trace,
                                       SparseDemandTrace& storage);
 
+/// Calls f(entry, y) for each stored entry of class m of `demand`, in row
+/// order, where y is `row`'s load at (m, entry.content) — 0.0 off the
+/// row's list: one forward merge of the two content-sorted lists, no
+/// search. Every kernel that weights loads by demand walks its rows
+/// through this, so each sum adds the terms of a dense loop over the row,
+/// in the same order, and keeps its bits.
+template <class F>
+void join_class(const SparseSbsDemand& demand, std::size_t m,
+                const LoadRow& row, F&& f) {
+  MDO_REQUIRE(m < row.num_classes(), "load row: class out of range");
+  const std::size_t* const contents = row.contents().data();
+  const std::size_t size = row.size();
+  const double* const y = row.class_values(m);
+  std::size_t pos = 0;
+  const DemandEntry* const end = demand.row_end(m);
+  for (const DemandEntry* it = demand.row_begin(m); it != end; ++it) {
+    while (pos < size && contents[pos] < it->content) ++pos;
+    f(*it, pos < size && contents[pos] == it->content ? y[pos] : 0.0);
+  }
+}
+
 /// SBS-served volume at SBS n: sum_{m,k} lambda * y (left side of (2)),
 /// accumulated over stored entries in ascending (class, content) order.
 double sbs_load(const LoadAllocation& load, std::size_t n, SbsDemandView demand);

@@ -202,9 +202,23 @@ model::SlotDecision ChcController::decide(const DecisionContext& ctx) {
       for (std::size_t k = 0; k < config.num_contents; ++k) {
         if (action.cache.cached(n, k)) fractional_x[n][k] += inv_r;
       }
-      auto& acc = averaged_y.sbs_data(n);
-      const auto& part = action.load.sbs_data(n);
-      for (std::size_t j = 0; j < acc.size(); ++j) acc[j] += inv_r * part[j];
+      // The average lives on the union of the variants' lists: widen by
+      // this variant's list (new columns start at +0.0, the value the dense
+      // sum holds there), then add its stored entries. Off its list a
+      // variant adds inv_r * 0.0 = +0.0, which leaves every sum's bits
+      // alone (a sum that starts at +0.0 is never -0.0).
+      model::LoadRow& acc = averaged_y.row(n);
+      const model::LoadRow& part = action.load.row(n);
+      acc.widen(part.contents());
+      for (std::size_t m = 0; m < part.num_classes(); ++m) {
+        double* const sums = acc.class_values(m);
+        const double* const values = part.class_values(m);
+        std::size_t pos = 0;
+        for (std::size_t i = 0; i < part.size(); ++i) {
+          while (acc.contents()[pos] < part.contents()[i]) ++pos;
+          sums[pos] += inv_r * values[i];
+        }
+      }
     }
   }
 

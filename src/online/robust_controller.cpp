@@ -49,8 +49,9 @@ model::SparseSlotDemand sanitize_demand(const model::SparseSlotDemand& demand) {
 }
 
 bool decision_finite(const model::SlotDecision& decision) {
+  // Off the stored lists y is 0.0, which is finite.
   for (std::size_t n = 0; n < decision.load.num_sbs(); ++n) {
-    for (const double y : decision.load.sbs_data(n)) {
+    for (const double y : decision.load.row(n).values()) {
       if (!std::isfinite(y)) return false;
     }
   }
@@ -173,12 +174,14 @@ model::SlotDecision RobustController::decide_guarded(
           decision.cache.set(n, cached[i], false);
         }
       }
-      const std::size_t classes = effective.sbs[n].num_classes();
-      for (std::size_t m = 0; m < classes; ++m) {
-        for (std::size_t k = 0; k < effective.num_contents; ++k) {
-          double& y = decision.load.at(n, m, k);
+      // Sanitize and mask the stored entries; off the list y is already 0.
+      model::LoadRow& row = decision.load.row(n);
+      for (std::size_t m = 0; m < row.num_classes(); ++m) {
+        double* const values = row.class_values(m);
+        for (std::size_t i = 0; i < row.size(); ++i) {
+          double& y = values[i];
           y = std::isfinite(y) ? std::clamp(y, 0.0, 1.0) : 0.0;
-          if (!decision.cache.cached(n, k)) y = 0.0;
+          if (!decision.cache.cached(n, row.contents()[i])) y = 0.0;
         }
       }
       // Best-effort bandwidth projection against the observed demand; the
@@ -186,7 +189,7 @@ model::SlotDecision RobustController::decide_guarded(
       const double load = model::sbs_load(decision.load, n, (*observed)[n]);
       if (load > effective.sbs[n].bandwidth && load > 0.0) {
         const double scale = effective.sbs[n].bandwidth / load;
-        for (double& y : decision.load.sbs_data(n)) y *= scale;
+        for (double& y : row.values()) y *= scale;
       }
     }
     if (evicted) {

@@ -72,16 +72,35 @@ model::CacheState read_cache(util::BinaryReader& r,
   return cache;
 }
 
+namespace {
+
+void write_row(util::BinaryWriter& w, const model::LoadRow& row) {
+  w.size(row.size());
+  for (const std::size_t k : row.contents()) w.size(k);
+  w.size(row.values().size());
+  for (const double value : row.values()) w.f64(value);
+}
+
+/// Decodes a row written by write_row into `row`, whose shape comes from
+/// the config. Both counts are count()-guarded, and LoadRow::assign
+/// rejects unsorted, duplicate or out-of-catalogue ids and a values count
+/// other than classes x contents with InvalidArgument.
+void read_row(util::BinaryReader& r, model::LoadRow& row) {
+  const std::vector<std::size_t> contents = r.size_vec();
+  const linalg::Vec values = r.f64_vec_as<linalg::Vec>();
+  row.assign(contents, values);
+}
+
+}  // namespace
+
 void write_load(util::BinaryWriter& w, const model::LoadAllocation& load) {
   w.size(load.num_sbs());
   w.size(load.num_contents());
-  for (std::size_t n = 0; n < load.num_sbs(); ++n) {
-    w.f64_vec(load.sbs_data(n));
-  }
+  for (std::size_t n = 0; n < load.num_sbs(); ++n) write_row(w, load.row(n));
   w.boolean(load.has_neighbor());
   if (load.has_neighbor()) {
     for (std::size_t n = 0; n < load.num_sbs(); ++n) {
-      w.f64_vec(load.neighbor_data(n));
+      write_row(w, load.neighbor_row(n));
     }
   }
 }
@@ -94,19 +113,11 @@ model::LoadAllocation read_load(util::BinaryReader& r,
                   num_contents == config.num_contents,
               "load snapshot: shape mismatch against the instance config");
   model::LoadAllocation load(config);
-  for (std::size_t n = 0; n < num_sbs; ++n) {
-    linalg::Vec data = r.f64_vec_as<linalg::Vec>();
-    MDO_REQUIRE(data.size() == load.sbs_data(n).size(),
-                "load snapshot: row length mismatch");
-    load.sbs_data(n) = std::move(data);
-  }
+  for (std::size_t n = 0; n < num_sbs; ++n) read_row(r, load.row(n));
   if (r.boolean()) {
     load.ensure_neighbor();
     for (std::size_t n = 0; n < num_sbs; ++n) {
-      linalg::Vec data = r.f64_vec_as<linalg::Vec>();
-      MDO_REQUIRE(data.size() == load.neighbor_data(n).size(),
-                  "load snapshot: neighbor row length mismatch");
-      load.neighbor_data(n) = std::move(data);
+      read_row(r, load.neighbor_row(n));
     }
   }
   return load;

@@ -30,12 +30,13 @@
 
 namespace mdo::runtime {
 
-/// Version 5: an FHC planner snapshots only its plan bookkeeping — no
+/// Version 6: a LoadAllocation is written as its compact rows (per SBS
+/// the sorted content list, then the class-major values). Version 5 wrote
+/// dense M x K rows and is rejected as unsupported (a cold start). Since
+/// version 5 an FHC planner snapshots only its plan bookkeeping — no
 /// same-window warm mu and no solver section, because a solve reads only
-/// its window. Version 4 held the warm mu, the step offset and the mu
-/// geometry; version 3 also the P2 warm-start bank and the planner's bank
-/// rotation time.
-inline constexpr std::uint32_t kCheckpointFormatVersion = 5;
+/// its window.
+inline constexpr std::uint32_t kCheckpointFormatVersion = 6;
 
 /// Frames `payload` (version + size + checksum) and atomically replaces
 /// `path` with it.
@@ -55,7 +56,13 @@ void write_cache(util::BinaryWriter& w, const model::CacheState& cache);
 model::CacheState read_cache(util::BinaryReader& r,
                              const model::NetworkConfig& config);
 
+/// Writes each SBS's compact row (LoadRow): its content list, then its
+/// values; the neighbor bank's rows follow when present.
 void write_load(util::BinaryWriter& w, const model::LoadAllocation& load);
+/// Restores a load written by write_load. Throws InvalidArgument, before
+/// any allocation larger than the payload, on a shape mismatch, an
+/// inflated count, unsorted or duplicate content ids, an id >= K, or a
+/// values count other than M x |list|.
 model::LoadAllocation read_load(util::BinaryReader& r,
                                 const model::NetworkConfig& config);
 

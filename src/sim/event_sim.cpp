@@ -154,6 +154,29 @@ void EventMetrics::restore(util::BinaryReader& r) {
 
 // ---- EventSimulator --------------------------------------------------------
 
+void resolve_entry_loads(const model::SparseSlotDemand& demand,
+                         const model::LoadAllocation& load, bool neighbor,
+                         std::vector<double>& y, std::vector<double>& yn) {
+  y.clear();
+  yn.clear();
+  for (std::size_t n = 0; n < demand.size(); ++n) {
+    const model::SparseSbsDemand& sbs = demand[n];
+    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
+      model::join_class(sbs, m, load.row(n),
+                        [&](const model::DemandEntry& entry, double value) {
+                          if (entry.rate <= 0.0) return;  // no arrivals
+                          y.push_back(std::clamp(value, 0.0, 1.0));
+                        });
+      if (!neighbor) continue;
+      model::join_class(sbs, m, load.neighbor_row(n),
+                        [&](const model::DemandEntry& entry, double value) {
+                          if (entry.rate <= 0.0) return;
+                          yn.push_back(std::clamp(value, 0.0, 1.0));
+                        });
+    }
+  }
+}
+
 EventSimulator::EventSimulator(const model::NetworkConfig& config,
                                EventSimOptions options)
     : config_(&config), options_(options) {
@@ -236,6 +259,13 @@ EventSlotMetrics EventSimulator::simulate_slot(
       model::sparse_slot(demand, storage);
   MDO_REQUIRE(slot_demand.size() == config.num_sbs(),
               "simulate_slot: demand shape mismatch");
+  const bool neigh_tier =
+      decision.load.has_neighbor() && !link_stations_.empty();
+  // Each arrival carries its entry's index into the loads resolved here,
+  // so no request searches a load row.
+  resolve_entry_loads(slot_demand, decision.load, neigh_tier, entry_y_,
+                      entry_yn_);
+  std::uint32_t entry = 0;
   for (std::size_t n = 0; n < config.num_sbs(); ++n) {
     const model::SparseSbsDemand& sbs = slot_demand[n];
     for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
@@ -249,9 +279,11 @@ EventSlotMetrics EventSimulator::simulate_slot(
         while (t < 1.0) {
           arrivals_.push_back(Arrival{t, static_cast<std::uint32_t>(n),
                                       static_cast<std::uint32_t>(m),
-                                      static_cast<std::uint32_t>(it->content)});
+                                      static_cast<std::uint32_t>(it->content),
+                                      entry});
           t += arrival_rng.exponential(intensity);
         }
+        ++entry;
       }
     }
   }
@@ -279,8 +311,6 @@ EventSlotMetrics EventSimulator::simulate_slot(
     stations[config.num_sbs() + 1 + l].service_rate =
         link_stations_[l].bandwidth * scale / kSbsUtilization;
   }
-  const bool neigh_tier =
-      decision.load.has_neighbor() && !link_stations_.empty();
 
   std::fill(bs_class_rate_.begin(), bs_class_rate_.end(), 0.0);
   std::fill(sbs_class_rate_.begin(), sbs_class_rate_.end(), 0.0);
@@ -341,15 +371,14 @@ EventSlotMetrics EventSimulator::simulate_slot(
     // BS absorbs everything else. An SBS with no service capacity cannot
     // seat a request. Decisions without a neighbor bank take the exact
     // baseline path — same draw, same branches, same accounting.
-    const double y = std::clamp(decision.load.at(n, m, k), 0.0, 1.0);
+    const double y = entry_y_[arrival.entry];
     const double u = loop_rng.uniform();
     const bool hit = decision.cache.cached(n, k) && u < y &&
                      stations[n].service_rate > 0.0;
     auto station_index = hit ? static_cast<std::uint32_t>(n) : bs_station;
     bool neigh_hit = false;
     if (!hit && neigh_tier) {
-      const double yn =
-          std::clamp(decision.load.neighbor_at(n, m, k), 0.0, 1.0);
+      const double yn = entry_yn_[arrival.entry];
       if (u < y + yn) {
         const std::size_t src =
             model::neighbor_source(config, decision.cache, n, k);

@@ -141,6 +141,18 @@ struct EventMetrics {
   friend bool operator==(const EventMetrics&, const EventMetrics&) = default;
 };
 
+/// The executed loads each request of a slot is routed with, resolved once
+/// per slot: for every entry of `demand` that generates arrivals (rate not
+/// <= 0), in the (SBS,
+/// class, content) order arrivals are generated in, y[n, m, k] clamped
+/// into [0, 1] is appended to `y` and — when `neighbor` is set (the load
+/// must then carry a neighbor bank) — y_neigh[n, m, k] clamped likewise to
+/// `yn`. Each row is merged with its load row (model::join_class), so the
+/// cost is one pass over the entries and the stored lists.
+void resolve_entry_loads(const model::SparseSlotDemand& demand,
+                         const model::LoadAllocation& load, bool neighbor,
+                         std::vector<double>& y, std::vector<double>& yn);
+
 /// The per-slot event engine. Stateless across slots apart from reusable
 /// scratch buffers: each slot is an independent busy period over the unit
 /// slot interval (arrivals land in [0, 1); the queues drain to empty and
@@ -170,7 +182,11 @@ class EventSimulator {
     std::uint32_t sbs = 0;
     std::uint32_t mu_class = 0;
     std::uint32_t content = 0;
+    std::uint32_t entry = 0;  // index into entry_y_ / entry_yn_
   };
+  // The entry index sits in what was padding: the arrival list a slot
+  // sorts does not grow.
+  static_assert(sizeof(Arrival) == 24);
 
   /// One FCFS station per positive-bandwidth directed inter-SBS link,
   /// appended after the BS station. Zero-bandwidth links get no station
@@ -193,6 +209,9 @@ class EventSimulator {
 
   // Scratch reused across slots (cleared, not reallocated).
   std::vector<Arrival> arrivals_;
+  // Per positive-rate entry: y and y_neigh (resolve_entry_loads).
+  std::vector<double> entry_y_;
+  std::vector<double> entry_yn_;
   std::vector<double> delays_;
   std::vector<double> bs_class_rate_;     // per (n, m): empirical BS rate
   std::vector<double> sbs_class_rate_;    // per (n, m): empirical SBS rate

@@ -233,9 +233,14 @@ TEST(Allocations, SparseForecastAllocatesNoContentWideFactors) {
 // perf test_budgets shape, in process, 1 thread): RHC windows of w = 4,
 // each planned from the previous plan's first cache. Every solve rebuilds
 // its per-window state (active sets, P2 bindings, any P1 flow network the
-// idle certificate does not rule out), so it allocates; the count per
-// steady solve is deterministic.
-std::uint64_t sparse_window_solve_allocations(std::size_t solves) {
+// idle certificate does not rule out), so it allocates; the count and the
+// bytes per steady solve are deterministic.
+struct SolveAllocations {
+  std::uint64_t count = 0;
+  std::uint64_t bytes = 0;
+};
+
+SolveAllocations sparse_window_solve_allocations(std::size_t solves) {
   constexpr std::size_t kWindow = 4;
   workload::PaperScenario scenario;
   scenario.num_sbs = 8;
@@ -260,31 +265,51 @@ std::uint64_t sparse_window_solve_allocations(std::size_t solves) {
   core::HorizonProblem problem;
   problem.config = &instance.config;
   problem.initial_cache = instance.initial_cache;
-  std::uint64_t steady = 0;
+  SolveAllocations steady;
   for (std::size_t tau = 0; tau <= solves; ++tau) {
     problem.sparse_demand = &windows[tau];
-    const std::uint64_t before = allocation_count();
+    const std::uint64_t count_before = allocation_count();
+    const std::uint64_t bytes_before = allocated_bytes();
     core::HorizonSolution solution = solver.solve(problem);
     // The first solve also sizes the solver's banks: not steady.
-    if (tau > 0) steady += allocation_count() - before;
+    if (tau > 0) {
+      steady.count += allocation_count() - count_before;
+      steady.bytes += allocated_bytes() - bytes_before;
+    }
     problem.initial_cache = solution.schedule.front().cache;
   }
   util::ThreadPool::set_global_threads(0);
-  return steady / solves;
+  return {steady.count / solves, steady.bytes / solves};
 }
 
 // Ceiling measured at the commit that added it (parent 0e6e952), g++ 12:
 // 473 allocations per steady solve. The parent, whose flow networks kept
 // one std::vector of arc indices per node, made 24,178. Lowered to 410
 // when P1 stopped building a flow network for SBSs whose plan the idle
-// certificate proves (parent 4c9c4d8). Lower the ceiling when a change
-// lowers the measurement.
-constexpr std::uint64_t kSparseWindowSolveAllocationCeiling = 410;
+// certificate proves (parent 4c9c4d8), and to 342, the measured count,
+// when each repaired cell's loads became a compact row instead of a
+// zero-filled M x K row per cell (parent 961b09d, which made 378). Lower
+// the ceiling when a change lowers the measurement.
+constexpr std::uint64_t kSparseWindowSolveAllocationCeiling = 342;
+
+// Heap bytes per steady solve of the same shape, measured at the commit
+// that added this gate (parent 961b09d), g++ 12: 587,485. The parent
+// allocated 1,610,557, of which 1,024,000 were the w x N dense M x K load
+// rows of the repaired buffer (4 * 8 * 2 * 2000 * 8 bytes): restoring one
+// zero-filled M x K row per cell fails the gate. Lower the ceiling when a
+// change lowers the measurement.
+constexpr std::uint64_t kSparseWindowSolveByteCeiling = 640 * 1024;
 
 TEST(Allocations, SparseWindowSolveAllocationCeiling) {
-  const std::uint64_t per_solve = sparse_window_solve_allocations(4);
+  const std::uint64_t per_solve = sparse_window_solve_allocations(4).count;
   RecordProperty("allocations_per_solve", static_cast<int>(per_solve));
   EXPECT_LE(per_solve, kSparseWindowSolveAllocationCeiling);
+}
+
+TEST(Allocations, SparseWindowSolveByteCeiling) {
+  const std::uint64_t per_solve = sparse_window_solve_allocations(4).bytes;
+  RecordProperty("bytes_per_solve", static_cast<int>(per_solve));
+  EXPECT_LE(per_solve, kSparseWindowSolveByteCeiling);
 }
 
 }  // namespace

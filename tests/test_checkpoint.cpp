@@ -8,6 +8,9 @@
 // so the equality also proves thread-count invariance of the restored state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -30,6 +33,7 @@
 #include "sim/simulator.hpp"
 #include "util/atomic_file.hpp"
 #include "util/error.hpp"
+#include "util/serialize.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/ema_predictor.hpp"
 #include "workload/predictor.hpp"
@@ -420,6 +424,138 @@ TEST(Checkpoint, UnsupportedControllerIsRejectedUpfront) {
   const sim::Simulator simulator(instance, predictor, options);
   online::LrfuController lrfu;
   EXPECT_THROW(simulator.run(lrfu), InvalidArgument);
+}
+
+/// A load snapshot whose SBS 0 row is written field by field: its list
+/// count and ids, then its values count and values. Every other SBS has an
+/// empty row, and there is no neighbor bank.
+std::vector<std::uint8_t> load_payload(const model::NetworkConfig& config,
+                                       std::size_t list_count,
+                                       const std::vector<std::size_t>& ids,
+                                       std::size_t values_count,
+                                       std::size_t values_written) {
+  util::BinaryWriter w;
+  w.size(config.num_sbs());
+  w.size(config.num_contents);
+  w.size(list_count);
+  for (const std::size_t k : ids) w.size(k);
+  w.size(values_count);
+  for (std::size_t i = 0; i < values_written; ++i) w.f64(0.5);
+  for (std::size_t n = 1; n < config.num_sbs(); ++n) {
+    w.size(0);
+    w.size(0);
+  }
+  w.boolean(false);
+  return w.take();
+}
+
+TEST(Checkpoint, LoadRowsRoundTripBitwise) {
+  const auto instance = checkpoint_instance();
+  const model::NetworkConfig& config = instance.config;
+  model::LoadAllocation load(config);
+  load.ensure_neighbor();
+  const std::size_t classes = config.sbs[0].num_classes();
+  const std::vector<std::size_t> contents = {0, 3, 5};
+  linalg::Vec values(classes * contents.size(), 0.25);
+  values[1] = -0.0;
+  values[2] = 1.5;
+  load.row(0).assign(contents, values);
+  load.neighbor_row(0).assign(std::vector<std::size_t>{4},
+                              linalg::Vec(config.sbs[0].num_classes(), 0.125));
+  util::BinaryWriter w;
+  runtime::write_load(w, load);
+  util::BinaryReader r(w.bytes());
+  const model::LoadAllocation restored = runtime::read_load(r, config);
+  EXPECT_TRUE(r.exhausted());
+  ASSERT_TRUE(restored.has_neighbor());
+  for (std::size_t n = 0; n < config.num_sbs(); ++n) {
+    for (const bool neighbor : {false, true}) {
+      const model::LoadRow& a = neighbor ? load.neighbor_row(n) : load.row(n);
+      const model::LoadRow& b =
+          neighbor ? restored.neighbor_row(n) : restored.row(n);
+      ASSERT_TRUE(std::equal(a.contents().begin(), a.contents().end(),
+                             b.contents().begin(), b.contents().end()));
+      ASSERT_EQ(a.values().size(), b.values().size());
+      for (std::size_t i = 0; i < a.values().size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(a.values()[i]),
+                  std::bit_cast<std::uint64_t>(b.values()[i]));
+      }
+    }
+  }
+}
+
+TEST(Checkpoint, MalformedLoadRowsAreRejected) {
+  const auto instance = checkpoint_instance();
+  const model::NetworkConfig& config = instance.config;
+  const std::size_t classes = config.sbs[0].num_classes();
+  const std::size_t k_count = config.num_contents;
+  auto decode = [&](const std::vector<std::uint8_t>& bytes) {
+    util::BinaryReader r(bytes);
+    return runtime::read_load(r, config);
+  };
+  // Well formed: ids ascending and < K, M x |list| values.
+  EXPECT_NO_THROW(decode(load_payload(config, 2, {1, 4}, 2 * classes,
+                                      2 * classes)));
+  // Unsorted and duplicate ids.
+  EXPECT_THROW(decode(load_payload(config, 2, {4, 1}, 2 * classes,
+                                   2 * classes)),
+               InvalidArgument);
+  EXPECT_THROW(decode(load_payload(config, 2, {3, 3}, 2 * classes,
+                                   2 * classes)),
+               InvalidArgument);
+  // An id outside the catalogue.
+  EXPECT_THROW(decode(load_payload(config, 2, {1, k_count}, 2 * classes,
+                                   2 * classes)),
+               InvalidArgument);
+  // A values count other than M x |list|.
+  EXPECT_THROW(decode(load_payload(config, 2, {1, 4}, 2 * classes - 1,
+                                   2 * classes - 1)),
+               InvalidArgument);
+  // Inflated counts: rejected by the count() guard before any allocation.
+  EXPECT_THROW(decode(load_payload(config, std::size_t{1} << 60, {}, 0, 0)),
+               InvalidArgument);
+  EXPECT_THROW(decode(load_payload(config, 1, {2}, std::size_t{1} << 60, 0)),
+               InvalidArgument);
+}
+
+TEST(Checkpoint, Version5FileIsRejectedAndResumesCold) {
+  const auto instance = checkpoint_instance(29);
+  const workload::PerfectPredictor predictor(instance.demand);
+  const std::string path = temp_ckpt("version5");
+  std::remove(path.c_str());
+
+  sim::SimulatorOptions options;
+  options.record_schedule = true;
+  options.checkpoint_path = path;
+  options.checkpoint_every = 3;
+  {
+    auto crash_options = options;
+    crash_options.halt_after_slot = 6;
+    const sim::Simulator crashing(instance, predictor, crash_options);
+    online::RhcController victim(4, fast_options());
+    crashing.run(victim);
+  }
+  // The frame is magic (8 bytes), then the little-endian u32 version: a
+  // file of the dense-row format version 5 is unsupported.
+  ASSERT_EQ(runtime::kCheckpointFormatVersion, 6u);
+  auto bytes = util::read_file_bytes(path);
+  ASSERT_GT(bytes.size(), 12u);
+  bytes[8] = 5;
+  util::write_file_atomic(path, bytes);
+  EXPECT_THROW(runtime::read_checkpoint_file(path), InvalidArgument);
+
+  auto resume_options = options;
+  resume_options.resume = true;
+  const sim::Simulator resuming(instance, predictor, resume_options);
+  online::RhcController survivor(4, fast_options());
+  const auto resumed = resuming.run(survivor);
+
+  sim::SimulatorOptions reference_options;
+  reference_options.record_schedule = true;
+  const sim::Simulator reference_sim(instance, predictor, reference_options);
+  online::RhcController reference_controller(4, fast_options());
+  expect_results_identical(reference_sim.run(reference_controller), resumed);
+  std::remove(path.c_str());
 }
 
 TEST(Checkpoint, ExperimentSanitizesSchemeFileNames) {

@@ -50,7 +50,7 @@ class FixedCacheController final : public online::Controller {
       for (std::size_t k = 0; k < config.sbs[n].cache_capacity; ++k) {
         decision.cache.set(n, k, true);
         for (std::size_t m = 0; m < config.sbs[n].num_classes(); ++m) {
-          decision.load.at(n, m, k) = 1.0;
+          decision.load.set(n, m, k, 1.0);
         }
       }
     }

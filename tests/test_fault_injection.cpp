@@ -75,7 +75,7 @@ class NanController final : public online::Controller {
     model::SlotDecision decision;
     decision.cache = model::CacheState(instance_->config);
     decision.load = model::LoadAllocation(instance_->config);
-    decision.load.at(0, 0, 0) = std::numeric_limits<double>::quiet_NaN();
+    decision.load.set(0, 0, 0, std::numeric_limits<double>::quiet_NaN());
     return decision;
   }
 

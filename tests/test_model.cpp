@@ -1,6 +1,9 @@
 // Unit tests for the network / demand / decision / cost model.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <span>
+
 #include "model/costs.hpp"
 #include "model/decision.hpp"
 #include "model/demand.hpp"
@@ -142,13 +145,86 @@ TEST(CacheState, EqualityAndBounds) {
 TEST(LoadAllocation, AccessAndLoad) {
   const auto config = small_config();
   LoadAllocation y(config);
-  y.at(0, 0, 1) = 0.5;
-  y.at(0, 1, 1) = 1.0;
+  y.set(0, 0, 1, 0.5);
+  y.set(0, 1, 1, 1.0);
   const auto demand = uniform_demand(config, 2.0);
   // load = sum lambda * y = 2 * (0.5 + 1.0)
   EXPECT_DOUBLE_EQ(model::sbs_load(y, 0, demand[0]), 3.0);
   EXPECT_DOUBLE_EQ(model::sbs_load(y, 1, demand[1]), 0.0);
   EXPECT_THROW(y.at(0, 9, 0), InvalidArgument);
+}
+
+TEST(LoadRow, StoresListedContentsClassMajor) {
+  LoadRow row(2, 5);
+  EXPECT_EQ(row.size(), 0u);
+  const std::size_t contents[] = {1, 3};
+  const double values[] = {0.1, 0.3, 0.6, -0.0};  // class 0, then class 1
+  row.assign(contents, values);
+  EXPECT_EQ(row.at(0, 3), 0.3);
+  EXPECT_EQ(row.at(1, 1), 0.6);
+  EXPECT_EQ(row.at(1, 2), 0.0);  // off the list
+  EXPECT_TRUE(std::signbit(row.at(1, 3)));
+  const linalg::Vec dense = row.to_dense();
+  ASSERT_EQ(dense.size(), 10u);
+  EXPECT_EQ(dense[3], 0.3);
+  EXPECT_EQ(dense[5 + 1], 0.6);
+  EXPECT_TRUE(std::signbit(dense[5 + 3]));
+
+  // A copy owns its storage; a set() that widens the copy leaves the
+  // original alone.
+  LoadRow copy = row;
+  copy.set(0, 4, 1.0);
+  EXPECT_EQ(copy.size(), 3u);
+  EXPECT_EQ(copy.at(0, 3), 0.3);
+  EXPECT_EQ(copy.at(1, 4), 0.0);
+  EXPECT_EQ(row.size(), 2u);
+  EXPECT_EQ(row.at(0, 4), 0.0);
+}
+
+TEST(LoadRow, AssignRejectsMalformedLists) {
+  LoadRow row(2, 5);
+  const double two[] = {0.0, 0.0, 0.0, 0.0};
+  const std::size_t unsorted[] = {3, 1};
+  const std::size_t duplicate[] = {2, 2};
+  const std::size_t outside[] = {1, 5};
+  EXPECT_THROW(row.assign(unsorted, two), InvalidArgument);
+  EXPECT_THROW(row.assign(duplicate, two), InvalidArgument);
+  EXPECT_THROW(row.assign(outside, two), InvalidArgument);
+  const std::size_t good[] = {1, 2};
+  EXPECT_THROW(row.assign(good, std::span<const double>(two, 3)),
+               InvalidArgument);
+  EXPECT_THROW(row.set(0, 5, 1.0), InvalidArgument);
+}
+
+TEST(LoadRow, AssignNonzeroDropsOnlyPositiveZeroColumns) {
+  LoadRow row(2, 6);
+  const std::size_t contents[] = {0, 2, 4, 5};
+  // Column 0: +0.0 in both classes (dropped); column 2: -0.0 (kept);
+  // column 4: 0.5 in class 1 only; column 5: +0.0 again.
+  const double values[] = {0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0};
+  row.assign_nonzero(contents, values);
+  ASSERT_EQ(row.size(), 2u);
+  EXPECT_EQ(row.contents()[0], 2u);
+  EXPECT_EQ(row.contents()[1], 4u);
+  EXPECT_TRUE(std::signbit(row.class_values(0)[0]));
+  EXPECT_EQ(row.class_values(1)[1], 0.5);
+}
+
+TEST(LoadRow, WidenKeepsStoredBits) {
+  LoadRow row(2, 8);
+  const std::size_t contents[] = {2, 6};
+  const double values[] = {0.2, 0.6, -0.0, 1.6};
+  row.assign(contents, values);
+  const linalg::Vec before = row.to_dense();
+  const std::size_t more[] = {0, 2, 7};
+  row.widen(more);
+  ASSERT_EQ(row.size(), 4u);
+  const linalg::Vec after = row.to_dense();
+  ASSERT_EQ(before.size(), after.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(std::signbit(before[i]), std::signbit(after[i])) << i;
+    EXPECT_EQ(before[i], after[i]) << i;
+  }
 }
 
 // ------------------------------------------------------------------ costs ----
@@ -166,7 +242,7 @@ TEST(Costs, BsCostDecreasesWithOffload) {
   const auto demand = uniform_demand(config, 1.0);
   LoadAllocation y(config);
   const double before = bs_operating_cost(config, demand, y);
-  y.at(0, 0, 0) = 1.0;
+  y.set(0, 0, 0, 1.0);
   EXPECT_LT(bs_operating_cost(config, demand, y), before);
 }
 
@@ -175,7 +251,7 @@ TEST(Costs, SbsOperatingCostMatchesHandComputation) {
   const auto demand = uniform_demand(config, 1.0);
   LoadAllocation y(config);
   for (std::size_t k = 0; k < 3; ++k) {
-    y.at(0, 0, k) = 1.0;  // class 0 of SBS 0 fully served locally
+    y.set(0, 0, k, 1.0);  // class 0 of SBS 0 fully served locally
   }
   // SBS 0: (omega_sbs0 * 3)^2 = 0.09; SBS 1 idle.
   EXPECT_NEAR(sbs_operating_cost(config, demand, y), 0.09, 1e-12);
@@ -232,7 +308,7 @@ TEST(Feasibility, DetectsEachViolationKind) {
   EXPECT_TRUE(is_feasible(config, demand, decision));
 
   // (3): load on an uncached content.
-  decision.load.at(0, 0, 0) = 0.5;
+  decision.load.set(0, 0, 0, 0.5);
   EXPECT_FALSE(is_feasible(config, demand, decision));
   decision.cache.set(0, 0, true);
   EXPECT_TRUE(is_feasible(config, demand, decision));
@@ -244,15 +320,15 @@ TEST(Feasibility, DetectsEachViolationKind) {
   decision.cache.set(0, 2, false);
 
   // (11): y outside [0, 1].
-  decision.load.at(0, 0, 0) = 1.5;
+  decision.load.set(0, 0, 0, 1.5);
   EXPECT_FALSE(is_feasible(config, demand, decision));
-  decision.load.at(0, 0, 0) = 0.5;
+  decision.load.set(0, 0, 0, 0.5);
 
   // (2): bandwidth. Load = sum lambda y; push everything to 1.
   decision.cache.set(0, 1, true);
   for (std::size_t m = 0; m < 2; ++m) {
-    decision.load.at(0, m, 0) = 1.0;
-    decision.load.at(0, m, 1) = 1.0;
+    decision.load.set(0, m, 0, 1.0);
+    decision.load.set(0, m, 1, 1.0);
   }
   // 4 entries * lambda 1.0 = 4.0 <= B = 4: feasible boundary.
   EXPECT_TRUE(is_feasible(config, demand, decision));
@@ -267,9 +343,9 @@ TEST(Feasibility, EnforceRepairsLoad) {
   decision.cache = CacheState(config);
   decision.load = LoadAllocation(config);
   decision.cache.set(0, 0, true);
-  decision.load.at(0, 0, 0) = 1.4;   // above 1
-  decision.load.at(0, 0, 1) = 0.9;   // not cached
-  decision.load.at(0, 1, 0) = 1.0;
+  decision.load.set(0, 0, 0, 1.4);   // above 1
+  decision.load.set(0, 0, 1, 0.9);   // not cached
+  decision.load.set(0, 1, 0, 1.0);
   enforce_feasibility(config, demand, decision);
   EXPECT_TRUE(is_feasible(config, demand, decision));
   EXPECT_DOUBLE_EQ(decision.load.at(0, 0, 1), 0.0);
@@ -286,7 +362,7 @@ TEST(Feasibility, EnforceScalesDownOverload) {
   decision.cache.set(0, 0, true);
   decision.cache.set(0, 1, true);
   for (std::size_t m = 0; m < 2; ++m)
-    for (std::size_t k = 0; k < 2; ++k) decision.load.at(0, m, k) = 1.0;
+    for (std::size_t k = 0; k < 2; ++k) decision.load.set(0, m, k, 1.0);
   // Raw load: 3 * 4 = 12 > B = 4 -> scaled by 1/3.
   enforce_feasibility(config, demand, decision);
   EXPECT_NEAR(model::sbs_load(decision.load, 0, demand[0]), 4.0, 1e-9);

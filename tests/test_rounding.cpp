@@ -88,9 +88,9 @@ TEST(Rounding, MaskZeroesUncachedLoad) {
   model::CacheState cache(config);
   cache.set(0, 1, true);
   model::LoadAllocation load(config);
-  load.at(0, 0, 0) = 0.5;
-  load.at(0, 0, 1) = 0.5;
-  load.at(0, 0, 2) = 0.5;
+  load.set(0, 0, 0, 0.5);
+  load.set(0, 0, 1, 0.5);
+  load.set(0, 0, 2, 0.5);
   mask_load_by_cache(config, cache, load);
   EXPECT_DOUBLE_EQ(load.at(0, 0, 0), 0.0);
   EXPECT_DOUBLE_EQ(load.at(0, 0, 1), 0.5);

@@ -36,7 +36,7 @@ class SloppyController final : public online::Controller {
     decision.load = model::LoadAllocation(instance_->config);
     for (std::size_t m = 0; m < instance_->config.sbs[0].num_classes(); ++m) {
       for (std::size_t k = 0; k < instance_->config.num_contents; ++k) {
-        decision.load.at(0, m, k) = 1.0;  // violates (2) and (3)
+        decision.load.set(0, m, k, 1.0);  // violates (2) and (3)
       }
     }
     return decision;

@@ -5,7 +5,10 @@
 // instance (run with MDO_THREADS=4 as well via the _mt4 registration).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -17,6 +20,7 @@
 #include "model/sparse_demand.hpp"
 #include "online/rhc.hpp"
 #include "online/robust_controller.hpp"
+#include "sim/event_sim.hpp"
 #include "sim/experiment.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/simulator.hpp"
@@ -628,6 +632,427 @@ TEST(SparseDemand, SolverHandlesCachedOnlyActiveSet) {
   EXPECT_TRUE(std::isfinite(result.total.total()));
   // All demand is on one content: a sane schedule serves some of it.
   EXPECT_GT(result.offload_ratio(), 0.0);
+}
+
+
+// ---- compact executed decisions ----------------------------------------
+//
+// The cost, load and feasibility kernels walk each LoadRow's stored
+// entries, merge-joined with the demand rows. Every one must give the bits
+// of the naive dense loops over full M x K rows, written out here over the
+// materialized sbs_data()/neighbor_data() copies.
+
+struct OracleShape {
+  std::size_t classes;
+  std::size_t contents;
+  bool neighbor;
+};
+
+constexpr std::size_t kOracleSbs = 4;
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Mostly in [0, 1]; some values outside it, some +0.0 and some -0.0.
+double random_load(Rng& rng) {
+  const double u = rng.uniform();
+  if (u < 0.1) return -0.0;
+  if (u < 0.2) return 0.0;
+  if (u < 0.3) return rng.uniform(-0.5, 1.5);
+  return rng.uniform();
+}
+
+/// Stores a random subset of the catalogue in `row`: it lists contents
+/// with no demand and misses contents that have some.
+void fill_row(Rng& rng, model::LoadRow& row, double fraction) {
+  std::vector<std::size_t> list;
+  for (std::size_t k = 0; k < row.num_contents(); ++k) {
+    if (rng.bernoulli(fraction)) list.push_back(k);
+  }
+  std::vector<double> values(row.num_classes() * list.size());
+  for (double& value : values) value = random_load(rng);
+  row.assign(list, values);
+}
+
+struct OracleCase {
+  model::NetworkConfig config;
+  model::SparseDemandTrace trace;
+  model::Schedule schedule;
+};
+
+/// Two slots of random demand and random compact decisions. SBS 0 keeps
+/// empty rows; with a neighbor bank SBS 1 keeps an empty neighbor row.
+OracleCase oracle_case(const OracleShape& shape, std::uint64_t seed) {
+  Rng rng(seed);
+  OracleCase c;
+  c.config = tiny_config(kOracleSbs, shape.contents, shape.classes);
+  const double k_scale = static_cast<double>(shape.contents);
+  for (model::SbsConfig& sbs : c.config.sbs) {
+    sbs.cache_capacity = shape.contents;
+    sbs.bandwidth = 0.1 * k_scale;  // binds on some SBSs
+    for (model::MuClass& mu : sbs.classes) mu.omega_neigh = 0.05;
+  }
+  if (shape.neighbor) {
+    c.config.topology = model::ring_topology(kOracleSbs, 0.02 * k_scale);
+  }
+  for (std::size_t t = 0; t < 2; ++t) {
+    model::SparseSlotDemand slot;
+    for (std::size_t n = 0; n < kOracleSbs; ++n) {
+      model::SparseSbsDemand demand(shape.classes, shape.contents);
+      for (std::size_t m = 0; m < shape.classes; ++m) {
+        for (std::size_t k = 0; k < shape.contents; ++k) {
+          if (!rng.bernoulli(0.3)) continue;
+          demand.append(m, k, rng.uniform() < 0.05 ? 0.0 : rng.uniform(0.0, 3.0));
+        }
+      }
+      demand.finalize();
+      slot.push_back(std::move(demand));
+    }
+    c.trace.push_back(std::move(slot));
+
+    model::SlotDecision decision;
+    decision.cache = model::CacheState(c.config);
+    for (std::size_t n = 0; n < kOracleSbs; ++n) {
+      for (std::size_t k = 0; k < shape.contents; ++k) {
+        if (rng.bernoulli(0.6)) decision.cache.set(n, k, true);
+      }
+    }
+    decision.load = model::LoadAllocation(c.config);
+    if (shape.neighbor) decision.load.ensure_neighbor();
+    for (std::size_t n = 1; n < kOracleSbs; ++n) {
+      fill_row(rng, decision.load.row(n), 0.4);
+      if (shape.neighbor && n != 1) {
+        fill_row(rng, decision.load.neighbor_row(n), 0.3);
+      }
+    }
+    c.schedule.push_back(std::move(decision));
+  }
+  return c;
+}
+
+std::vector<linalg::Vec> dense_banks(const model::LoadAllocation& load,
+                                     bool neighbor) {
+  std::vector<linalg::Vec> banks;
+  for (std::size_t n = 0; n < load.num_sbs(); ++n) {
+    banks.push_back(neighbor ? load.neighbor_data(n) : load.sbs_data(n));
+  }
+  return banks;
+}
+
+double dense_load(const linalg::Vec& bank, const model::SparseSbsDemand& d) {
+  const std::size_t k_count = d.num_contents();
+  double total = 0.0;
+  for (std::size_t m = 0; m < d.num_classes(); ++m) {
+    for (const model::DemandEntry* it = d.row_begin(m); it != d.row_end(m);
+         ++it) {
+      total += bank[m * k_count + it->content] * it->rate;
+    }
+  }
+  return total;
+}
+
+model::CostBreakdown dense_slot_cost(const model::NetworkConfig& config,
+                                     const model::SparseSlotDemand& slot,
+                                     const model::SlotDecision& decision,
+                                     const model::CacheState& previous) {
+  const std::size_t k_count = config.num_contents;
+  const bool neighbor = decision.load.has_neighbor();
+  const std::vector<linalg::Vec> y = dense_banks(decision.load, false);
+  const std::vector<linalg::Vec> z =
+      neighbor ? dense_banks(decision.load, true) : std::vector<linalg::Vec>{};
+  model::CostBreakdown out;
+  for (std::size_t n = 0; n < config.num_sbs(); ++n) {
+    const model::SparseSbsDemand& d = slot[n];
+    double weighted_bs = 0.0;
+    double weighted_sbs = 0.0;
+    double weighted_neigh = 0.0;
+    for (std::size_t m = 0; m < d.num_classes(); ++m) {
+      const model::MuClass& mu = config.sbs[n].classes[m];
+      double rest = 0.0;
+      double served = 0.0;
+      double neigh = 0.0;
+      for (const model::DemandEntry* it = d.row_begin(m); it != d.row_end(m);
+           ++it) {
+        rest += (1.0 - y[n][m * k_count + it->content]) * it->rate;
+        served += y[n][m * k_count + it->content] * it->rate;
+        if (neighbor) neigh += z[n][m * k_count + it->content] * it->rate;
+      }
+      if (neighbor) rest -= neigh;
+      weighted_bs += mu.omega_bs * rest;
+      weighted_sbs += mu.omega_sbs * served;
+      weighted_neigh += mu.omega_neigh * neigh;
+    }
+    out.bs += weighted_bs * weighted_bs;
+    out.sbs += weighted_sbs * weighted_sbs;
+    if (neighbor) out.neigh += weighted_neigh * weighted_neigh;
+  }
+  out.replacement = model::replacement_cost(config, decision.cache, previous);
+  return out;
+}
+
+std::size_t dense_link_index(const std::vector<model::NeighborLink>& row,
+                             std::size_t peer) {
+  for (std::size_t j = 0; j < row.size(); ++j) {
+    if (row[j].peer == peer) return j;
+  }
+  return row.size();
+}
+
+/// check_feasibility over every (n, m, k), in its message format.
+std::vector<std::string> dense_violations(const model::NetworkConfig& config,
+                                          const model::SparseSlotDemand& slot,
+                                          const model::SlotDecision& decision,
+                                          double tol) {
+  const std::size_t k_count = config.num_contents;
+  const bool neighbor = decision.load.has_neighbor();
+  const std::vector<linalg::Vec> y = dense_banks(decision.load, false);
+  const std::vector<linalg::Vec> z =
+      neighbor ? dense_banks(decision.load, true) : std::vector<linalg::Vec>{};
+  std::vector<std::string> out;
+  for (std::size_t n = 0; n < config.num_sbs(); ++n) {
+    const model::SbsConfig& sbs = config.sbs[n];
+    const double load = dense_load(y[n], slot[n]);
+    if (load > sbs.bandwidth + tol) {
+      std::ostringstream os;
+      os << "SBS " << n << ": load " << load << " exceeds bandwidth "
+         << sbs.bandwidth;
+      out.push_back(os.str());
+    }
+    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
+      for (std::size_t k = 0; k < k_count; ++k) {
+        const double value = y[n][m * k_count + k];
+        if (value < -tol || value > 1.0 + tol) {
+          std::ostringstream os;
+          os << "SBS " << n << " class " << m << " content " << k
+             << ": y=" << value << " outside [0,1]";
+          out.push_back(os.str());
+        }
+        if (value > tol && !decision.cache.cached(n, k)) {
+          std::ostringstream os;
+          os << "SBS " << n << " class " << m << " content " << k
+             << ": y=" << value << " but content not cached";
+          out.push_back(os.str());
+        }
+      }
+    }
+    if (!neighbor) continue;
+    const std::vector<model::NeighborLink>& links = config.topology.links[n];
+    std::vector<double> link_load(links.size(), 0.0);
+    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
+      for (std::size_t k = 0; k < k_count; ++k) {
+        const double local = y[n][m * k_count + k];
+        const double value = z[n][m * k_count + k];
+        if (value < -tol || value > 1.0 + tol) {
+          std::ostringstream os;
+          os << "SBS " << n << " class " << m << " content " << k
+             << ": y_neigh=" << value << " outside [0,1]";
+          out.push_back(os.str());
+        }
+        if (local + value > 1.0 + tol) {
+          std::ostringstream os;
+          os << "SBS " << n << " class " << m << " content " << k
+             << ": y_local + y_neigh = " << local + value << " exceeds 1";
+          out.push_back(os.str());
+        }
+        if (value > tol) {
+          const std::size_t src =
+              model::neighbor_source(config, decision.cache, n, k);
+          if (src == config.num_sbs()) {
+            std::ostringstream os;
+            os << "SBS " << n << " class " << m << " content " << k
+               << ": y_neigh=" << value
+               << " but no positive-bandwidth neighbor caches it";
+            out.push_back(os.str());
+          } else {
+            link_load[dense_link_index(links, src)] +=
+                slot[n].at(m, k) * value;
+          }
+        }
+      }
+    }
+    for (std::size_t j = 0; j < link_load.size(); ++j) {
+      if (link_load[j] > links[j].bandwidth + tol) {
+        std::ostringstream os;
+        os << "SBS " << n << " link from SBS " << links[j].peer << ": load "
+           << link_load[j] << " exceeds link bandwidth " << links[j].bandwidth;
+        out.push_back(os.str());
+      }
+    }
+  }
+  return out;
+}
+
+/// enforce_feasibility over every (n, m, k) of dense copies of the banks.
+void dense_enforce(const model::NetworkConfig& config,
+                   const model::SparseSlotDemand& slot,
+                   const model::CacheState& cache, std::vector<linalg::Vec>& y,
+                   std::vector<linalg::Vec>& z) {
+  const std::size_t k_count = config.num_contents;
+  for (std::size_t n = 0; n < config.num_sbs(); ++n) {
+    const model::SbsConfig& sbs = config.sbs[n];
+    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
+      for (std::size_t k = 0; k < k_count; ++k) {
+        double& value = y[n][m * k_count + k];
+        value = std::clamp(value, 0.0, 1.0);
+        if (!cache.cached(n, k)) value = 0.0;
+      }
+    }
+    const double load = dense_load(y[n], slot[n]);
+    if (load > sbs.bandwidth && load > 0.0) {
+      const double scale = sbs.bandwidth / load;
+      for (double& value : y[n]) value *= scale;
+    }
+    if (z.empty()) continue;
+    const std::vector<model::NeighborLink>& links = config.topology.links[n];
+    std::vector<double> link_load(links.size(), 0.0);
+    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
+      for (std::size_t k = 0; k < k_count; ++k) {
+        double& value = z[n][m * k_count + k];
+        value = std::clamp(value, 0.0, 1.0);
+        if (value == 0.0) continue;
+        const std::size_t src = model::neighbor_source(config, cache, n, k);
+        if (src == config.num_sbs()) {
+          value = 0.0;
+          continue;
+        }
+        const double local = y[n][m * k_count + k];
+        if (local + value > 1.0) value = 1.0 - local;
+        link_load[dense_link_index(links, src)] += slot[n].at(m, k) * value;
+      }
+    }
+    std::vector<double> scale(links.size(), 1.0);
+    for (std::size_t j = 0; j < links.size(); ++j) {
+      if (link_load[j] > links[j].bandwidth && link_load[j] > 0.0) {
+        scale[j] = links[j].bandwidth / link_load[j];
+      }
+    }
+    for (std::size_t m = 0; m < sbs.num_classes(); ++m) {
+      for (std::size_t k = 0; k < k_count; ++k) {
+        double& value = z[n][m * k_count + k];
+        if (value == 0.0) continue;
+        const std::size_t src = model::neighbor_source(config, cache, n, k);
+        if (src == config.num_sbs()) continue;
+        value *= scale[dense_link_index(links, src)];
+      }
+    }
+  }
+}
+
+void expect_cost_bits(const model::CostBreakdown& got,
+                      const model::CostBreakdown& want) {
+  EXPECT_TRUE(same_bits(got.bs, want.bs)) << got.bs << " vs " << want.bs;
+  EXPECT_TRUE(same_bits(got.sbs, want.sbs)) << got.sbs << " vs " << want.sbs;
+  EXPECT_TRUE(same_bits(got.neigh, want.neigh))
+      << got.neigh << " vs " << want.neigh;
+  EXPECT_TRUE(same_bits(got.replacement, want.replacement));
+}
+
+void expect_bank_bits(const std::vector<linalg::Vec>& got,
+                      const std::vector<linalg::Vec>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t n = 0; n < got.size(); ++n) {
+    ASSERT_EQ(got[n].size(), want[n].size());
+    for (std::size_t i = 0; i < got[n].size(); ++i) {
+      ASSERT_TRUE(same_bits(got[n][i], want[n][i]))
+          << "n=" << n << " i=" << i << ": " << got[n][i] << " vs "
+          << want[n][i];
+    }
+  }
+}
+
+TEST(SparseDemand, CompactLoadKernelsMatchDenseOracle) {
+  std::uint64_t seed = 100;
+  for (const std::size_t classes : {1, 3}) {
+    for (const std::size_t contents : {1, 17, 2000}) {
+      for (const bool neighbor : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "M=" << classes << " K="
+                                          << contents << " neighbor="
+                                          << neighbor);
+        const OracleCase c =
+            oracle_case(OracleShape{classes, contents, neighbor}, ++seed);
+        const model::CacheState initial(c.config);
+
+        model::CostBreakdown want_total;
+        const model::CacheState* previous = &initial;
+        for (std::size_t t = 0; t < c.schedule.size(); ++t) {
+          const model::SparseSlotDemand& slot = c.trace.slot(t);
+          const model::SlotDecision& decision = c.schedule[t];
+          const model::CostBreakdown want =
+              dense_slot_cost(c.config, slot, decision, *previous);
+          expect_cost_bits(model::slot_cost(c.config, slot, decision, *previous),
+                           want);
+          want_total += want;
+          previous = &decision.cache;
+
+          for (std::size_t n = 0; n < kOracleSbs; ++n) {
+            EXPECT_TRUE(same_bits(
+                model::sbs_load(decision.load, n, slot[n]),
+                dense_load(decision.load.sbs_data(n), slot[n])));
+            const double want_neigh =
+                neighbor ? dense_load(decision.load.neighbor_data(n), slot[n])
+                         : 0.0;
+            EXPECT_TRUE(same_bits(
+                model::neighbor_load(decision.load, n, slot[n]), want_neigh));
+          }
+
+          for (const double tol : {0.0, 1e-6}) {
+            std::vector<std::string> got;
+            for (const model::Violation& v :
+                 model::check_feasibility(c.config, slot, decision, tol)) {
+              got.push_back(v.description);
+            }
+            EXPECT_EQ(got, dense_violations(c.config, slot, decision, tol));
+          }
+
+          model::SlotDecision enforced = decision;
+          model::enforce_feasibility(c.config, slot, enforced);
+          std::vector<linalg::Vec> y = dense_banks(decision.load, false);
+          std::vector<linalg::Vec> z = neighbor
+                                           ? dense_banks(decision.load, true)
+                                           : std::vector<linalg::Vec>{};
+          dense_enforce(c.config, slot, decision.cache, y, z);
+          expect_bank_bits(dense_banks(enforced.load, false), y);
+          if (neighbor) expect_bank_bits(dense_banks(enforced.load, true), z);
+        }
+        expect_cost_bits(
+            model::schedule_cost(c.config, c.trace, c.schedule, initial),
+            want_total);
+      }
+    }
+  }
+}
+
+TEST(SparseDemand, ArrivalEntryLoadsMatchPointReads) {
+  for (const bool neighbor : {false, true}) {
+    const OracleCase c = oracle_case(OracleShape{3, 17, neighbor}, 7);
+    const model::SparseSlotDemand& slot = c.trace.slot(0);
+    const model::LoadAllocation& load = c.schedule[0].load;
+    std::vector<double> y;
+    std::vector<double> yn;
+    sim::resolve_entry_loads(slot, load, neighbor, y, yn);
+    // One value per entry that generates arrivals, in generation order.
+    std::size_t entry = 0;
+    for (std::size_t n = 0; n < kOracleSbs; ++n) {
+      for (std::size_t m = 0; m < slot[n].num_classes(); ++m) {
+        for (const model::DemandEntry* it = slot[n].row_begin(m);
+             it != slot[n].row_end(m); ++it) {
+          if (it->rate <= 0.0) continue;
+          ASSERT_LT(entry, y.size());
+          EXPECT_TRUE(same_bits(
+              y[entry], std::clamp(load.at(n, m, it->content), 0.0, 1.0)));
+          if (neighbor) {
+            EXPECT_TRUE(same_bits(
+                yn[entry],
+                std::clamp(load.neighbor_at(n, m, it->content), 0.0, 1.0)));
+          }
+          ++entry;
+        }
+      }
+    }
+    EXPECT_EQ(entry, y.size());
+    EXPECT_EQ(neighbor ? entry : 0, yn.size());
+  }
 }
 
 }  // namespace
