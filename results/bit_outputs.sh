@@ -38,7 +38,6 @@ run quickstart.txt "$ex/quickstart"
 run quickstart_sh2.txt env MDO_SHARDS=2 "$ex/quickstart"
 run fault_tolerance.txt "$ex/fault_tolerance"
 run event_replay.txt "$ex/event_replay"
-run overlap_cell.txt "$ex/overlap_cell"
 run headline_t20.txt "$bench/bench_headline_table" --slots 20
 "$bench/bench_fig2_beta" --slots 20 --csv "$out/fig2_t20.csv" > /dev/null 2>&1
 # The eta sweep: the only output that moves with the predictor's noise.

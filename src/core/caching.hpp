@@ -93,12 +93,12 @@ class CachingFlowWorkspace {
   bool bound_ = false;
 };
 
-/// Per-SBS P1 state of one window solve, shared by core::ShardCore and the
-/// overlap solver: each SBS's subproblem and flow workspace, bound once per
-/// window (only the rewards change between dual iterations), and the last
-/// solve's plan and objective. Each caller accumulates its own model's
-/// rewards between clear_rewards(n) and solve(n). Every call touches only
-/// SBS n, so callers run the SBSs in parallel.
+/// Per-SBS P1 state of one core::ShardCore window solve: each SBS's
+/// subproblem and flow workspace, bound once per window (only the rewards
+/// change between dual iterations), and the last solve's plan and
+/// objective. The caller accumulates the rewards between clear_rewards(n)
+/// and solve(n). Every call touches only SBS n, so the SBSs run in
+/// parallel.
 ///
 /// Idle certificate (DESIGN.md §8): when nothing is initially cached and
 /// every content's reward over the whole window stays below beta, x = 0 is

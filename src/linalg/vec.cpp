@@ -1,7 +1,6 @@
 #include "linalg/vec.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.hpp"
 #include "util/simd.hpp"
@@ -29,46 +28,6 @@ double dot(const Vec& a, const Vec& b) {
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) acc += pa[i] * pb[i];
   return acc;
-}
-
-void axpy(double alpha, const Vec& x, Vec& y) {
-  MDO_REQUIRE(x.size() == y.size(), "axpy: size mismatch");
-  MDO_ASSERT_VEC_ALIGNED(x.data());
-  MDO_ASSERT_VEC_ALIGNED(y.data());
-  const double* px = x.data();
-  double* py = y.data();
-  const std::size_t n = x.size();
-  MDO_SIMD_LOOP
-  for (std::size_t i = 0; i < n; ++i) py[i] += alpha * px[i];
-}
-
-void scale(Vec& x, double alpha) {
-  double* px = x.data();
-  const std::size_t n = x.size();
-  MDO_SIMD_LOOP
-  for (std::size_t i = 0; i < n; ++i) px[i] *= alpha;
-}
-
-double norm2(const Vec& x) { return std::sqrt(dot(x, x)); }
-
-double norm_inf(const Vec& x) {
-  double m = 0.0;
-  for (const double v : x) m = std::max(m, std::abs(v));
-  return m;
-}
-
-double sum(const Vec& x) {
-  double acc = 0.0;
-  for (const double v : x) acc += v;
-  return acc;
-}
-
-void clamp(Vec& x, double lo, double hi) {
-  MDO_REQUIRE(lo <= hi, "clamp: lo must be <= hi");
-  double* px = x.data();
-  const std::size_t n = x.size();
-  MDO_SIMD_LOOP
-  for (std::size_t i = 0; i < n; ++i) px[i] = std::clamp(px[i], lo, hi);
 }
 
 void scaled_sub(const Vec& y, double alpha, const Vec& g, Vec& out) {
@@ -131,38 +90,6 @@ std::pair<double, double> dot_pair(const Vec& a, const Vec& b, const Vec& x) {
     acc_b += pb[i] * px[i];
   }
   return {acc_a, acc_b};
-}
-
-Vec subtract(const Vec& a, const Vec& b) {
-  MDO_REQUIRE(a.size() == b.size(), "subtract: size mismatch");
-  Vec out(a.size());
-  const double* pa = a.data();
-  const double* pb = b.data();
-  double* po = out.data();
-  const std::size_t n = a.size();
-  MDO_SIMD_LOOP
-  for (std::size_t i = 0; i < n; ++i) po[i] = pa[i] - pb[i];
-  return out;
-}
-
-Vec add(const Vec& a, const Vec& b) {
-  MDO_REQUIRE(a.size() == b.size(), "add: size mismatch");
-  Vec out(a.size());
-  const double* pa = a.data();
-  const double* pb = b.data();
-  double* po = out.data();
-  const std::size_t n = a.size();
-  MDO_SIMD_LOOP
-  for (std::size_t i = 0; i < n; ++i) po[i] = pa[i] + pb[i];
-  return out;
-}
-
-bool approx_equal(const Vec& a, const Vec& b, double tol) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::abs(a[i] - b[i]) > tol) return false;
-  }
-  return true;
 }
 
 }  // namespace mdo::linalg

@@ -5,10 +5,11 @@
 // expression-template layer the project does not need.
 //
 // Determinism contract (DESIGN.md §12): every reduction below accumulates
-// with four fixed lanes combined as (l0+l1)+(l2+l3) plus a serial tail, in
-// source-spelled order, so MDO_SIMD=ON and =OFF builds return bit-identical
-// values. Map kernels carry MDO_SIMD_LOOP — element-independent, so lane
-// width cannot change a bit either.
+// strictly serially in ascending index order and is never lane-split, so
+// MDO_SIMD=ON and =OFF builds return bit-identical values and a sparse sum
+// over the nonzero terms equals the dense one. Map kernels carry
+// MDO_SIMD_LOOP — element-independent, so lane width cannot change a bit
+// either.
 #pragma once
 
 #include <cstddef>
@@ -53,24 +54,6 @@ using Vec = std::vector<double, AlignedAllocator<double>>;
 /// Dot product; sizes must match.
 double dot(const Vec& a, const Vec& b);
 
-/// y += alpha * x; sizes must match.
-void axpy(double alpha, const Vec& x, Vec& y);
-
-/// x *= alpha.
-void scale(Vec& x, double alpha);
-
-/// Euclidean norm.
-double norm2(const Vec& x);
-
-/// Max-abs norm.
-double norm_inf(const Vec& x);
-
-/// Sum of entries.
-double sum(const Vec& x);
-
-/// Element-wise clamp of every entry into [lo, hi].
-void clamp(Vec& x, double lo, double hi);
-
 /// out = y - alpha * g, single pass; sizes must match and out must be
 /// pre-sized (the hot-path kernels never allocate).
 void scaled_sub(const Vec& y, double alpha, const Vec& g, Vec& out);
@@ -88,18 +71,9 @@ void scaled_sub_clamp(const Vec& y, double alpha, const Vec& g,
 void dual_ascent_project(double* mu, const double* y, const double* x,
                          double delta, std::size_t n);
 
-/// Returns {a . x, b . x} in one pass over x. Each accumulator sums with
-/// the shared fixed-lane scheme, so the results are bit-identical to two
+/// Returns {a . x, b . x} in one pass over x. Each accumulator sums
+/// serially in dot()'s index order, so the results are bit-identical to two
 /// separate dot()s.
 std::pair<double, double> dot_pair(const Vec& a, const Vec& b, const Vec& x);
-
-/// a - b as a new vector; sizes must match.
-Vec subtract(const Vec& a, const Vec& b);
-
-/// a + b as a new vector; sizes must match.
-Vec add(const Vec& a, const Vec& b);
-
-/// True when |a[i] - b[i]| <= tol for all i (and sizes match).
-bool approx_equal(const Vec& a, const Vec& b, double tol);
 
 }  // namespace mdo::linalg

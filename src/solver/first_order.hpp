@@ -1,11 +1,13 @@
 // First-order methods for smooth convex minimization over a simple set.
 //
-// Used for the load-balancing subproblem P2 (Sec. III): the objective
-// f_t + g_t + mu.y is smooth and convex, the feasible set is box ∩ knapsack
-// with an exact projection, so projected gradient / FISTA converge at the
-// standard O(1/k) / O(1/k^2) rates with step 1/L. The loop runs in
-// caller-owned buffers: zero heap allocations per iteration in steady
-// state.
+// Its one production caller is the cooperative neighbor overlay
+// (core::apply_neighbor_overlay), which solves one P2-shaped QP per receiver
+// and link: the objective is smooth and convex, the feasible set is
+// box ∩ knapsack with an exact projection, so projected gradient / FISTA
+// converge at the standard O(1/k) / O(1/k^2) rates with step 1/L. E6
+// (bench_solvers) and the exact-P2 tests run it as a reference. The loop
+// runs in caller-owned buffers: zero heap allocations per iteration in
+// steady state.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +33,7 @@ struct FirstOrderOptions {
   /// below this threshold.
   double gradient_tolerance = 1e-7;
   /// Lipschitz constant of the gradient. Must be positive; callers compute
-  /// it exactly for P2 (L = 2(||u||^2 + ||v||^2)).
+  /// it exactly for their P2-shaped QPs (L = 2(||u||^2 + ||v||^2)).
   double lipschitz = 1.0;
   /// Use Nesterov acceleration (FISTA) instead of plain projected gradient.
   bool accelerate = true;

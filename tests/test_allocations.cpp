@@ -6,9 +6,10 @@
 // Neither must the
 // feasibility repair's pattern, a box upper bound alternating between two
 // cache masks. A byte ceiling on one sparse forecast keeps the noisy
-// predictor from building content-wide (K-wide) buffers again, and an
+// predictor from building content-wide (K-wide) buffers again, an
 // allocation ceiling on one sparse window solve keeps the P1 flow networks
-// flat.
+// flat, and one on a steady paper_ring decide() catches a new per-cell or
+// per-iteration allocation on the dense cooperative path.
 //
 // The binary replaces the global allocation functions with a counting
 // forwarder to malloc/free, so it is its own executable: the counter would
@@ -19,13 +20,16 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "core/load_balancing.hpp"
 #include "core/primal_dual.hpp"
 #include "linalg/vec.hpp"
 #include "model/sparse_demand.hpp"
+#include "online/rhc.hpp"
 #include "shard/coordinator.hpp"
+#include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/predictor.hpp"
@@ -310,6 +314,82 @@ TEST(Allocations, SparseWindowSolveByteCeiling) {
   const std::uint64_t per_solve = sparse_window_solve_allocations(4).bytes;
   RecordProperty("bytes_per_solve", static_cast<int>(per_solve));
   EXPECT_LE(per_solve, kSparseWindowSolveByteCeiling);
+}
+
+/// Counts the heap allocations of every decide() of the wrapped controller
+/// and nothing else the simulator does between them.
+class AllocationCountingController final : public online::Controller {
+ public:
+  explicit AllocationCountingController(online::Controller& inner)
+      : inner_(&inner) {}
+
+  std::string name() const override { return inner_->name(); }
+  void reset(const model::ProblemInstance& instance) override {
+    inner_->reset(instance);
+    per_decide_.clear();
+  }
+  model::SlotDecision decide(const online::DecisionContext& ctx) override {
+    const std::uint64_t before = allocation_count();
+    model::SlotDecision decision = inner_->decide(ctx);
+    per_decide_.push_back(allocation_count() - before);
+    return decision;
+  }
+  void observe(std::size_t slot, const model::SlotDecision& executed) override {
+    inner_->observe(slot, executed);
+  }
+
+  const std::vector<std::uint64_t>& per_decide() const { return per_decide_; }
+
+ private:
+  online::Controller* inner_;
+  std::vector<std::uint64_t> per_decide_;
+};
+
+// perfbench's paper_ring shape at T = 12 (test_budgets'
+// PaperRingDualIterationsPerSolve): 6 SBSs on a cooperative ring, K = 30,
+// 30 classes per SBS, dense demand, RHC with w = 10 under the eta = 0.1
+// noisy forecast, 1 thread, driven by the simulator. Every decide() solves
+// a window (P1 and P2 per cell and dual iteration, the repair, the
+// neighbor overlay), so it allocates; the count is deterministic.
+// Ceiling measured at the commit that added it (parent 46d1cdc), g++ 12:
+// 981 allocations per steady decide (10,798 over the 11 steady slots).
+// About 461 are the dense forecast's conversion to sparse rows
+// (SparseSbsDemand::from_dense), 158 the repair's compact load rows, 95
+// the active sets, 95 the empty window schedule and 48 the P1 flow
+// networks. One std::vector temporary per non-empty cell in
+// ShardCore::iterate adds 551. Lower the ceiling when a change lowers the
+// measurement.
+constexpr std::uint64_t kPaperRingDecideAllocationCeiling = 981;
+
+TEST(Allocations, PaperRingDecideAllocationCeiling) {
+  constexpr std::size_t kWindow = 10;
+  constexpr std::size_t kSlots = 12;
+  workload::PaperScenario scenario;
+  scenario.num_sbs = 6;
+  scenario.num_contents = 30;
+  scenario.classes_per_sbs = 30;
+  scenario.horizon = kSlots;
+  scenario.seed = 7;
+  scenario.neighbor_topology = workload::NeighborTopologyKind::kRing;
+  scenario.inter_sbs_bandwidth = 5.0;
+  const model::ProblemInstance instance = scenario.build();
+  // perfbench's noise seed at --seed 1, variant 0.
+  const workload::NoisyPredictor predictor(instance.demand, 0.1, 2234);
+
+  util::ThreadPool::set_global_threads(1);
+  online::RhcController rhc(kWindow);
+  AllocationCountingController counting(rhc);
+  sim::Simulator(instance, predictor).run(counting);
+  util::ThreadPool::set_global_threads(0);
+
+  // The first decide() also sizes the solver's banks: not steady.
+  const std::vector<std::uint64_t>& counts = counting.per_decide();
+  ASSERT_EQ(counts.size(), kSlots);
+  std::uint64_t steady = 0;
+  for (std::size_t t = 1; t < counts.size(); ++t) steady += counts[t];
+  const std::uint64_t per_decide = steady / (kSlots - 1);
+  RecordProperty("allocations_per_decide", static_cast<int>(per_decide));
+  EXPECT_LE(per_decide, kPaperRingDecideAllocationCeiling);
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 // replacement).
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -14,14 +13,12 @@
 
 #include "core/primal_dual.hpp"
 #include "model/feasibility.hpp"
-#include "overlap/primal_dual.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/deadline.hpp"
 #include "runtime/supervisor.hpp"
 #include "util/atomic_file.hpp"
 #include "util/checksum.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 #include "util/serialize.hpp"
 #include "workload/scenario.hpp"
 
@@ -60,8 +57,6 @@ core::PrimalDualOptions tight_options(std::size_t max_iterations = 12) {
   options.epsilon = 1e-16;
   return options;
 }
-
-std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
 
 std::string temp_path(const std::string& name) {
   return testing::TempDir() + name;
@@ -170,100 +165,6 @@ TEST(AnytimeSolve, NullAndUnlimitedTokensAreBitIdentical) {
   EXPECT_EQ(baseline.upper_bound, with_token.upper_bound);
   EXPECT_EQ(baseline.lower_bound, with_token.lower_bound);
   EXPECT_EQ(baseline.mu, with_token.mu);
-}
-
-/// The overlap suite's small cell: two SBSs; class 0 reaches both,
-/// classes 1/2 reach one each.
-overlap::OverlapConfig small_overlap_config() {
-  overlap::OverlapConfig config;
-  config.num_contents = 3;
-  config.sbs = {
-      overlap::SbsParams{.cache_capacity = 1, .bandwidth = 2.0,
-                         .replacement_beta = 1.0},
-      overlap::SbsParams{.cache_capacity = 1, .bandwidth = 1.5,
-                         .replacement_beta = 2.0}};
-  config.classes = {
-      overlap::OverlapMuClass{.omega_bs = 1.0, .neighbors = {0, 1},
-                              .omega_sbs = {0.0, 0.0}},
-      overlap::OverlapMuClass{.omega_bs = 0.7, .neighbors = {0},
-                              .omega_sbs = {0.0}},
-      overlap::OverlapMuClass{.omega_bs = 0.4, .neighbors = {1},
-                              .omega_sbs = {0.0}},
-  };
-  return config;
-}
-
-/// A three-slot window on the small cell. Holds the config and layout the
-/// problem points to, so it is neither copied nor moved.
-struct OverlapWindow {
-  overlap::OverlapConfig config = small_overlap_config();
-  overlap::OverlapLayout layout{config};
-  overlap::OverlapHorizonProblem problem;
-
-  OverlapWindow() {
-    problem.config = &config;
-    problem.layout = &layout;
-    Rng rng(11);
-    for (std::size_t t = 0; t < 3; ++t) {
-      overlap::ClassDemand demand(config.num_classes(), config.num_contents);
-      for (auto& v : demand.data()) v = rng.uniform(0.0, 2.0);
-      problem.demand.push_back(std::move(demand));
-    }
-    problem.initial = overlap::empty_cache(config);
-  }
-  OverlapWindow(const OverlapWindow&) = delete;
-  OverlapWindow& operator=(const OverlapWindow&) = delete;
-};
-
-overlap::OverlapPrimalDualOptions overlap_tight_options(
-    std::size_t max_iterations) {
-  overlap::OverlapPrimalDualOptions options;
-  options.max_iterations = max_iterations;
-  options.epsilon = 1e-16;  // unreachable; see tight_options()
-  return options;
-}
-
-TEST(AnytimeSolve, OverlapSolverHonorsDeadline) {
-  const OverlapWindow window;
-  overlap::OverlapPrimalDualSolver solver(overlap_tight_options(12));
-  auto token = runtime::DeadlineToken::after_checks(1);
-  const auto solution = solver.solve(window.problem, &token);
-  EXPECT_EQ(solution.status, solver::SolveStatus::kDeadlineExpired);
-  EXPECT_EQ(solution.iterations, 2u);
-  EXPECT_TRUE(std::isfinite(solution.upper_bound));
-}
-
-TEST(AnytimeSolve, OverlapDeadlineExitMatchesIterationCapBitwise) {
-  // The loop applies a step still pending when it stops, on every exit:
-  // stopping on the deadline after L iterations leaves the same bits as
-  // stopping on a cap of L.
-  constexpr std::size_t kIterations = 5;
-  const OverlapWindow window;
-  const auto capped = overlap::OverlapPrimalDualSolver(
-                          overlap_tight_options(kIterations))
-                          .solve(window.problem);
-  ASSERT_EQ(capped.status, solver::SolveStatus::kIterationLimit);
-  auto token = runtime::DeadlineToken::after_checks(kIterations - 1);
-  const auto stopped = overlap::OverlapPrimalDualSolver(
-                           overlap_tight_options(100))
-                           .solve(window.problem, &token);
-  ASSERT_EQ(stopped.status, solver::SolveStatus::kDeadlineExpired);
-  EXPECT_EQ(stopped.iterations, capped.iterations);
-  EXPECT_EQ(bits(stopped.upper_bound), bits(capped.upper_bound));
-  EXPECT_EQ(bits(stopped.lower_bound), bits(capped.lower_bound));
-  ASSERT_EQ(stopped.mu.size(), capped.mu.size());
-  for (std::size_t i = 0; i < capped.mu.size(); ++i) {
-    EXPECT_EQ(bits(stopped.mu[i]), bits(capped.mu[i])) << "mu[" << i << "]";
-  }
-  ASSERT_EQ(stopped.schedule.size(), capped.schedule.size());
-  for (std::size_t t = 0; t < capped.schedule.size(); ++t) {
-    EXPECT_EQ(stopped.schedule[t].cache, capped.schedule[t].cache);
-    ASSERT_EQ(stopped.schedule[t].y.size(), capped.schedule[t].y.size());
-    for (std::size_t j = 0; j < capped.schedule[t].y.size(); ++j) {
-      EXPECT_EQ(bits(stopped.schedule[t].y[j]), bits(capped.schedule[t].y[j]))
-          << "slot " << t << " y[" << j << "]";
-    }
-  }
 }
 
 // ---- Supervised escalation ----------------------------------------------

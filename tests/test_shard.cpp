@@ -338,7 +338,7 @@ TEST(ShardSolve, SparseBitwiseEqualAcrossShardCounts) {
 /// Shard counts every loop-exit test covers: in process, one worker, two
 /// workers. Worker subprocesses are left out under ThreadSanitizer.
 std::vector<std::size_t> loop_shard_counts() {
-#ifdef MDO_SHARD_TESTS_TSAN
+#ifdef MDO_TESTS_TSAN
   return {shard::kShardsInProcess};
 #else
   return {shard::kShardsInProcess, std::size_t{1}, std::size_t{2}};
@@ -366,7 +366,6 @@ core::HorizonSolution deadline_stopped(const core::HorizonProblem& problem,
 }
 
 TEST(ShardSolve, DeadlineExitMatchesIterationCapBitwise) {
-  MDO_SKIP_IF_TSAN();
   constexpr std::size_t kIterations = 5;
   const auto instance = shard_instance(/*sparse=*/true);
   const auto problem = as_problem(instance);
